@@ -8,6 +8,7 @@ guard.  Counts are exact Python ints throughout.
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
@@ -92,7 +93,10 @@ def _shard_histogram(n: int, first: int):
     return counts, inv_counts
 
 
+# Both caches are shared by every thread, so each is read and filled only
+# under its lock.
 _PROFILE_CACHE: dict[int, tuple[dict, dict]] = {}
+_PROFILE_LOCK = threading.Lock()
 
 
 def _scan_profiles(n: int, threads: int = 1):
@@ -101,23 +105,26 @@ def _scan_profiles(n: int, threads: int = 1):
     Sharding by first element is deterministic: the merged histogram does not
     depend on shard completion order.
     """
-    if n not in _PROFILE_CACHE:
-        if threads > 1 and n > 1:
-            from concurrent.futures import ThreadPoolExecutor
+    with _PROFILE_LOCK:
+        if n not in _PROFILE_CACHE:
+            if threads > 1 and n > 1:
+                from concurrent.futures import ThreadPoolExecutor
 
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                shards = list(pool.map(lambda f: _shard_histogram(n, f), range(1, n + 1)))
-        else:
-            shards = [_shard_histogram(n, f) for f in range(1, n + 1)]
-        counts: dict[tuple[int, int], int] = {}
-        inv_counts: dict[tuple[int, int], int] = {}
-        for shard, inv_shard in shards:
-            for k, v in shard.items():
-                counts[k] = counts.get(k, 0) + v
-            for k, v in inv_shard.items():
-                inv_counts[k] = inv_counts.get(k, 0) + v
-        _PROFILE_CACHE[n] = (counts, inv_counts)
-    return _PROFILE_CACHE[n]
+                with ThreadPoolExecutor(max_workers=threads) as pool:
+                    shards = list(
+                        pool.map(lambda f: _shard_histogram(n, f), range(1, n + 1))
+                    )
+            else:
+                shards = [_shard_histogram(n, f) for f in range(1, n + 1)]
+            counts: dict[tuple[int, int], int] = {}
+            inv_counts: dict[tuple[int, int], int] = {}
+            for shard, inv_shard in shards:
+                for k, v in shard.items():
+                    counts[k] = counts.get(k, 0) + v
+                for k, v in inv_shard.items():
+                    inv_counts[k] = inv_counts.get(k, 0) + v
+            _PROFILE_CACHE[n] = (counts, inv_counts)
+        return _PROFILE_CACHE[n]
 
 
 def prime_brute_cache(n: int, threads: int = 1) -> None:
@@ -165,18 +172,20 @@ def _box_additions(shape: Part, d: int, L: int):
 
 
 _CHAIN_CACHE: dict[tuple[int, int], list[dict]] = {}
+_CHAIN_LOCK = threading.Lock()
 
 
 def _chain_counts(n: int, d: int, L: int) -> dict:
     """Shape -> number of width-bounded standard chains from empty, size n."""
-    levels = _CHAIN_CACHE.setdefault((d, L), [{(): 1}])
-    while len(levels) <= n:
-        out: dict[Part, int] = {}
-        for shape, ways in levels[-1].items():
-            for new in _box_additions(shape, d, L):
-                out[new] = out.get(new, 0) + ways
-        levels.append(out)
-    return levels[n]
+    with _CHAIN_LOCK:
+        levels = _CHAIN_CACHE.setdefault((d, L), [{(): 1}])
+        while len(levels) <= n:
+            out: dict[Part, int] = {}
+            for shape, ways in levels[-1].items():
+                for new in _box_additions(shape, d, L):
+                    out[new] = out.get(new, 0) + ways
+            levels.append(out)
+        return levels[n]
 
 
 def tableau_pair_count(n: int, d: int, L: int) -> int:

@@ -339,5 +339,5 @@ def filling_from_json(obj) -> Filling:
         raise FormatError("filling JSON needs keys 'shape' and 'rows'")
     try:
         return filling_from_matrix(tuple(obj["shape"]), [tuple(r) for r in obj["rows"]])
-    except (DomainError, TypeError) as exc:
+    except (TypeError, ValueError) as exc:  # DomainError is a ValueError
         raise FormatError(str(exc)) from exc

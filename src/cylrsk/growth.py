@@ -20,7 +20,10 @@ Both directions are unique, which is what makes whole-diagram growth a
 bijection between fillings and boundary label sequences.
 """
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from operator import add, ge, sub
+from types import MappingProxyType
 
 from .errors import DomainError, FormatError, InvariantViolation, PatternContainment
 from .fillings import (
@@ -99,37 +102,125 @@ def _validate_entry(rule: Rule, entry: int) -> int:
     return entry
 
 
+def _side_condition(rule: Rule, bl: Part, entry: int) -> str | None:
+    """Why the rule forbids this entry over bl, or None when it allows it."""
+    if rule.kind == "drsk" and entry > 0 and part(bl, rule.d) > 0:
+        return f"cell with entry {entry} over label {bl} of full length {rule.d}"
+    if rule.kind == "skew" and entry != 0:
+        return "skew cells carry entry 0"
+    return None
+
+
+# ---------------------------------------------------------------------------
+# The local rule, written once
+#
+# All three rules share one system of n row equations in the corner labels,
+# zero-extended to n rows, with s = _row_system(rule, tl, br):
+#
+#     tr_1     + bl_n     = m + s_1      (the wrap row)
+#     tr_{i+1} + bl_i     = s_{i+1}      (1 <= i < n)
+#
+# The cyclic rules take n = d.  The plain rule takes n one more than the
+# longer of tl and br; then tl_n = br_n = 0 and, since bl interlaces below
+# them, bl_n = 0, so its wrap row reduces to tr_1 = m + max(tl_1, br_1).
+#
+# The private kernels below take labels that are already canonical and
+# already interlacing (bl below tl and br going forward; tl and br below tr
+# going backward) and check only what they produce.  The sweeps validate
+# their inputs once at entry, and every label a kernel returns has had its
+# two new edges checked, so each later cell meets that precondition.
+
+
+def _row_system(rule: Rule, a: Part, b: Part) -> list[int]:
+    """Right-hand sides s of the row equations for upper-left a, lower-right b."""
+    n = rule.d if rule.kind != "rsk" else max(len(a), len(b)) + 1
+    if len(a) < n:
+        a = a + (0,) * (n - len(a))
+    if len(b) < n:
+        b = b + (0,) * (n - len(b))
+    s = [min(a[-1], b[-1]) + max(a[0], b[0])]
+    x, y = a[0], b[0]
+    for u, v in zip(a[1:], b[1:]):
+        s.append((x if x < y else y) + (u if u > v else v))
+        x, y = u, v
+    return s
+
+
+def _forward(rule: Rule, bl: Part, tl: Part, br: Part, entry: int) -> Part:
+    """Top-right label of a cell whose bl interlaces below tl and br."""
+    if not entry:
+        # replay: the rule gives back the other label, and both edges of the
+        # result are edges the caller has verified
+        if tl == bl:
+            return br
+        if br == bl:
+            return tl
+    s = _row_system(rule, tl, br)
+    n = len(s)
+    lo = bl + (0,) * (n - len(bl))
+    vec = [entry + s[0] - lo[-1], *map(sub, s[1:], lo)]
+    tr = tuple(vec) if rule.kind == "skew" else _to_partition(vec)
+    if not (interlaces(tl, tr) and interlaces(br, tr)):
+        raise InvariantViolation(f"forward growth produced non-interlacing {tr}")
+    return tr
+
+
+def _backward(rule: Rule, tl: Part, br: Part, tr: Part) -> tuple[Part, int]:
+    """Bottom-left label and entry of a cell whose tl and br interlace below tr."""
+    if tr == tl:
+        return br, 0
+    if tr == br:
+        return tl, 0
+    s = _row_system(rule, tl, br)
+    n = len(s)
+    hi = tr + (0,) * (n - len(tr))
+    vec = list(map(sub, s[1:], hi[1:]))
+    wrap = s[0] - hi[0]  # bl_n - m
+    if rule.kind == "skew":
+        bl, entry = tuple(vec + [wrap]), 0
+    else:
+        # the sign of the wrap row decides which of bl_n, m is zero
+        bl = _to_partition(vec + [max(wrap, 0)])
+        entry = max(-wrap, 0)
+    if not (interlaces(bl, tl) and interlaces(bl, br)):
+        raise InvariantViolation(f"backward growth produced invalid ({bl}, {entry})")
+    return bl, entry
+
+
+def _holds(rule: Rule, bl: Part, tl: Part, br: Part, tr: Part, entry: int) -> bool:
+    """Side condition and row equations of a cell with verified edges."""
+    if _side_condition(rule, bl, entry) is not None:
+        return False
+    s = _row_system(rule, tl, br)
+    n = len(s)
+    lo = bl + (0,) * (n - len(bl))
+    hi = tr + (0,) * (n - len(tr))
+    return hi[0] + lo[-1] == entry + s[0] and list(map(add, hi[1:], lo)) == s[1:]
+
+
+def _to_partition(vec) -> Part:
+    """vec without trailing zeros, when that is a partition."""
+    p = tuple(vec)
+    k = len(p)
+    while k and p[k - 1] == 0:
+        k -= 1
+    if k < len(p):
+        p = p[:k]
+    if p and (p[-1] < 0 or not all(map(ge, p, p[1:]))):
+        raise InvariantViolation(f"growth produced non-partition {vec}")
+    return p
+
+
 def check_cell(rule: Rule, bl, tl, br, tr, entry: int) -> bool:
     """True iff the five pieces of cell data satisfy the rule."""
     bl, tl, br, tr = (_validate_label(rule, p) for p in (bl, tl, br, tr))
     entry = _validate_entry(rule, entry)
-    if not (
+    return (
         interlaces(bl, tl)
         and interlaces(bl, br)
         and interlaces(tl, tr)
         and interlaces(br, tr)
-    ):
-        return False
-    if rule.kind == "rsk":
-        n = max(len(bl), len(tl), len(br), len(tr)) + 1
-        a, b, lo, hi = _pad(tl, n), _pad(br, n), _pad(bl, n), _pad(tr, n)
-        if hi[0] != entry + max(a[0], b[0]):
-            return False
-        return all(
-            hi[i] + lo[i - 1] == min(a[i - 1], b[i - 1]) + max(a[i], b[i])
-            for i in range(1, n)
-        )
-    d = rule.d
-    if rule.kind == "drsk" and not (entry == 0 or part(bl, d) == 0):
-        return False
-    if rule.kind == "skew" and entry != 0:
-        return False
-    a, b, lo, hi = _pad(tl, d), _pad(br, d), _pad(bl, d), _pad(tr, d)
-    if hi[0] + lo[d - 1] != entry + min(a[d - 1], b[d - 1]) + max(a[0], b[0]):
-        return False
-    return all(
-        hi[i] + lo[i - 1] == min(a[i - 1], b[i - 1]) + max(a[i], b[i])
-        for i in range(1, d)
+        and _holds(rule, bl, tl, br, tr, entry)
     )
 
 
@@ -139,33 +230,10 @@ def grow_forward_cell(rule: Rule, bl, tl, br, entry: int) -> Part:
     entry = _validate_entry(rule, entry)
     if not (interlaces(bl, tl) and interlaces(bl, br)):
         raise DomainError(f"{bl} does not interlace below {tl} and {br}")
-    if rule.kind == "rsk":
-        n = max(len(tl), len(br)) + 1
-        a, b, lo = _pad(tl, n), _pad(br, n), _pad(bl, n)
-        vec = [entry + max(a[0], b[0])]
-        vec += [
-            min(a[i - 1], b[i - 1]) + max(a[i], b[i]) - lo[i - 1]
-            for i in range(1, n)
-        ]
-        tr = _to_partition(vec)
-    else:
-        d = rule.d
-        if rule.kind == "drsk" and entry > 0 and part(bl, d) > 0:
-            raise DomainError(
-                f"cell with entry {entry} over label {bl} of full length {d}"
-            )
-        if rule.kind == "skew" and entry != 0:
-            raise DomainError("skew cells carry entry 0")
-        a, b, lo = _pad(tl, d), _pad(br, d), _pad(bl, d)
-        vec = [entry + min(a[d - 1], b[d - 1]) + max(a[0], b[0]) - lo[d - 1]]
-        vec += [
-            min(a[i - 1], b[i - 1]) + max(a[i], b[i]) - lo[i - 1]
-            for i in range(1, d)
-        ]
-        tr = tuple(vec) if rule.kind == "skew" else _to_partition(vec)
-    if not (interlaces(tl, tr) and interlaces(br, tr)):
-        raise InvariantViolation(f"forward growth produced non-interlacing {tr}")
-    return tr
+    why = _side_condition(rule, bl, entry)
+    if why is not None:
+        raise DomainError(why)
+    return _forward(rule, bl, tl, br, entry)
 
 
 def grow_backward_cell(rule: Rule, tl, br, tr) -> tuple[Part, int]:
@@ -173,46 +241,22 @@ def grow_backward_cell(rule: Rule, tl, br, tr) -> tuple[Part, int]:
     tl, br, tr = (_validate_label(rule, p) for p in (tl, br, tr))
     if not (interlaces(tl, tr) and interlaces(br, tr)):
         raise DomainError(f"{tr} does not interlace above {tl} and {br}")
-    if rule.kind == "rsk":
-        n = max(len(tl), len(br), len(tr)) + 1
-        a, b, hi = _pad(tl, n), _pad(br, n), _pad(tr, n)
-        entry = hi[0] - max(a[0], b[0])
-        vec = [
-            min(a[i - 1], b[i - 1]) + max(a[i], b[i]) - hi[i] for i in range(1, n)
-        ]
-        bl = _to_partition(vec)
-    else:
-        d = rule.d
-        a, b, hi = _pad(tl, d), _pad(br, d), _pad(tr, d)
-        vec = [
-            min(a[i - 1], b[i - 1]) + max(a[i], b[i]) - hi[i] for i in range(1, d)
-        ]
-        wrap = min(a[d - 1], b[d - 1]) + max(a[0], b[0]) - hi[0]
-        if rule.kind == "skew":
-            bl, entry = tuple(vec + [wrap]), 0
-        else:
-            # the sign of the wrapped row decides which of bl_d, entry is zero
-            bl = _to_partition(vec + [max(wrap, 0)])
-            entry = max(-wrap, 0)
-    if entry < 0 or not (interlaces(bl, tl) and interlaces(bl, br)):
-        raise InvariantViolation(f"backward growth produced invalid ({bl}, {entry})")
-    return bl, entry
-
-
-def _to_partition(vec) -> Part:
-    try:
-        return as_partition(vec)
-    except DomainError as exc:
-        raise InvariantViolation(f"growth produced non-partition {vec}") from exc
+    return _backward(rule, tl, br, tr)
 
 
 @dataclass(frozen=True)
 class GrowthDiagram:
-    """A filled shape with a rule-consistent label at every lattice point."""
+    """A filled shape with a rule-consistent label at every lattice point.
+
+    labels maps each lattice point (x, y) to its label, read-only.
+    """
 
     rule: Rule
     filling: Filling
-    labels: dict
+    labels: Mapping = field(hash=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "labels", MappingProxyType(dict(self.labels)))
 
     @property
     def shape(self) -> Part:
@@ -225,6 +269,16 @@ class GrowthDiagram:
             raise DomainError(f"({x},{y}) is not a lattice point of {self.shape}")
 
 
+def _label_map(grid) -> dict:
+    """{(x, y): label} from label rows indexed by height."""
+    return {(x, y): lab for y, row in enumerate(grid) for x, lab in enumerate(row)}
+
+
+def _lattice_rows(shape: Part) -> list[int]:
+    """Number of lattice points at each height of the shape, bottom first."""
+    return [(shape[0] if shape else 0) + 1] + [w + 1 for w in shape]
+
+
 def grow_from_filling(rule: Rule, filling: Filling) -> GrowthDiagram:
     """Extend a filling to the unique growth diagram under the rule.
 
@@ -233,23 +287,22 @@ def grow_from_filling(rule: Rule, filling: Filling) -> GrowthDiagram:
     """
     if rule.kind == "skew":
         raise DomainError("skew diagrams are grown from path labels, not fillings")
-    shape = filling.shape
-    labels: dict = {(x, 0): () for x in range((shape[0] if shape else 0) + 1)}
-    labels.update({(0, y): () for y in range(len(shape) + 1)})
-    for row in range(1, len(shape) + 1):
-        for col in range(1, shape[row - 1] + 1):
-            bl = labels[(col - 1, row - 1)]
-            tl = labels[(col - 1, row)]
-            br = labels[(col, row - 1)]
-            entry = filling.rows[row - 1][col - 1]
-            if rule.kind == "drsk" and entry > 0 and part(bl, rule.d) > 0:
+    below = [()] * _lattice_rows(filling.shape)[0]
+    grid = [below]
+    for row, entries in enumerate(filling.rows, 1):
+        here = [()]
+        for col, entry in enumerate(entries, 1):
+            bl = below[col - 1]
+            if entry and _side_condition(rule, bl, entry):
                 raise PatternContainment(
                     f"filling contains the order-{rule.d} descending pattern; "
                     f"forward growth fails at cell ({col},{row})",
                     cell=(col, row),
                 )
-            labels[(col, row)] = grow_forward_cell(rule, bl, tl, br, entry)
-    return GrowthDiagram(rule, filling, labels)
+            here.append(_forward(rule, bl, here[col - 1], below[col], entry))
+        grid.append(here)
+        below = here
+    return GrowthDiagram(rule, filling, _label_map(grid))
 
 
 def grow_from_boundary(rule: Rule, shape: Part, t: OscillatingTableau) -> GrowthDiagram:
@@ -264,27 +317,23 @@ def grow_from_boundary(rule: Rule, shape: Part, t: OscillatingTableau) -> Growth
         )
     if rule.kind == "drsk" and t.max_length() > rule.d:
         raise DomainError(f"boundary labels exceed {rule.d} parts")
-    labels = dict(zip(boundary_points(shape), t.seq))
-    entries = {}
+    grid = [[None] * width for width in _lattice_rows(shape)]
+    for (x, y), lab in zip(boundary_points(shape), t.seq):
+        grid[y][x] = lab
+    rows = [[0] * width for width in shape]
     for row in range(len(shape), 0, -1):
+        here, below, entries = grid[row], grid[row - 1], rows[row - 1]
         for col in range(shape[row - 1], 0, -1):
-            tl = labels[(col - 1, row)]
-            br = labels[(col, row - 1)]
-            tr = labels[(col, row)]
-            bl, entry = grow_backward_cell(rule, tl, br, tr)
-            labels[(col - 1, row - 1)] = bl
-            entries[(col, row)] = entry
-    for x in range((shape[0] if shape else 0) + 1):
-        if labels[(x, 0)] != ():
-            raise InvariantViolation(f"axis label at ({x},0) is {labels[(x, 0)]}")
-    for y in range(len(shape) + 1):
-        if labels[(0, y)] != ():
-            raise InvariantViolation(f"axis label at (0,{y}) is {labels[(0, y)]}")
-    rows = tuple(
-        tuple(entries[(col, row)] for col in range(1, shape[row - 1] + 1))
-        for row in range(1, len(shape) + 1)
-    )
-    return GrowthDiagram(rule, Filling(shape, rows), labels)
+            below[col - 1], entries[col - 1] = _backward(
+                rule, here[col - 1], below[col], here[col]
+            )
+    for x, lab in enumerate(grid[0]):
+        if lab != ():
+            raise InvariantViolation(f"axis label at ({x},0) is {lab}")
+    for y, labs in enumerate(grid):
+        if labs[0] != ():
+            raise InvariantViolation(f"axis label at (0,{y}) is {labs[0]}")
+    return GrowthDiagram(rule, Filling(shape, rows), _label_map(grid))
 
 
 def _monotone_path_points(w: str, start_x: int) -> list[tuple[int, int]]:
@@ -321,26 +370,23 @@ def grow_skew(d: int, rect: Part, t: SkewOscillatingTableau) -> GrowthDiagram:
             f"{rows}x{cols} rectangle"
         )
     rule = Rule.skew(d)
+    grid = [[None] * (cols + 1) for _ in range(rows + 1)]
     pts = _monotone_path_points(t.w, cols)
-    labels = dict(zip(pts, t.seq))
+    for (x, y), lab in zip(pts, t.seq):
+        grid[y][x] = lab
     # x-coordinate of the vertical step crossing heights [b-1, b]
     up_x = [x for (x, y), ch in zip(pts, t.w) if ch == PLUS]
     for row in range(rows, 0, -1):  # backward region: cells left of the path
+        here, below = grid[row], grid[row - 1]
         for col in range(up_x[row - 1], 0, -1):
-            tl = labels[(col - 1, row)]
-            br = labels[(col, row - 1)]
-            tr = labels[(col, row)]
-            bl, _ = grow_backward_cell(rule, tl, br, tr)
-            labels[(col - 1, row - 1)] = bl
+            below[col - 1], _ = _backward(rule, here[col - 1], below[col], here[col])
     for row in range(1, rows + 1):  # forward region: cells right of the path
+        here, below = grid[row], grid[row - 1]
         for col in range(up_x[row - 1] + 1, cols + 1):
-            bl = labels[(col - 1, row - 1)]
-            tl = labels[(col - 1, row)]
-            br = labels[(col, row - 1)]
-            labels[(col, row)] = grow_forward_cell(rule, bl, tl, br, 0)
-    if len(labels) != (rows + 1) * (cols + 1):
+            here[col] = _forward(rule, below[col - 1], here[col - 1], below[col], 0)
+    if any(lab is None for labs in grid for lab in labs):
         raise InvariantViolation("skew growth left unlabeled lattice points")
-    return GrowthDiagram(rule, zero_filling(rect), labels)
+    return GrowthDiagram(rule, zero_filling(rect), _label_map(grid))
 
 
 def extract_boundary(g: GrowthDiagram, path=None):
@@ -500,27 +546,40 @@ def parse_diagram(text: str) -> GrowthDiagram:
 
 
 def validate_diagram(g: GrowthDiagram) -> None:
-    """Check every cell and the axis boundary condition; raise on failure."""
-    shape = g.shape
-    if g.rule.kind != "skew":
-        for x in range((shape[0] if shape else 0) + 1):
-            if g.labels[(x, 0)] != ():
+    """Check every label, edge and cell and the axis condition; raise on failure.
+
+    Independent of how the diagram was made: each label is coerced once, each
+    edge between neighbouring lattice points is checked for interlacing once,
+    and then each cell's side condition and row equations are compared.
+    """
+    rule, shape = g.rule, g.shape
+    grid = [
+        [_validate_label(rule, g.labels[(x, y)]) for x in range(width)]
+        for y, width in enumerate(_lattice_rows(shape))
+    ]
+    if rule.kind != "skew":
+        for x, lab in enumerate(grid[0]):
+            if lab != ():
                 raise DomainError(f"axis label at ({x},0) must be empty")
-        for y in range(len(shape) + 1):
-            if g.labels[(0, y)] != ():
+        for y, labs in enumerate(grid):
+            if labs[0] != ():
                 raise DomainError(f"axis label at (0,{y}) must be empty")
-    for row in range(1, len(shape) + 1):
-        for col in range(1, shape[row - 1] + 1):
-            ok = check_cell(
-                g.rule,
-                g.labels[(col - 1, row - 1)],
-                g.labels[(col - 1, row)],
-                g.labels[(col, row - 1)],
-                g.labels[(col, row)],
-                g.filling.rows[row - 1][col - 1],
-            )
-            if not ok:
-                raise DomainError(f"cell ({col},{row}) violates rule {g.rule}")
+    for y, labs in enumerate(grid):
+        for x in range(1, len(labs)):
+            if not interlaces(labs[x - 1], labs[x]):
+                raise DomainError(f"labels at ({x - 1},{y}) and ({x},{y}) do not interlace")
+        if y:
+            below = grid[y - 1]
+            for x, lab in enumerate(labs):
+                if not interlaces(below[x], lab):
+                    raise DomainError(
+                        f"labels at ({x},{y - 1}) and ({x},{y}) do not interlace"
+                    )
+    for row, entries in enumerate(g.filling.rows, 1):
+        here, below = grid[row], grid[row - 1]
+        for col, entry in enumerate(entries, 1):
+            if not _holds(rule, below[col - 1], here[col - 1], below[col], here[col], entry):
+                raise DomainError(f"cell ({col},{row}) violates rule {rule}")
 
 
 def render_diagram(g: GrowthDiagram) -> str:
@@ -573,16 +632,16 @@ def diagram_from_json(obj) -> GrowthDiagram:
         shape = as_partition(obj["shape"])
         filling = Filling(shape, tuple(reversed([tuple(r) for r in obj["rows"]])))
         label_rows = obj["labels"]
-    except (KeyError, TypeError, DomainError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # DomainError is a ValueError
         raise FormatError(f"bad diagram JSON: {exc}") from exc
     labels = {}
     n_rows = len(shape)
-    if len(label_rows) != n_rows + 1:
-        raise FormatError(f"expected {n_rows + 1} label rows, got {len(label_rows)}")
+    if not isinstance(label_rows, list) or len(label_rows) != n_rows + 1:
+        raise FormatError(f"expected a list of {n_rows + 1} label rows")
     for offset, y in enumerate(range(n_rows, -1, -1)):
         width = (shape[0] if shape else 0) if y == 0 else shape[y - 1]
         row = label_rows[offset]
-        if len(row) != width + 1:
+        if not isinstance(row, list) or len(row) != width + 1:
             raise FormatError(f"label row for height {y} needs {width + 1} entries")
         for x, lab in enumerate(row):
             try:
@@ -591,8 +650,8 @@ def diagram_from_json(obj) -> GrowthDiagram:
                     if rule.kind == "skew"
                     else as_partition(lab)
                 )
-            except DomainError as exc:
-                raise FormatError(str(exc)) from exc
+            except (TypeError, ValueError) as exc:  # DomainError is a ValueError
+                raise FormatError(f"bad label at ({x},{y}): {exc}") from exc
     g = GrowthDiagram(rule, filling, labels)
     validate_diagram(g)
     return g

@@ -84,13 +84,15 @@ def interlaces(a: Part, b: Part) -> bool:
     The shorter operand is zero-extended, which is exact for canonical
     partitions and a no-op for equal-degree staircases.
     """
-    n = max(len(a), len(b))
-    for i in range(1, n + 1):
-        if part(b, i) < part(a, i):
+    gap = len(a) - len(b)
+    if gap > 0:
+        b = (*b, *(0,) * gap)
+    elif gap < 0:
+        a = (*a, *(0,) * -gap)
+    for x, y, z in zip(a, b, b[1:]):
+        if y < x or x < z:
             return False
-        if i < n and part(a, i) < part(b, i + 1):
-            return False
-    return True
+    return not a or b[-1] >= a[-1]
 
 
 def cointerlaces(a: Part, b: Part) -> bool:

@@ -480,10 +480,12 @@ def _parse_skew_raw(text: str, cls):
     if obj is not None:
         try:
             return cls(int(obj["d"]), obj["w"], tuple(tuple(s) for s in obj["seq"]))
-        except (KeyError, TypeError) as exc:
-            raise FormatError("skew tableau JSON needs keys 'd', 'w', 'seq'") from exc
         except DomainError as exc:
             raise FormatError(str(exc)) from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(
+                f"skew tableau JSON needs keys 'd', 'w', 'seq' with an integer 'd': {exc}"
+            ) from exc
     lines = _tableau_lines(text)
     if len(lines) < 2:
         raise FormatError("skew tableau needs a word line and at least one staircase")

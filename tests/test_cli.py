@@ -272,3 +272,21 @@ def test_stdin_input(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("[1]\n1\n"))
     code, out, _ = run(capsys, "rsk", "--d", "1", "-")
     assert code == 0 and out.splitlines()[0] == "+-"
+
+
+def test_malformed_json_values_exit_3(capsys, tmp_path):
+    skew = {"d": "a", "w": "+", "seq": [[0], [1]]}
+    diagram = {"rule": "rsk", "d": 0, "shape": [1], "rows": "x", "labels": [[[], []], [[], []]]}
+    cases = [
+        (["grow", "--rule", "rsk"], {"shape": [2], "rows": ["ab"]}),
+        (["check"], diagram),
+        (["check"], {**diagram, "rows": [[0]], "labels": 5}),
+        (["check"], {**diagram, "rows": [[0]], "labels": [[["a"], []], [[], []]]}),
+        (["check"], skew),
+        (["skew-retype", "--to=+"], skew),
+    ]
+    for i, (argv, obj) in enumerate(cases):
+        path = tmp_path / f"case{i}.json"
+        path.write_text(json.dumps(obj))
+        code, _, err = run(capsys, *argv, str(path))
+        assert code == 3 and err.startswith("format error"), (argv, err)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from itertools import permutations
 
 import pytest
@@ -168,3 +170,30 @@ def test_parallel_scan_matches_serial():
     counting._PROFILE_CACHE.pop(5)
     prime_brute_cache(5, threads=3)
     assert _scan_profiles(5) == serial
+
+
+def test_pair_counts_agree_across_threads_on_a_cold_cache():
+    from cylrsk import counting
+
+    ns = (117, 118, 119, 120)
+    counting._CHAIN_CACHE.clear()
+    serial = [tableau_pair_count(n, 3, 4) for n in ns]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so an unguarded cache races
+    try:
+        for _ in range(20):
+            counting._CHAIN_CACHE.clear()
+            out = [None] * len(ns)
+
+            def work(i):
+                out[i] = tableau_pair_count(ns[i], 3, 4)
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(ns))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert out == serial
+    finally:
+        sys.setswitchinterval(old)

@@ -5,6 +5,7 @@ import pytest
 from cylrsk.errors import DomainError, InvariantViolation, PatternContainment
 from cylrsk.fillings import (
     Filling,
+    boundary_points,
     boundary_type_sequence,
     lattice_points,
     longest_ne_chain,
@@ -14,6 +15,7 @@ from cylrsk.fillings import (
     zero_filling,
 )
 from cylrsk.growth import (
+    GrowthDiagram,
     Rule,
     check_cell,
     classify_rs_cell,
@@ -409,3 +411,131 @@ def test_render_contains_labels_and_entries():
     out = render_diagram(g)
     assert "9,9,5" in out and "3" in out
     assert render_diagram(g) == out  # deterministic
+
+
+def test_growth_diagram_is_hashable_and_read_only():
+    g = grow_from_filling(D3, GRID7)
+    h = grow_from_filling(D3, GRID7)
+    assert g == h and hash(g) == hash(h)
+    assert {g: "grid7"}[h] == "grid7"
+    assert g.labels == {(x, y): GRID7_LABELS[x][y] for x in range(8) for y in range(8)}
+    with pytest.raises(TypeError):
+        g.labels[(0, 0)] = (1,)
+    # the diagram keeps its own copy of the labels it was built from
+    labels = dict(g.labels)
+    copy = GrowthDiagram(g.rule, g.filling, labels)
+    labels[(0, 0)] = (1,)
+    assert copy.label(0, 0) == ()
+
+
+def _regrow_forward(rule, f):
+    """Labels of f's diagram, grown cell by cell with the checked public kernel."""
+    shape = f.shape
+    labels = {(x, 0): () for x in range((shape[0] if shape else 0) + 1)}
+    labels.update({(0, y): () for y in range(len(shape) + 1)})
+    for row in range(1, len(shape) + 1):
+        for col in range(1, shape[row - 1] + 1):
+            labels[(col, row)] = grow_forward_cell(
+                rule,
+                labels[(col - 1, row - 1)],
+                labels[(col - 1, row)],
+                labels[(col, row - 1)],
+                f.rows[row - 1][col - 1],
+            )
+    return labels
+
+
+def _regrow_backward(rule, shape, t):
+    """Labels and filling rebuilt from boundary t with the checked public kernel."""
+    labels = dict(zip(boundary_points(shape), t.seq))
+    rows = [[None] * w for w in shape]
+    for row in range(len(shape), 0, -1):
+        for col in range(shape[row - 1], 0, -1):
+            labels[(col - 1, row - 1)], rows[row - 1][col - 1] = grow_backward_cell(
+                rule, labels[(col - 1, row)], labels[(col, row - 1)], labels[(col, row)]
+            )
+    return labels, Filling(shape, tuple(tuple(r) for r in rows))
+
+
+def _regrow_skew(d, rows, cols, t):
+    """Labels around t's path, completed with the checked public kernels."""
+    rule = Rule.skew(d)
+    x, y = cols, 0
+    labels = {(x, y): t.seq[0]}
+    up_x = []
+    for ch, lab in zip(t.w, t.seq[1:]):
+        if ch == "+":
+            up_x.append(x)
+            y += 1
+        else:
+            x -= 1
+        labels[(x, y)] = lab
+    for row in range(rows, 0, -1):
+        for col in range(up_x[row - 1], 0, -1):
+            labels[(col - 1, row - 1)], entry = grow_backward_cell(
+                rule, labels[(col - 1, row)], labels[(col, row - 1)], labels[(col, row)]
+            )
+            assert entry == 0
+    for row in range(1, rows + 1):
+        for col in range(up_x[row - 1] + 1, cols + 1):
+            labels[(col, row)] = grow_forward_cell(
+                rule,
+                labels[(col - 1, row - 1)],
+                labels[(col - 1, row)],
+                labels[(col, row - 1)],
+                0,
+            )
+    return labels
+
+
+def _replay_cells(g):
+    """Entry-0 cells whose top-left or bottom-right label repeats the bottom-left one."""
+    return sum(
+        1
+        for col, row in g.filling.cells()
+        if g.filling.entry(col, row) == 0
+        and g.label(col - 1, row - 1) in (g.label(col - 1, row), g.label(col, row - 1))
+    )
+
+
+def test_sweeps_match_the_checked_single_cell_kernels():
+    rng = random.Random(89)
+    fillings = []
+    for _ in range(12):  # permutation fillings: mostly replay cells
+        n = rng.randint(1, 9)
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        fillings.append(permutation_to_filling(perm))
+    for _ in range(12):  # dense fillings with entries up to 3
+        shape = random_shape(rng, 6, 6)
+        if shape:
+            fillings.append(random_filling(rng, shape, density=0.8, max_entry=3))
+    replays = 0
+    for f in fillings:
+        for rule in (Rule.rsk(), Rule.drsk(rng.randint(1, 3)), Rule.drsk(f.total() + 1)):
+            try:
+                g = grow_from_filling(rule, f)
+            except PatternContainment as exc:
+                with pytest.raises(DomainError):
+                    _regrow_forward(rule, f)
+                assert exc.cell is not None
+                continue
+            labels = _regrow_forward(rule, f)
+            assert g.labels == labels
+            validate_diagram(GrowthDiagram(rule, f, labels))
+            t = extract_boundary(g)
+            back = grow_from_boundary(rule, f.shape, t)
+            labels, filling = _regrow_backward(rule, f.shape, t)
+            assert back.labels == labels == g.labels
+            assert back.filling == filling == f
+            replays += _replay_cells(g)
+    assert replays > 100
+    for _ in range(30):
+        d = rng.randint(1, 3)
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        w = random_word(rng, rows, cols)
+        t = SkewOscillatingTableau(d, w, random_skew_seq(rng, d, w))
+        g = grow_skew(d, (cols,) * rows, t)
+        labels = _regrow_skew(d, rows, cols, t)
+        assert g.labels == labels
+        validate_diagram(GrowthDiagram(g.rule, g.filling, labels))
