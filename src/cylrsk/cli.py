@@ -291,8 +291,6 @@ def _cmd_conjugate(args) -> int:
 
 def _cmd_count(args) -> int:
     routes = tuple(args.routes.split(","))
-    if "brute" in routes:
-        counting.prime_brute_cache(args.n_max, args.threads)
     table = counting.count_table(args.d, args.L, args.n_max, routes)
     if args.json:
         _emit_json(
@@ -474,7 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--routes", default="brute,pairs,trig")
     p.add_argument("--csv", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
 
     p = add("asym", _cmd_asym, help="growth rate and leading constant")
     p.add_argument("--d", type=int, required=True)

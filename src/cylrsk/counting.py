@@ -1,19 +1,21 @@
 """Exact enumeration of doubly pattern-avoiding permutations.
 
-Three independent routes compute the same numbers: an exhaustive scan of the
-symmetric group, a dynamic program over same-shape tableau pairs, and a
-trigonometric sum evaluated in floating point and rounded under a residual
-guard.  Counts are exact Python ints throughout.
+Three independent routes compute the same numbers: an exhaustive walk of the
+symmetric groups, a dynamic program over same-shape tableau pairs, and the
+trigonometric sum evaluated exactly in the cyclotomic integers.  Counts are
+exact Python ints throughout.  Each route builds its state once and caches
+it, so a table for n = 1..n_max is one pass, not n_max separate runs: one
+walk to depth n fills S_1..S_n, and the pair DP and the trigonometric sum
+each step their (d, L) state from n to n + 1.
 """
 
-import cmath
 import math
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, compress
 
-from .errors import DomainError
-from .partitions import Part
+from .errors import DomainError, InvariantViolation
 
 BRUTE_LIMIT = 10
 TRIG_TERM_BUDGET = 2_000_000
@@ -26,111 +28,81 @@ def _check_params(n: int, d: int, L: int) -> None:
         raise DomainError(f"d and L must be >= 1, got ({d},{L})")
 
 
-def _lis_length(perm: tuple[int, ...]) -> int:
-    """Longest increasing subsequence, patience-sorting style."""
-    tails: list[int] = []
-    for v in perm:
-        lo, hi = 0, len(tails)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if tails[mid] < v:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == len(tails):
-            tails.append(v)
-        else:
-            tails[lo] = v
-    return len(tails)
+def _walk(n: int):
+    """Histograms of (descending threshold, LIS) over S_1..S_n, plus involutions.
 
-
-def _descending_threshold(perm: tuple[int, ...]) -> int:
-    """Smallest d such that perm avoids d..1(d+1).
-
-    perm contains that pattern iff some strictly decreasing subsequence of d
-    values is followed, after its last element, by a value larger than its
-    first element.  Returns one more than the longest such completable
-    decreasing subsequence.
+    The descending threshold is the smallest d such that a permutation avoids
+    d..1(d+1): one more than the longest decreasing subsequence that a later,
+    larger value completes.  The walk appends a last value of rank r to a
+    permutation of S_k (values at or above r move up by one), so level k of
+    the tree is exactly S_k.  The child's completable chains are the parent's
+    plus those the new last value completes, which are the decreasing
+    subsequences of the parent's values below r; its LIS grows by one iff r
+    lies above the parent's last patience tail.  Values are 0-based here.
     """
-    n = len(perm)
-    suffix_max = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_max[i] = max(suffix_max[i + 1], perm[i])
-    best = 0
-    for s in range(n):
-        top = perm[s]
-        if suffix_max[s + 1] <= top:
-            continue  # nothing after s can ever complete a chain starting here
-        here = 1
-        chain_len: dict[int, int] = {}
-        for j in range(s + 1, n):
-            vj = perm[j]
-            if vj >= top:
-                continue
-            ln = 2
-            for k, lk in chain_len.items():
-                if perm[k] > vj and lk + 1 > ln:
-                    ln = lk + 1
-            chain_len[j] = ln
-            if suffix_max[j + 1] > top and ln > here:
-                here = ln
-        if here > best:
-            best = here
-    return best + 1
+    counts = [{} for _ in range(n + 1)]
+    inv_counts = [{} for _ in range(n + 1)]
 
+    def visit(perm, tails, best, is_inv):
+        k = len(perm)
+        pos = [0] * k
+        for i, v in enumerate(perm):
+            pos[v] = i
+        # chains[r]: the child of rank r keeps the parent's best or gains the
+        # longest decreasing subsequence among the values < r, which is the
+        # longest decreasing run of their positions taken in value order
+        chains = [best]
+        piles: list[int] = []
+        for p in pos:
+            j = bisect_left(piles, -p)
+            piles[j : j + 1] = [-p]
+            chains.append(max(best, len(piles)))
+        lis = len(tails)
+        last = tails[-1] if tails else -1
+        keys = [(c + 1, lis) for c in chains[: last + 1]]
+        keys += [(c + 1, lis + 1) for c in chains[last + 1 :]]
+        level = counts[k + 1]
+        for key in keys:
+            level[key] = level.get(key, 0) + 1
+        # the child of rank r maps its last position to r, so it is an
+        # involution only if it maps r back: r is last (a fixed point), or the
+        # parent's maximum sat at position r and the rest pairs up
+        inv = [False] * k + [is_inv]
+        if k:
+            top = perm.index(k - 1)
+            child = [v + (v >= top) for v in perm]
+            child.append(top)
+            inv[top] = all(child[c] == i for i, c in enumerate(child))
+        inv_level = inv_counts[k + 1]
+        for key in compress(keys, inv):
+            inv_level[key] = inv_level.get(key, 0) + 1
+        if k + 1 < n:
+            for r in range(k + 1):
+                child = [v + (v >= r) for v in perm]
+                child.append(r)
+                child_tails = [t + (t >= r) for t in tails]
+                j = bisect_left(child_tails, r)
+                child_tails[j : j + 1] = [r]
+                visit(child, child_tails, chains[r], inv[r])
 
-def _shard_histogram(n: int, first: int):
-    """Profile histogram over the permutations starting with a fixed value."""
-    counts: dict[tuple[int, int], int] = {}
-    inv_counts: dict[tuple[int, int], int] = {}
-    rest = [v for v in range(1, n + 1) if v != first]
-    for tail in permutations(rest):
-        perm = (first,) + tail
-        key = (_descending_threshold(perm), _lis_length(perm))
-        counts[key] = counts.get(key, 0) + 1
-        if all(perm[perm[i] - 1] == i + 1 for i in range(n)):
-            inv_counts[key] = inv_counts.get(key, 0) + 1
+    visit([], [], 0, True)
     return counts, inv_counts
 
 
-# Both caches are shared by every thread, so each is read and filled only
-# under its lock.
+# Each cache is shared by every thread, so each is read and filled only under
+# its own lock: a long scan does not stall pair counts in other threads.
 _PROFILE_CACHE: dict[int, tuple[dict, dict]] = {}
 _PROFILE_LOCK = threading.Lock()
 
 
-def _scan_profiles(n: int, threads: int = 1):
-    """Histogram of (descending threshold, LIS) over S_n, plus involutions.
-
-    Sharding by first element is deterministic: the merged histogram does not
-    depend on shard completion order.
-    """
+def _scan_profiles(n: int):
+    """Histogram of (descending threshold, LIS) over S_n, plus involutions."""
     with _PROFILE_LOCK:
         if n not in _PROFILE_CACHE:
-            if threads > 1 and n > 1:
-                from concurrent.futures import ThreadPoolExecutor
-
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    shards = list(
-                        pool.map(lambda f: _shard_histogram(n, f), range(1, n + 1))
-                    )
-            else:
-                shards = [_shard_histogram(n, f) for f in range(1, n + 1)]
-            counts: dict[tuple[int, int], int] = {}
-            inv_counts: dict[tuple[int, int], int] = {}
-            for shard, inv_shard in shards:
-                for k, v in shard.items():
-                    counts[k] = counts.get(k, 0) + v
-                for k, v in inv_shard.items():
-                    inv_counts[k] = inv_counts.get(k, 0) + v
-            _PROFILE_CACHE[n] = (counts, inv_counts)
+            counts, inv_counts = _walk(n)
+            for k in range(1, n + 1):
+                _PROFILE_CACHE[k] = (counts[k], inv_counts[k])
         return _PROFILE_CACHE[n]
-
-
-def prime_brute_cache(n: int, threads: int = 1) -> None:
-    """Precompute the exhaustive-scan histograms for 1..n."""
-    for k in range(1, min(n, BRUTE_LIMIT) + 1):
-        _scan_profiles(k, threads)
 
 
 def _brute(n: int, d: int, L: int, involutions: bool) -> int:
@@ -151,85 +123,184 @@ def brute_count_involutions(n: int, d: int, L: int) -> int:
     return _brute(n, d, L, involutions=True)
 
 
-def _box_additions(shape: Part, d: int, L: int):
-    """Single-box extensions of a shape staying within the (d, L) regime.
+class _Chains:
+    """Width-bounded standard chains from the empty shape, one box per level.
 
-    For a one-box step the interlacing condition is just partition validity;
-    the width bound adds new first part minus old d-th part <= L.  Keeping
-    only these shapes prunes the state space to what ascending chains from
-    the empty shape can reach.
+    A shape with at most d parts and first minus d-th part <= L is kept as
+    its reduced shape, its first d - 1 parts minus its d-th part.  There are
+    finitely many, and at a fixed size each one stands for exactly one shape,
+    so the box-addition graph is built once and every level is one pass over
+    a list of chain counts.
     """
-    last = shape[d - 1] if len(shape) == d else 0
-    for i in range(min(len(shape) + 1, d)):
-        if i < len(shape):
-            if i > 0 and shape[i - 1] == shape[i]:
-                continue
-            new = shape[:i] + (shape[i] + 1,) + shape[i + 1 :]
-        else:
-            new = shape + (1,)
-        if new[0] - last <= L:
-            yield new
+
+    def __init__(self, d: int, L: int):
+        parts = combinations_with_replacement(range(L + 1), d - 1)
+        reduced = [tuple(reversed(c)) for c in parts]
+        index = {mu: i for i, mu in enumerate(reduced)}
+        self.moves = []
+        for mu in reduced:
+            targets = []
+            for i in range(d - 1):
+                if (mu[i - 1] > mu[i]) if i else mu[0] < L:
+                    targets.append(index[mu[:i] + (mu[i] + 1,) + mu[i + 1 :]])
+            if d == 1 or mu[-1] > 0:  # a box in row d lowers every reduced part
+                targets.append(index[tuple(p - 1 for p in mu)])
+            self.moves.append(targets)
+        self.frontier = [0] * len(reduced)
+        self.frontier[index[(0,) * (d - 1)]] = 1
+        self.values = [(1, 1)]  # per size: (chains, same-shape pairs of chains)
+
+    def step(self) -> None:
+        nxt = [0] * len(self.frontier)
+        for ways, targets in zip(self.frontier, self.moves):
+            if ways:
+                for t in targets:
+                    nxt[t] += ways
+        self.frontier = nxt
+        live = [w for w in nxt if w]  # a level reaches one class of reduced sizes mod d
+        self.values.append((sum(live), sum([w * w for w in live])))
 
 
-_CHAIN_CACHE: dict[tuple[int, int], list[dict]] = {}
+def _stepped_value(cache: dict, lock, make, n: int, d: int, L: int):
+    """values[n] of the cached (d, L) state, built by make(d, L) and stepped up to n."""
+    with lock:
+        state = cache.get((d, L))
+        if state is None:
+            state = cache[d, L] = make(d, L)
+        while len(state.values) <= n:
+            state.step()
+        return state.values[n]
+
+
+_CHAIN_CACHE: dict[tuple[int, int], _Chains] = {}
 _CHAIN_LOCK = threading.Lock()
-
-
-def _chain_counts(n: int, d: int, L: int) -> dict:
-    """Shape -> number of width-bounded standard chains from empty, size n."""
-    with _CHAIN_LOCK:
-        levels = _CHAIN_CACHE.setdefault((d, L), [{(): 1}])
-        while len(levels) <= n:
-            out: dict[Part, int] = {}
-            for shape, ways in levels[-1].items():
-                for new in _box_additions(shape, d, L):
-                    out[new] = out.get(new, 0) + ways
-            levels.append(out)
-        return levels[n]
 
 
 def tableau_pair_count(n: int, d: int, L: int) -> int:
     """Number of same-shape pairs of width-bounded standard chains of size n."""
     _check_params(n, d, L)
-    return sum(v * v for v in _chain_counts(n, d, L).values())
+    return _stepped_value(_CHAIN_CACHE, _CHAIN_LOCK, _Chains, n, d, L)[1]
 
 
 def cylindric_syt_count(n: int, d: int, L: int) -> int:
     """Number of width-bounded standard chains of size n."""
     _check_params(n, d, L)
-    return sum(_chain_counts(n, d, L).values())
+    return _stepped_value(_CHAIN_CACHE, _CHAIN_LOCK, _Chains, n, d, L)[0]
+
+
+# Polynomials below are coefficient lists, lowest degree first.
+
+
+def _divmod_monic(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by the monic polynomial b."""
+    rem = list(a)
+    db = len(b) - 1
+    quot = [0] * max(len(rem) - db, 0)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i]
+        if c:
+            quot[i - db] = c
+            for j, bj in enumerate(b):
+                rem[i - db + j] -= c * bj
+    return quot, rem[:db]
+
+
+def _cyclotomic(M: int) -> list[int]:
+    """Phi_M: x^M - 1 divided exactly by Phi_k for each proper divisor k of M."""
+    phi: dict[int, list[int]] = {}
+    for m in range(1, M + 1):
+        if M % m == 0:
+            poly = [-1] + [0] * (m - 1) + [1]
+            for k, phi_k in phi.items():
+                if m % k == 0:
+                    poly, rem = _divmod_monic(poly, phi_k)
+                    if any(rem):
+                        raise InvariantViolation(f"Phi_{k} does not divide x^{m} - 1")
+            phi[m] = poly
+    return phi[M]
+
+
+def _mul_symmetric(p: list[int], c0: int, pairs) -> list[int]:
+    """p * (c0 + sum(c * (x^k + x^-k) for k, c in pairs)) modulo x^len(p) - 1."""
+    out = [c0 * x for x in p]
+    for k, c in pairs:
+        out = [o + c * (x + y) for o, x, y in zip(out, p[-k:] + p[:-k], p[k:] + p[:k])]
+    return out
+
+
+class _TrigSum:
+    """The root-of-unity sum for (d, L), stepped from n to n + 1 in Z[x]/(x^M - 1).
+
+    Rotation leaves |z_S|^2 and V(S) unchanged, so the sum over d-subsets S
+    of Z_M is M/d times the sum over subsets T containing 0.  Subsets with the
+    same number m_k of pairs at each cyclic distance k give the same terms,
+    |z_T|^2 = d + sum m_k (x^k + x^-k) and V(T) = prod (2 - x^k - x^-k)^m_k,
+    so one polynomial V(T) |z_T|^(2n) per group, times the group's size, is
+    kept and multiplied by |z_T|^2 at each step.
+    """
+
+    def __init__(self, d: int, L: int):
+        M = d + L
+        half = M // 2
+        groups: dict[tuple[int, ...], int] = {}
+        for rest in combinations(range(1, M), d - 1):
+            m = [0] * (half + 1)
+            for a, b in combinations((0,) + rest, 2):
+                m[min(b - a, M - b + a)] += 1
+            key = tuple(m)
+            groups[key] = groups.get(key, 0) + 1
+        self.d = d
+        self.factors = []
+        self.terms = []
+        for m, size in groups.items():
+            pairs = [(k, m[k]) for k in range(1, half + 1) if m[k]]
+            term = [size] + [0] * (M - 1)
+            for k, mk in pairs:
+                for _ in range(mk):
+                    term = _mul_symmetric(term, 2, [(k, -1)])
+            self.factors.append(pairs)
+            self.terms.append(term)
+        self.phi = _cyclotomic(M)
+        self.den = d * M ** (d - 1)  # N = c * M / (d * M^d)
+        self.values = [_count_from_terms(self.terms, self.phi, self.den)]
+
+    def step(self) -> None:
+        terms = [_mul_symmetric(t, self.d, f) for t, f in zip(self.terms, self.factors)]
+        self.values.append(_count_from_terms(terms, self.phi, self.den))
+        self.terms = terms
+
+
+def _count_from_terms(terms, phi: list[int], den: int) -> int:
+    """The count c / den, where c is the constant the summed terms leave mod Phi_M."""
+    _, rem = _divmod_monic([sum(col) for col in zip(*terms)], phi)
+    c = rem[0]
+    if any(rem[1:]) or c < 0 or c % den:
+        raise InvariantViolation(
+            f"trigonometric sum leaves {rem} mod Phi_M, not a multiple of {den}"
+        )
+    return c // den
+
+
+_TRIG_CACHE: dict[tuple[int, int], _TrigSum] = {}
+_TRIG_LOCK = threading.Lock()
 
 
 def trig_count(n: int, d: int, L: int) -> int:
-    """Evaluate the root-of-unity sum for the same count and round it.
+    """Evaluate the root-of-unity sum for the same count, exactly.
 
     With M = d + L, sums |z_S|^(2n) * V(S) over d-subsets S of the M-th
     roots of unity, where z_S is the subset sum and V the squared Vandermonde
     spread; the total is divided by M^d.  Tuples with repeated roots vanish,
     so summing subsets and cancelling d! against the orbit size is exact.
-    The float result must sit within 1e-6 relative of an integer.
+    The sum is computed in Z[x]/(x^M - 1) and reduced modulo the cyclotomic
+    polynomial Phi_M; the remainder must be a constant that the division
+    leaves integral, and anything else raises InvariantViolation.
     """
     _check_params(n, d, L)
     M = d + L
     if math.comb(M, d) > TRIG_TERM_BUDGET:
         raise DomainError(f"trigonometric sum over C({M},{d}) subsets exceeds budget")
-    roots = [cmath.exp(2j * math.pi * t / M) for t in range(1, M + 1)]
-    total = 0.0
-    for subset in combinations(range(M), d):
-        z = sum(roots[t] for t in subset)
-        mag2 = z.real * z.real + z.imag * z.imag
-        vdm = 1.0
-        for a, b in combinations(subset, 2):
-            diff = roots[b] - roots[a]
-            vdm *= diff.real * diff.real + diff.imag * diff.imag
-        total += mag2**n * vdm
-    value = total / M**d
-    nearest = round(value)
-    if abs(value - nearest) > 1e-6 * max(1.0, abs(nearest)):
-        raise DomainError(
-            f"trigonometric sum {value!r} is not within 1e-6 of an integer"
-        )
-    return int(nearest)
+    return _stepped_value(_TRIG_CACHE, _TRIG_LOCK, _TrigSum, n, d, L)
 
 
 def asymptotic(d: int, L: int) -> tuple[float, float]:
@@ -284,6 +355,10 @@ def count_table(d: int, L: int, n_max: int, routes=("brute", "pairs", "trig")) -
     for name in routes:
         if name not in ROUTES:
             raise DomainError(f"unknown route {name!r}; choose from {sorted(ROUTES)}")
+    if "brute" in routes:
+        # the largest n first: it refuses n_max > BRUTE_LIMIT at once, and
+        # otherwise its one walk fills the histograms of every smaller n
+        brute_count(n_max, d, L)
     rows = tuple(
         tuple(ROUTES[name](n, d, L) for name in routes) for n in range(1, n_max + 1)
     )

@@ -445,10 +445,12 @@ def parse_oscillating(text: str) -> OscillatingTableau:
     if obj is not None:
         try:
             return OscillatingTableau(obj["w"], tuple(tuple(p) for p in obj["seq"]))
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"tableau JSON needs keys 'w' and 'seq'") from exc
         except DomainError as exc:
             raise FormatError(str(exc)) from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(
+                f"tableau JSON needs keys 'w' and 'seq' with integer parts: {exc}"
+            ) from exc
     lines = _tableau_lines(text)
     w = lines[0]
     try:
@@ -462,10 +464,12 @@ def parse_ssyt(text: str) -> SemistandardTableau:
     if obj is not None:
         try:
             return SemistandardTableau(tuple(tuple(p) for p in obj["seq"]))
-        except (KeyError, TypeError) as exc:
-            raise FormatError("tableau JSON needs key 'seq'") from exc
         except DomainError as exc:
             raise FormatError(str(exc)) from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(
+                f"tableau JSON needs key 'seq' with integer parts: {exc}"
+            ) from exc
     lines = _tableau_lines(text)
     if lines[0] != SSYT_HEADER:
         raise FormatError(f"expected {SSYT_HEADER} header, got {lines[0]!r}")

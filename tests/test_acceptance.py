@@ -200,7 +200,7 @@ def test_criterion_4_three_route_agreement():
             for L in (1, 2, 3, 4):
                 b = brute_count(n, d, L)
                 p = tableau_pair_count(n, d, L)
-                t = trig_count(n, d, L)  # raises if the residual exceeds 1e-6
+                t = trig_count(n, d, L)  # raises unless the sum reduces to an exact count
                 if not (b == p == t):
                     ok, detail = False, f"routes disagree at ({n},{d},{L}): {b},{p},{t}"
     anchors = brute_count(4, 3, 3) == 22 and all(

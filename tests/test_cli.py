@@ -175,7 +175,7 @@ def test_count_csv_and_json(capsys):
     assert out.splitlines()[3] == "3,4,4,ok"
     code, out, _ = run(
         capsys, "count", "--d", "2", "--L", "2", "--n-max", "4", "--json",
-        "--routes", "brute,trig", "--threads", "2",
+        "--routes", "brute,trig",
     )
     assert code == 0
     obj = json.loads(out)
@@ -284,6 +284,8 @@ def test_malformed_json_values_exit_3(capsys, tmp_path):
         (["check"], {**diagram, "rows": [[0]], "labels": [[["a"], []], [[], []]]}),
         (["check"], skew),
         (["skew-retype", "--to=+"], skew),
+        (["check"], {"w": "+-", "seq": [[], ["a"], []]}),
+        (["check"], {"kind": "ssyt", "seq": [[], ["a"]]}),
     ]
     for i, (argv, obj) in enumerate(cases):
         path = tmp_path / f"case{i}.json"

@@ -6,17 +6,19 @@ from itertools import permutations
 import pytest
 
 from cylrsk.counting import (
+    BRUTE_LIMIT,
+    _count_from_terms,
+    _cyclotomic,
     _scan_profiles,
     asymptotic,
     brute_count,
     brute_count_involutions,
     count_table,
     cylindric_syt_count,
-    prime_brute_cache,
     tableau_pair_count,
     trig_count,
 )
-from cylrsk.errors import DomainError
+from cylrsk.errors import DomainError, InvariantViolation
 from conftest import perm_contains_descending_pattern, perm_lis
 
 
@@ -161,15 +163,104 @@ def test_count_table():
         count_table(2, 2, 4, routes=("nope",))
     with pytest.raises(DomainError):
         count_table(2, 2, 0)
+    with pytest.raises(DomainError):
+        count_table(2, 2, BRUTE_LIMIT + 1)  # refused before any walk
 
 
-def test_parallel_scan_matches_serial():
-    serial = _scan_profiles(5)
+def _lis_length(perm):
+    """Longest increasing subsequence, patience-sorting style."""
+    tails = []
+    for v in perm:
+        lo, hi = 0, len(tails)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if tails[mid] < v:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo == len(tails):
+            tails.append(v)
+        else:
+            tails[lo] = v
+    return len(tails)
+
+
+def _descending_threshold(perm):
+    """Smallest d such that perm avoids d..1(d+1).
+
+    perm contains that pattern iff some strictly decreasing subsequence of d
+    values is followed, after its last element, by a value larger than its
+    first element.  Returns one more than the longest such completable
+    decreasing subsequence.
+    """
+    n = len(perm)
+    suffix_max = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix_max[i] = max(suffix_max[i + 1], perm[i])
+    best = 0
+    for s in range(n):
+        top = perm[s]
+        if suffix_max[s + 1] <= top:
+            continue  # nothing after s can ever complete a chain starting here
+        here = 1
+        chain_len = {}
+        for j in range(s + 1, n):
+            vj = perm[j]
+            if vj >= top:
+                continue
+            ln = 2
+            for k, lk in chain_len.items():
+                if perm[k] > vj and lk + 1 > ln:
+                    ln = lk + 1
+            chain_len[j] = ln
+            if suffix_max[j + 1] > top and ln > here:
+                here = ln
+        if here > best:
+            best = here
+    return best + 1
+
+
+def test_scan_matches_per_permutation_oracle():
     from cylrsk import counting
 
-    counting._PROFILE_CACHE.pop(5)
-    prime_brute_cache(5, threads=3)
-    assert _scan_profiles(5) == serial
+    counting._PROFILE_CACHE.clear()
+    _scan_profiles(7)  # one walk fills every level up to 7
+    for n in range(1, 8):
+        counts, inv_counts = {}, {}
+        for perm in permutations(range(1, n + 1)):
+            key = (_descending_threshold(perm), _lis_length(perm))
+            counts[key] = counts.get(key, 0) + 1
+            if all(perm[perm[i] - 1] == i + 1 for i in range(n)):
+                inv_counts[key] = inv_counts.get(key, 0) + 1
+        assert _scan_profiles(n) == (counts, inv_counts), n
+
+
+def test_trig_matches_pairs_on_the_gate_grid():
+    for d in range(1, 9):
+        for L in range(1, 10 - d):
+            for n in range(1, 101):
+                assert trig_count(n, d, L) == tableau_pair_count(n, d, L), (n, d, L)
+    # (n, d, L) where the former floating-point sum was off by one
+    drift = {
+        (38, 2, 3): 2111485077978050,
+        (26, 3, 3): 375299968947542,
+        (49, 2, 2): 2**48,
+        (23, 4, 3): 421952625828190,
+    }
+    for (n, d, L), value in drift.items():
+        assert trig_count(n, d, L) == value == tableau_pair_count(n, d, L)
+
+
+def test_trig_refuses_a_corrupted_remainder():
+    phi = _cyclotomic(6)
+    assert phi == [1, -1, 1]
+    den = 3 * 6**2  # d * M^(d-1) at (d, L) = (3, 3)
+    good = [5 * den, 0, 0, 0, 0, 0]
+    assert _count_from_terms([good], phi, den) == 5
+    assert _count_from_terms([good, [1, 0, 0, 1, 0, 0]], phi, den) == 5  # x^3 + 1 = 0
+    for bad in ([0, 1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0], [-6 * den, 0, 0, 0, 0, 0]):
+        with pytest.raises(InvariantViolation):
+            _count_from_terms([good, bad], phi, den)
 
 
 def test_pair_counts_agree_across_threads_on_a_cold_cache():
@@ -177,16 +268,18 @@ def test_pair_counts_agree_across_threads_on_a_cold_cache():
 
     ns = (117, 118, 119, 120)
     counting._CHAIN_CACHE.clear()
-    serial = [tableau_pair_count(n, 3, 4) for n in ns]
+    counting._TRIG_CACHE.clear()
+    serial = [(tableau_pair_count(n, 3, 4), trig_count(n, 3, 4)) for n in ns]
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads often, so an unguarded cache races
     try:
         for _ in range(20):
             counting._CHAIN_CACHE.clear()
+            counting._TRIG_CACHE.clear()
             out = [None] * len(ns)
 
             def work(i):
-                out[i] = tableau_pair_count(ns[i], 3, 4)
+                out[i] = (tableau_pair_count(ns[i], 3, 4), trig_count(ns[i], 3, 4))
 
             threads = [threading.Thread(target=work, args=(i,)) for i in range(len(ns))]
             for t in threads:
