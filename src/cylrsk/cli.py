@@ -8,9 +8,10 @@ produce byte-identical output.  Exit codes: 0 success, 2 domain errors
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
-from . import correspond, counting, growth, tableaux
-from .errors import DomainError, FormatError, InvariantViolation
+from . import correspond, counting, growth
+from .errors import DomainError, FormatError, InvariantViolation, decode
 from .fillings import (
     MINUS,
     PLUS,
@@ -29,16 +30,14 @@ from .partitions import (
 )
 from .tableaux import (
     SSYT_HEADER,
+    SemistandardTableau,
     format_oscillating,
     format_skew,
     format_ssyt,
-    oscillating_to_json,
     parse_oscillating,
     parse_skew,
     parse_skew_rowstrict,
     parse_ssyt,
-    skew_to_json,
-    ssyt_to_json,
 )
 
 
@@ -57,59 +56,31 @@ def _read(path: str) -> str:
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
+def _parse_permutation(text) -> tuple[int, ...]:
+    return decode(
+        text, _permutation_from_text, lambda o: tuple(int(v) for v in o["perm"]), "permutation"
+    )
 
 
-def _emit_json(obj) -> None:
-    _emit(json.dumps(obj, separators=(",", ":"), sort_keys=True))
-
-
-def _parse_permutation(text: str) -> tuple[int, ...]:
-    t = text.strip()
-    if t.startswith("{"):
-        try:
-            obj = json.loads(t)
-            return tuple(int(v) for v in obj["perm"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"bad permutation JSON: {exc}") from exc
+def _permutation_from_text(t: str) -> tuple[int, ...]:
     if t.startswith("["):
-        t = t[1:-1].replace(",", " ") if t.endswith("]") else t
-    try:
-        return tuple(int(tok) for tok in t.replace(",", " ").split())
-    except ValueError as exc:
-        raise FormatError(f"bad permutation {text!r}") from exc
+        t = t[1:-1] if t.endswith("]") else t
+    return tuple(int(tok) for tok in t.replace(",", " ").split())
 
 
-def _format_permutation(perm) -> str:
-    return " ".join(str(v) for v in perm)
+def _parse_pair(text):
+    return decode(text, _pair_from_text, _pair_from_json, "tableau pair")
 
 
-def _parse_pair(text: str):
-    t = text.strip()
-    if t.startswith("{"):
-        try:
-            obj = json.loads(t)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"bad pair JSON: {exc}") from exc
-        try:
-            p = tableaux.SemistandardTableau(tuple(tuple(x) for x in obj["P"]["seq"]))
-            q = tableaux.SemistandardTableau(tuple(tuple(x) for x in obj["Q"]["seq"]))
-        except (KeyError, TypeError) as exc:
-            raise FormatError("pair JSON needs P.seq and Q.seq") from exc
-        except DomainError as exc:
-            raise FormatError(str(exc)) from exc
-        return p, q
+def _pair_from_text(t: str):
     blocks = [b for b in t.split("\n\n") if b.strip()]
     if len(blocks) != 2:
         raise FormatError(f"expected two tableau blocks, got {len(blocks)}")
     return parse_ssyt(blocks[0]), parse_ssyt(blocks[1])
 
 
-def _format_pair(p, q) -> str:
-    return format_ssyt(p) + "\n\n" + format_ssyt(q)
+def _pair_from_json(obj):
+    return tuple(SemistandardTableau(tuple(map(tuple, obj[k]["seq"]))) for k in "PQ")
 
 
 def _rule_from_args(args) -> growth.Rule:
@@ -120,24 +91,13 @@ def _rule_from_args(args) -> growth.Rule:
     return growth.Rule.drsk(args.d)
 
 
-def _cmd_grow(args) -> int:
+def _cmd_grow(args):
     filling = parse_filling(_read(args.file))
-    rule = _rule_from_args(args)
-    diagram = growth.grow_from_filling(rule, filling)
-    boundary = growth.extract_boundary(diagram)
-    if args.json:
-        _emit_json(
-            {
-                "diagram": growth.diagram_to_json(diagram),
-                "boundary": oscillating_to_json(boundary),
-            }
-        )
-    else:
-        _emit(growth.format_diagram(diagram) + "\n\n" + format_oscillating(boundary))
-    return 0
+    diagram = growth.grow_from_filling(_rule_from_args(args), filling)
+    return "grown", (diagram, growth.extract_boundary(diagram))
 
 
-def _cmd_ungrow(args) -> int:
+def _cmd_ungrow(args):
     t = parse_oscillating(_read(args.file))
     shape = _shape_of_word(t.w)
     if args.shape is not None and parse_partition(args.shape) != shape:
@@ -146,12 +106,7 @@ def _cmd_ungrow(args) -> int:
             f"{format_partition(shape)}"
         )
     rule = _rule_from_args(args)
-    filling = growth.grow_from_boundary(rule, shape, t).filling
-    if args.json:
-        _emit_json(filling_to_json(filling))
-    else:
-        _emit(format_filling(filling))
-    return 0
+    return "filling", growth.grow_from_boundary(rule, shape, t).filling
 
 
 def _shape_of_word(w: str):
@@ -172,188 +127,73 @@ def _shape_of_word(w: str):
     return shape
 
 
-def _cmd_rsk(args) -> int:
+def _cmd_rsk(args):
     if args.inverse:
         t = parse_oscillating(_read(args.file))
-        filling = correspond.drsk_inverse(_shape_of_word(t.w), t, args.d)
-        if args.json:
-            _emit_json(filling_to_json(filling))
-        else:
-            _emit(format_filling(filling))
-    else:
-        t = correspond.drsk(parse_filling(_read(args.file)), args.d)
-        if args.json:
-            _emit_json(oscillating_to_json(t))
-        else:
-            _emit(format_oscillating(t))
-    return 0
+        return "filling", correspond.drsk_inverse(_shape_of_word(t.w), t, args.d)
+    return "oscillating-tableau", correspond.drsk(parse_filling(_read(args.file)), args.d)
 
 
-def _cmd_cylrsk(args) -> int:
+def _cmd_cylrsk(args):
     if args.inverse:
         p, q = _parse_pair(_read(args.file))
-        filling = correspond.cylindric_rsk_inverse(p, q, args.d, args.L)
-        if args.json:
-            _emit_json(filling_to_json(filling))
-        else:
-            _emit(format_filling(filling))
-    else:
-        p, q = correspond.cylindric_rsk(parse_filling(_read(args.file)), args.d, args.L)
-        if args.json:
-            _emit_json({"P": ssyt_to_json(p), "Q": ssyt_to_json(q)})
-        else:
-            _emit(_format_pair(p, q))
-    return 0
+        return "filling", correspond.cylindric_rsk_inverse(p, q, args.d, args.L)
+    filling = parse_filling(_read(args.file))
+    return "tableau-pair", correspond.cylindric_rsk(filling, args.d, args.L)
 
 
-def _cmd_rs(args) -> int:
+def _cmd_rs(args):
     if args.inverse:
         p, q = _parse_pair(_read(args.file))
-        perm = correspond.cylindric_rs_inverse(p, q, args.d, args.L)
-        if args.json:
-            _emit_json({"perm": list(perm)})
-        else:
-            _emit(_format_permutation(perm))
-    else:
-        p, q = correspond.cylindric_rs(_parse_permutation(_read(args.file)), args.d, args.L)
-        if args.json:
-            _emit_json({"P": ssyt_to_json(p), "Q": ssyt_to_json(q)})
-        else:
-            _emit(_format_pair(p, q))
-    return 0
-
-
-def _cmd_skew_retype(args) -> int:
-    t = parse_skew(_read(args.file))
-    out = correspond.skew_retype(t, args.to)
-    if args.json:
-        _emit_json(skew_to_json(out))
-    else:
-        _emit(format_skew(out))
-    return 0
-
-
-def _cmd_bwx(args) -> int:
-    f = parse_filling(_read(args.file))
-    out = (
-        correspond.bwx_inverse(f, args.d)
-        if args.inverse
-        else correspond.bwx_map(f, args.d)
-    )
-    if args.json:
-        _emit_json(filling_to_json(out))
-    else:
-        _emit(format_filling(out))
-    return 0
-
-
-def _cmd_wilf(args) -> int:
+        return "permutation", correspond.cylindric_rs_inverse(p, q, args.d, args.L)
     perm = _parse_permutation(_read(args.file))
-    out = correspond.wilf_bijection(perm, args.d, args.L)
-    if args.json:
-        _emit_json({"perm": list(out)})
-    else:
-        _emit(_format_permutation(out))
-    return 0
+    return "tableau-pair", correspond.cylindric_rs(perm, args.d, args.L)
 
 
-def _cmd_rowstrict_retype(args) -> int:
+def _cmd_skew_retype(args):
+    return "skew-tableau", correspond.skew_retype(parse_skew(_read(args.file)), args.to)
+
+
+def _cmd_bwx(args):
+    f = parse_filling(_read(args.file))
+    bwx = correspond.bwx_inverse if args.inverse else correspond.bwx_map
+    return "filling", bwx(f, args.d)
+
+
+def _cmd_wilf(args):
+    perm = _parse_permutation(_read(args.file))
+    return "permutation", correspond.wilf_bijection(perm, args.d, args.L)
+
+
+def _cmd_rowstrict_retype(args):
     t = parse_skew_rowstrict(_read(args.file))
-    out = correspond.rowstrict_retype(t, args.L, args.to)
-    if args.json:
-        _emit_json({"d": out.d, "w": out.w, "seq": [list(s) for s in out.seq]})
-    else:
-        _emit("\n".join([out.w] + [format_partition(s) for s in out.seq]))
-    return 0
+    return "skew-rowstrict-tableau", correspond.rowstrict_retype(t, args.L, args.to)
 
 
-def _cmd_conjugate(args) -> int:
-    line = _read(args.file).strip()
-    if line.startswith("{"):
-        try:
-            obj = json.loads(line)
-            raw = tuple(int(v) for v in obj["parts"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"bad staircase JSON: {exc}") from exc
-        try:
-            stair = as_staircase(raw, args.d)
-        except DomainError as exc:
-            raise FormatError(str(exc)) from exc
-    else:
-        stair = parse_staircase(line, args.d)
-    out = cyl_conjugate(stair, args.d, args.L)
-    if args.json:
-        _emit_json({"d": args.L, "parts": list(out)})
-    else:
-        _emit(format_partition(out))
-    return 0
+def _cmd_conjugate(args):
+    stair = decode(
+        _read(args.file),
+        lambda t: parse_staircase(t, args.d),
+        lambda o: as_staircase(tuple(int(v) for v in o["parts"]), args.d),
+        "staircase",
+    )
+    return "staircase", (args.L, cyl_conjugate(stair, args.d, args.L))
 
 
-def _cmd_count(args) -> int:
-    routes = tuple(args.routes.split(","))
-    table = counting.count_table(args.d, args.L, args.n_max, routes)
-    if args.json:
-        _emit_json(
-            {
-                "d": table.d,
-                "L": table.L,
-                "routes": list(table.routes),
-                "rows": [
-                    {
-                        "n": n,
-                        **{r: c for r, c in zip(table.routes, row)},
-                        "agree": table.row_agrees(i),
-                    }
-                    for i, (n, row) in enumerate(zip(table.n_values, table.counts))
-                ],
-            }
-        )
-        return 0
-    header = ["n", *table.routes, "agree"]
-    body = [
-        [str(n), *(str(c) for c in row), "ok" if table.row_agrees(i) else "MISMATCH"]
-        for i, (n, row) in enumerate(zip(table.n_values, table.counts))
-    ]
-    if args.csv:
-        _emit("\n".join(",".join(r) for r in [header, *body]))
-    else:
-        widths = [max(len(r[i]) for r in [header, *body]) for i in range(len(header))]
-        lines = [
-            "  ".join(val.rjust(w) for val, w in zip(r, widths)) for r in [header, *body]
-        ]
-        _emit("\n".join(lines))
-    return 0
+def _cmd_count(args):
+    table = counting.count_table(args.d, args.L, args.n_max, tuple(args.routes.split(",")))
+    return ("count-csv" if args.csv else "count"), table
 
 
-def _cmd_asym(args) -> int:
+def _cmd_asym(args):
     rate, constant = counting.asymptotic(args.d, args.L)
-    if args.json:
-        _emit_json({"d": args.d, "L": args.L, "rate": rate, "constant": constant})
-    else:
-        _emit(f"rate {rate!r}\nconstant {constant!r}")
-    return 0
+    return "asym", {"d": args.d, "L": args.L, "rate": rate, "constant": constant}
 
 
-def _sniff_kind(text: str) -> str:
-    t = text.strip()
+def _text_kind(t: str) -> str:
+    """Kind of a text artifact, from its first line (and, for a word, its ends)."""
     if not t:
         raise FormatError("empty input")
-    if t.startswith("{"):
-        try:
-            obj = json.loads(t)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"bad JSON: {exc}") from exc
-        if "labels" in obj:
-            return "diagram"
-        if "rows" in obj and "shape" in obj:
-            return "filling"
-        if obj.get("kind") == "ssyt":
-            return "ssyt"
-        if "d" in obj and "w" in obj:
-            return "skew-tableau"
-        if "w" in obj:
-            return "oscillating-tableau"
-        raise FormatError("unrecognized JSON artifact")
     first = t.splitlines()[0].strip()
     toks = first.split()
     if len(toks) == 4 and toks[0] in ("rsk", "drsk", "skew"):
@@ -362,45 +202,128 @@ def _sniff_kind(text: str) -> str:
         return "filling"
     if first == SSYT_HEADER:
         return "tableau-pair" if len([b for b in t.split("\n\n") if b.strip()]) == 2 else "ssyt"
-    if first and all(ch in (PLUS, MINUS) for ch in first):
-        lines = [ln.strip() for ln in t.splitlines() if ln.strip()]
-        if any("-" in ln.lstrip("[").rstrip("]") for ln in lines[1:]):
-            return "skew-tableau"
-        try:
-            parse_oscillating(t)
+    if all(ch in (PLUS, MINUS) for ch in first):
+        # an oscillating tableau starts and ends empty and has no negative part
+        entries = [ln.strip() for ln in t.splitlines()[1:] if ln.strip()]
+        empty_ends = entries and not (entries[0].strip("[]0, ") or entries[-1].strip("[]0, "))
+        if empty_ends and not any("-" in ln for ln in entries):
             return "oscillating-tableau"
-        except (FormatError, DomainError):
-            return "skew-tableau"
+        return "skew-tableau"
     raise FormatError(f"unrecognized artifact starting with {first!r}")
 
 
-def _cmd_check(args) -> int:
-    text = _read(args.file)
-    kind = _sniff_kind(text)
-    parsers = {
-        "diagram": growth.parse_diagram,
-        "filling": parse_filling,
-        "ssyt": parse_ssyt,
-        "tableau-pair": _parse_pair,
-        "oscillating-tableau": parse_oscillating,
-        "skew-tableau": parse_skew,
+def _json_kind(obj: dict) -> str:
+    """Kind of a JSON artifact, from the keys of its mirror."""
+    if "labels" in obj:
+        return "diagram"
+    if "rows" in obj and "shape" in obj:
+        return "filling"
+    if obj.get("kind") == "ssyt":
+        return "ssyt"
+    if "d" in obj and "w" in obj:
+        return "skew-tableau"
+    if "w" in obj:
+        return "oscillating-tableau"
+    if "P" in obj and "Q" in obj:
+        return "tableau-pair"
+    raise FormatError("unrecognized JSON artifact")
+
+
+PARSERS = {
+    "diagram": growth.parse_diagram,
+    "filling": parse_filling,
+    "ssyt": parse_ssyt,
+    "tableau-pair": _parse_pair,
+    "oscillating-tableau": parse_oscillating,
+    "skew-tableau": parse_skew,
+    "skew-rowstrict-tableau": parse_skew_rowstrict,
+}
+
+
+def _cmd_check(args):
+    kind, source = decode(
+        _read(args.file), lambda t: (_text_kind(t), t), lambda o: (_json_kind(o), o), "artifact"
+    )
+    try:
+        PARSERS[kind](source)
+    except FormatError as exc:
+        if kind not in ("oscillating-tableau", "skew-tableau"):
+            raise
+        try:  # row-strict skew tableaux share the text and JSON forms
+            parse_skew_rowstrict(source)
+        except FormatError:
+            raise exc from None
+        kind = "skew-rowstrict-tableau"
+    return "check", kind
+
+
+def _cmd_render(args):
+    return "render", growth.render_diagram(growth.parse_diagram(_read(args.file)))
+
+
+def _count_rows(table) -> list[list[str]]:
+    """Header, then one row per n: n, each route's count, agreement."""
+    return [["n", *table.routes, "agree"]] + [
+        [str(n), *map(str, row), "ok" if table.row_agrees(i) else "MISMATCH"]
+        for i, (n, row) in enumerate(zip(table.n_values, table.counts))
+    ]
+
+
+def _count_text(table) -> str:
+    rows = _count_rows(table)
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+    return "\n".join("  ".join(v.rjust(w) for v, w in zip(r, widths)) for r in rows)
+
+
+def _count_json(table) -> dict:
+    return {
+        "d": table.d,
+        "L": table.L,
+        "routes": list(table.routes),
+        "rows": [
+            {"n": n, **dict(zip(table.routes, row)), "agree": table.row_agrees(i)}
+            for i, (n, row) in enumerate(zip(table.n_values, table.counts))
+        ],
     }
-    parsers[kind](text)
-    if args.json:
-        _emit_json({"ok": True, "kind": kind})
-    else:
-        _emit(f"ok: {kind}")
-    return 0
 
 
-def _cmd_render(args) -> int:
-    g = growth.parse_diagram(_read(args.file))
-    text = growth.render_diagram(g)
-    if args.json:
-        _emit_json({"text": text})
-    else:
-        _emit(text)
-    return 0
+def _ssyt_json(t) -> dict:
+    return {"kind": "ssyt", **asdict(t)}
+
+
+# Each verb returns the artifact it made as (kind, value); main writes the
+# value with its kind's encoder from TO_TEXT, or from TO_JSON under --json.
+TO_TEXT = {
+    "filling": format_filling,
+    "grown": lambda dt: growth.format_diagram(dt[0]) + "\n\n" + format_oscillating(dt[1]),
+    "oscillating-tableau": format_oscillating,
+    "tableau-pair": lambda pq: format_ssyt(pq[0]) + "\n\n" + format_ssyt(pq[1]),
+    "permutation": lambda perm: " ".join(map(str, perm)),
+    "skew-tableau": format_skew,
+    "skew-rowstrict-tableau": format_skew,
+    "staircase": lambda dp: format_partition(dp[1]),
+    "count": _count_text,
+    "count-csv": lambda table: "\n".join(map(",".join, _count_rows(table))),
+    "asym": lambda a: f"rate {a['rate']!r}\nconstant {a['constant']!r}",
+    "check": lambda kind: f"ok: {kind}",
+    "render": lambda text: text,
+}
+
+TO_JSON = {
+    "filling": filling_to_json,
+    "grown": lambda dt: {"diagram": growth.diagram_to_json(dt[0]), "boundary": asdict(dt[1])},
+    "oscillating-tableau": asdict,
+    "tableau-pair": lambda pq: {"P": _ssyt_json(pq[0]), "Q": _ssyt_json(pq[1])},
+    "permutation": lambda perm: {"perm": list(perm)},
+    "skew-tableau": asdict,
+    "skew-rowstrict-tableau": asdict,
+    "staircase": lambda dp: {"d": dp[0], "parts": list(dp[1])},
+    "count": _count_json,
+    "count-csv": _count_json,
+    "asym": lambda a: a,
+    "check": lambda kind: {"ok": True, "kind": kind},
+    "render": lambda text: {"text": text},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -486,17 +409,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _encode(kind: str, value, as_json: bool) -> str:
+    if as_json:
+        return json.dumps(TO_JSON[kind](value), separators=(",", ":"), sort_keys=True)
+    return TO_TEXT[kind](value)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        text = _encode(*args.func(args), args.json)
     except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return 3
     except (DomainError, InvariantViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    return 0
 
 
 if __name__ == "__main__":

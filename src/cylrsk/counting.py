@@ -10,6 +10,7 @@ each step their (d, L) state from n to n + 1.
 """
 
 import math
+import sys
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -314,9 +315,18 @@ def asymptotic(d: int, L: int) -> tuple[float, float]:
         raise DomainError(f"d and L must be >= 1, got ({d},{L})")
     M = d + L
     rate = (math.sin(math.pi * d / M) / math.sin(math.pi / M)) ** 2
-    constant = float(M) ** (1 - d)
-    for j in range(1, d):
-        constant *= (4.0 * math.sin(math.pi * j / M) ** 2) ** (d - j)
+    log_constant = math.fsum(
+        [(1 - d) * math.log(M)]
+        + [(d - j) * math.log(4.0 * math.sin(math.pi * j / M) ** 2) for j in range(1, d)]
+    )
+    try:
+        constant = math.exp(log_constant)
+    except OverflowError:
+        constant = math.inf
+    if not sys.float_info.min <= constant < math.inf:
+        raise DomainError(
+            f"leading constant at ({d},{L}) is e**{log_constant:.6g}, not a normal float"
+        )
     return rate, constant
 
 

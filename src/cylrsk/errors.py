@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one artifact decoder."""
+
+import json
 
 
 class DomainError(ValueError):
@@ -34,3 +36,25 @@ class ChainBoundExceeded(DomainError):
     def __init__(self, message: str, chain=None):
         super().__init__(message)
         self.chain = chain
+
+
+def decode(source, from_text, from_json, what: str):
+    """Read an artifact from its text form or its JSON mirror.
+
+    ``source`` is text, or a JSON object already decoded from text.  Stripped
+    text that starts with ``{`` is the JSON mirror and goes to ``from_json``;
+    other text goes to ``from_text``.  A KeyError, TypeError or ValueError on
+    the way (JSONDecodeError and DomainError among them) becomes a FormatError
+    naming ``what``; a FormatError passes through unchanged.
+    """
+    try:
+        if isinstance(source, dict):
+            return from_json(source)
+        text = source.strip()
+        return from_json(json.loads(text)) if text.startswith("{") else from_text(text)
+    except FormatError:
+        raise
+    except KeyError as exc:
+        raise FormatError(f"bad {what}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"bad {what}: {exc}") from exc

@@ -7,10 +7,9 @@ coordinates 1-based, so the cell (c, r) occupies the unit square with corners
 flipped on input to this bottom-up convention.
 """
 
-import json
 from dataclasses import dataclass
 
-from .errors import DomainError, FormatError
+from .errors import DomainError, FormatError, decode
 from .partitions import Part, as_partition, conjugate, format_partition, parse_partition
 
 PLUS = "+"
@@ -308,36 +307,21 @@ def filling_to_json(f: Filling) -> dict:
     return {"shape": list(f.shape), "rows": [list(r) for r in reversed(f.rows)]}
 
 
-def parse_filling(text: str) -> Filling:
+def parse_filling(text) -> Filling:
     """Parse the text form (or its JSON mirror with keys shape/rows)."""
-    stripped = text.strip()
-    if stripped.startswith("{"):
-        try:
-            obj = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"bad JSON filling: {exc}") from exc
-        return filling_from_json(obj)
-    lines = [ln for ln in stripped.splitlines() if ln.strip()]
+    return decode(text, _filling_from_text, _filling_from_json, "filling")
+
+
+def _filling_from_text(text: str) -> Filling:
+    lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise FormatError("empty filling input")
     shape = parse_partition(lines[0])
     body = lines[1:]
     if len(body) != len(shape):
         raise FormatError(f"expected {len(shape)} entry rows, got {len(body)}")
-    try:
-        rows_top = [tuple(int(tok) for tok in ln.split()) for ln in body]
-    except ValueError as exc:
-        raise FormatError(f"bad filling entry: {exc}") from exc
-    try:
-        return filling_from_matrix(shape, rows_top)
-    except DomainError as exc:
-        raise FormatError(str(exc)) from exc
+    return filling_from_matrix(shape, [tuple(int(tok) for tok in ln.split()) for ln in body])
 
 
-def filling_from_json(obj) -> Filling:
-    if not isinstance(obj, dict) or "shape" not in obj or "rows" not in obj:
-        raise FormatError("filling JSON needs keys 'shape' and 'rows'")
-    try:
-        return filling_from_matrix(tuple(obj["shape"]), [tuple(r) for r in obj["rows"]])
-    except (TypeError, ValueError) as exc:  # DomainError is a ValueError
-        raise FormatError(str(exc)) from exc
+def _filling_from_json(obj) -> Filling:
+    return filling_from_matrix(tuple(obj["shape"]), [tuple(r) for r in obj["rows"]])

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from operator import add, ge, sub
 from types import MappingProxyType
 
-from .errors import DomainError, FormatError, InvariantViolation, PatternContainment
+from .errors import DomainError, FormatError, InvariantViolation, PatternContainment, decode
 from .fillings import (
     MINUS,
     PLUS,
@@ -483,66 +483,72 @@ def classify_rs_cell(rule: Rule, bl, tl, br, tr, entry: int) -> str:
 # ---------------------------------------------------------------------------
 # Text format
 
+def _label_rows(g: GrowthDiagram) -> list[list[Part]]:
+    """The labels row by row, top row first, each row left to right."""
+    widths = _lattice_rows(g.shape)
+    return [[g.labels[(x, y)] for x in range(widths[y])] for y in reversed(range(len(widths)))]
+
+
 def format_diagram(g: GrowthDiagram) -> str:
     """Dump: header `kind d rows cols`, filling block, label rows top-first."""
     shape = g.shape
-    rows = len(shape)
-    cols = shape[0] if shape else 0
-    lines = [f"{g.rule.kind} {g.rule.d} {rows} {cols}", format_filling(g.filling)]
-    for y in range(rows, -1, -1):
-        width = cols if y == 0 else shape[y - 1]
-        lines.append(" ".join(format_partition(g.labels[(x, y)]) for x in range(width + 1)))
-    return "\n".join(lines)
+    head = f"{g.rule.kind} {g.rule.d} {len(shape)} {shape[0] if shape else 0}"
+    rows = [" ".join(map(format_partition, row)) for row in _label_rows(g)]
+    return "\n".join([head, format_filling(g.filling), *rows])
 
 
-def parse_diagram(text: str) -> GrowthDiagram:
-    """Parse a dump (or its JSON mirror) and revalidate every cell."""
-    stripped = text.strip()
-    if stripped.startswith("{"):
-        import json
+def parse_diagram(text) -> GrowthDiagram:
+    """Parse a dump (or its JSON mirror) and revalidate every cell.
 
-        try:
-            obj = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"bad JSON diagram: {exc}") from exc
-        return diagram_from_json(obj)
-    lines = [ln for ln in stripped.splitlines() if ln.strip()]
+    Malformed input is a FormatError; a well-formed diagram that breaks its
+    rule is a DomainError from validate_diagram.
+    """
+    g = decode(text, _diagram_from_text, _diagram_from_json, "diagram")
+    validate_diagram(g)
+    return g
+
+
+def _diagram_from_text(text: str) -> GrowthDiagram:
+    lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise FormatError("empty diagram input")
     head = lines[0].split()
     if len(head) != 4:
         raise FormatError(f"bad diagram header {lines[0]!r}")
     kind, d_str, rows_str, cols_str = head
-    try:
-        rule = Rule(kind, int(d_str))
-        n_rows, n_cols = int(rows_str), int(cols_str)
-    except (ValueError, DomainError) as exc:
-        raise FormatError(f"bad diagram header {lines[0]!r}: {exc}") from exc
+    rule = Rule(kind, int(d_str))
+    n_rows, n_cols = int(rows_str), int(cols_str)
     body = lines[1:]
     if len(body) < 1 + n_rows + n_rows + 1:
         raise FormatError("truncated diagram dump")
     filling = parse_filling("\n".join(body[: 1 + n_rows]))
     if len(filling.shape) != n_rows or (filling.shape and filling.shape[0] != n_cols):
         raise FormatError("diagram header disagrees with the filling shape")
-    label_lines = body[1 + n_rows :]
-    if len(label_lines) != n_rows + 1:
-        raise FormatError(f"expected {n_rows + 1} label rows, got {len(label_lines)}")
-    shape = filling.shape
+    parse = (lambda tok: parse_staircase(tok, rule.d)) if rule.kind == "skew" else parse_partition
+    return _diagram(rule, filling, [[parse(tok) for tok in ln.split()] for ln in body[1 + n_rows :]])
+
+
+def _diagram_from_json(obj) -> GrowthDiagram:
+    rule = Rule(obj["rule"], int(obj["d"]))
+    filling = Filling(obj["shape"], tuple(reversed([tuple(r) for r in obj["rows"]])))
+    coerce = (lambda lab: as_staircase(lab, rule.d)) if rule.kind == "skew" else as_partition
+    label_rows = obj["labels"]
+    if not isinstance(label_rows, list) or not all(isinstance(r, list) for r in label_rows):
+        raise FormatError("diagram JSON labels must be a list of label rows")
+    return _diagram(rule, filling, [[coerce(lab) for lab in row] for row in label_rows])
+
+
+def _diagram(rule: Rule, filling: Filling, label_rows) -> GrowthDiagram:
+    """Diagram from label rows listed top row first; each row must fit the shape."""
+    widths = _lattice_rows(filling.shape)
+    if len(label_rows) != len(widths):
+        raise FormatError(f"expected {len(widths)} label rows, got {len(label_rows)}")
     labels = {}
-    for offset, y in enumerate(range(n_rows, -1, -1)):
-        width = (shape[0] if shape else 0) if y == 0 else shape[y - 1]
-        toks = label_lines[offset].split()
-        if len(toks) != width + 1:
-            raise FormatError(f"label row for height {y} needs {width + 1} entries")
-        for x, tok in enumerate(toks):
-            labels[(x, y)] = (
-                parse_staircase(tok, rule.d)
-                if rule.kind == "skew"
-                else parse_partition(tok)
-            )
-    g = GrowthDiagram(rule, filling, labels)
-    validate_diagram(g)
-    return g
+    for y, row in zip(reversed(range(len(widths))), label_rows):
+        if len(row) != widths[y]:
+            raise FormatError(f"label row for height {y} needs {widths[y]} entries")
+        labels.update(((x, y), lab) for x, lab in enumerate(row))
+    return GrowthDiagram(rule, filling, labels)
 
 
 def validate_diagram(g: GrowthDiagram) -> None:
@@ -584,9 +590,6 @@ def validate_diagram(g: GrowthDiagram) -> None:
 
 def render_diagram(g: GrowthDiagram) -> str:
     """Monospace picture: label rows interleaved with cell entries."""
-    shape = g.shape
-    rows = len(shape)
-    cols = shape[0] if shape else 0
 
     def text(p):
         return ",".join(str(v) for v in p) if p else "."
@@ -595,63 +598,19 @@ def render_diagram(g: GrowthDiagram) -> str:
         (len(text(lab)) for lab in g.labels.values()), default=1
     )
     out = []
-    for y in range(rows, -1, -1):
-        row_width = cols if y == 0 else shape[y - 1]
-        out.append(
-            "  ".join(text(g.labels[(x, y)]).rjust(width) for x in range(row_width + 1))
-        )
+    for y, labels in zip(reversed(range(len(g.shape) + 1)), _label_rows(g)):
+        out.append("  ".join(text(lab).rjust(width) for lab in labels))
         if y > 0:
-            cells = []
-            for col in range(1, shape[y - 1] + 1):
-                v = g.filling.rows[y - 1][col - 1]
-                cells.append((str(v) if v else ".").rjust(width))
+            cells = ((str(v) if v else ".").rjust(width) for v in g.filling.rows[y - 1])
             out.append(" " * ((width + 2) // 2) + "  ".join(cells))
     return "\n".join(out)
 
 
 def diagram_to_json(g: GrowthDiagram) -> dict:
-    shape = g.shape
-    rows = len(shape)
-    label_rows = []
-    for y in range(rows, -1, -1):
-        width = (shape[0] if shape else 0) if y == 0 else shape[y - 1]
-        label_rows.append([list(g.labels[(x, y)]) for x in range(width + 1)])
     return {
         "rule": g.rule.kind,
         "d": g.rule.d,
-        "shape": list(shape),
+        "shape": list(g.shape),
         "rows": [list(r) for r in reversed(g.filling.rows)],
-        "labels": label_rows,
+        "labels": [[list(lab) for lab in row] for row in _label_rows(g)],
     }
-
-
-def diagram_from_json(obj) -> GrowthDiagram:
-    """Rebuild and revalidate a diagram from its JSON mirror."""
-    try:
-        rule = Rule(obj["rule"], int(obj["d"]))
-        shape = as_partition(obj["shape"])
-        filling = Filling(shape, tuple(reversed([tuple(r) for r in obj["rows"]])))
-        label_rows = obj["labels"]
-    except (KeyError, TypeError, ValueError) as exc:  # DomainError is a ValueError
-        raise FormatError(f"bad diagram JSON: {exc}") from exc
-    labels = {}
-    n_rows = len(shape)
-    if not isinstance(label_rows, list) or len(label_rows) != n_rows + 1:
-        raise FormatError(f"expected a list of {n_rows + 1} label rows")
-    for offset, y in enumerate(range(n_rows, -1, -1)):
-        width = (shape[0] if shape else 0) if y == 0 else shape[y - 1]
-        row = label_rows[offset]
-        if not isinstance(row, list) or len(row) != width + 1:
-            raise FormatError(f"label row for height {y} needs {width + 1} entries")
-        for x, lab in enumerate(row):
-            try:
-                labels[(x, y)] = (
-                    as_staircase(lab, rule.d)
-                    if rule.kind == "skew"
-                    else as_partition(lab)
-                )
-            except (TypeError, ValueError) as exc:  # DomainError is a ValueError
-                raise FormatError(f"bad label at ({x},{y}): {exc}") from exc
-    g = GrowthDiagram(rule, filling, labels)
-    validate_diagram(g)
-    return g

@@ -7,10 +7,9 @@ are the semistandard (interlacing) and row-strict (cointerlacing) tableaux.
 Validation is eager at construction; downstream code may assume validity.
 """
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .errors import DomainError, FormatError
+from .errors import DomainError, FormatError, decode
 from .fillings import MINUS, PLUS
 from .partitions import (
     Part,
@@ -30,14 +29,9 @@ from .partitions import (
 
 
 def _check_word(w: str) -> str:
-    if any(ch not in (PLUS, MINUS) for ch in w):
+    if not isinstance(w, str) or not set(w) <= {PLUS, MINUS}:
         raise DomainError(f"direction word must be over +-, got {w!r}")
     return w
-
-
-def _step_pair(seq, i):
-    """Operands of step i (1-based) ordered lower-first."""
-    return seq[i - 1], seq[i]
 
 
 def weight_plus(w: str, seq) -> tuple[int, ...]:
@@ -63,46 +57,22 @@ def mcw_sequence(seq, d: int) -> int:
     )
 
 
-def interlacing_violation(w: str, seq) -> int | None:
-    """First step (1-based) that fails the directed interlacing, else None."""
-    for i in range(1, len(w) + 1):
-        lo, hi = _step_pair(seq, i)
-        if w[i - 1] == MINUS:
-            lo, hi = hi, lo
-        if not interlaces(lo, hi):
-            return i
-    return None
-
-
-def cointerlacing_violation(w: str, seq) -> int | None:
-    for i in range(1, len(w) + 1):
-        lo, hi = _step_pair(seq, i)
-        if w[i - 1] == MINUS:
-            lo, hi = hi, lo
-        if not cointerlaces(lo, hi):
+def _first_bad_step(w: str, seq, ok, *args) -> int | None:
+    """First step (1-based) whose operands, lower first, fail ok(lo, hi, *args)."""
+    for i, ch in enumerate(w, 1):
+        lo, hi = (seq[i], seq[i - 1]) if ch == MINUS else (seq[i - 1], seq[i])
+        if not ok(lo, hi, *args):
             return i
     return None
 
 
 def cylindric_violation(w: str, seq, d: int, L: int) -> int | None:
     """First step failing width-bounded interlacing at (d, L), else None."""
-    for i in range(1, len(w) + 1):
-        lo, hi = _step_pair(seq, i)
-        if w[i - 1] == MINUS:
-            lo, hi = hi, lo
-        if not dl_interlaces(lo, hi, d, L):
-            return i
-    return None
+    return _first_bad_step(w, seq, dl_interlaces, d, L)
 
 
 def cylindric_cointerlacing_violation(w: str, seq, d: int, L: int) -> int | None:
-    for i in range(1, len(w) + 1):
-        lo, hi = _step_pair(seq, i)
-        if w[i - 1] == MINUS:
-            lo, hi = hi, lo
-        if not dl_cointerlaces(lo, hi, d, L):
-            return i
-    return None
+    return _first_bad_step(w, seq, dl_cointerlaces, d, L)
 
 
 def max_constituent_width(seq, d: int) -> int:
@@ -114,29 +84,40 @@ def max_constituent_width(seq, d: int) -> int:
     return max((part(x, 1) - part(x, d) for x in seq), default=0)
 
 
-@dataclass(frozen=True)
-class OscillatingTableau:
-    """Empty-to-empty partition sequence stepping up/down per its word."""
+class _Tableau:
+    """Validation and queries shared by the five tableau classes below.
 
-    w: str
-    seq: tuple[Part, ...]
+    Each subclass is a frozen dataclass with a direction word ``w`` (a field,
+    or the all-+ word of an ascending chain) and a ``seq`` of its entries.
+    Class attributes say what the entries are and how they step:
+    ``_co`` -- steps cointerlace instead of interlace; ``_skew`` -- entries
+    are staircases of length ``d`` (a field) instead of partitions;
+    ``_empty`` -- indices of the entries that must be the empty partition.
+    """
+
+    _co = False
+    _skew = False
+    _empty = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "w", _check_word(self.w))
-        object.__setattr__(
-            self, "seq", tuple(as_partition(p) for p in self.seq)
-        )
-        if len(self.seq) != len(self.w) + 1:
+        if self._skew:
+            seq = tuple(as_staircase(s, self.d) for s in self.seq)
+        else:
+            seq = tuple(as_partition(p) for p in self.seq)
+        object.__setattr__(self, "seq", seq)
+        w = _check_word(self.w)
+        if len(seq) != len(w) + 1:
             raise DomainError(
-                f"sequence length {len(self.seq)} does not fit word of length {len(self.w)}"
+                f"sequence length {len(seq)} does not fit word of length {len(w)}"
             )
-        if self.seq[0] != () or self.seq[-1] != ():
-            raise DomainError("oscillating tableau must start and end empty")
-        bad = interlacing_violation(self.w, self.seq)
+        if any(seq[i] for i in self._empty):
+            ends = "start and end" if len(self._empty) == 2 else "start"
+            raise DomainError(f"sequence must {ends} empty")
+        bad = _first_bad_step(w, seq, cointerlaces if self._co else interlaces)
         if bad is not None:
             raise DomainError(
-                f"step {bad}: {self.seq[bad - 1]} -> {self.seq[bad]} "
-                f"fails {self.w[bad - 1]!r} interlacing"
+                f"step {bad}: {seq[bad - 1]} -> {seq[bad]} "
+                f"fails {w[bad - 1]!r} {'co' * self._co}interlacing"
             )
 
     def wt_plus(self) -> tuple[int, ...]:
@@ -145,148 +126,98 @@ class OscillatingTableau:
     def wt_minus(self) -> tuple[int, ...]:
         return weight_minus(self.w, self.seq)
 
-    def mcw(self, d: int) -> int:
-        return mcw_sequence(self.seq, d)
+    def is_standard(self) -> bool:
+        return all(v == 1 for v in self.wt_plus() + self.wt_minus())
 
     def max_length(self) -> int:
         return max((len(p) for p in self.seq), default=0)
 
-    def is_standard(self) -> bool:
-        return all(v == 1 for v in self.wt_plus()) and all(
-            v == 1 for v in self.wt_minus()
-        )
+    def _cylindric_step(self, dl):
+        """(d, L) and the first step that is not (d, L)-cylindric, or None.
 
-    def is_cylindric(self, d: int, L: int) -> bool:
-        return cylindric_violation(self.w, self.seq, d, L) is None
+        Skew tableaux carry their degree, so they are given L alone.
+        """
+        dl = (self.d, *dl) if self._skew else dl
+        ok = dl_cointerlaces if self._co else dl_interlaces
+        return dl, _first_bad_step(self.w, self.seq, ok, *dl)
 
-    def require_cylindric(self, d: int, L: int) -> "OscillatingTableau":
-        bad = cylindric_violation(self.w, self.seq, d, L)
+    def is_cylindric(self, *dl) -> bool:
+        return self._cylindric_step(dl)[1] is None
+
+    def require_cylindric(self, *dl):
+        (d, L), bad = self._cylindric_step(dl)
         if bad is not None:
             raise DomainError(
                 f"step {bad}: {self.seq[bad - 1]} -> {self.seq[bad]} "
-                f"is not ({d},{L})-cylindric"
+                f"is not ({d},{L})-cylindric{' row-strict' * self._co}"
             )
         return self
 
-    def reverse(self) -> "OscillatingTableau":
+    def reverse(self):
+        """The same steps read backwards, with every direction flipped."""
         flipped = "".join(PLUS if ch == MINUS else MINUS for ch in reversed(self.w))
-        return OscillatingTableau(flipped, tuple(reversed(self.seq)))
+        return replace(self, w=flipped, seq=tuple(reversed(self.seq)))
+
+
+_ASCENDING = property(
+    lambda self: PLUS * (len(self.seq) - 1), doc="The all-+ word of the chain."
+)
 
 
 @dataclass(frozen=True)
-class SemistandardTableau:
+class OscillatingTableau(_Tableau):
+    """Empty-to-empty partition sequence stepping up/down per its word."""
+
+    w: str
+    seq: tuple[Part, ...]
+    _empty = (0, -1)
+
+    def mcw(self, d: int) -> int:
+        return mcw_sequence(self.seq, d)
+
+
+@dataclass(frozen=True)
+class SemistandardTableau(_Tableau):
     """Ascending interlacing chain from the empty partition."""
 
     seq: tuple[Part, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "seq", tuple(as_partition(p) for p in self.seq))
-        if not self.seq or self.seq[0] != ():
-            raise DomainError("chain must start at the empty partition")
-        bad = interlacing_violation(PLUS * (len(self.seq) - 1), self.seq)
-        if bad is not None:
-            raise DomainError(
-                f"step {bad}: {self.seq[bad - 1]} -> {self.seq[bad]} fails interlacing"
-            )
+    w = _ASCENDING
+    _empty = (0,)
 
     @property
     def shape(self) -> Part:
         return self.seq[-1]
 
-    def weight(self) -> tuple[int, ...]:
-        return weight_plus(PLUS * (len(self.seq) - 1), self.seq)
+    weight = _Tableau.wt_plus
 
     def mcw(self, d: int) -> int:
         return mcw_sequence(self.seq, d)
 
-    def max_length(self) -> int:
-        return max((len(p) for p in self.seq), default=0)
-
-    def is_standard(self) -> bool:
-        return all(v == 1 for v in self.weight())
-
-    def is_cylindric(self, d: int, L: int) -> bool:
-        return cylindric_violation(PLUS * (len(self.seq) - 1), self.seq, d, L) is None
-
-    def require_cylindric(self, d: int, L: int) -> "SemistandardTableau":
-        bad = cylindric_violation(PLUS * (len(self.seq) - 1), self.seq, d, L)
-        if bad is not None:
-            raise DomainError(
-                f"step {bad}: {self.seq[bad - 1]} -> {self.seq[bad]} "
-                f"is not ({d},{L})-cylindric"
-            )
-        return self
-
 
 @dataclass(frozen=True)
-class RowStrictTableau:
+class RowStrictTableau(_Tableau):
     """Ascending cointerlacing chain from the empty partition."""
 
     seq: tuple[Part, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "seq", tuple(as_partition(p) for p in self.seq))
-        if not self.seq or self.seq[0] != ():
-            raise DomainError("chain must start at the empty partition")
-        bad = cointerlacing_violation(PLUS * (len(self.seq) - 1), self.seq)
-        if bad is not None:
-            raise DomainError(
-                f"step {bad}: {self.seq[bad - 1]} -> {self.seq[bad]} fails cointerlacing"
-            )
+    w = _ASCENDING
+    _co = True
+    _empty = (0,)
 
     @property
     def shape(self) -> Part:
         return self.seq[-1]
 
-    def weight(self) -> tuple[int, ...]:
-        return weight_plus(PLUS * (len(self.seq) - 1), self.seq)
-
-    def is_standard(self) -> bool:
-        return all(v == 1 for v in self.weight())
-
-    def is_cylindric(self, d: int, L: int) -> bool:
-        return (
-            cylindric_cointerlacing_violation(
-                PLUS * (len(self.seq) - 1), self.seq, d, L
-            )
-            is None
-        )
-
-    def require_cylindric(self, d: int, L: int) -> "RowStrictTableau":
-        bad = cylindric_cointerlacing_violation(
-            PLUS * (len(self.seq) - 1), self.seq, d, L
-        )
-        if bad is not None:
-            raise DomainError(
-                f"step {bad}: {self.seq[bad - 1]} -> {self.seq[bad]} "
-                f"is not ({d},{L})-cylindric row-strict"
-            )
-        return self
+    weight = _Tableau.wt_plus
 
 
 @dataclass(frozen=True)
-class SkewOscillatingTableau:
+class SkewOscillatingTableau(_Tableau):
     """Staircase sequence stepping per its word; endpoints unconstrained."""
 
     d: int
     w: str
     seq: tuple[Part, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "w", _check_word(self.w))
-        object.__setattr__(
-            self, "seq", tuple(as_staircase(s, self.d) for s in self.seq)
-        )
-        if len(self.seq) != len(self.w) + 1:
-            raise DomainError(
-                f"sequence length {len(self.seq)} does not fit word of length {len(self.w)}"
-            )
-        bad = interlacing_violation(self.w, self.seq)
-        if bad is not None:
-            raise DomainError(
-                f"step {bad}: {self.seq[bad - 1]} -> {self.seq[bad]} "
-                f"fails {self.w[bad - 1]!r} interlacing"
-            )
+    _skew = True
 
     @property
     def inner(self) -> Part:
@@ -296,60 +227,19 @@ class SkewOscillatingTableau:
     def outer(self) -> Part:
         return self.seq[-1]
 
-    def wt_plus(self) -> tuple[int, ...]:
-        return weight_plus(self.w, self.seq)
-
-    def wt_minus(self) -> tuple[int, ...]:
-        return weight_minus(self.w, self.seq)
-
     def mcw(self) -> int:
         return mcw_sequence(self.seq, self.d)
 
-    def is_standard(self) -> bool:
-        return all(v == 1 for v in self.wt_plus()) and all(
-            v == 1 for v in self.wt_minus()
-        )
-
-    def is_cylindric(self, L: int) -> bool:
-        return cylindric_violation(self.w, self.seq, self.d, L) is None
-
-    def require_cylindric(self, L: int) -> "SkewOscillatingTableau":
-        bad = cylindric_violation(self.w, self.seq, self.d, L)
-        if bad is not None:
-            raise DomainError(
-                f"step {bad}: {self.seq[bad - 1]} -> {self.seq[bad]} "
-                f"is not ({self.d},{L})-cylindric"
-            )
-        return self
-
-    def reverse(self) -> "SkewOscillatingTableau":
-        flipped = "".join(PLUS if ch == MINUS else MINUS for ch in reversed(self.w))
-        return SkewOscillatingTableau(self.d, flipped, tuple(reversed(self.seq)))
-
 
 @dataclass(frozen=True)
-class SkewRowStrictTableau:
+class SkewRowStrictTableau(_Tableau):
     """Staircase sequence with cointerlacing steps per its word."""
 
     d: int
     w: str
     seq: tuple[Part, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "w", _check_word(self.w))
-        object.__setattr__(
-            self, "seq", tuple(as_staircase(s, self.d) for s in self.seq)
-        )
-        if len(self.seq) != len(self.w) + 1:
-            raise DomainError(
-                f"sequence length {len(self.seq)} does not fit word of length {len(self.w)}"
-            )
-        bad = cointerlacing_violation(self.w, self.seq)
-        if bad is not None:
-            raise DomainError(
-                f"step {bad}: {self.seq[bad - 1]} -> {self.seq[bad]} "
-                f"fails {self.w[bad - 1]!r} cointerlacing"
-            )
+    _co = True
+    _skew = True
 
     @property
     def inner(self) -> Part:
@@ -359,30 +249,8 @@ class SkewRowStrictTableau:
     def outer(self) -> Part:
         return self.seq[-1]
 
-    def wt_plus(self) -> tuple[int, ...]:
-        return weight_plus(self.w, self.seq)
-
-    def wt_minus(self) -> tuple[int, ...]:
-        return weight_minus(self.w, self.seq)
-
     def constituent_width(self) -> int:
         return max_constituent_width(self.seq, self.d)
-
-    def is_cylindric(self, L: int) -> bool:
-        return cylindric_cointerlacing_violation(self.w, self.seq, self.d, L) is None
-
-    def require_cylindric(self, L: int) -> "SkewRowStrictTableau":
-        bad = cylindric_cointerlacing_violation(self.w, self.seq, self.d, L)
-        if bad is not None:
-            raise DomainError(
-                f"step {bad}: {self.seq[bad - 1]} -> {self.seq[bad]} "
-                f"is not ({self.d},{L})-cylindric row-strict"
-            )
-        return self
-
-    def reverse(self) -> "SkewRowStrictTableau":
-        flipped = "".join(PLUS if ch == MINUS else MINUS for ch in reversed(self.w))
-        return SkewRowStrictTableau(self.d, flipped, tuple(reversed(self.seq)))
 
 
 def split_pair(t: OscillatingTableau) -> tuple[SemistandardTableau, SemistandardTableau]:
@@ -407,120 +275,88 @@ def join_pair(p: SemistandardTableau, q: SemistandardTableau) -> OscillatingTabl
 SSYT_HEADER = "SSYT"
 
 
-def format_oscillating(t: OscillatingTableau) -> str:
-    lines = [t.w] + [format_partition(p) for p in t.seq]
-    return "\n".join(lines)
+def format_oscillating(t) -> str:
+    """Word line, then one bracketed entry per line; skew tableaux alike."""
+    return "\n".join([t.w, *map(format_partition, t.seq)])
+
+
+format_skew = format_oscillating
 
 
 def format_ssyt(t: SemistandardTableau) -> str:
-    lines = [SSYT_HEADER] + [format_partition(p) for p in t.seq]
-    return "\n".join(lines)
-
-
-def format_skew(t: SkewOscillatingTableau) -> str:
-    lines = [t.w] + [format_partition(s) for s in t.seq]
-    return "\n".join(lines)
+    return "\n".join([SSYT_HEADER, *map(format_partition, t.seq)])
 
 
 def _tableau_lines(text: str) -> list[str]:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise FormatError("empty tableau input")
     return lines
 
 
-def _maybe_json(text: str):
-    stripped = text.strip()
-    if not stripped.startswith("{"):
-        return None
-    try:
-        return json.loads(stripped)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"bad JSON tableau: {exc}") from exc
+def _parts(obj) -> tuple:
+    return tuple(tuple(p) for p in obj["seq"])
 
 
-def parse_oscillating(text: str) -> OscillatingTableau:
+def parse_oscillating(text) -> OscillatingTableau:
     """Parse the word-plus-partitions text form or its JSON mirror."""
-    obj = _maybe_json(text)
-    if obj is not None:
-        try:
-            return OscillatingTableau(obj["w"], tuple(tuple(p) for p in obj["seq"]))
-        except DomainError as exc:
-            raise FormatError(str(exc)) from exc
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(
-                f"tableau JSON needs keys 'w' and 'seq' with integer parts: {exc}"
-            ) from exc
+    return decode(text, _oscillating_from_text, _oscillating_from_json, "oscillating tableau")
+
+
+def _oscillating_from_text(text: str) -> OscillatingTableau:
     lines = _tableau_lines(text)
-    w = lines[0]
-    try:
-        return OscillatingTableau(w, tuple(parse_partition(ln) for ln in lines[1:]))
-    except DomainError as exc:
-        raise FormatError(str(exc)) from exc
+    return OscillatingTableau(lines[0], tuple(map(parse_partition, lines[1:])))
 
 
-def parse_ssyt(text: str) -> SemistandardTableau:
-    obj = _maybe_json(text)
-    if obj is not None:
-        try:
-            return SemistandardTableau(tuple(tuple(p) for p in obj["seq"]))
-        except DomainError as exc:
-            raise FormatError(str(exc)) from exc
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(
-                f"tableau JSON needs key 'seq' with integer parts: {exc}"
-            ) from exc
+def _oscillating_from_json(obj) -> OscillatingTableau:
+    return OscillatingTableau(obj["w"], _parts(obj))
+
+
+def parse_ssyt(text) -> SemistandardTableau:
+    return decode(text, _ssyt_from_text, _ssyt_from_json, "semistandard tableau")
+
+
+def _ssyt_from_text(text: str) -> SemistandardTableau:
     lines = _tableau_lines(text)
     if lines[0] != SSYT_HEADER:
         raise FormatError(f"expected {SSYT_HEADER} header, got {lines[0]!r}")
-    try:
-        return SemistandardTableau(tuple(parse_partition(ln) for ln in lines[1:]))
-    except DomainError as exc:
-        raise FormatError(str(exc)) from exc
+    return SemistandardTableau(tuple(map(parse_partition, lines[1:])))
 
 
-def _parse_skew_raw(text: str, cls):
-    obj = _maybe_json(text)
-    if obj is not None:
-        try:
-            return cls(int(obj["d"]), obj["w"], tuple(tuple(s) for s in obj["seq"]))
-        except DomainError as exc:
-            raise FormatError(str(exc)) from exc
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(
-                f"skew tableau JSON needs keys 'd', 'w', 'seq' with an integer 'd': {exc}"
-            ) from exc
+def _ssyt_from_json(obj) -> SemistandardTableau:
+    return SemistandardTableau(_parts(obj))
+
+
+def parse_skew(text) -> SkewOscillatingTableau:
+    """Parse a skew tableau; the degree is the common staircase length."""
+    return decode(
+        text,
+        lambda t: _skew_from_text(t, SkewOscillatingTableau),
+        lambda o: _skew_from_json(o, SkewOscillatingTableau),
+        "skew tableau",
+    )
+
+
+def parse_skew_rowstrict(text) -> SkewRowStrictTableau:
+    """Parse the same text form with cointerlacing step validation."""
+    return decode(
+        text,
+        lambda t: _skew_from_text(t, SkewRowStrictTableau),
+        lambda o: _skew_from_json(o, SkewRowStrictTableau),
+        "row-strict skew tableau",
+    )
+
+
+def _skew_from_text(text: str, cls):
     lines = _tableau_lines(text)
     if len(lines) < 2:
         raise FormatError("skew tableau needs a word line and at least one staircase")
-    w = lines[0]
     first = lines[1]
-    d = len(first[1:-1].split(",")) if first.strip() not in ("[]",) else 0
+    d = len(first[1:-1].split(",")) if first != "[]" else 0
     if d < 1:
         raise FormatError("skew staircases must have at least one part")
-    try:
-        return cls(d, w, tuple(parse_staircase(ln, d) for ln in lines[1:]))
-    except DomainError as exc:
-        raise FormatError(str(exc)) from exc
+    return cls(d, lines[0], tuple(parse_staircase(ln, d) for ln in lines[1:]))
 
 
-def parse_skew(text: str) -> SkewOscillatingTableau:
-    """Parse a skew tableau; the degree is the common staircase length."""
-    return _parse_skew_raw(text, SkewOscillatingTableau)
-
-
-def parse_skew_rowstrict(text: str) -> SkewRowStrictTableau:
-    """Parse the same text form with cointerlacing step validation."""
-    return _parse_skew_raw(text, SkewRowStrictTableau)
-
-
-def oscillating_to_json(t: OscillatingTableau) -> dict:
-    return {"w": t.w, "seq": [list(p) for p in t.seq]}
-
-
-def ssyt_to_json(t: SemistandardTableau) -> dict:
-    return {"kind": "ssyt", "seq": [list(p) for p in t.seq]}
-
-
-def skew_to_json(t: SkewOscillatingTableau) -> dict:
-    return {"d": t.d, "w": t.w, "seq": [list(s) for s in t.seq]}
+def _skew_from_json(obj, cls):
+    return cls(int(obj["d"]), obj["w"], _parts(obj))

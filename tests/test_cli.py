@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cylrsk.cli import main
+from cylrsk.cli import PARSERS, build_parser, main
 from cylrsk.fillings import Filling, format_filling, parse_filling
 from cylrsk.growth import Rule, format_diagram, grow_from_filling
 from worked_examples import CHAIN_ROWS, CHAIN_SHAPE, GRID7_ROWS
@@ -277,6 +281,7 @@ def test_stdin_input(capsys, monkeypatch):
 def test_malformed_json_values_exit_3(capsys, tmp_path):
     skew = {"d": "a", "w": "+", "seq": [[0], [1]]}
     diagram = {"rule": "rsk", "d": 0, "shape": [1], "rows": "x", "labels": [[[], []], [[], []]]}
+    pair = {"P": {"seq": [[], ["a"]]}, "Q": {"seq": [[], [1]]}}
     cases = [
         (["grow", "--rule", "rsk"], {"shape": [2], "rows": ["ab"]}),
         (["check"], diagram),
@@ -286,9 +291,137 @@ def test_malformed_json_values_exit_3(capsys, tmp_path):
         (["skew-retype", "--to=+"], skew),
         (["check"], {"w": "+-", "seq": [[], ["a"], []]}),
         (["check"], {"kind": "ssyt", "seq": [[], ["a"]]}),
+        (["check"], {"w": ["+", "-"], "seq": [[], [1], []]}),
+        (["rs", "--d", "2", "--L", "3", "--inverse"], pair),
+        (["cylrsk", "--d", "2", "--L", "3", "--inverse"], pair),
     ]
     for i, (argv, obj) in enumerate(cases):
         path = tmp_path / f"case{i}.json"
         path.write_text(json.dumps(obj))
         code, _, err = run(capsys, *argv, str(path))
         assert code == 3 and err.startswith("format error"), (argv, err)
+
+
+# Each emitting verb's input, picked so that the output reads as one kind only
+# (a skew tableau with a negative part, a row-strict one that is not interlacing).
+EMITTING = [
+    (["ungrow", "--rule", "rsk"], "+-\n[]\n[1]\n[]\n"),
+    (["rsk", "--d", "2"], "[3,2]\n1 0\n0 2 1\n"),
+    (["rsk", "--d", "2", "--inverse"], "+-\n[]\n[1]\n[]\n"),
+    (["cylrsk", "--d", "3", "--L", "7"], format_filling(GRID7)),
+    (["rs", "--d", "2", "--L", "3"], "4 5 2 3 1\n"),
+    (["skew-retype", "--to=-+"], "+-\n[0]\n[1]\n[0]\n"),
+    (["bwx", "--d", "2"], "[3,3]\n0 1 0\n1 0 1\n"),
+    (["rowstrict-retype", "--L", "2", "--to=+-"], "+-\n[1,1]\n[2,2]\n[2,1]\n"),
+]
+
+
+@pytest.mark.parametrize("as_json", [[], ["--json"]])
+def test_check_accepts_every_emitted_kind(capsys, tmp_path, as_json):
+    for i, (argv, text) in enumerate(EMITTING):
+        src = tmp_path / f"in{i}.txt"
+        src.write_text(text)
+        args = build_parser().parse_args(argv + [str(src)])
+        kind, _ = args.func(args)
+        assert kind in PARSERS, argv
+        code, out, err = run(capsys, *argv, *as_json, str(src))
+        assert code == 0, (argv, err)
+        emitted = tmp_path / f"out{i}.txt"
+        emitted.write_text(out)
+        code, out, err = run(capsys, "check", str(emitted))
+        assert (code, out) == (0, f"ok: {kind}\n"), (argv, as_json, out, err)
+
+
+KEYS = ["shape", "rows", "labels", "rule", "d", "w", "seq", "kind", "P", "Q", "perm", "parts"]
+SMALL = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 3),
+    st.sampled_from(["", "+", "-", "+-", "rsk", "drsk", "skew", "ssyt", "a"]),
+)
+JSON_VALUES = st.recursive(
+    SMALL,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(KEYS), inner, max_size=4),
+    max_leaves=8,
+)
+FILLING = {"shape": [2, 1], "rows": [[1], [0, 1]]}
+OSCILLATING = {"w": "+-", "seq": [[], [1], []]}
+PAIR = {"P": {"kind": "ssyt", "seq": [[], [1]]}, "Q": {"kind": "ssyt", "seq": [[], [1]]}}
+SKEW = {"d": 1, "w": "+-", "seq": [[0], [1], [0]]}
+PERMUTATION = {"perm": [2, 3, 1]}
+DIAGRAM = {"rule": "rsk", "d": 0, "shape": [1], "rows": [[1]], "labels": [[[], [1]], [[], []]]}
+
+# Every verb that reads a file, with fixed small flags and a valid JSON input.
+READING_VERBS = [
+    (["grow", "--rule", "rsk"], FILLING),
+    (["grow", "--rule", "drsk", "--d", "2"], FILLING),
+    (["ungrow", "--rule", "rsk"], OSCILLATING),
+    (["ungrow", "--rule", "drsk", "--d", "2", "--shape", "[1]"], OSCILLATING),
+    (["rsk", "--d", "2"], FILLING),
+    (["rsk", "--d", "2", "--inverse"], OSCILLATING),
+    (["cylrsk", "--d", "2", "--L", "3"], FILLING),
+    (["cylrsk", "--d", "2", "--L", "3", "--inverse"], PAIR),
+    (["rs", "--d", "2", "--L", "3"], PERMUTATION),
+    (["rs", "--d", "2", "--L", "3", "--inverse"], PAIR),
+    (["skew-retype", "--to=-+"], SKEW),
+    (["conjugate", "--d", "2", "--L", "3"], {"d": 2, "parts": [1, 0]}),
+    (["bwx", "--d", "2"], FILLING),
+    (["bwx", "--d", "2", "--inverse"], FILLING),
+    (["wilf", "--d", "2", "--L", "3"], PERMUTATION),
+    (["rowstrict-retype", "--L", "2", "--to=-+"], SKEW),
+    (["check"], DIAGRAM),
+    (["check"], {"kind": "ssyt", "seq": [[], [1]]}),
+    (["check"], PAIR),
+    (["check"], SKEW),
+    (["render"], DIAGRAM),
+]
+
+
+def _leaves(value, path=()):
+    """Paths to the values nested in a JSON value that are not lists or dicts."""
+    if not isinstance(value, (dict, list)):
+        yield path
+        return
+    for key, inner in value.items() if isinstance(value, dict) else enumerate(value):
+        yield from _leaves(inner, path + (key,))
+
+
+def _replaced(value, path, new):
+    if not path:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = _replaced(value[path[0]], path[1:], new)
+    return copy
+
+
+def _inputs(mirror):
+    """Arbitrary text or JSON, or the verb's valid input with one value replaced."""
+    lines = st.sampled_from(
+        ["+-", "-+", "SSYT", "[]", "[0]", "[1]", "[2,1]", "[1,-1]", "1 0", "0 1 2", "rsk 0 1 1", ""]
+    )
+    mutated = st.tuples(st.sampled_from(list(_leaves(mirror))), SMALL)
+    return st.one_of(
+        st.text(max_size=30),
+        st.lists(lines, max_size=6).map("\n".join),
+        st.dictionaries(st.sampled_from(KEYS), JSON_VALUES, max_size=4).map(json.dumps),
+        mutated.map(lambda pv: json.dumps(_replaced(mirror, *pv))),
+    )
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.sampled_from(READING_VERBS).flatmap(lambda vm: st.tuples(st.just(vm[0]), _inputs(vm[1]))),
+    st.booleans(),
+)
+def test_every_input_exits_0_2_or_3(verb_text, as_json):
+    verb, text = verb_text
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(verb + ["--json"] * as_json + ["-"])
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 2, 3), (verb, text, err.getvalue())

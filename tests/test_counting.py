@@ -144,6 +144,20 @@ def test_asymptotic_values():
         assert asymptotic(d, L)[1] == pytest.approx(asymptotic(L, d)[1], rel=1e-9)
 
 
+def test_asymptotic_constant_is_a_normal_float_or_refused():
+    # every count at (d, 1) and (1, L) is 1; the constant once underflowed to 0.0
+    for d, L in ((100, 1), (1, 100)):
+        assert asymptotic(d, L)[1] == pytest.approx(1.0, rel=1e-9)
+    assert asymptotic(40, 40)[1] == pytest.approx(2.0725726e-295, rel=1e-6)
+    # the Wilf bijection makes the (d, L) and (L, d) classes the same size
+    for d in range(1, 41):
+        for L in range(1, 41):
+            (r1, c1), (r2, c2) = asymptotic(d, L), asymptotic(L, d)
+            assert r1 == pytest.approx(r2, rel=1e-12) and c1 == pytest.approx(c2, rel=1e-9)
+    with pytest.raises(DomainError, match="not a normal float"):
+        asymptotic(200, 200)
+
+
 def test_asymptotic_tracks_exact_counts():
     rate, c = asymptotic(2, 2)
     for n in range(1, 8):
