@@ -6,6 +6,7 @@ produce byte-identical output.  Exit codes: 0 success, 2 domain errors
 """
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -15,18 +16,18 @@ from .errors import DomainError, FormatError, InvariantViolation, decode
 from .fillings import (
     MINUS,
     PLUS,
-    boundary_type_sequence,
     filling_to_json,
     format_filling,
     parse_filling,
+    shape_of_word,
 )
 from .partitions import (
-    as_partition,
     as_staircase,
     cyl_conjugate,
     format_partition,
     parse_partition,
     parse_staircase,
+    strict_int,
 )
 from .tableaux import (
     SSYT_HEADER,
@@ -58,7 +59,7 @@ def _read(path: str) -> str:
 
 def _parse_permutation(text) -> tuple[int, ...]:
     return decode(
-        text, _permutation_from_text, lambda o: tuple(int(v) for v in o["perm"]), "permutation"
+        text, _permutation_from_text, lambda o: tuple(map(strict_int, o["perm"])), "permutation"
     )
 
 
@@ -99,7 +100,7 @@ def _cmd_grow(args):
 
 def _cmd_ungrow(args):
     t = parse_oscillating(_read(args.file))
-    shape = _shape_of_word(t.w)
+    shape = shape_of_word(t.w)
     if args.shape is not None and parse_partition(args.shape) != shape:
         raise DomainError(
             f"--shape {args.shape} does not match the word-derived shape "
@@ -109,28 +110,10 @@ def _cmd_ungrow(args):
     return "filling", growth.grow_from_boundary(rule, shape, t).filling
 
 
-def _shape_of_word(w: str):
-    """The unique shape whose boundary is encoded by w."""
-    rows = []  # the b-th up step happens at x = length of row b
-    x = w.count(MINUS)
-    for ch in w:
-        if ch == PLUS:
-            rows.append(x)
-        else:
-            x -= 1
-    try:
-        shape = as_partition(rows)
-    except DomainError as exc:
-        raise DomainError(f"word {w!r} does not encode a shape boundary") from exc
-    if boundary_type_sequence(shape) != w:
-        raise DomainError(f"word {w!r} does not encode a shape boundary")
-    return shape
-
-
 def _cmd_rsk(args):
     if args.inverse:
         t = parse_oscillating(_read(args.file))
-        return "filling", correspond.drsk_inverse(_shape_of_word(t.w), t, args.d)
+        return "filling", correspond.drsk_inverse(shape_of_word(t.w), t, args.d)
     return "oscillating-tableau", correspond.drsk(parse_filling(_read(args.file)), args.d)
 
 
@@ -174,7 +157,7 @@ def _cmd_conjugate(args):
     stair = decode(
         _read(args.file),
         lambda t: parse_staircase(t, args.d),
-        lambda o: as_staircase(tuple(int(v) for v in o["parts"]), args.d),
+        lambda o: as_staircase(o["parts"], args.d),
         "staircase",
     )
     return "staircase", (args.L, cyl_conjugate(stair, args.d, args.L))
@@ -415,10 +398,15 @@ def _encode(kind: str, value, as_json: bool) -> str:
     return TO_TEXT[kind](value)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and then reused: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         text = _encode(*args.func(args), args.json)
     except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)

@@ -8,9 +8,10 @@ flipped on input to this bottom-up convention.
 """
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import DomainError, FormatError, decode
-from .partitions import Part, as_partition, conjugate, format_partition, parse_partition
+from .partitions import Part, as_partition, conjugate, format_partition, parse_partition, strict_int
 
 PLUS = "+"
 MINUS = "-"
@@ -25,15 +26,14 @@ def shape_contains(outer: Part, inner: Part) -> bool:
     return all(inner[i] <= outer[i] for i in range(len(inner)))
 
 
+def lattice_rows(shape: Part) -> list[int]:
+    """Number of lattice points at each height of the shape, bottom first."""
+    return [(shape[0] if shape else 0) + 1] + [w + 1 for w in shape]
+
+
 def lattice_points(shape: Part) -> list[tuple[int, int]]:
     """All cell vertices of the shape, plus (0,0) for the empty shape."""
-    if not shape:
-        return [(0, 0)]
-    pts = []
-    for y in range(len(shape) + 1):
-        width = shape[0] if y == 0 else shape[y - 1]
-        pts.extend((x, y) for x in range(width + 1))
-    return pts
+    return [(x, y) for y, width in enumerate(lattice_rows(shape)) for x in range(width)]
 
 
 def boundary_type_sequence(shape: Part) -> str:
@@ -42,34 +42,43 @@ def boundary_type_sequence(shape: Part) -> str:
     The i-th letter is + when the i-th boundary step goes up and - when it
     goes left.  An empty shape gives the empty word.
     """
-    if not shape:
-        return ""
     steps = []
-    rows = len(shape)
-    x, y = shape[0], 0
-    while (x, y) != (0, rows):
-        if y < rows and shape[y] == x:
-            steps.append(PLUS)
+    x = shape[0] if shape else 0
+    for width in shape:  # left to the row's end, then up through it
+        steps.append(MINUS * (x - width) + PLUS)
+        x = width
+    return "".join(steps) + MINUS * x
+
+
+def shape_of_word(w: str) -> Part:
+    """The unique shape whose boundary is encoded by w."""
+    # the b-th up step happens at x = length of row b; x never rises and
+    # stays >= 0, so as_partition only drops trailing zeros
+    rows = [x for (x, _), ch in zip(path_points(w.count(MINUS), w), w) if ch == PLUS]
+    shape = as_partition(rows)
+    if boundary_type_sequence(shape) != w:
+        raise DomainError(f"word {w!r} does not encode a shape boundary")
+    return shape
+
+
+def path_points(x: int, w: str) -> list[tuple[int, int]]:
+    """Lattice path from (x, 0), stepping up on + and left on -."""
+    pts = [(x, 0)]
+    y = 0
+    for ch in w:
+        if ch == PLUS:
             y += 1
-        else:
-            steps.append(MINUS)
+        elif ch == MINUS:
             x -= 1
-    return "".join(steps)
+        else:
+            raise DomainError(f"direction word must be over +-, got {w!r}")
+        pts.append((x, y))
+    return pts
 
 
 def boundary_points(shape: Part) -> list[tuple[int, int]]:
     """Lattice points along the outer boundary, from (shape_1, 0) to (0, rows)."""
-    if not shape:
-        return [(0, 0)]
-    pts = [(shape[0], 0)]
-    x, y = shape[0], 0
-    for step in boundary_type_sequence(shape):
-        if step == PLUS:
-            y += 1
-        else:
-            x -= 1
-        pts.append((x, y))
-    return pts
+    return path_points(shape[0] if shape else 0, boundary_type_sequence(shape))
 
 
 @dataclass(frozen=True)
@@ -82,7 +91,7 @@ class Filling:
     def __post_init__(self):
         shape = as_partition(self.shape)
         object.__setattr__(self, "shape", shape)
-        rows = tuple(tuple(int(v) for v in row) for row in self.rows)
+        rows = tuple(tuple(map(strict_int, row)) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         if len(rows) != len(shape):
             raise DomainError(
@@ -180,45 +189,47 @@ def longest_ne_chain(f: Filling, sub: Part | None = None) -> int:
     return total
 
 
-def ne_chain_witness(f: Filling, sub: Part | None = None):
-    """Longest NE-chain value plus one witnessing chain of (col, row, entry)."""
-    cells = sorted(_restrict_cells(f, sub), key=lambda t: (t[0], t[1]))
-    best_val = 0
-    best_end = None
+def _heaviest_chain(cells, before, weight):
+    """Heaviest chain through cells listed in a linear extension of before.
+
+    Returns its weight and its cells in order.  Only strict gains replace a
+    score or the best, so among equal chains the earliest found is kept.
+    """
+    best, end = 0, None
     score: list[int] = []
     parent: list[int | None] = []
-    for i, (c, r, v) in enumerate(cells):
+    for i, cell in enumerate(cells):
+        v = weight(cell)
         s, p = v, None
         for j in range(i):
-            cj, rj, _ = cells[j]
-            if cj <= c and rj <= r and score[j] + v > s:
+            if score[j] + v > s and before(cells[j], cell):
                 s, p = score[j] + v, j
         score.append(s)
         parent.append(p)
-        if s > best_val:
-            best_val, best_end = s, i
-    chain: list[tuple[int, int, int]] = []
-    while best_end is not None:
-        chain.append(cells[best_end])
-        best_end = parent[best_end]
+        if s > best:
+            best, end = s, i
+    chain = []
+    while end is not None:
+        chain.append(cells[end])
+        end = parent[end]
     chain.reverse()
-    return best_val, chain
+    return best, chain
+
+
+def _strictly_se(a, b) -> bool:
+    return a[0] < b[0] and a[1] > b[1]
+
+
+def ne_chain_witness(f: Filling, sub: Part | None = None):
+    """Longest NE-chain value plus one witnessing chain of (col, row, entry)."""
+    cells = sorted(_restrict_cells(f, sub), key=lambda t: (t[0], t[1]))
+    return _heaviest_chain(cells, lambda a, b: a[0] <= b[0] and a[1] <= b[1], itemgetter(2))
 
 
 def longest_se_chain(f: Filling, sub: Part | None = None) -> int:
     """Largest count over chains stepping strictly down and strictly right."""
     cells = sorted(_restrict_cells(f, sub), key=lambda t: (t[0], -t[1]))
-    best = 0
-    score: list[int] = []
-    for i, (c, r, _) in enumerate(cells):
-        s = 1
-        for j in range(i):
-            cj, rj, _ = cells[j]
-            if cj < c and rj > r and score[j] + 1 > s:
-                s = score[j] + 1
-        score.append(s)
-        best = max(best, s)
-    return best
+    return _heaviest_chain(cells, _strictly_se, lambda t: 1)[0]
 
 
 def contains_pattern(f: Filling, d: int) -> bool:
@@ -242,25 +253,8 @@ def pattern_witness(f: Filling, d: int):
             (t for t in cells if t[0] < c and t[1] < r),
             key=lambda t: (t[0], -t[1]),
         )
-        score: list[int] = []
-        parent: list[int | None] = []
-        best, end = 0, None
-        for i, (ci, ri, _) in enumerate(region):
-            s, p = 1, None
-            for j in range(i):
-                cj, rj, _ = region[j]
-                if cj < ci and rj > ri and score[j] + 1 > s:
-                    s, p = score[j] + 1, j
-            score.append(s)
-            parent.append(p)
-            if s > best:
-                best, end = s, i
+        best, chain = _heaviest_chain(region, _strictly_se, lambda t: 1)
         if best >= d:
-            chain = []
-            while end is not None:
-                chain.append(region[end])
-                end = parent[end]
-            chain.reverse()
             # any d consecutive chain cells stay below-left of the witness
             return chain[-d:] + [(c, r, v)]
     return None
@@ -268,7 +262,7 @@ def pattern_witness(f: Filling, d: int):
 
 def permutation_to_filling(perm) -> Filling:
     """0/1 square filling with a 1 in cell (j, perm[j-1]) for each column j."""
-    perm = tuple(int(x) for x in perm)
+    perm = tuple(map(strict_int, perm))
     n = len(perm)
     if sorted(perm) != list(range(1, n + 1)):
         raise DomainError(f"{perm} is not a permutation of 1..{n}")

@@ -30,10 +30,11 @@ from .fillings import (
     MINUS,
     PLUS,
     Filling,
-    boundary_points,
     boundary_type_sequence,
-    parse_filling,
     format_filling,
+    lattice_rows,
+    parse_filling,
+    path_points,
     shape_contains,
     zero_filling,
 )
@@ -46,6 +47,7 @@ from .partitions import (
     parse_partition,
     parse_staircase,
     part,
+    strict_int,
 )
 from .tableaux import OscillatingTableau, SkewOscillatingTableau
 
@@ -274,11 +276,6 @@ def _label_map(grid) -> dict:
     return {(x, y): lab for y, row in enumerate(grid) for x, lab in enumerate(row)}
 
 
-def _lattice_rows(shape: Part) -> list[int]:
-    """Number of lattice points at each height of the shape, bottom first."""
-    return [(shape[0] if shape else 0) + 1] + [w + 1 for w in shape]
-
-
 def grow_from_filling(rule: Rule, filling: Filling) -> GrowthDiagram:
     """Extend a filling to the unique growth diagram under the rule.
 
@@ -287,21 +284,9 @@ def grow_from_filling(rule: Rule, filling: Filling) -> GrowthDiagram:
     """
     if rule.kind == "skew":
         raise DomainError("skew diagrams are grown from path labels, not fillings")
-    below = [()] * _lattice_rows(filling.shape)[0]
-    grid = [below]
-    for row, entries in enumerate(filling.rows, 1):
-        here = [()]
-        for col, entry in enumerate(entries, 1):
-            bl = below[col - 1]
-            if entry and _side_condition(rule, bl, entry):
-                raise PatternContainment(
-                    f"filling contains the order-{rule.d} descending pattern; "
-                    f"forward growth fails at cell ({col},{row})",
-                    cell=(col, row),
-                )
-            here.append(_forward(rule, bl, here[col - 1], below[col], entry))
-        grid.append(here)
-        below = here
+    shape = filling.shape
+    axes = MINUS * (shape[0] if shape else 0) + PLUS * len(shape)
+    grid = _sweep(rule, shape, axes, [()] * (len(axes) + 1), filling.rows)
     return GrowthDiagram(rule, filling, _label_map(grid))
 
 
@@ -317,16 +302,8 @@ def grow_from_boundary(rule: Rule, shape: Part, t: OscillatingTableau) -> Growth
         )
     if rule.kind == "drsk" and t.max_length() > rule.d:
         raise DomainError(f"boundary labels exceed {rule.d} parts")
-    grid = [[None] * width for width in _lattice_rows(shape)]
-    for (x, y), lab in zip(boundary_points(shape), t.seq):
-        grid[y][x] = lab
     rows = [[0] * width for width in shape]
-    for row in range(len(shape), 0, -1):
-        here, below, entries = grid[row], grid[row - 1], rows[row - 1]
-        for col in range(shape[row - 1], 0, -1):
-            below[col - 1], entries[col - 1] = _backward(
-                rule, here[col - 1], below[col], here[col]
-            )
+    grid = _sweep(rule, shape, t.w, t.seq, rows)
     for x, lab in enumerate(grid[0]):
         if lab != ():
             raise InvariantViolation(f"axis label at ({x},0) is {lab}")
@@ -336,27 +313,12 @@ def grow_from_boundary(rule: Rule, shape: Part, t: OscillatingTableau) -> Growth
     return GrowthDiagram(rule, Filling(shape, rows), _label_map(grid))
 
 
-def _monotone_path_points(w: str, start_x: int) -> list[tuple[int, int]]:
-    """Lattice path from (start_x, 0), stepping up on + and left on -."""
-    pts = [(start_x, 0)]
-    x, y = start_x, 0
-    for ch in w:
-        if ch == PLUS:
-            y += 1
-        elif ch == MINUS:
-            x -= 1
-        else:
-            raise DomainError(f"direction word must be over +-, got {w!r}")
-        pts.append((x, y))
-    return pts
-
-
 def grow_skew(d: int, rect: Part, t: SkewOscillatingTableau) -> GrowthDiagram:
     """Fill a rectangle around the staircase labels assigned along t's path.
 
     The path runs from the bottom-right corner of the rectangle to its
-    top-left corner, stepping per t's word.  Cells on the upper-left side of
-    the path are completed by backward growth, the rest by forward growth.
+    top-left corner, stepping per t's word.  Cells below-left of the path
+    are completed by backward growth, the rest by forward growth.
     """
     rect = as_partition(rect)
     if not rect or any(wd != rect[0] for wd in rect):
@@ -370,28 +332,57 @@ def grow_skew(d: int, rect: Part, t: SkewOscillatingTableau) -> GrowthDiagram:
             f"{rows}x{cols} rectangle"
         )
     rule = Rule.skew(d)
-    grid = [[None] * (cols + 1) for _ in range(rows + 1)]
-    pts = _monotone_path_points(t.w, cols)
-    for (x, y), lab in zip(pts, t.seq):
-        grid[y][x] = lab
-    # x-coordinate of the vertical step crossing heights [b-1, b]
-    up_x = [x for (x, y), ch in zip(pts, t.w) if ch == PLUS]
-    for row in range(rows, 0, -1):  # backward region: cells left of the path
-        here, below = grid[row], grid[row - 1]
-        for col in range(up_x[row - 1], 0, -1):
-            below[col - 1], _ = _backward(rule, here[col - 1], below[col], here[col])
-    for row in range(1, rows + 1):  # forward region: cells right of the path
-        here, below = grid[row], grid[row - 1]
-        for col in range(up_x[row - 1] + 1, cols + 1):
-            here[col] = _forward(rule, below[col - 1], here[col - 1], below[col], 0)
+    grid = _sweep(rule, rect, t.w, t.seq, [[0] * cols for _ in range(rows)])
     if any(lab is None for labs in grid for lab in labs):
         raise InvariantViolation("skew growth left unlabeled lattice points")
     return GrowthDiagram(rule, zero_filling(rect), _label_map(grid))
 
 
+def _sweep(rule: Rule, shape: Part, w: str, seq, entries) -> list[list]:
+    """Label rows, bottom first, with seq along the path w and the rest grown.
+
+    The path starts at (shape_1, 0) and steps up on + and left on -.  Cells
+    left of it are grown backward, top row first, and their entries written
+    into entries (rows bottom first); cells right of it are grown forward,
+    bottom row first, from the entries read there.  Labels on the path must
+    be valid for the rule and interlace along it.
+    """
+    grid = [[None] * width for width in lattice_rows(shape)]
+    pts = path_points(shape[0] if shape else 0, w)
+    for (x, y), lab in zip(pts, seq):
+        grid[y][x] = lab
+    # x of the up step into each row, bottom row first
+    up_x = [x for (x, _), ch in zip(pts, w) if ch == PLUS]
+    try:
+        for row in range(len(shape), 0, -1):
+            here, below, ents = grid[row], grid[row - 1], entries[row - 1]
+            for col in range(up_x[row - 1], 0, -1):
+                below[col - 1], ents[col - 1] = _backward(
+                    rule, here[col - 1], below[col], here[col]
+                )
+        for row in range(1, len(shape) + 1):
+            here, below, ents = grid[row], grid[row - 1], entries[row - 1]
+            for col in range(up_x[row - 1] + 1, shape[row - 1] + 1):
+                bl, entry = below[col - 1], ents[col - 1]
+                if entry and _side_condition(rule, bl, entry):
+                    raise PatternContainment(
+                        f"filling contains the order-{rule.d} descending pattern; "
+                        f"forward growth fails at cell ({col},{row})",
+                        cell=(col, row),
+                    )
+                here[col] = _forward(rule, bl, here[col - 1], below[col], entry)
+    except InvariantViolation as exc:
+        bl, tl, br, tr = below[col - 1], here[col - 1], below[col], here[col]
+        raise InvariantViolation(
+            f"{exc} at cell ({col},{row}) under rule {rule}: bl={bl} tl={tl} br={br} tr={tr}"
+        ) from exc
+    return grid
+
+
 def extract_boundary(g: GrowthDiagram, path=None):
     """Labels along a path: a sub-shape boundary, or a word for skew diagrams."""
-    if g.rule.kind == "skew":
+    skew = g.rule.kind == "skew"
+    if skew:
         if not isinstance(path, str):
             raise DomainError("skew extraction needs a direction word")
         rows, cols = len(g.shape), g.shape[0]
@@ -399,26 +390,20 @@ def extract_boundary(g: GrowthDiagram, path=None):
             raise DomainError(
                 f"word {path!r} does not fit a {rows}x{cols} rectangle"
             )
-        pts = _monotone_path_points(path, cols)
-        return SkewOscillatingTableau(
-            g.rule.d, path, tuple(g.labels[p] for p in pts)
-        )
-    if isinstance(path, str):
-        raise DomainError("word paths apply only to skew diagrams")
-    sub = g.shape if path is None else as_partition(path)
-    if not shape_contains(g.shape, sub):
-        raise DomainError(f"sub-shape {sub} escapes the diagram shape {g.shape}")
-    seq = tuple(g.labels[p] for p in boundary_points(sub))
-    return OscillatingTableau(boundary_type_sequence(sub), seq)
+        w, x = path, cols
+    else:
+        if isinstance(path, str):
+            raise DomainError("word paths apply only to skew diagrams")
+        sub = g.shape if path is None else as_partition(path)
+        if not shape_contains(g.shape, sub):
+            raise DomainError(f"sub-shape {sub} escapes the diagram shape {g.shape}")
+        w, x = boundary_type_sequence(sub), (sub[0] if sub else 0)
+    seq = tuple(g.labels[p] for p in path_points(x, w))
+    return SkewOscillatingTableau(g.rule.d, w, seq) if skew else OscillatingTableau(w, seq)
 
 
 # ---------------------------------------------------------------------------
 # Unit-step case analysis
-
-RS_CASES = ("empty", "replay_up", "replay_right", "independent", "bump", "new_box")
-DRS_CASES = RS_CASES + ("wrap",)
-SKEW_RS_CASES = ("empty", "replay_up", "replay_right", "independent", "bump", "wrap")
-
 
 def _added_row(lo: Part, hi: Part) -> int | None:
     """Row index (1-based) where hi = lo plus one unit, None when equal."""
@@ -485,7 +470,7 @@ def classify_rs_cell(rule: Rule, bl, tl, br, tr, entry: int) -> str:
 
 def _label_rows(g: GrowthDiagram) -> list[list[Part]]:
     """The labels row by row, top row first, each row left to right."""
-    widths = _lattice_rows(g.shape)
+    widths = lattice_rows(g.shape)
     return [[g.labels[(x, y)] for x in range(widths[y])] for y in reversed(range(len(widths)))]
 
 
@@ -529,7 +514,7 @@ def _diagram_from_text(text: str) -> GrowthDiagram:
 
 
 def _diagram_from_json(obj) -> GrowthDiagram:
-    rule = Rule(obj["rule"], int(obj["d"]))
+    rule = Rule(obj["rule"], strict_int(obj["d"]))
     filling = Filling(obj["shape"], tuple(reversed([tuple(r) for r in obj["rows"]])))
     coerce = (lambda lab: as_staircase(lab, rule.d)) if rule.kind == "skew" else as_partition
     label_rows = obj["labels"]
@@ -540,7 +525,7 @@ def _diagram_from_json(obj) -> GrowthDiagram:
 
 def _diagram(rule: Rule, filling: Filling, label_rows) -> GrowthDiagram:
     """Diagram from label rows listed top row first; each row must fit the shape."""
-    widths = _lattice_rows(filling.shape)
+    widths = lattice_rows(filling.shape)
     if len(label_rows) != len(widths):
         raise FormatError(f"expected {len(widths)} label rows, got {len(label_rows)}")
     labels = {}
@@ -561,7 +546,7 @@ def validate_diagram(g: GrowthDiagram) -> None:
     rule, shape = g.rule, g.shape
     grid = [
         [_validate_label(rule, g.labels[(x, y)]) for x in range(width)]
-        for y, width in enumerate(_lattice_rows(shape))
+        for y, width in enumerate(lattice_rows(shape))
     ]
     if rule.kind != "skew":
         for x, lab in enumerate(grid[0]):

@@ -11,7 +11,12 @@ from .errors import DomainError, FormatError
 
 Part = tuple[int, ...]
 
-EMPTY: Part = ()
+
+def strict_int(v) -> int:
+    """v itself when it is an int; DomainError for anything else, bools and floats too."""
+    if type(v) is not int:
+        raise DomainError(f"expected an integer, got {v!r}")
+    return v
 
 
 def as_partition(parts) -> Part:
@@ -20,7 +25,7 @@ def as_partition(parts) -> Part:
     Trailing zeros are dropped; any other zero, negative, or increasing part
     is rejected.
     """
-    p = tuple(int(x) for x in parts)
+    p = tuple(map(strict_int, parts))
     k = len(p)
     while k and p[k - 1] == 0:
         k -= 1
@@ -37,7 +42,7 @@ def as_staircase(parts, d: int) -> Part:
     """Validate an iterable of ints as a staircase of degree d."""
     if d < 1:
         raise DomainError(f"staircase degree must be positive, got {d}")
-    s = tuple(int(x) for x in parts)
+    s = tuple(map(strict_int, parts))
     if len(s) != d:
         raise DomainError(f"degree-{d} staircase needs exactly {d} parts, got {s}")
     for i in range(1, d):

@@ -25,6 +25,7 @@ from .partitions import (
     parse_staircase,
     part,
     size,
+    strict_int,
 )
 
 
@@ -87,20 +88,19 @@ def max_constituent_width(seq, d: int) -> int:
 class _Tableau:
     """Validation and queries shared by the five tableau classes below.
 
-    Each subclass is a frozen dataclass with a direction word ``w`` (a field,
-    or the all-+ word of an ascending chain) and a ``seq`` of its entries.
-    Class attributes say what the entries are and how they step:
-    ``_co`` -- steps cointerlace instead of interlace; ``_skew`` -- entries
-    are staircases of length ``d`` (a field) instead of partitions;
-    ``_empty`` -- indices of the entries that must be the empty partition.
+    Each is a frozen dataclass with a direction word ``w`` (a field, or the
+    all-+ word of a ``_Chain``) and a ``seq`` of entries: staircases of
+    length ``d`` (a field) in a ``_Skew`` tableau, partitions otherwise.
+    Class attributes say how the entries step: ``_co`` -- steps cointerlace
+    instead of interlace; ``_empty`` -- indices of the entries that must be
+    the empty partition.
     """
 
     _co = False
-    _skew = False
     _empty = ()
 
     def __post_init__(self):
-        if self._skew:
+        if isinstance(self, _Skew):
             seq = tuple(as_staircase(s, self.d) for s in self.seq)
         else:
             seq = tuple(as_partition(p) for p in self.seq)
@@ -137,7 +137,7 @@ class _Tableau:
 
         Skew tableaux carry their degree, so they are given L alone.
         """
-        dl = (self.d, *dl) if self._skew else dl
+        dl = (self.d, *dl) if isinstance(self, _Skew) else dl
         ok = dl_cointerlaces if self._co else dl_interlaces
         return dl, _first_bad_step(self.w, self.seq, ok, *dl)
 
@@ -159,9 +159,29 @@ class _Tableau:
         return replace(self, w=flipped, seq=tuple(reversed(self.seq)))
 
 
-_ASCENDING = property(
-    lambda self: PLUS * (len(self.seq) - 1), doc="The all-+ word of the chain."
-)
+class _Chain(_Tableau):
+    """Ascending chain from the empty partition, with the all-+ word."""
+
+    w = property(lambda self: PLUS * (len(self.seq) - 1), doc="The all-+ word of the chain.")
+    _empty = (0,)
+
+    @property
+    def shape(self) -> Part:
+        return self.seq[-1]
+
+    weight = _Tableau.wt_plus
+
+
+class _Skew(_Tableau):
+    """Staircase sequence of degree d, endpoints unconstrained."""
+
+    @property
+    def inner(self) -> Part:
+        return self.seq[0]
+
+    @property
+    def outer(self) -> Part:
+        return self.seq[-1]
 
 
 @dataclass(frozen=True)
@@ -177,77 +197,43 @@ class OscillatingTableau(_Tableau):
 
 
 @dataclass(frozen=True)
-class SemistandardTableau(_Tableau):
+class SemistandardTableau(_Chain):
     """Ascending interlacing chain from the empty partition."""
 
     seq: tuple[Part, ...]
-    w = _ASCENDING
-    _empty = (0,)
-
-    @property
-    def shape(self) -> Part:
-        return self.seq[-1]
-
-    weight = _Tableau.wt_plus
 
     def mcw(self, d: int) -> int:
         return mcw_sequence(self.seq, d)
 
 
 @dataclass(frozen=True)
-class RowStrictTableau(_Tableau):
+class RowStrictTableau(_Chain):
     """Ascending cointerlacing chain from the empty partition."""
 
     seq: tuple[Part, ...]
-    w = _ASCENDING
     _co = True
-    _empty = (0,)
-
-    @property
-    def shape(self) -> Part:
-        return self.seq[-1]
-
-    weight = _Tableau.wt_plus
 
 
 @dataclass(frozen=True)
-class SkewOscillatingTableau(_Tableau):
+class SkewOscillatingTableau(_Skew):
     """Staircase sequence stepping per its word; endpoints unconstrained."""
 
     d: int
     w: str
     seq: tuple[Part, ...]
-    _skew = True
-
-    @property
-    def inner(self) -> Part:
-        return self.seq[0]
-
-    @property
-    def outer(self) -> Part:
-        return self.seq[-1]
 
     def mcw(self) -> int:
         return mcw_sequence(self.seq, self.d)
 
 
 @dataclass(frozen=True)
-class SkewRowStrictTableau(_Tableau):
+class SkewRowStrictTableau(_Skew):
     """Staircase sequence with cointerlacing steps per its word."""
 
     d: int
     w: str
     seq: tuple[Part, ...]
     _co = True
-    _skew = True
-
-    @property
-    def inner(self) -> Part:
-        return self.seq[0]
-
-    @property
-    def outer(self) -> Part:
-        return self.seq[-1]
 
     def constituent_width(self) -> int:
         return max_constituent_width(self.seq, self.d)
@@ -359,4 +345,4 @@ def _skew_from_text(text: str, cls):
 
 
 def _skew_from_json(obj, cls):
-    return cls(int(obj["d"]), obj["w"], _parts(obj))
+    return cls(strict_int(obj["d"]), obj["w"], _parts(obj))

@@ -294,6 +294,16 @@ def test_malformed_json_values_exit_3(capsys, tmp_path):
         (["check"], {"w": ["+", "-"], "seq": [[], [1], []]}),
         (["rs", "--d", "2", "--L", "3", "--inverse"], pair),
         (["cylrsk", "--d", "2", "--L", "3", "--inverse"], pair),
+        # numbers that are not ints are refused, not truncated
+        (["wilf", "--d", "2", "--L", "3"], {"perm": [2.9, 1.2]}),
+        (["wilf", "--d", "2", "--L", "3"], {"perm": [float("inf"), 1]}),
+        (["rs", "--d", "2", "--L", "3"], {"perm": [2.9, 1.2]}),
+        (["check"], {"shape": [2], "rows": [[1.7, 0.2]]}),
+        (["check"], {"shape": [2], "rows": [[True, 0]]}),
+        (["check"], {"shape": [2.0], "rows": [[1, 0]]}),
+        (["check"], {**skew, "d": 1.0}),
+        (["check"], {**diagram, "d": 0.0, "rows": [[0]]}),
+        (["conjugate", "--d", "2", "--L", "3"], {"d": 2, "parts": [1.5, 0]}),
     ]
     for i, (argv, obj) in enumerate(cases):
         path = tmp_path / f"case{i}.json"
@@ -337,6 +347,7 @@ SMALL = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-2, 3),
+    st.floats(),
     st.sampled_from(["", "+", "-", "+-", "rsk", "drsk", "skew", "ssyt", "a"]),
 )
 JSON_VALUES = st.recursive(

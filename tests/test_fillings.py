@@ -24,6 +24,7 @@ from cylrsk.fillings import (
     reflect,
     row_sums,
     shape_contains,
+    shape_of_word,
     zero_filling,
 )
 from conftest import (
@@ -47,6 +48,16 @@ def test_boundary_type_sequence():
     assert boundary_type_sequence(()) == ""
 
 
+def test_shape_of_word_inverts_boundary_words():
+    rng = random.Random(11)
+    for _ in range(50):
+        shape = random_shape(rng, 6, 6)
+        assert shape_of_word(boundary_type_sequence(shape)) == shape
+    for w in ("-+", "+", "-", "+-+", "-+-"):
+        with pytest.raises(DomainError):
+            shape_of_word(w)
+
+
 def test_boundary_points_endpoints():
     pts = boundary_points((4, 3, 1))
     assert pts[0] == (4, 0) and pts[-1] == (0, 3)
@@ -66,6 +77,9 @@ def test_filling_validation():
         Filling((2, 1), ((1, 2), (0, 0)))
     with pytest.raises(DomainError):
         Filling((2, 1), ((1, -2), (0,)))
+    for entry in (1.7, 2.0, True, "1"):
+        with pytest.raises(DomainError):
+            Filling((2,), ((entry, 0),))
 
 
 def test_longest_ne_chain_values():

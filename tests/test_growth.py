@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cylrsk import growth
 from cylrsk.errors import DomainError, InvariantViolation, PatternContainment
 from cylrsk.fillings import (
     Filling,
@@ -315,6 +316,34 @@ def test_grow_skew_validation():
         grow_skew(1, (2,), t)  # word does not fit the rectangle
     with pytest.raises(DomainError):
         grow_skew(2, (1,), t)  # degree mismatch
+
+
+def test_sweep_errors_name_cell_rule_and_corners(monkeypatch):
+    """A kernel failure inside any sweep is re-raised with where it happened."""
+
+    def fail(*args):
+        raise InvariantViolation("kernel failed")
+
+    g = grow_from_filling(Rule.rsk(), Filling((2, 1), ((1, 0), (1,))))
+    top = g.label(0, 2), g.label(1, 1), g.label(1, 2)  # tl, br, tr of cell (1,2)
+    left_up = SkewOscillatingTableau(1, "-+", ((0,), (-1,), (0,)))  # the cell is grown forward
+    up_left = SkewOscillatingTableau(1, "+-", ((0,), (1,), (0,)))  # the cell is grown backward
+    cases = [
+        ("_forward", lambda: grow_from_filling(D3, CHAIN),
+         "(1,1) under rule drsk(3): bl=() tl=() br=() tr=None"),
+        ("_forward", lambda: grow_skew(1, (1,), left_up),
+         "(1,1) under rule skew(1): bl=(-1,) tl=(0,) br=(0,) tr=None"),
+        ("_backward", lambda: grow_from_boundary(Rule.rsk(), (2, 1), extract_boundary(g)),
+         "(1,2) under rule rsk: bl=None tl={} br={} tr={}".format(*top)),
+        ("_backward", lambda: grow_skew(1, (1,), up_left),
+         "(1,1) under rule skew(1): bl=None tl=(0,) br=(0,) tr=(1,)"),
+    ]
+    for kernel, grow, where in cases:
+        monkeypatch.setattr(growth, kernel, fail)
+        with pytest.raises(InvariantViolation) as info:
+            grow()
+        assert str(info.value) == f"kernel failed at cell {where}"
+        assert str(info.value.__cause__) == "kernel failed"
 
 
 def test_classify_unit_cells():

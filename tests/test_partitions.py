@@ -41,6 +41,9 @@ def test_canonical_form():
         as_partition([3, 0, 2])
     with pytest.raises(DomainError):
         as_partition([2, -1])
+    for bad in ([2.0], [1.5], [True], ["1"]):
+        with pytest.raises(DomainError):
+            as_partition(bad)
 
 
 def test_staircase_form():
@@ -49,6 +52,8 @@ def test_staircase_form():
         as_staircase([1, 2], 2)
     with pytest.raises(DomainError):
         as_staircase([1, 0], 3)
+    with pytest.raises(DomainError):
+        as_staircase([1.5, 0], 2)
 
 
 def test_part_access_extends_by_zero():
