@@ -3,6 +3,15 @@
 Each map here is a pure function with an explicit inverse, verified by the
 uniqueness of forward/backward growth.  Rejections carry a witness: the cell
 of a forbidden pattern occurrence, or an over-long NE-chain.
+
+``drsk``, ``rsk`` and their inverses go through ``growth.boundary_of`` and
+``growth.filling_of``, which pick the path from the input: a filling whose
+rows and columns each sum to at most 1 (a permutation, say), or a boundary
+whose every step changes the size by at most 1, is swept as step words and
+builds no growth diagram; any other goes through the partition kernel.  So
+``cylindric_rs``, its inverse, ``wilf_bijection``, and ``bwx_map`` and
+``bwx_inverse`` on permutation fillings build no diagram.  The skew maps
+always grow one.
 """
 
 from .errors import ChainBoundExceeded, DomainError, InvariantViolation
@@ -14,13 +23,7 @@ from .fillings import (
     ne_chain_witness,
     permutation_to_filling,
 )
-from .growth import (
-    Rule,
-    extract_boundary,
-    grow_from_boundary,
-    grow_from_filling,
-    grow_skew,
-)
+from .growth import Rule, boundary_of, extract_boundary, filling_of, grow_skew
 from .partitions import (
     Part,
     cyl_conjugate,
@@ -43,21 +46,21 @@ def drsk(f: Filling, d: int) -> OscillatingTableau:
     The filling must avoid the order-d descending pattern; the offending cell
     is reported otherwise.
     """
-    return extract_boundary(grow_from_filling(Rule.drsk(d), f))
+    return boundary_of(Rule.drsk(d), f)
 
 
 def drsk_inverse(shape: Part, t: OscillatingTableau, d: int) -> Filling:
     """Filling whose degree-d growth has boundary t on the given shape."""
-    return grow_from_boundary(Rule.drsk(d), shape, t).filling
+    return filling_of(Rule.drsk(d), shape, t)
 
 
 def rsk(f: Filling) -> OscillatingTableau:
     """Boundary tableau under the plain rule (no pattern restriction)."""
-    return extract_boundary(grow_from_filling(Rule.rsk(), f))
+    return boundary_of(Rule.rsk(), f)
 
 
 def rsk_inverse(shape: Part, t: OscillatingTableau) -> Filling:
-    return grow_from_boundary(Rule.rsk(), shape, t).filling
+    return filling_of(Rule.rsk(), shape, t)
 
 
 def _require_rectangle(f: Filling) -> tuple[int, int]:

@@ -8,6 +8,7 @@ flipped on input to this bottom-up convention.
 """
 
 from dataclasses import dataclass
+from itertools import chain, compress
 from operator import itemgetter
 
 from .errors import DomainError, FormatError, decode
@@ -91,7 +92,10 @@ class Filling:
     def __post_init__(self):
         shape = as_partition(self.shape)
         object.__setattr__(self, "shape", shape)
-        rows = tuple(tuple(map(strict_int, row)) for row in self.rows)
+        rows = tuple(map(tuple, self.rows))
+        if not set(map(type, chain.from_iterable(rows))) <= {int}:
+            for v in chain.from_iterable(rows):
+                strict_int(v)  # raises on the first entry that is not an int
         object.__setattr__(self, "rows", rows)
         if len(rows) != len(shape):
             raise DomainError(
@@ -100,7 +104,7 @@ class Filling:
         for i, row in enumerate(rows):
             if len(row) != shape[i]:
                 raise DomainError(f"row {i + 1} has {len(row)} entries, expected {shape[i]}")
-            if any(v < 0 for v in row):
+            if min(row) < 0:
                 raise DomainError(f"negative entry in row {i + 1}")
 
     def entry(self, col: int, row: int) -> int:
@@ -123,10 +127,9 @@ class Filling:
     def nonzero_cells(self) -> list[tuple[int, int, int]]:
         """(column, row, entry) for each nonzero cell, row-major bottom-up."""
         return [
-            (c, r, self.rows[r - 1][c - 1])
-            for r in range(1, len(self.shape) + 1)
-            for c in range(1, self.shape[r - 1] + 1)
-            if self.rows[r - 1][c - 1]
+            (c, r, row[c - 1])
+            for r, row in enumerate(self.rows, 1)
+            for c in compress(range(1, len(row) + 1), row)
         ]
 
     def total(self) -> int:
@@ -266,10 +269,11 @@ def permutation_to_filling(perm) -> Filling:
     n = len(perm)
     if sorted(perm) != list(range(1, n + 1)):
         raise DomainError(f"{perm} is not a permutation of 1..{n}")
-    rows = tuple(
-        tuple(1 if perm[c] == r + 1 else 0 for c in range(n)) for r in range(n)
-    )
-    return Filling((n,) * n if n else (), rows)
+    cols = [0] * n  # 0-based column of the 1 in each row
+    for c, r in enumerate(perm):
+        cols[r - 1] = c
+    zero = (0,) * n
+    return Filling((n,) * n if n else (), tuple(zero[:c] + (1,) + zero[c + 1 :] for c in cols))
 
 
 def filling_to_permutation(f: Filling) -> tuple[int, ...]:
@@ -277,15 +281,14 @@ def filling_to_permutation(f: Filling) -> tuple[int, ...]:
     n = len(f.shape)
     if f.shape != ((n,) * n if n else ()):
         raise DomainError(f"shape {f.shape} is not square")
-    perm = []
-    for c in range(1, n + 1):
-        hits = [r for r in range(1, n + 1) if f.rows[r - 1][c - 1]]
-        if len(hits) != 1 or f.rows[hits[0] - 1][c - 1] != 1:
-            raise DomainError(f"column {c} is not a unit column")
-        perm.append(hits[0])
-    for r in range(1, n + 1):
-        if sum(f.rows[r - 1]) != 1:
+    perm = [0] * n
+    for r, row in enumerate(f.rows, 1):
+        if sum(row) != 1:  # entries are nonnegative, so the row holds a single 1
             raise DomainError(f"row {r} is not a unit row")
+        c = row.index(1)
+        if perm[c]:
+            raise DomainError(f"column {c + 1} is not a unit column")
+        perm[c] = r
     return tuple(perm)
 
 

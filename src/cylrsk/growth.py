@@ -18,6 +18,17 @@ selected for the whole diagram:
 Forward growth solves a cell for tr; backward growth solves for bl and m.
 Both directions are unique, which is what makes whole-diagram growth a
 bijection between fillings and boundary label sequences.
+
+Which path a map takes depends only on its input:
+
+* ``boundary_of`` and ``filling_of`` (the boundary bijection under rsk and
+  drsk) sweep step words and build no diagram when every row and column of
+  the filling sums to at most 1, which is when every step of the boundary
+  changes the size by at most 1; any other filling or boundary goes through
+  the partition kernel below.
+* ``grow_from_filling``, ``grow_from_boundary``, ``grow_skew``, the
+  single-cell functions and ``validate_diagram`` always use the partition
+  kernel, whatever their input.
 """
 
 from collections.abc import Mapping
@@ -91,14 +102,18 @@ def _validate_label(rule: Rule, p) -> Part:
     """Coerce a corner label to the kind the rule operates on."""
     if rule.kind == "skew":
         return as_staircase(p, rule.d)
-    q = as_partition(p)
+    return _bounded_label(rule, as_partition(p))
+
+
+def _bounded_label(rule: Rule, q: Part) -> Part:
+    """A canonical label, once it is known to have no more parts than the rule allows."""
     if rule.kind == "drsk" and len(q) > rule.d:
         raise DomainError(f"label {q} exceeds {rule.d} parts")
     return q
 
 
 def _validate_entry(rule: Rule, entry: int) -> int:
-    entry = int(entry)
+    entry = strict_int(entry)
     if entry < 0:
         raise DomainError(f"cell entry must be nonnegative, got {entry}")
     return entry
@@ -290,8 +305,8 @@ def grow_from_filling(rule: Rule, filling: Filling) -> GrowthDiagram:
     return GrowthDiagram(rule, filling, _label_map(grid))
 
 
-def grow_from_boundary(rule: Rule, shape: Part, t: OscillatingTableau) -> GrowthDiagram:
-    """Rebuild the unique growth diagram with the given boundary labels."""
+def _boundary_shape(rule: Rule, shape, t: OscillatingTableau) -> Part:
+    """The canonical shape, once t is known to label its boundary under the rule."""
     if rule.kind == "skew":
         raise DomainError("skew diagrams are grown with grow_skew")
     shape = as_partition(shape)
@@ -302,6 +317,12 @@ def grow_from_boundary(rule: Rule, shape: Part, t: OscillatingTableau) -> Growth
         )
     if rule.kind == "drsk" and t.max_length() > rule.d:
         raise DomainError(f"boundary labels exceed {rule.d} parts")
+    return shape
+
+
+def grow_from_boundary(rule: Rule, shape: Part, t: OscillatingTableau) -> GrowthDiagram:
+    """Rebuild the unique growth diagram with the given boundary labels."""
+    shape = _boundary_shape(rule, shape, t)
     rows = [[0] * width for width in shape]
     grid = _sweep(rule, shape, t.w, t.seq, rows)
     for x, lab in enumerate(grid[0]):
@@ -338,6 +359,14 @@ def grow_skew(d: int, rect: Part, t: SkewOscillatingTableau) -> GrowthDiagram:
     return GrowthDiagram(rule, zero_filling(rect), _label_map(grid))
 
 
+def _pattern_at(rule: Rule, col: int, row: int) -> PatternContainment:
+    return PatternContainment(
+        f"filling contains the order-{rule.d} descending pattern; "
+        f"forward growth fails at cell ({col},{row})",
+        cell=(col, row),
+    )
+
+
 def _sweep(rule: Rule, shape: Part, w: str, seq, entries) -> list[list]:
     """Label rows, bottom first, with seq along the path w and the rest grown.
 
@@ -365,11 +394,7 @@ def _sweep(rule: Rule, shape: Part, w: str, seq, entries) -> list[list]:
             for col in range(up_x[row - 1] + 1, shape[row - 1] + 1):
                 bl, entry = below[col - 1], ents[col - 1]
                 if entry and _side_condition(rule, bl, entry):
-                    raise PatternContainment(
-                        f"filling contains the order-{rule.d} descending pattern; "
-                        f"forward growth fails at cell ({col},{row})",
-                        cell=(col, row),
-                    )
+                    raise _pattern_at(rule, col, row)
                 here[col] = _forward(rule, bl, here[col - 1], below[col], entry)
     except InvariantViolation as exc:
         bl, tl, br, tr = below[col - 1], here[col - 1], below[col], here[col]
@@ -466,19 +491,159 @@ def classify_rs_cell(rule: Rule, bl, tl, br, tr, entry: int) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Step-word sweeps: the boundary bijection on unit-step fillings
+#
+# When every row and column of a filling sums to at most 1, each edge of its
+# growth diagram adds at most one box, and the plain and cyclic local rules
+# become Schensted insertion.  A horizontal lattice line is then held as its
+# step word: for each unit step along it, the 0-based row that gains a box,
+# or -1 when the label stays.  The label at x = 0 is empty, so the word fixes
+# every label on the line.  A cell with left step a and bottom step b has
+# top step b and right step a, except in two cases:
+#
+#   * an entry (then a = b = -1) puts a new box in row 0 on both;
+#   * a bump (a = b >= 0) moves both to row a + 1, taken mod d under drsk.
+#
+# Backward, a cell with top step t and right step r has b = t and a = r,
+# except when t = r >= 0: that is the bump from row t - 1, or, at t = 0, an
+# entry -- unless the rule is drsk and tl already has d parts, when it is the
+# wrap bump from row d - 1 (tl has d parts iff a (d-1)-step lies left of the
+# cell on its line).  drsk's side condition fails at an entry exactly when
+# the line below holds a (d-1)-step left of the cell.
+
+
+def _unit_columns(filling: Filling) -> list[int] | None:
+    """0-based column of each row's 1, or -1; None unless every row and column sums to <= 1."""
+    cols = []
+    for row in filling.rows:
+        total = sum(row)
+        if total > 1:
+            return None
+        cols.append(row.index(1) if total else -1)
+    hits = [c for c in cols if c >= 0]
+    return cols if len(set(hits)) == len(hits) else None
+
+
+def boundary_of(rule: Rule, filling: Filling) -> OscillatingTableau:
+    """Boundary tableau of the filling's growth diagram under rsk or drsk.
+
+    A filling whose rows and columns each sum to at most 1 is swept as step
+    words, building no diagram; any other goes through grow_from_filling.
+    Under drsk the filling must avoid the order-d descending pattern; the
+    offending cell is reported otherwise.
+    """
+    if rule.kind == "skew":
+        raise DomainError("skew diagrams are grown from path labels, not fillings")
+    cols = _unit_columns(filling)
+    if cols is None:
+        return extract_boundary(grow_from_filling(rule, filling))
+    d, shape = rule.d, filling.shape  # d is 0 under rsk
+    line = [-1] * (shape[0] if shape else 0)  # the x-axis
+    ups, tails = [], []  # right step of each row; each line's steps past the next row
+    for row, (width, c) in enumerate(zip(shape, cols), 1):
+        tails.append(line[width:])
+        here, a = line[:width], -1
+        if c >= 0:
+            if d and d - 1 in line[:c]:
+                raise _pattern_at(rule, c + 1, row)
+            here[c] = a = 0
+            j = c
+            # the box moves right to the next cell whose bottom step is a,
+            # which bumps it one row up; every cell in between keeps its steps
+            try:
+                while True:
+                    j = here.index(a, j + 1)
+                    here[j] = a = (a + 1) % d if d else a + 1
+            except ValueError:
+                pass
+        ups.append(a)
+        line = here
+    tails.append(line)
+    # walk the boundary: left along each line's tail, then up the row's right edge
+    lam, seq = [], [()]
+    for y, tail in enumerate(tails):
+        for s in reversed(tail):
+            if s >= 0:
+                lam[s] -= 1
+                if not lam[-1]:
+                    lam.pop()
+            seq.append(tuple(lam))
+        if y < len(ups):
+            s = ups[y]
+            if s == len(lam):
+                lam.append(1)
+            elif s >= 0:
+                lam[s] += 1
+            seq.append(tuple(lam))
+    return OscillatingTableau(boundary_type_sequence(shape), tuple(seq))
+
+
+def filling_of(rule: Rule, shape: Part, t: OscillatingTableau) -> Filling:
+    """Filling whose growth diagram under rsk or drsk has boundary t on the shape.
+
+    A boundary whose every step changes the size by at most 1 is swept as
+    step words, building no diagram; any other goes through
+    grow_from_boundary.
+    """
+    sizes = list(map(sum, t.seq))
+    if max(map(abs, map(sub, sizes[1:], sizes)), default=0) > 1:
+        return grow_from_boundary(rule, shape, t).filling
+    shape = _boundary_shape(rule, shape, t)
+    d, seq = rule.d, t.seq
+    # each line's steps right to left: its tail from the boundary, then the
+    # part the row above it fills in; and the step up each row's right edge
+    tails, ups = [[]], []
+    for i, ch in enumerate(t.w):
+        lo, hi = (seq[i], seq[i + 1]) if ch == PLUS else (seq[i + 1], seq[i])
+        s = (_added_row(lo, hi) or 0) - 1
+        if ch == PLUS:
+            ups.append(s)
+            tails.append([])
+        else:
+            tails[-1].append(s)
+    line, cols = tails[-1], []
+    for row in range(len(shape), 0, -1):
+        below, a, j, col = line[:], ups[row - 1], -1, 0
+        # index of the leftmost (d-1)-step: tl has d parts at the cells right of it
+        rim = len(line) - 1 - line[::-1].index(d - 1) if d and d - 1 in line else -1
+        try:
+            while a >= 0:
+                j = line.index(a, j + 1)
+                if a:
+                    a -= 1
+                elif j < rim:
+                    a = d - 1
+                else:  # a new box: the cell's entry
+                    col, a = len(line) - j, -1
+                below[j] = a
+        except ValueError:
+            pass
+        # with the left axis empty, sizes force the x-axis to be empty too
+        if a >= 0:
+            raise InvariantViolation(f"axis label at (0,{row - 1}) is not empty")
+        cols.append(col)
+        line = tails[row - 1] + below
+    rows = tuple(
+        (0,) * (col - 1) + (1,) + (0,) * (width - col) if col else (0,) * width
+        for width, col in zip(shape, reversed(cols))
+    )
+    return Filling(shape, rows)
+
+
+# ---------------------------------------------------------------------------
 # Text format
 
-def _label_rows(g: GrowthDiagram) -> list[list[Part]]:
-    """The labels row by row, top row first, each row left to right."""
-    widths = lattice_rows(g.shape)
-    return [[g.labels[(x, y)] for x in range(widths[y])] for y in reversed(range(len(widths)))]
+def _label_grid(g: GrowthDiagram) -> list[list]:
+    """The labels row by row, bottom row first, each row left to right."""
+    labels = g.labels
+    return [[labels[(x, y)] for x in range(width)] for y, width in enumerate(lattice_rows(g.shape))]
 
 
 def format_diagram(g: GrowthDiagram) -> str:
     """Dump: header `kind d rows cols`, filling block, label rows top-first."""
     shape = g.shape
     head = f"{g.rule.kind} {g.rule.d} {len(shape)} {shape[0] if shape else 0}"
-    rows = [" ".join(map(format_partition, row)) for row in _label_rows(g)]
+    rows = [" ".join(map(format_partition, row)) for row in reversed(_label_grid(g))]
     return "\n".join([head, format_filling(g.filling), *rows])
 
 
@@ -486,10 +651,11 @@ def parse_diagram(text) -> GrowthDiagram:
     """Parse a dump (or its JSON mirror) and revalidate every cell.
 
     Malformed input is a FormatError; a well-formed diagram that breaks its
-    rule is a DomainError from validate_diagram.
+    rule is a DomainError from validate_diagram's checks.
     """
     g = decode(text, _diagram_from_text, _diagram_from_json, "diagram")
-    validate_diagram(g)
+    # the readers put every label in canonical form; only drsk's bound is left
+    _check_labels(g, [[_bounded_label(g.rule, lab) for lab in row] for row in _label_grid(g)])
     return g
 
 
@@ -543,11 +709,12 @@ def validate_diagram(g: GrowthDiagram) -> None:
     edge between neighbouring lattice points is checked for interlacing once,
     and then each cell's side condition and row equations are compared.
     """
-    rule, shape = g.rule, g.shape
-    grid = [
-        [_validate_label(rule, g.labels[(x, y)]) for x in range(width)]
-        for y, width in enumerate(lattice_rows(shape))
-    ]
+    _check_labels(g, [[_validate_label(g.rule, lab) for lab in row] for row in _label_grid(g)])
+
+
+def _check_labels(g: GrowthDiagram, grid) -> None:
+    """validate_diagram's checks after the labels, in grid, are coerced."""
+    rule = g.rule
     if rule.kind != "skew":
         for x, lab in enumerate(grid[0]):
             if lab != ():
@@ -583,7 +750,7 @@ def render_diagram(g: GrowthDiagram) -> str:
         (len(text(lab)) for lab in g.labels.values()), default=1
     )
     out = []
-    for y, labels in zip(reversed(range(len(g.shape) + 1)), _label_rows(g)):
+    for y, labels in zip(reversed(range(len(g.shape) + 1)), reversed(_label_grid(g))):
         out.append("  ".join(text(lab).rjust(width) for lab in labels))
         if y > 0:
             cells = ((str(v) if v else ".").rjust(width) for v in g.filling.rows[y - 1])
@@ -597,5 +764,5 @@ def diagram_to_json(g: GrowthDiagram) -> dict:
         "d": g.rule.d,
         "shape": list(g.shape),
         "rows": [list(r) for r in reversed(g.filling.rows)],
-        "labels": [[list(lab) for lab in row] for row in _label_rows(g)],
+        "labels": [[list(lab) for lab in row] for row in reversed(_label_grid(g))],
     }

@@ -4,6 +4,7 @@ from itertools import permutations, product
 
 import pytest
 
+from cylrsk import growth
 from cylrsk.correspond import (
     bwx_inverse,
     bwx_map,
@@ -31,8 +32,13 @@ from cylrsk.fillings import (
     col_sums,
     zero_filling,
 )
-from cylrsk.partitions import as_partition
-from cylrsk.tableaux import SkewOscillatingTableau, SkewRowStrictTableau
+from cylrsk.partitions import as_partition, dl_interlaces
+from cylrsk.tableaux import (
+    OscillatingTableau,
+    SemistandardTableau,
+    SkewOscillatingTableau,
+    SkewRowStrictTableau,
+)
 from conftest import (
     perm_contains_descending_pattern,
     perm_lis,
@@ -402,3 +408,69 @@ def test_conjugate_standard_pair_round_trip():
         q = conjugate_standard_pair(p, 2, 3)
         assert q.is_standard()
         assert conjugate_standard_pair(q, 3, 2) == p
+
+
+def _standard_chain(rng, n, d, L):
+    """A random standard chain of n boxes, (d, L)-cylindric at each step; None at a dead end."""
+    seq = [()]
+    for _ in range(n):
+        lam = seq[-1] + (0,)
+        options = []
+        for i in range(min(len(lam), d)):
+            if i and lam[i - 1] == lam[i]:
+                continue
+            mu = as_partition(lam[:i] + (lam[i] + 1,) + lam[i + 1 :])
+            if dl_interlaces(seq[-1], mu, d, L):
+                options.append(mu)
+        if not options:
+            return None
+        seq.append(rng.choice(options))
+    return SemistandardTableau(tuple(seq))
+
+
+def test_standard_pairs_and_permutations_round_trip():
+    rng = random.Random(101)
+    pairs = 0
+    while pairs < 80:
+        d, L, n = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 8)
+        p, q = _standard_chain(rng, n, d, L), _standard_chain(rng, n, d, L)
+        if p is None or q is None or p.shape != q.shape:
+            continue
+        pairs += 1
+        perm = cylindric_rs_inverse(p, q, d, L)
+        assert cylindric_rs(perm, d, L) == (p, q)
+        assert wilf_bijection(wilf_bijection(perm, d, L), L, d) == perm
+    perms = 0
+    while perms < 80:
+        d, L, n = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 8)
+        perm = tuple(rng.sample(range(1, n + 1), n))
+        try:
+            p, q = cylindric_rs(perm, d, L)
+        except (PatternContainment, ChainBoundExceeded):
+            continue
+        perms += 1
+        assert cylindric_rs_inverse(p, q, d, L) == perm
+
+
+def test_permutation_maps_build_no_growth_diagram(monkeypatch):
+    """Unit-step inputs take the step sweeps; a dense filling still reaches the kernel."""
+
+    class Built(Exception):
+        pass
+
+    def built(*args):
+        raise Built
+
+    perms = random.Random(103).sample(_avoiders(6, 2, 3), 6)
+    monkeypatch.setattr(growth, "grow_from_filling", built)
+    monkeypatch.setattr(growth, "grow_from_boundary", built)
+    for perm in perms:
+        p, q = cylindric_rs(perm, 2, 3)
+        assert cylindric_rs_inverse(p, q, 2, 3) == perm
+        assert wilf_bijection(wilf_bijection(perm, 2, 3), 3, 2) == perm
+        f = permutation_to_filling(perm)
+        assert bwx_inverse(bwx_map(f, 2), 2) == f
+    with pytest.raises(Built):
+        drsk(GRID7, 3)
+    with pytest.raises(Built):
+        drsk_inverse(GRID7.shape, OscillatingTableau(GRID7_WORD, GRID7_BOUNDARY), 3)

@@ -57,6 +57,9 @@ def test_check_cell_worked_examples():
         check_cell(Rule.drsk(2), (3, 2, 1), (3, 2, 1), (3, 2, 1), (3, 2, 1), 0)
     with pytest.raises(DomainError):
         check_cell(Rule.skew(2), (1,), (1,), (1,), (1,), 0)
+    for entry in (1.5, True):  # only ints are entries
+        with pytest.raises(DomainError):
+            check_cell(Rule.rsk(), (), (), (), (1,), entry)
 
 
 def test_forward_cell_examples():
@@ -74,6 +77,8 @@ def test_forward_cell_precondition_errors():
         grow_forward_cell(Rule.rsk(), (2,), (1,), (3,), 0)  # bl does not interlace
     with pytest.raises(DomainError):
         grow_forward_cell(Rule.skew(1), (0,), (1,), (1,), 1)  # skew entry must be 0
+    with pytest.raises(DomainError):
+        grow_forward_cell(Rule.rsk(), (), (), (), 1.9)  # not an int
 
 
 def test_backward_cell_examples():
@@ -568,3 +573,70 @@ def test_sweeps_match_the_checked_single_cell_kernels():
         labels = _regrow_skew(d, rows, cols, t)
         assert g.labels == labels
         validate_diagram(GrowthDiagram(g.rule, g.filling, labels))
+
+
+def _partial_permutation(rng, shape):
+    """A 0/1 filling of the shape with at most one 1 in each row and column."""
+    free = set(range(shape[0] if shape else 0))
+    rows = []
+    for width in shape:
+        row = [0] * width
+        c = rng.randrange(width)
+        if c in free and rng.random() < 0.8:
+            free.discard(c)
+            row[c] = 1
+        rows.append(tuple(row))
+    return Filling(shape, tuple(rows))
+
+
+def _unit_step_tableau(rng, w, d):
+    """A random oscillating tableau for w whose steps change at most one box, with <= d parts."""
+    lam, seq, downs = [], [()], w.count("-")
+    for ch in w:
+        padded = lam + [0]
+        if ch == "+":
+            # a box may be added while the remaining - steps can still remove it
+            moves = [
+                i for i in range(min(len(lam) + 1, d))
+                if sum(lam) < downs and (i == 0 or padded[i - 1] > padded[i])
+            ]
+            options, sign = moves + [None], 1
+        else:
+            downs -= 1
+            moves = [i for i in range(len(lam)) if padded[i] > padded[i + 1]]
+            options, sign = moves + [None] * (sum(lam) <= downs), -1
+        i = rng.choice(options)
+        if i is not None:
+            padded[i] += sign
+        lam = [v for v in padded if v]
+        seq.append(tuple(lam))
+    return OscillatingTableau(w, tuple(seq))
+
+
+def test_step_sweeps_match_the_partition_kernel():
+    """On unit-step inputs the boundary bijection matches the kernel, refusals included."""
+    rng = random.Random(97)
+    rules = [Rule.rsk()] + [Rule.drsk(d) for d in range(1, 6)]
+    refusals = 0
+    for _ in range(150):
+        shape = random_shape(rng, 7, 7)
+        f = _partial_permutation(rng, shape)
+        for rule in rules:
+            try:
+                want = extract_boundary(grow_from_filling(rule, f))
+            except PatternContainment as exc:
+                with pytest.raises(PatternContainment) as info:
+                    growth.boundary_of(rule, f)
+                assert (str(info.value), info.value.cell) == (str(exc), exc.cell)
+                refusals += 1
+                continue
+            t = growth.boundary_of(rule, f)
+            assert t == want
+            assert growth.filling_of(rule, shape, t) == f
+    assert refusals > 30
+    for _ in range(250):
+        shape = random_shape(rng, 7, 7)
+        w = boundary_type_sequence(shape)
+        for rule in rules:
+            t = _unit_step_tableau(rng, w, rule.d or len(w))
+            assert growth.filling_of(rule, shape, t) == grow_from_boundary(rule, shape, t).filling
