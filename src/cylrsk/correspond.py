@@ -24,12 +24,7 @@ from .fillings import (
     permutation_to_filling,
 )
 from .growth import Rule, boundary_of, extract_boundary, filling_of, grow_skew
-from .partitions import (
-    Part,
-    cyl_conjugate,
-    partition_to_staircase,
-    staircase_to_partition,
-)
+from .partitions import Part, cyl_conjugate
 from .tableaux import (
     OscillatingTableau,
     SemistandardTableau,
@@ -181,15 +176,32 @@ def bwx_inverse(f: Filling, d: int) -> Filling:
     return drsk_inverse(f.shape, t, d)
 
 
+def _conjugate_label(lam: Part, d: int, L: int) -> Part:
+    """cyl_conjugate of lam padded to a degree-d staircase, without the padding.
+
+    Part j of the conjugate is max over r < len(lam) of
+    d floor((lam_r - j) / L) + r + 1, for j = 1..min(L, lam_1): the padded
+    rows, and every part past lam_1, give at most 0.
+    """
+    if len(lam) > d:
+        raise DomainError(f"partition {lam} has more than {d} parts")
+    top = lam[0] if lam else 0
+    width = top - lam[d - 1] if len(lam) == d else top
+    if width > L:
+        raise DomainError(f"partition {lam} is not ({d},{L})-bounded: width {width}")
+    return tuple(
+        max(d * ((x - j) // L) + r + 1 for r, x in enumerate(lam))
+        for j in range(1, min(L, top) + 1)
+    )
+
+
 def conjugate_standard_pair(
     p: SemistandardTableau, d: int, L: int
 ) -> SemistandardTableau:
     """Elementwise boundary-path conjugation of a width-bounded standard chain."""
-    lifted = []
-    for lam in p.seq:
-        stair = partition_to_staircase(lam, d)
-        lifted.append(staircase_to_partition(cyl_conjugate(stair, d, L)))
-    return SemistandardTableau(tuple(lifted))
+    if d < 1 or L < 1:
+        raise DomainError(f"d and L must be >= 1, got ({d},{L})")
+    return SemistandardTableau(tuple(_conjugate_label(lam, d, L) for lam in p.seq))
 
 
 def wilf_bijection(perm, d: int, L: int) -> tuple[int, ...]:

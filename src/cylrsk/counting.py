@@ -7,14 +7,23 @@ exact Python ints throughout.  Each route builds its state once and caches
 it, so a table for n = 1..n_max is one pass, not n_max separate runs: one
 walk to depth n fills S_1..S_n, and the pair DP and the trigonometric sum
 each step their (d, L) state from n to n + 1.
+
+The pair DP steps only the reduced shapes of the size class mod d that the
+level can reach.  The trigonometric sum keeps one polynomial per group of
+subsets, made nonnegative by adding a multiple of Psi = 1 + x + ... +
+x^(M-1), which vanishes mod Phi_M, and packs each one into a single int
+(Kronecker substitution, x = 2^K).  K comes from a proven bound: the
+coefficients of the summed terms add up to exactly norm * d^(2n), so no
+K-bit field can carry while that sum is below 2^K (see _TrigSum).
 """
 
 import math
 import sys
 import threading
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, compress
+from itertools import combinations_with_replacement, compress
 
 from .errors import DomainError, InvariantViolation
 
@@ -131,35 +140,43 @@ class _Chains:
     its reduced shape, its first d - 1 parts minus its d-th part.  There are
     finitely many, and at a fixed size each one stands for exactly one shape,
     so the box-addition graph is built once and every level is one pass over
-    a list of chain counts.
+    a list of chain counts.  A reduced shape has size |lambda| - d lambda_d,
+    so level n reaches only the reduced shapes of size n mod d: the states
+    are indexed within each such class, and a step maps one class's list of
+    counts to the next class's.
     """
 
     def __init__(self, d: int, L: int):
         parts = combinations_with_replacement(range(L + 1), d - 1)
-        reduced = [tuple(reversed(c)) for c in parts]
-        index = {mu: i for i, mu in enumerate(reduced)}
-        self.moves = []
-        for mu in reduced:
-            targets = []
-            for i in range(d - 1):
-                if (mu[i - 1] > mu[i]) if i else mu[0] < L:
-                    targets.append(index[mu[:i] + (mu[i] + 1,) + mu[i + 1 :]])
-            if d == 1 or mu[-1] > 0:  # a box in row d lowers every reduced part
-                targets.append(index[tuple(p - 1 for p in mu)])
-            self.moves.append(targets)
-        self.frontier = [0] * len(reduced)
+        classes: list[list[tuple[int, ...]]] = [[] for _ in range(d)]
+        for c in parts:
+            classes[sum(c) % d].append(tuple(reversed(c)))
+        index = {mu: i for cls in classes for i, mu in enumerate(cls)}
+        self.moves = []  # per class, per state: its targets in the next class
+        for cls in classes:
+            class_moves = []
+            for mu in cls:
+                targets = []
+                for i in range(d - 1):
+                    if (mu[i - 1] > mu[i]) if i else mu[0] < L:
+                        targets.append(index[mu[:i] + (mu[i] + 1,) + mu[i + 1 :]])
+                if d == 1 or mu[-1] > 0:  # a box in row d lowers every reduced part
+                    targets.append(index[tuple(p - 1 for p in mu)])
+                class_moves.append(targets)
+            self.moves.append(class_moves)
+        self.frontier = [0] * len(classes[0])
         self.frontier[index[(0,) * (d - 1)]] = 1
         self.values = [(1, 1)]  # per size: (chains, same-shape pairs of chains)
 
     def step(self) -> None:
-        nxt = [0] * len(self.frontier)
-        for ways, targets in zip(self.frontier, self.moves):
+        n, d = len(self.values) - 1, len(self.moves)
+        nxt = [0] * len(self.moves[(n + 1) % d])
+        for ways, targets in zip(self.frontier, self.moves[n % d]):
             if ways:
                 for t in targets:
                     nxt[t] += ways
         self.frontier = nxt
-        live = [w for w in nxt if w]  # a level reaches one class of reduced sizes mod d
-        self.values.append((sum(live), sum([w * w for w in live])))
+        self.values.append((sum(nxt), sum([w * w for w in nxt])))
 
 
 def _stepped_value(cache: dict, lock, make, n: int, d: int, L: int):
@@ -229,6 +246,38 @@ def _mul_symmetric(p: list[int], c0: int, pairs) -> list[int]:
     return out
 
 
+def _distance_groups(d: int, M: int) -> dict[tuple[int, ...], int]:
+    """The d-subsets T of Z_M containing 0, counted by their distance histogram.
+
+    The histogram m has m[k] = the number of pairs of T at cyclic distance k.
+    It is packed into one int, one field per distance, so a subset's key is a
+    sum of entries of a distance table; the subsets are built in increasing
+    order, and each prefix carries, for every candidate next element, the
+    key that element would add.
+    """
+    half = M // 2
+    width = (d * (d - 1) // 2).bit_length()
+    weight = [[1 << width * min(abs(a - b), M - abs(a - b)) for b in range(M)] for a in range(M)]
+    keys: Counter[int] = Counter()
+
+    def extend(last: int, key: int, adds: list[int], left: int) -> None:
+        if left == 1:
+            keys.update(map(key.__add__, adds[last + 1 :]))
+            return
+        for c in range(last + 1, M - left + 1):
+            extend(c, key + adds[c], [x + y for x, y in zip(adds, weight[c])], left - 1)
+
+    if d == 1:
+        keys[0] = 1
+    else:
+        extend(0, 0, weight[0], d - 1)
+    field = (1 << width) - 1
+    return {
+        tuple(key >> width * k & field for k in range(half + 1)): size
+        for key, size in keys.items()
+    }
+
+
 class _TrigSum:
     """The root-of-unity sum for (d, L), stepped from n to n + 1 in Z[x]/(x^M - 1).
 
@@ -238,37 +287,78 @@ class _TrigSum:
     |z_T|^2 = d + sum m_k (x^k + x^-k) and V(T) = prod (2 - x^k - x^-k)^m_k,
     so one polynomial V(T) |z_T|^(2n) per group, times the group's size, is
     kept and multiplied by |z_T|^2 at each step.
+
+    Each group's term is made nonnegative: where size V(T) has a negative
+    coefficient, -min times Psi = 1 + x + ... + x^(M-1) is added to it.
+    Phi_M divides Psi (M >= 2), and x^k Psi = Psi, so Psi |z_T|^2 = d^2 Psi
+    and every residue mod Phi_M, hence every count, is unchanged.  A term is
+    then held as one int, the polynomial evaluated at x = 2^K: a product with
+    x^k shifts it by kK bits, and the bits at or above KM fold back onto the
+    bottom (x^M = 1).  |z_T|^2 has nonnegative coefficients summing to d^2,
+    so at level n every coefficient of the summed terms is at most
+    norm d^(2n), where norm is the coefficient sum of the shifted terms at
+    n = 0.  While that bound is below 2^K no K-bit field carries into the
+    next; before a step would cross it, the terms are unpacked and packed
+    again with about 25% more bits.
     """
 
     def __init__(self, d: int, L: int):
         M = d + L
-        half = M // 2
-        groups: dict[tuple[int, ...], int] = {}
-        for rest in combinations(range(1, M), d - 1):
-            m = [0] * (half + 1)
-            for a, b in combinations((0,) + rest, 2):
-                m[min(b - a, M - b + a)] += 1
-            key = tuple(m)
-            groups[key] = groups.get(key, 0) + 1
         self.d = d
-        self.factors = []
-        self.terms = []
-        for m, size in groups.items():
-            pairs = [(k, m[k]) for k in range(1, half + 1) if m[k]]
-            term = [size] + [0] * (M - 1)
-            for k, mk in pairs:
-                for _ in range(mk):
-                    term = _mul_symmetric(term, 2, [(k, -1)])
+        self.M = M
+        self.factors = []  # per group: (k, m_k) for each distance k its pairs reach
+        terms = []
+        # V(T) of every histogram prefix (m_0, ..., m_j), shared by the groups
+        # that extend it; m_0 is always 0, and that prefix is the polynomial 1
+        prefix: dict[tuple[int, ...], list[int]] = {(0,): [1] + [0] * (M - 1)}
+        for m, size in _distance_groups(d, M).items():
+            pairs = [(k, mk) for k, mk in enumerate(m) if k and mk]
+            for k, mk in enumerate(m[1:], 1):
+                if m[: k + 1] not in prefix:
+                    v = prefix[m[:k]]
+                    for _ in range(mk):
+                        v = _mul_symmetric(v, 2, [(k, -1)])
+                    prefix[m[: k + 1]] = v
+            term = [size * c for c in prefix[m]]
+            low = min(term)
+            if low < 0:
+                term = [t - low for t in term]
             self.factors.append(pairs)
-            self.terms.append(term)
+            terms.append(term)
+        self.bound = sum(map(sum, terms))  # the summed terms' coefficient sum, norm d^(2n)
         self.phi = _cyclotomic(M)
         self.den = d * M ** (d - 1)  # N = c * M / (d * M^d)
-        self.values = [_count_from_terms(self.terms, self.phi, self.den)]
+        self._pack(terms)
+        self.values = [_count_from_terms([self._unpack(sum(self.packed))], self.phi, self.den)]
+
+    def _pack(self, terms) -> None:
+        """Pack the terms with K = the bits of the bound plus a quarter."""
+        bits = self.bound.bit_length()
+        K = self.K = bits + bits // 4
+        self.packed = [sum(c << i * K for i, c in enumerate(t)) for t in terms]
+        self.shifts = [
+            [(k * K, (self.M - k) * K, mk) for k, mk in pairs] for pairs in self.factors
+        ]
+
+    def _unpack(self, packed: int) -> list[int]:
+        field = (1 << self.K) - 1
+        return [packed >> i * self.K & field for i in range(self.M)]
 
     def step(self) -> None:
-        terms = [_mul_symmetric(t, self.d, f) for t, f in zip(self.terms, self.factors)]
-        self.values.append(_count_from_terms(terms, self.phi, self.den))
-        self.terms = terms
+        self.bound *= self.d * self.d
+        if self.bound.bit_length() > self.K:
+            self._pack([self._unpack(p) for p in self.packed])
+        d, width = self.d, self.K * self.M
+        mask = (1 << width) - 1
+        packed = []
+        for p, shifts in zip(self.packed, self.shifts):
+            wide = 0  # the x^k and x^-k products, before folding x^M = 1
+            for up, down, mk in shifts:
+                wide += mk * ((p << up) + (p << down))
+            packed.append(d * p + (wide & mask) + (wide >> width))
+        self.packed = packed
+        total = self._unpack(sum(packed))
+        self.values.append(_count_from_terms([total], self.phi, self.den))
 
 
 def _count_from_terms(terms, phi: list[int], den: int) -> int:

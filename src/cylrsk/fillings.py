@@ -9,7 +9,6 @@ flipped on input to this bottom-up convention.
 
 from dataclasses import dataclass
 from itertools import chain, compress
-from operator import itemgetter
 
 from .errors import DomainError, FormatError, decode
 from .partitions import Part, as_partition, conjugate, format_partition, parse_partition, strict_int
@@ -211,12 +210,17 @@ def _heaviest_chain(cells, before, weight):
         parent.append(p)
         if s > best:
             best, end = s, i
+    return best, _chain_to(cells, parent, end)
+
+
+def _chain_to(cells, parent: list[int | None], end: int | None) -> list:
+    """The cells of the chain ending at index end, following parent links."""
     chain = []
     while end is not None:
         chain.append(cells[end])
         end = parent[end]
     chain.reverse()
-    return best, chain
+    return chain
 
 
 def _strictly_se(a, b) -> bool:
@@ -224,9 +228,34 @@ def _strictly_se(a, b) -> bool:
 
 
 def ne_chain_witness(f: Filling, sub: Part | None = None):
-    """Longest NE-chain value plus one witnessing chain of (col, row, entry)."""
+    """Longest NE-chain value plus one witnessing chain of (col, row, entry).
+
+    The chain is the one _heaviest_chain finds over the cells in (col, row)
+    order, where an earlier cell precedes a later one exactly when its row is
+    not higher.  A Fenwick tree over rows keeps the largest (score, -index)
+    of the cells so far at or below each row, so each cell finds its earliest
+    best predecessor in O(log rows).
+    """
     cells = sorted(_restrict_cells(f, sub), key=lambda t: (t[0], t[1]))
-    return _heaviest_chain(cells, lambda a, b: a[0] <= b[0] and a[1] <= b[1], itemgetter(2))
+    rows = max((r for _, r, _ in cells), default=0)
+    tree = [(0, 0)] * (rows + 1)  # rows are 1-based; scores are positive
+    best, end = 0, None
+    parent: list[int | None] = []
+    for i, (_, r, v) in enumerate(cells):
+        top, k = (0, 0), r
+        while k:
+            if tree[k] > top:
+                top = tree[k]
+            k &= k - 1
+        parent.append(-top[1] if top[0] else None)
+        here, k = (top[0] + v, -i), r
+        while k <= rows:
+            if tree[k] < here:
+                tree[k] = here
+            k += k & -k
+        if here[0] > best:
+            best, end = here[0], i
+    return best, _chain_to(cells, parent, end)
 
 
 def longest_se_chain(f: Filling, sub: Part | None = None) -> int:

@@ -33,7 +33,8 @@ Which path a map takes depends only on its input:
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from operator import add, ge, sub
+from itertools import compress, count
+from operator import add, ge, ne, sub
 from types import MappingProxyType
 
 from .errors import DomainError, FormatError, InvariantViolation, PatternContainment, decode
@@ -137,9 +138,12 @@ def _side_condition(rule: Rule, bl: Part, entry: int) -> str | None:
 #     tr_1     + bl_n     = m + s_1      (the wrap row)
 #     tr_{i+1} + bl_i     = s_{i+1}      (1 <= i < n)
 #
-# The cyclic rules take n = d.  The plain rule takes n one more than the
-# longer of tl and br; then tl_n = br_n = 0 and, since bl interlaces below
-# them, bl_n = 0, so its wrap row reduces to tr_1 = m + max(tl_1, br_1).
+# The plain rule takes n one more than the longer of tl and br; then
+# tl_n = br_n = 0 and, since bl interlaces below them, bl_n = 0, so its wrap
+# row reduces to tr_1 = m + max(tl_1, br_1).  The cyclic rules take n = d,
+# except that drsk takes the plain rule's n while that is smaller: both
+# labels then have fewer than d parts, every row past n reads 0 = 0, and
+# bl_d = tl_d = br_d = 0 makes the d-row wrap row the plain rule's top row.
 #
 # The private kernels below take labels that are already canonical and
 # already interlacing (bl below tl and br going forward; tl and br below tr
@@ -150,7 +154,9 @@ def _side_condition(rule: Rule, bl: Part, entry: int) -> str | None:
 
 def _row_system(rule: Rule, a: Part, b: Part) -> list[int]:
     """Right-hand sides s of the row equations for upper-left a, lower-right b."""
-    n = rule.d if rule.kind != "rsk" else max(len(a), len(b)) + 1
+    n = max(len(a), len(b)) + 1
+    if rule.kind != "rsk" and n > rule.d:  # skew labels always have d parts
+        n = rule.d
     if len(a) < n:
         a = a + (0,) * (n - len(a))
     if len(b) < n:
@@ -595,7 +601,9 @@ def filling_of(rule: Rule, shape: Part, t: OscillatingTableau) -> Filling:
     tails, ups = [[]], []
     for i, ch in enumerate(t.w):
         lo, hi = (seq[i], seq[i + 1]) if ch == PLUS else (seq[i + 1], seq[i])
-        s = (_added_row(lo, hi) or 0) - 1
+        # the tableau is valid and the step changes the size by at most 1, so
+        # hi is lo or lo plus one box, in the first row where they differ
+        s = -1 if lo == hi else next(compress(count(), map(ne, lo, hi)), len(lo))
         if ch == PLUS:
             ups.append(s)
             tails.append([])

@@ -43,6 +43,26 @@ def test_grow_and_ungrow_round_trip(capsys, tmp_path, grid7_file):
     assert out3 == out
 
 
+def test_drsk_round_trip_at_a_huge_degree(capsys, tmp_path, grid7_file):
+    # the labels have at most 7 parts, so drsk solves at most 8 rows per
+    # cell whatever d is, and agrees with the plain rule
+    huge = ("--rule", "drsk", "--d", "1000000")
+    code, out, _ = run(capsys, "grow", *huge, grid7_file)
+    assert code == 0
+    dump, tableau_text = out.rstrip("\n").split("\n\n")
+    _, plain, _ = run(capsys, "grow", "--rule", "rsk", grid7_file)
+    plain_dump, plain_tableau = plain.rstrip("\n").split("\n\n")
+    assert tableau_text == plain_tableau
+    assert dump.splitlines()[1:] == plain_dump.splitlines()[1:]
+    t_file, d_file = tmp_path / "boundary.tab", tmp_path / "diagram.dump"
+    t_file.write_text(tableau_text + "\n")
+    d_file.write_text(dump + "\n")
+    code, back, _ = run(capsys, "ungrow", *huge, str(t_file))
+    assert code == 0 and parse_filling(back) == GRID7
+    code, out, _ = run(capsys, "check", str(d_file))
+    assert (code, out) == (0, "ok: diagram\n")
+
+
 def test_ungrow_shape_cross_check(capsys, tmp_path, grid7_file):
     _, out, _ = run(capsys, "grow", "--rule", "drsk", "--d", "3", grid7_file)
     tableau_text = out.rstrip("\n").split("\n\n")[1]
@@ -140,6 +160,11 @@ def test_bwx_wilf_rowstrict_verbs(capsys, tmp_path):
     assert code == 0
     moved = tuple(int(v) for v in out.split())
     assert len(moved) == 5
+    # labels of at most 5 parts never reach row d, so a huge d conjugates
+    # them like d = 6 and costs no more
+    code, out, _ = run(capsys, "wilf", "--d", "1000000", "--L", "3", str(perm_file))
+    assert code == 0
+    assert out == run(capsys, "wilf", "--d", "6", "--L", "3", str(perm_file))[1]
 
     rs_file = tmp_path / "rows.tab"
     rs_file.write_text("+-\n[1,1]\n[2,2]\n[2,1]\n")  # cointerlaces, not interlacing

@@ -6,6 +6,7 @@ import pytest
 
 from cylrsk import growth
 from cylrsk.correspond import (
+    _conjugate_label,
     bwx_inverse,
     bwx_map,
     conjugate_standard_pair,
@@ -32,7 +33,13 @@ from cylrsk.fillings import (
     col_sums,
     zero_filling,
 )
-from cylrsk.partitions import as_partition, dl_interlaces
+from cylrsk.partitions import (
+    as_partition,
+    cyl_conjugate,
+    dl_interlaces,
+    partition_to_staircase,
+    staircase_to_partition,
+)
 from cylrsk.tableaux import (
     OscillatingTableau,
     SemistandardTableau,
@@ -408,6 +415,36 @@ def test_conjugate_standard_pair_round_trip():
         q = conjugate_standard_pair(p, 2, 3)
         assert q.is_standard()
         assert conjugate_standard_pair(q, 3, 2) == p
+
+
+def test_label_conjugation_matches_the_padded_staircase_map():
+    rng = random.Random(107)
+    refused = 0
+    for _ in range(4000):
+        d, L = rng.randint(1, 7), rng.randint(1, 7)
+        lam = tuple(sorted((rng.randint(1, L + 3) for _ in range(rng.randint(0, d + 1))), reverse=True))
+        try:
+            expected = staircase_to_partition(cyl_conjugate(partition_to_staircase(lam, d), d, L))
+        except DomainError:
+            refused += 1
+            with pytest.raises(DomainError):
+                _conjugate_label(lam, d, L)
+            continue
+        assert _conjugate_label(lam, d, L) == expected, (lam, d, L)
+    assert 1000 < refused < 3000
+    with pytest.raises(DomainError, match="more than 2 parts"):
+        _conjugate_label((1, 1, 1), 2, 3)
+    with pytest.raises(DomainError, match="width 4"):
+        _conjugate_label((5, 1), 2, 3)
+
+
+def test_wilf_bijection_at_a_huge_degree():
+    # labels of an n-point avoider have at most n parts, so every d > n
+    # conjugates them alike, and the swapped map brings them back
+    for perm in _avoiders(5, 5, 2):
+        moved = wilf_bijection(perm, 10**6, 2)
+        assert moved == wilf_bijection(perm, 6, 2)
+        assert wilf_bijection(moved, 2, 10**6) == perm
 
 
 def _standard_chain(rng, n, d, L):

@@ -7,8 +7,10 @@ import pytest
 
 from cylrsk.counting import (
     BRUTE_LIMIT,
+    _Chains,
     _count_from_terms,
     _cyclotomic,
+    _TrigSum,
     _scan_profiles,
     asymptotic,
     brute_count,
@@ -263,6 +265,51 @@ def test_trig_matches_pairs_on_the_gate_grid():
     }
     for (n, d, L), value in drift.items():
         assert trig_count(n, d, L) == value == tableau_pair_count(n, d, L)
+
+
+def test_trig_matches_pairs_across_repacks():
+    # each repack widens the packed fields; the counts must not notice
+    for d, L, n_max in ((1, 1, 400), (2, 2, 400), (3, 3, 400), (8, 8, 120)):
+        trig, pairs = _TrigSum(d, L), _Chains(d, L)
+        widths = {trig.K}
+        for _ in range(n_max):
+            trig.step()
+            pairs.step()
+            widths.add(trig.K)
+            # |z_T|^2 has coefficient sum d^2, so the bound is the exact sum,
+            # and it must fit in a field
+            assert sum(trig._unpack(sum(trig.packed))) == trig.bound < 1 << trig.K
+        assert trig.values == [pair for _, pair in pairs.values], (d, L)
+        if d > 1:
+            assert len(widths) > 5, (d, L, sorted(widths))
+
+
+def _shape_chain_levels(d, L, n_max):
+    """(chains, same-shape pairs) per size, from a DP over whole shapes."""
+    level = {(): 1}
+    values = [(1, 1)]
+    for _ in range(n_max):
+        nxt = {}
+        for lam, ways in level.items():
+            for i in range(min(len(lam) + 1, d)):
+                mu = lam[:i] + (lam[i] + 1 if i < len(lam) else 1,) + lam[i + 1 :]
+                if i and mu[i] > mu[i - 1]:
+                    continue
+                if mu[0] - (mu[d - 1] if len(mu) == d else 0) > L:
+                    continue
+                nxt[mu] = nxt.get(mu, 0) + ways
+        level = nxt
+        values.append((sum(level.values()), sum(w * w for w in level.values())))
+    return values
+
+
+def test_pair_dp_over_live_classes_matches_a_shape_dp():
+    for d in range(1, 9):
+        for L in range(1, 10 - d):
+            chains = _Chains(d, L)
+            for _ in range(40):
+                chains.step()
+            assert chains.values == _shape_chain_levels(d, L, 40), (d, L)
 
 
 def test_trig_refuses_a_corrupted_remainder():

@@ -6,6 +6,8 @@ import pytest
 from cylrsk.errors import DomainError, FormatError
 from cylrsk.fillings import (
     Filling,
+    _heaviest_chain,
+    _restrict_cells,
     boundary_points,
     boundary_type_sequence,
     col_sums,
@@ -92,6 +94,21 @@ def test_longest_ne_chain_values():
     assert val == 21 == sum(v for (_, _, v) in chain)
     for (c1, r1, _), (c2, r2, _) in zip(chain, chain[1:]):
         assert c2 >= c1 and r2 >= r1 and (c1, r1) != (c2, r2)
+
+
+def test_ne_chain_witness_matches_the_quadratic_chain_dp():
+    rng = random.Random(109)
+    for _ in range(1000):
+        f = random_filling(rng, random_shape(rng, 8, 8), density=0.5)
+        # a random sub-shape: sorting row widths each within its row keeps it inside
+        rows = f.shape[: rng.randint(0, len(f.shape))]
+        sub = tuple(sorted((rng.randint(1, w) for w in rows), reverse=True))
+        for sub in (None, sub):
+            cells = sorted(_restrict_cells(f, sub), key=lambda t: (t[0], t[1]))
+            expected = _heaviest_chain(
+                cells, lambda a, b: a[0] <= b[0] and a[1] <= b[1], lambda t: t[2]
+            )
+            assert ne_chain_witness(f, sub) == expected, (f, sub)
 
 
 def test_longest_se_chain_values():

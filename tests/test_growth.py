@@ -198,6 +198,59 @@ def test_boundary_word_mismatch():
         grow_from_boundary(Rule.rsk(), (2,), t)
 
 
+def _full_row_system(rule, a, b):
+    """The row system with the cyclic rules always solved over all d rows."""
+    n = rule.d if rule.kind != "rsk" else max(len(a), len(b)) + 1
+    a = a + (0,) * (n - len(a))
+    b = b + (0,) * (n - len(b))
+    return [min(a[-1], b[-1]) + max(a[0], b[0])] + [
+        min(x, y) + max(u, v) for x, y, u, v in zip(a, b, a[1:], b[1:])
+    ]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InvariantViolation:
+        return InvariantViolation
+
+
+def test_drsk_cells_solve_only_the_rows_their_labels_use(monkeypatch):
+    rng = random.Random(67)
+    cells, short = [], 0
+    for _ in range(600):
+        d = rng.randint(1, 6)
+        bl = step_up(rng, (), d, bump=4)
+        tl, br = step_up(rng, bl, d), step_up(rng, bl, d)
+        short += max(len(tl), len(br)) + 1 < d
+        rule, entry = Rule.drsk(d), rng.randint(0, 2)
+        # the cell's own top-right label, and a random one above tl and br
+        vec = [max(part(tl, 1), part(br, 1)) + rng.randint(0, 2)]
+        for i in range(2, d + 1):
+            vec.append(rng.randint(max(part(tl, i), part(br, i)), min(part(tl, i - 1), part(br, i - 1))))
+        while vec and vec[-1] == 0:
+            vec.pop()
+        grown = _outcome(growth._forward, rule, bl, tl, br, entry)
+        for tr in ({grown, tuple(vec)} - {InvariantViolation}):
+            cells.append((rule, bl, tl, br, tr, entry))
+    assert short > 200
+
+    def solve_all():
+        return [
+            (
+                _outcome(growth._forward, rule, bl, tl, br, entry),
+                _outcome(growth._backward, rule, tl, br, tr),
+                growth._holds(rule, bl, tl, br, tr, entry),
+            )
+            for rule, bl, tl, br, tr, entry in cells
+        ]
+
+    got = solve_all()
+    assert sum(holds for _, _, holds in got) > 300
+    monkeypatch.setattr(growth, "_row_system", _full_row_system)
+    assert solve_all() == got
+
+
 def test_large_degree_matches_plain_rule():
     rng = random.Random(61)
     for _ in range(25):
