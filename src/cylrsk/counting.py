@@ -23,7 +23,7 @@ import threading
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, compress
+from itertools import chain, combinations_with_replacement, compress
 
 from .errors import DomainError, InvariantViolation
 
@@ -147,7 +147,11 @@ class _Chains:
     """
 
     def __init__(self, d: int, L: int):
-        parts = combinations_with_replacement(range(L + 1), d - 1)
+        # C(M - 1, d - 1) <= C(M, d): refused only where the trig sum is too
+        if math.comb(L + d - 1, d - 1) > TRIG_TERM_BUDGET:
+            raise DomainError(f"pair DP over C({L + d - 1},{d - 1}) shapes exceeds budget")
+        # at d = 1 the one reduced shape is (), whatever L is
+        parts = combinations_with_replacement(range(L + 1) if d > 1 else (), d - 1)
         classes: list[list[tuple[int, ...]]] = [[] for _ in range(d)]
         for c in parts:
             classes[sum(c) % d].append(tuple(reversed(c)))
@@ -329,7 +333,7 @@ class _TrigSum:
         self.phi = _cyclotomic(M)
         self.den = d * M ** (d - 1)  # N = c * M / (d * M^d)
         self._pack(terms)
-        self.values = [_count_from_terms([self._unpack(sum(self.packed))], self.phi, self.den)]
+        self.values = [_count_from_terms(self._unpack(sum(self.packed)), self.phi, self.den)]
 
     def _pack(self, terms) -> None:
         """Pack the terms with K = the bits of the bound plus a quarter."""
@@ -357,13 +361,12 @@ class _TrigSum:
                 wide += mk * ((p << up) + (p << down))
             packed.append(d * p + (wide & mask) + (wide >> width))
         self.packed = packed
-        total = self._unpack(sum(packed))
-        self.values.append(_count_from_terms([total], self.phi, self.den))
+        self.values.append(_count_from_terms(self._unpack(sum(packed)), self.phi, self.den))
 
 
-def _count_from_terms(terms, phi: list[int], den: int) -> int:
+def _count_from_terms(total: list[int], phi: list[int], den: int) -> int:
     """The count c / den, where c is the constant the summed terms leave mod Phi_M."""
-    _, rem = _divmod_monic([sum(col) for col in zip(*terms)], phi)
+    _, rem = _divmod_monic(total, phi)
     c = rem[0]
     if any(rem[1:]) or c < 0 or c % den:
         raise InvariantViolation(
@@ -403,11 +406,14 @@ def asymptotic(d: int, L: int) -> tuple[float, float]:
     """
     if d < 1 or L < 1:
         raise DomainError(f"d and L must be >= 1, got ({d},{L})")
-    M = d + L
-    rate = (math.sin(math.pi * d / M) / math.sin(math.pi / M)) ** 2
+    # rate and constant are symmetric in (d, L): the smaller one sets the terms
+    M, k = d + L, min(d, L)
+    rate = (math.sin(math.pi * k / M) / math.sin(math.pi / M)) ** 2
     log_constant = math.fsum(
-        [(1 - d) * math.log(M)]
-        + [(d - j) * math.log(4.0 * math.sin(math.pi * j / M) ** 2) for j in range(1, d)]
+        chain(
+            [(1 - k) * math.log(M)],
+            ((k - j) * math.log(4.0 * math.sin(math.pi * j / M) ** 2) for j in range(1, k)),
+        )
     )
     try:
         constant = math.exp(log_constant)

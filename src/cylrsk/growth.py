@@ -113,7 +113,7 @@ def _bounded_label(rule: Rule, q: Part) -> Part:
     return q
 
 
-def _validate_entry(rule: Rule, entry: int) -> int:
+def _validate_entry(entry: int) -> int:
     entry = strict_int(entry)
     if entry < 0:
         raise DomainError(f"cell entry must be nonnegative, got {entry}")
@@ -237,7 +237,7 @@ def _to_partition(vec) -> Part:
 def check_cell(rule: Rule, bl, tl, br, tr, entry: int) -> bool:
     """True iff the five pieces of cell data satisfy the rule."""
     bl, tl, br, tr = (_validate_label(rule, p) for p in (bl, tl, br, tr))
-    entry = _validate_entry(rule, entry)
+    entry = _validate_entry(entry)
     return (
         interlaces(bl, tl)
         and interlaces(bl, br)
@@ -250,7 +250,7 @@ def check_cell(rule: Rule, bl, tl, br, tr, entry: int) -> bool:
 def grow_forward_cell(rule: Rule, bl, tl, br, entry: int) -> Part:
     """The unique top-right label completing the cell under the rule."""
     bl, tl, br = (_validate_label(rule, p) for p in (bl, tl, br))
-    entry = _validate_entry(rule, entry)
+    entry = _validate_entry(entry)
     if not (interlaces(bl, tl) and interlaces(bl, br)):
         raise DomainError(f"{bl} does not interlace below {tl} and {br}")
     why = _side_condition(rule, bl, entry)
@@ -466,7 +466,7 @@ def classify_rs_cell(rule: Rule, bl, tl, br, tr, entry: int) -> str:
     rule matches.
     """
     bl, tl, br, tr = (_validate_label(rule, p) for p in (bl, tl, br, tr))
-    entry = _validate_entry(rule, entry)
+    entry = _validate_entry(entry)
     for lo, hi, edge in ((bl, tl, "left"), (bl, br, "bottom"), (tl, tr, "top"), (br, tr, "right")):
         if abs(sum(hi) - sum(lo)) > 1:
             raise DomainError(f"size jumps by more than 1 across the {edge} edge")

@@ -16,8 +16,6 @@ from .partitions import (
     as_partition,
     as_staircase,
     cointerlaces,
-    dl_cointerlaces,
-    dl_interlaces,
     format_partition,
     interlaces,
     mcw_pair,
@@ -58,22 +56,13 @@ def mcw_sequence(seq, d: int) -> int:
     )
 
 
-def _first_bad_step(w: str, seq, ok, *args) -> int | None:
-    """First step (1-based) whose operands, lower first, fail ok(lo, hi, *args)."""
+def _first_bad_step(w: str, seq, ok) -> int | None:
+    """First step (1-based) whose operands, lower first, fail ok(lo, hi)."""
     for i, ch in enumerate(w, 1):
         lo, hi = (seq[i], seq[i - 1]) if ch == MINUS else (seq[i - 1], seq[i])
-        if not ok(lo, hi, *args):
+        if not ok(lo, hi):
             return i
     return None
-
-
-def cylindric_violation(w: str, seq, d: int, L: int) -> int | None:
-    """First step failing width-bounded interlacing at (d, L), else None."""
-    return _first_bad_step(w, seq, dl_interlaces, d, L)
-
-
-def cylindric_cointerlacing_violation(w: str, seq, d: int, L: int) -> int | None:
-    return _first_bad_step(w, seq, dl_cointerlaces, d, L)
 
 
 def max_constituent_width(seq, d: int) -> int:
@@ -135,11 +124,21 @@ class _Tableau:
     def _cylindric_step(self, dl):
         """(d, L) and the first step that is not (d, L)-cylindric, or None.
 
-        Skew tableaux carry their degree, so they are given L alone.
+        Construction checked every step's (co)interlacing, so only the upper
+        operand's length and the width remain.  Skew tableaux are given L alone.
         """
-        dl = (self.d, *dl) if isinstance(self, _Skew) else dl
-        ok = dl_cointerlaces if self._co else dl_interlaces
-        return dl, _first_bad_step(self.w, self.seq, ok, *dl)
+        d, L = dl = (self.d, *dl) if isinstance(self, _Skew) else dl
+        if d < 1:
+            raise DomainError(f"degree must be positive, got {d}")
+
+        def ok(lo, hi):
+            if len(hi) > d:
+                return False
+            if self._co:
+                return max(part(lo, 1) - part(lo, d), part(hi, 1) - part(hi, d)) <= L
+            return part(hi, 1) - part(lo, d) <= L
+
+        return dl, _first_bad_step(self.w, self.seq, ok)
 
     def is_cylindric(self, *dl) -> bool:
         return self._cylindric_step(dl)[1] is None
@@ -170,6 +169,12 @@ class _Chain(_Tableau):
         return self.seq[-1]
 
     weight = _Tableau.wt_plus
+
+    def reverse(self):
+        """A chain with steps has no reverse: read backwards it descends."""
+        if len(self.seq) > 1:
+            raise DomainError("an ascending chain read backwards is not a chain")
+        return self
 
 
 class _Skew(_Tableau):

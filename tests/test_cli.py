@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import resource
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -281,6 +285,40 @@ def test_render_verb(capsys, tmp_path):
     d_file.write_text(format_diagram(g) + "\n")
     code, out, _ = run(capsys, "render", str(d_file))
     assert code == 0 and "9,9,5" in out
+
+
+def _cap_address_space():
+    cap = 1_500_000 * 1024  # 1.5 GB: a state table for a huge d or L fails fast
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+@pytest.mark.parametrize(
+    "argv, code, out",
+    [
+        ("count --routes pairs --n-max 3 --d 100000000 --L 1", 2, ""),
+        (
+            "count --routes pairs --n-max 3 --d 1 --L 100000000",
+            0,
+            "1      1     ok\n2      1     ok\n3      1     ok\n",
+        ),
+        ("count --routes pairs --n-max 3 --d 40 --L 40", 2, ""),
+        ("asym --d 100000000 --L 1", 0, "rate 1.0\nconstant 1.0\n"),
+    ],
+)
+def test_huge_parameters_end_at_once_in_bounded_memory(argv, code, out):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "cylrsk.cli", *argv.split()],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=20,
+        preexec_fn=_cap_address_space,
+    )
+    assert done.returncode == code, done.stderr
+    assert out in done.stdout and "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ") == (code == 2)
 
 
 def test_bad_flags_exit_3(capsys, tmp_path):

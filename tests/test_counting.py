@@ -5,6 +5,7 @@ from itertools import permutations
 
 import pytest
 
+from cylrsk import counting
 from cylrsk.counting import (
     BRUTE_LIMIT,
     _Chains,
@@ -151,13 +152,39 @@ def test_asymptotic_constant_is_a_normal_float_or_refused():
     for d, L in ((100, 1), (1, 100)):
         assert asymptotic(d, L)[1] == pytest.approx(1.0, rel=1e-9)
     assert asymptotic(40, 40)[1] == pytest.approx(2.0725726e-295, rel=1e-6)
-    # the Wilf bijection makes the (d, L) and (L, d) classes the same size
+    # the Wilf bijection makes the (d, L) and (L, d) classes the same size;
+    # asymptotic sums over the smaller parameter, the oracle over j < d
     for d in range(1, 41):
         for L in range(1, 41):
             (r1, c1), (r2, c2) = asymptotic(d, L), asymptotic(L, d)
             assert r1 == pytest.approx(r2, rel=1e-12) and c1 == pytest.approx(c2, rel=1e-9)
+            M = d + L
+            log_c = math.fsum(
+                [(1 - d) * math.log(M)]
+                + [(d - j) * math.log(4 * math.sin(math.pi * j / M) ** 2) for j in range(1, d)]
+            )
+            rate = (math.sin(math.pi * d / M) / math.sin(math.pi / M)) ** 2
+            assert r1 == pytest.approx(rate, rel=1e-12)
+            assert c1 == pytest.approx(math.exp(log_c), rel=1e-9)
     with pytest.raises(DomainError, match="not a normal float"):
         asymptotic(200, 200)
+
+
+def test_pair_route_refuses_only_where_the_trig_sum_does(monkeypatch):
+    # C(M - 1, d - 1) <= C(M, d), so under any budget the pair DP's refusals
+    # are among the trig sum's; huge parameters are run in test_cli, capped
+    monkeypatch.setattr(counting, "TRIG_TERM_BUDGET", 40)
+    refused = {"pairs": set(), "trig": set()}
+    for d in range(1, 8):
+        for L in range(1, 8):
+            for name, route in (("pairs", _Chains), ("trig", lambda d, L: trig_count(1, d, L))):
+                try:
+                    route(d, L)
+                except DomainError as exc:
+                    assert "exceeds budget" in str(exc)
+                    refused[name].add((d, L))
+    assert (4, 5) in refused["pairs"] and (1, 7) not in refused["pairs"]
+    assert refused["pairs"] < refused["trig"]
 
 
 def test_asymptotic_tracks_exact_counts():
@@ -237,8 +264,6 @@ def _descending_threshold(perm):
 
 
 def test_scan_matches_per_permutation_oracle():
-    from cylrsk import counting
-
     counting._PROFILE_CACHE.clear()
     _scan_profiles(7)  # one walk fills every level up to 7
     for n in range(1, 8):
@@ -317,16 +342,14 @@ def test_trig_refuses_a_corrupted_remainder():
     assert phi == [1, -1, 1]
     den = 3 * 6**2  # d * M^(d-1) at (d, L) = (3, 3)
     good = [5 * den, 0, 0, 0, 0, 0]
-    assert _count_from_terms([good], phi, den) == 5
-    assert _count_from_terms([good, [1, 0, 0, 1, 0, 0]], phi, den) == 5  # x^3 + 1 = 0
+    assert _count_from_terms(good, phi, den) == 5
+    assert _count_from_terms([den * 5 + 1, 0, 0, 1, 0, 0], phi, den) == 5  # x^3 + 1 = 0
     for bad in ([0, 1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0], [-6 * den, 0, 0, 0, 0, 0]):
         with pytest.raises(InvariantViolation):
-            _count_from_terms([good, bad], phi, den)
+            _count_from_terms([g + b for g, b in zip(good, bad)], phi, den)
 
 
 def test_pair_counts_agree_across_threads_on_a_cold_cache():
-    from cylrsk import counting
-
     ns = (117, 118, 119, 120)
     counting._CHAIN_CACHE.clear()
     counting._TRIG_CACHE.clear()

@@ -3,15 +3,18 @@ import random
 import pytest
 
 from cylrsk.errors import DomainError, FormatError
-from cylrsk.partitions import cyl_conjugate, partition_to_staircase
+from cylrsk.partitions import (
+    cyl_conjugate,
+    dl_cointerlaces,
+    dl_interlaces,
+    partition_to_staircase,
+)
 from cylrsk.tableaux import (
     OscillatingTableau,
     RowStrictTableau,
     SemistandardTableau,
     SkewOscillatingTableau,
     SkewRowStrictTableau,
-    cylindric_cointerlacing_violation,
-    cylindric_violation,
     format_oscillating,
     format_skew,
     format_ssyt,
@@ -25,7 +28,13 @@ from cylrsk.tableaux import (
     weight_minus,
     weight_plus,
 )
-from conftest import random_oscillating_seq, random_skew_seq, random_word
+from conftest import (
+    random_oscillating_seq,
+    random_skew_seq,
+    random_staircase,
+    random_word,
+    step_up,
+)
 from worked_examples import GRID7_BOUNDARY, GRID7_WORD, SSYT_CHAIN
 
 BOUNDARY = OscillatingTableau(GRID7_WORD, GRID7_BOUNDARY)
@@ -84,9 +93,6 @@ def test_mcw_is_least_accepted_width():
         seq = random_oscillating_seq(rng, w, d)
         t = OscillatingTableau(w, seq)
         m = t.mcw(d)
-        assert cylindric_violation(w, seq, d, m) is None
-        if m > 0:
-            assert cylindric_violation(w, seq, d, m - 1) is not None
         assert t.is_cylindric(d, m) and (m == 0 or not t.is_cylindric(d, m - 1))
 
 
@@ -140,6 +146,14 @@ def test_reverse():
     assert pal.reverse() == pal
 
 
+def test_chains_have_no_reverse():
+    for chain in (SemistandardTableau(SSYT_CHAIN), RowStrictTableau(((), (1,)))):
+        with pytest.raises(DomainError, match="not a chain"):
+            chain.reverse()
+    empty = SemistandardTableau(((),))
+    assert empty.reverse() == empty
+
+
 def test_row_strict_and_skew_validators():
     RowStrictTableau(((), (1, 1), (2, 2)))
     with pytest.raises(DomainError):
@@ -190,12 +204,12 @@ def test_conjugation_duality_for_cylindric_sequences():
         d, L = rng.randint(1, 3), rng.randint(1, 4)
         w = random_word(rng, rng.randint(1, 3), rng.randint(1, 3))
         seq = random_oscillating_seq(rng, w, d)
-        if cylindric_violation(w, seq, d, L) is not None:
+        if not OscillatingTableau(w, seq).is_cylindric(d, L):
             continue
         done += 1
         stairs = tuple(partition_to_staircase(p, d) for p in seq)
         conj = tuple(cyl_conjugate(s, d, L) for s in stairs)
-        assert cylindric_cointerlacing_violation(w, conj, L, d) is None
+        assert SkewRowStrictTableau(L, w, conj).is_cylindric(d)
         assert weight_plus(w, conj) == weight_plus(w, seq)
         assert weight_minus(w, conj) == weight_minus(w, seq)
 
@@ -228,3 +242,91 @@ def test_text_round_trips():
         parse_ssyt("[1]\n[2]")
     with pytest.raises(FormatError):
         parse_oscillating("+-\n[]\n[1]\n[1]")  # endpoint violation surfaces as format
+
+
+def _cointerlacing_step(rng, lam, up):
+    """A random staircase whose parts differ from lam's by 0 or 1, above or below it."""
+    sign = 1 if up else -1
+    while True:
+        out = tuple(x + sign * rng.randint(0, 1) for x in lam)
+        if all(a >= b for a, b in zip(out, out[1:])):
+            return out
+
+
+def _random_chain(rng, co):
+    """Ascending chain from the empty partition with at most 4 parts per label."""
+    lam, seq = (), [()]
+    for _ in range(rng.randint(0, 5)):
+        if co:
+            lam = tuple(x for x in _cointerlacing_step(rng, lam + (0,) * (4 - len(lam)), True) if x)
+        else:
+            lam = step_up(rng, lam, 4, bump=2)
+        seq.append(lam)
+    return tuple(seq)
+
+
+def _random_tableau(rng):
+    """A random tableau of one of the five classes, labels of up to 4 parts."""
+    kind = rng.randrange(5)
+    w = random_word(rng, rng.randint(0, 3), rng.randint(0, 3))
+    if kind == 0:
+        return OscillatingTableau(w, random_oscillating_seq(rng, w, 4, bump=2))
+    if kind in (1, 2):
+        return (SemistandardTableau, RowStrictTableau)[kind - 1](_random_chain(rng, kind == 2))
+    d = rng.randint(1, 3)
+    if kind == 3:
+        return SkewOscillatingTableau(d, w, random_skew_seq(rng, d, w, bump=2))
+    seq = [random_staircase(rng, d, -2, 2)]
+    for ch in w:
+        seq.append(_cointerlacing_step(rng, seq[-1], ch == "+"))
+    return SkewRowStrictTableau(d, w, tuple(seq))
+
+
+def _full_step_scan(t, d, L):
+    """First step failing dl_interlaces or dl_cointerlaces at (d, L), else None."""
+    co = isinstance(t, (RowStrictTableau, SkewRowStrictTableau))
+    for i, ch in enumerate(t.w, 1):
+        lo, hi = (t.seq[i], t.seq[i - 1]) if ch == "-" else (t.seq[i - 1], t.seq[i])
+        if not (dl_cointerlaces if co else dl_interlaces)(lo, hi, d, L):
+            return i
+    return None
+
+
+def test_is_cylindric_agrees_with_the_full_step_scan():
+    # the width test relies on construction having checked each step, so the
+    # full scan (degree, (co)interlacing and width) is the oracle; a label
+    # with more than d parts, where the scan raises, fails the test instead
+    rng = random.Random(41)
+    seen = {True: 0, False: 0, "long": 0}
+    for _ in range(1500):
+        t = _random_tableau(rng)
+        skew = isinstance(t, (SkewOscillatingTableau, SkewRowStrictTableau))
+        d, L = (t.d if skew else rng.randint(1, 3)), rng.randint(0, 5)
+        dl = (L,) if skew else (d, L)
+        if t.max_length() > d:
+            seen["long"] += 1
+            assert not t.is_cylindric(*dl)
+            with pytest.raises(DomainError, match="step"):
+                t.require_cylindric(*dl)
+            continue
+        bad = _full_step_scan(t, d, L)
+        seen[bad is None] += 1
+        assert t.is_cylindric(*dl) == (bad is None), (t, d, L)
+        if bad is not None:
+            with pytest.raises(DomainError, match=f"step {bad}: "):
+                t.require_cylindric(*dl)
+    assert min(seen.values()) > 100, seen
+
+
+def test_a_label_longer_than_d_is_not_cylindric():
+    cases = (
+        (SemistandardTableau(((), (1,), (1, 1), (1, 1, 1))), (2, 5), 3),
+        (OscillatingTableau("++--", ((), (1,), (1, 1), (1,), ())), (1, 9), 2),
+        (RowStrictTableau(((), (1,), (1, 1))), (1, 9), 2),
+    )
+    for t, dl, step in cases:
+        assert not t.is_cylindric(*dl)
+        with pytest.raises(DomainError, match=f"step {step}: .* is not"):
+            t.require_cylindric(*dl)
+        with pytest.raises(DomainError, match="degree must be positive"):
+            t.is_cylindric(0, dl[1])
