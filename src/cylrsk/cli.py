@@ -309,86 +309,50 @@ TO_JSON = {
 }
 
 
+def _flag(*names, **kwargs):
+    return names, kwargs
+
+
+_RULE = [_flag("--rule", choices=("rsk", "drsk"), required=True), _flag("--d", type=int)]
+_D, _L, _N_MAX = (_flag(name, type=int, required=True) for name in ("--d", "--L", "--n-max"))
+_INVERSE = _flag("--inverse", action="store_true")
+_TO = _flag("--to", required=True, help="target direction word over +-")
+_FILE = _flag("file")
+
+# name, function, help, and the verb's arguments in order (--json comes first)
+VERBS = (
+    ("grow", _cmd_grow, "filling -> diagram dump + boundary tableau", [*_RULE, _FILE]),
+    ("ungrow", _cmd_ungrow, "boundary tableau -> filling", [
+        *_RULE, _flag("--shape", help="optional cross-check against the word-derived shape"), _FILE,
+    ]),
+    ("rsk", _cmd_rsk, "filling <-> oscillating tableau at degree d", [_D, _INVERSE, _FILE]),
+    ("cylrsk", _cmd_cylrsk, "rectangular filling <-> tableau pair", [_D, _L, _INVERSE, _FILE]),
+    ("rs", _cmd_rs, "permutation <-> standard tableau pair", [_D, _L, _INVERSE, _FILE]),
+    ("skew-retype", _cmd_skew_retype, "transport a skew tableau to a new word", [_TO, _FILE]),
+    ("conjugate", _cmd_conjugate, "cylindric conjugation of a staircase", [_D, _L, _FILE]),
+    ("bwx", _cmd_bwx, "pattern-avoiding filling <-> chain-bounded filling", [_D, _INVERSE, _FILE]),
+    ("wilf", _cmd_wilf, "map an avoider to the swapped-bound class", [_D, _L, _FILE]),
+    ("rowstrict-retype", _cmd_rowstrict_retype,
+     "transport a width-bounded row-strict skew tableau", [_L, _TO, _FILE]),
+    ("count", _cmd_count, "avoider counts per route", [
+        _D, _L, _N_MAX, _flag("--routes", default="brute,pairs,trig"),
+        _flag("--csv", action="store_true"),
+    ]),
+    ("asym", _cmd_asym, "growth rate and leading constant", [_D, _L]),
+    ("check", _cmd_check, "validate any input artifact", [_FILE]),
+    ("render", _cmd_render, "monospace grid of a diagram dump", [_FILE]),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cylrsk", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name, fn, text, args in VERBS:
+        p = sub.add_parser(name, help=text)
         p.set_defaults(func=fn)
         p.add_argument("--json", action="store_true", help="emit the JSON mirror")
-        return p
-
-    p = add("grow", _cmd_grow, help="filling -> diagram dump + boundary tableau")
-    p.add_argument("--rule", choices=("rsk", "drsk"), required=True)
-    p.add_argument("--d", type=int)
-    p.add_argument("file")
-
-    p = add("ungrow", _cmd_ungrow, help="boundary tableau -> filling")
-    p.add_argument("--rule", choices=("rsk", "drsk"), required=True)
-    p.add_argument("--d", type=int)
-    p.add_argument("--shape", help="optional cross-check against the word-derived shape")
-    p.add_argument("file")
-
-    p = add("rsk", _cmd_rsk, help="filling <-> oscillating tableau at degree d")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--inverse", action="store_true")
-    p.add_argument("file")
-
-    p = add("cylrsk", _cmd_cylrsk, help="rectangular filling <-> tableau pair")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--inverse", action="store_true")
-    p.add_argument("file")
-
-    p = add("rs", _cmd_rs, help="permutation <-> standard tableau pair")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--inverse", action="store_true")
-    p.add_argument("file")
-
-    p = add("skew-retype", _cmd_skew_retype, help="transport a skew tableau to a new word")
-    p.add_argument("--to", required=True, help="target direction word over +-")
-    p.add_argument("file")
-
-    p = add("conjugate", _cmd_conjugate, help="cylindric conjugation of a staircase")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("file")
-
-    p = add("bwx", _cmd_bwx, help="pattern-avoiding filling <-> chain-bounded filling")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--inverse", action="store_true")
-    p.add_argument("file")
-
-    p = add("wilf", _cmd_wilf, help="map an avoider to the swapped-bound class")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("file")
-
-    p = add("rowstrict-retype", _cmd_rowstrict_retype,
-            help="transport a width-bounded row-strict skew tableau")
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--to", required=True, help="target direction word over +-")
-    p.add_argument("file")
-
-    p = add("count", _cmd_count, help="avoider counts per route")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--routes", default="brute,pairs,trig")
-    p.add_argument("--csv", action="store_true")
-
-    p = add("asym", _cmd_asym, help="growth rate and leading constant")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--L", type=int, required=True)
-
-    p = add("check", _cmd_check, help="validate any input artifact")
-    p.add_argument("file")
-
-    p = add("render", _cmd_render, help="monospace grid of a diagram dump")
-    p.add_argument("file")
-
+        for names, kwargs in args:
+            p.add_argument(*names, **kwargs)
     return parser
 
 

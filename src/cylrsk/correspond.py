@@ -11,7 +11,8 @@ whose every step changes the size by at most 1, is swept as step words and
 builds no growth diagram; any other goes through the partition kernel.  So
 ``cylindric_rs``, its inverse, ``wilf_bijection``, and ``bwx_map`` and
 ``bwx_inverse`` on permutation fillings build no diagram.  The skew maps
-always grow one.
+always grow one.  ``conjugate_standard_pair`` conjugates a chain one unit
+step at a time through the unit-step codec of ``tableaux``.
 """
 
 from .errors import ChainBoundExceeded, DomainError, InvariantViolation
@@ -32,6 +33,8 @@ from .tableaux import (
     SkewRowStrictTableau,
     join_pair,
     split_pair,
+    step_rows,
+    unit_walk,
 )
 
 
@@ -176,32 +179,23 @@ def bwx_inverse(f: Filling, d: int) -> Filling:
     return drsk_inverse(f.shape, t, d)
 
 
-def _conjugate_label(lam: Part, d: int, L: int) -> Part:
-    """cyl_conjugate of lam padded to a degree-d staircase, without the padding.
-
-    Part j of the conjugate is max over r < len(lam) of
-    d floor((lam_r - j) / L) + r + 1, for j = 1..min(L, lam_1): the padded
-    rows, and every part past lam_1, give at most 0.
-    """
-    if len(lam) > d:
-        raise DomainError(f"partition {lam} has more than {d} parts")
-    top = lam[0] if lam else 0
-    width = top - lam[d - 1] if len(lam) == d else top
-    if width > L:
-        raise DomainError(f"partition {lam} is not ({d},{L})-bounded: width {width}")
-    return tuple(
-        max(d * ((x - j) // L) + r + 1 for r, x in enumerate(lam))
-        for j in range(1, min(L, top) + 1)
-    )
-
-
 def conjugate_standard_pair(
     p: SemistandardTableau, d: int, L: int
 ) -> SemistandardTableau:
-    """Elementwise boundary-path conjugation of a width-bounded standard chain."""
+    """Boundary-path conjugation of a width-bounded chain of unit steps.
+
+    Conjugation reflects each label's periodic boundary path, so a step
+    that adds a box in column c adds one in row (c - 1) mod L of the
+    conjugate (0-based); a step that keeps its label keeps it.
+    """
     if d < 1 or L < 1:
         raise DomainError(f"d and L must be >= 1, got ({d},{L})")
-    return SemistandardTableau(tuple(_conjugate_label(lam, d, L) for lam in p.seq))
+    p.require_cylindric(d, L)
+    if any(k > 1 for k in p.weight()):
+        raise DomainError(f"conjugation needs steps of at most one box, got weights {p.weight()}")
+    rows = step_rows(p.w, p.seq)
+    conj = [(lam[r] - 1) % L if r >= 0 else -1 for r, lam in zip(rows, p.seq[1:])]
+    return SemistandardTableau(unit_walk((), p.w, conj))
 
 
 def wilf_bijection(perm, d: int, L: int) -> tuple[int, ...]:

@@ -23,19 +23,35 @@ import threading
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement, compress
+from itertools import accumulate, chain, combinations_with_replacement, compress
 
 from .errors import DomainError, InvariantViolation
 
 BRUTE_LIMIT = 10
 TRIG_TERM_BUDGET = 2_000_000
+# bound on C(d + L - 1, d - 1) * n^2: the pair DP's reduced shapes (or the trig
+# sum's subsets containing 0), stepped n times over counts of O(n) digits
+STEP_WORK_BUDGET = 10**10
 
 
-def _check_params(n: int, d: int, L: int) -> None:
+def _check_params(n: int, d: int, L: int, stepped: bool = False) -> None:
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if d < 1 or L < 1:
         raise DomainError(f"d and L must be >= 1, got ({d},{L})")
+    if stepped and _comb_exceeds(d + L - 1, d - 1, STEP_WORK_BUDGET // (n * n)):
+        raise DomainError(f"n = {n} at ({d},{L}) exceeds the work budget of the stepped routes")
+
+
+def _comb_exceeds(n: int, k: int, budget: int) -> bool:
+    """C(n, k) > budget, without computing a huge C(n, k).
+
+    C(n - k + i, i) never falls as i goes up to min(k, n - k), so the
+    products stop as soon as one passes the budget.
+    """
+    k = min(k, n - k)
+    products = accumulate(range(1, k + 1), lambda c, i: c * (n - k + i) // i, initial=1)
+    return any(c > budget for c in products)
 
 
 def _walk(n: int):
@@ -148,7 +164,7 @@ class _Chains:
 
     def __init__(self, d: int, L: int):
         # C(M - 1, d - 1) <= C(M, d): refused only where the trig sum is too
-        if math.comb(L + d - 1, d - 1) > TRIG_TERM_BUDGET:
+        if _comb_exceeds(L + d - 1, d - 1, TRIG_TERM_BUDGET):
             raise DomainError(f"pair DP over C({L + d - 1},{d - 1}) shapes exceeds budget")
         # at d = 1 the one reduced shape is (), whatever L is
         parts = combinations_with_replacement(range(L + 1) if d > 1 else (), d - 1)
@@ -200,13 +216,13 @@ _CHAIN_LOCK = threading.Lock()
 
 def tableau_pair_count(n: int, d: int, L: int) -> int:
     """Number of same-shape pairs of width-bounded standard chains of size n."""
-    _check_params(n, d, L)
+    _check_params(n, d, L, stepped=True)
     return _stepped_value(_CHAIN_CACHE, _CHAIN_LOCK, _Chains, n, d, L)[1]
 
 
 def cylindric_syt_count(n: int, d: int, L: int) -> int:
     """Number of width-bounded standard chains of size n."""
-    _check_params(n, d, L)
+    _check_params(n, d, L, stepped=True)
     return _stepped_value(_CHAIN_CACHE, _CHAIN_LOCK, _Chains, n, d, L)[0]
 
 
@@ -390,11 +406,17 @@ def trig_count(n: int, d: int, L: int) -> int:
     polynomial Phi_M; the remainder must be a constant that the division
     leaves integral, and anything else raises InvariantViolation.
     """
-    _check_params(n, d, L)
+    _check_params(n, d, L, stepped=True)
     M = d + L
-    if math.comb(M, d) > TRIG_TERM_BUDGET:
+    if _comb_exceeds(M, d, TRIG_TERM_BUDGET):
         raise DomainError(f"trigonometric sum over C({M},{d}) subsets exceeds budget")
     return _stepped_value(_TRIG_CACHE, _TRIG_LOCK, _TrigSum, n, d, L)
+
+
+# At k = min(d, L), sin x <= x and M >= 2k bound the log-constant by
+# U(k) = (1 - k) log 2k + sum_{j<k} 2(k - j) log(pi j / k), which falls as k
+# grows and first passes below log(sys.float_info.min) at k = 45 (-715.9)
+ASYM_K_LIMIT = 45
 
 
 def asymptotic(d: int, L: int) -> tuple[float, float]:
@@ -408,6 +430,8 @@ def asymptotic(d: int, L: int) -> tuple[float, float]:
         raise DomainError(f"d and L must be >= 1, got ({d},{L})")
     # rate and constant are symmetric in (d, L): the smaller one sets the terms
     M, k = d + L, min(d, L)
+    if k >= ASYM_K_LIMIT:
+        raise DomainError(f"leading constant at ({d},{L}) is below e**-715, not a normal float")
     rate = (math.sin(math.pi * k / M) / math.sin(math.pi / M)) ** 2
     log_constant = math.fsum(
         chain(
@@ -461,6 +485,8 @@ def count_table(d: int, L: int, n_max: int, routes=("brute", "pairs", "trig")) -
     for name in routes:
         if name not in ROUTES:
             raise DomainError(f"unknown route {name!r}; choose from {sorted(ROUTES)}")
+    if {"pairs", "trig"} & set(routes):
+        _check_params(n_max, d, L, stepped=True)
     if "brute" in routes:
         # the largest n first: it refuses n_max > BRUTE_LIMIT at once, and
         # otherwise its one walk fills the histograms of every smaller n

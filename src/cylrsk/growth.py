@@ -24,8 +24,9 @@ Which path a map takes depends only on its input:
 * ``boundary_of`` and ``filling_of`` (the boundary bijection under rsk and
   drsk) sweep step words and build no diagram when every row and column of
   the filling sums to at most 1, which is when every step of the boundary
-  changes the size by at most 1; any other filling or boundary goes through
-  the partition kernel below.
+  changes the size by at most 1, and write or read the boundary with the
+  unit-step codec of ``tableaux``, as ``classify_rs_cell`` reads a cell;
+  any other filling or boundary goes through the partition kernel below.
 * ``grow_from_filling``, ``grow_from_boundary``, ``grow_skew``, the
   single-cell functions and ``validate_diagram`` always use the partition
   kernel, whatever their input.
@@ -33,8 +34,7 @@ Which path a map takes depends only on its input:
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import compress, count
-from operator import add, ge, ne, sub
+from operator import add, ge, sub
 from types import MappingProxyType
 
 from .errors import DomainError, FormatError, InvariantViolation, PatternContainment, decode
@@ -61,7 +61,7 @@ from .partitions import (
     part,
     strict_int,
 )
-from .tableaux import OscillatingTableau, SkewOscillatingTableau
+from .tableaux import OscillatingTableau, SkewOscillatingTableau, step_rows, unit_walk
 
 
 @dataclass(frozen=True)
@@ -93,10 +93,6 @@ class Rule:
 
     def __str__(self):
         return self.kind if self.kind == "rsk" else f"{self.kind}({self.d})"
-
-
-def _pad(p: Part, n: int) -> list[int]:
-    return list(p) + [0] * (n - len(p))
 
 
 def _validate_label(rule: Rule, p) -> Part:
@@ -436,28 +432,6 @@ def extract_boundary(g: GrowthDiagram, path=None):
 # ---------------------------------------------------------------------------
 # Unit-step case analysis
 
-def _added_row(lo: Part, hi: Part) -> int | None:
-    """Row index (1-based) where hi = lo plus one unit, None when equal."""
-    n = max(len(lo), len(hi))
-    a, b = _pad(lo, n), _pad(hi, n)
-    diffs = [i for i in range(n) if a[i] != b[i]]
-    if not diffs:
-        return None
-    if len(diffs) == 1 and b[diffs[0]] == a[diffs[0]] + 1:
-        return diffs[0] + 1
-    raise InvariantViolation(f"{lo} -> {hi} is not a unit step")
-
-
-def _expect(bl: Part, adds: list[int], tr: Part, tag: str) -> str:
-    n = max([len(bl), len(tr)] + adds)
-    vec = _pad(bl, n)
-    for i in adds:
-        vec[i - 1] += 1
-    if vec != _pad(tr, n):
-        raise InvariantViolation(f"cell does not match any unit-step case near {tag!r}")
-    return tag
-
-
 def classify_rs_cell(rule: Rule, bl, tl, br, tr, entry: int) -> str:
     """Name the unit-step configuration a cell realizes.
 
@@ -472,28 +446,36 @@ def classify_rs_cell(rule: Rule, bl, tl, br, tr, entry: int) -> str:
             raise DomainError(f"size jumps by more than 1 across the {edge} edge")
     if entry > 1:
         raise DomainError(f"unit-step cells carry entry 0 or 1, got {entry}")
-    up = _added_row(bl, tl)
-    right = _added_row(bl, br)
+
+    def walk(rows):  # bl with a box added in each of the 0-based rows
+        return unit_walk(bl, PLUS * len(rows), rows)[-1]
+
+    up, right = (step_rows(PLUS, (bl, hi))[0] for hi in (tl, br))
+    for s, hi in ((up, tl), (right, br)):
+        if walk([s]) != hi:
+            raise InvariantViolation(f"{bl} -> {hi} is not a unit step")
     d = rule.d
     if entry == 1:
         if rule.kind == "skew":
             raise InvariantViolation("skew cells cannot carry entry 1")
-        if up is not None or right is not None:
+        if up >= 0 or right >= 0:
             raise InvariantViolation("entry 1 requires equal bl, tl, br")
         if rule.kind == "drsk" and part(bl, d) != 0:
             raise InvariantViolation(f"new box over {bl} with full last row")
-        return _expect(bl, [1], tr, "new_box")
-    if up is None and right is None:
-        return _expect(bl, [], tr, "empty")
-    if right is None:
-        return _expect(bl, [up], tr, "replay_up")
-    if up is None:
-        return _expect(bl, [right], tr, "replay_right")
-    if up != right:
-        return _expect(bl, [up, right], tr, "independent")
-    if rule.kind != "rsk" and up == d:
-        return _expect(bl, [d, 1], tr, "wrap")
-    return _expect(bl, [up, up + 1], tr, "bump")
+        tag, boxes = "new_box", [0]
+    elif up < 0:
+        tag, boxes = ("empty", []) if right < 0 else ("replay_right", [right])
+    elif right < 0:
+        tag, boxes = "replay_up", [up]
+    elif up != right:
+        tag, boxes = "independent", [up, right]
+    elif rule.kind != "rsk" and up == d - 1:
+        tag, boxes = "wrap", [up, 0]
+    else:
+        tag, boxes = "bump", [up, up + 1]
+    if walk(boxes) != tr:
+        raise InvariantViolation(f"cell does not match any unit-step case near {tag!r}")
+    return tag
 
 
 # ---------------------------------------------------------------------------
@@ -545,9 +527,11 @@ def boundary_of(rule: Rule, filling: Filling) -> OscillatingTableau:
         return extract_boundary(grow_from_filling(rule, filling))
     d, shape = rule.d, filling.shape  # d is 0 under rsk
     line = [-1] * (shape[0] if shape else 0)  # the x-axis
-    ups, tails = [], []  # right step of each row; each line's steps past the next row
+    # the boundary's steps: left along each line's tail past the next row,
+    # then up that row's right edge
+    steps = []
     for row, (width, c) in enumerate(zip(shape, cols), 1):
-        tails.append(line[width:])
+        steps += reversed(line[width:])
         here, a = line[:width], -1
         if c >= 0:
             if d and d - 1 in line[:c]:
@@ -562,26 +546,11 @@ def boundary_of(rule: Rule, filling: Filling) -> OscillatingTableau:
                     here[j] = a = (a + 1) % d if d else a + 1
             except ValueError:
                 pass
-        ups.append(a)
+        steps.append(a)
         line = here
-    tails.append(line)
-    # walk the boundary: left along each line's tail, then up the row's right edge
-    lam, seq = [], [()]
-    for y, tail in enumerate(tails):
-        for s in reversed(tail):
-            if s >= 0:
-                lam[s] -= 1
-                if not lam[-1]:
-                    lam.pop()
-            seq.append(tuple(lam))
-        if y < len(ups):
-            s = ups[y]
-            if s == len(lam):
-                lam.append(1)
-            elif s >= 0:
-                lam[s] += 1
-            seq.append(tuple(lam))
-    return OscillatingTableau(boundary_type_sequence(shape), tuple(seq))
+    steps += reversed(line)
+    w = boundary_type_sequence(shape)
+    return OscillatingTableau(w, unit_walk((), w, steps))
 
 
 def filling_of(rule: Rule, shape: Part, t: OscillatingTableau) -> Filling:
@@ -591,19 +560,14 @@ def filling_of(rule: Rule, shape: Part, t: OscillatingTableau) -> Filling:
     step words, building no diagram; any other goes through
     grow_from_boundary.
     """
-    sizes = list(map(sum, t.seq))
-    if max(map(abs, map(sub, sizes[1:], sizes)), default=0) > 1:
+    if max(t.wt_plus() + t.wt_minus(), default=0) > 1:
         return grow_from_boundary(rule, shape, t).filling
     shape = _boundary_shape(rule, shape, t)
-    d, seq = rule.d, t.seq
+    d = rule.d
     # each line's steps right to left: its tail from the boundary, then the
     # part the row above it fills in; and the step up each row's right edge
     tails, ups = [[]], []
-    for i, ch in enumerate(t.w):
-        lo, hi = (seq[i], seq[i + 1]) if ch == PLUS else (seq[i + 1], seq[i])
-        # the tableau is valid and the step changes the size by at most 1, so
-        # hi is lo or lo plus one box, in the first row where they differ
-        s = -1 if lo == hi else next(compress(count(), map(ne, lo, hi)), len(lo))
+    for ch, s in zip(t.w, step_rows(t.w, t.seq)):
         if ch == PLUS:
             ups.append(s)
             tails.append([])

@@ -8,6 +8,8 @@ Validation is eager at construction; downstream code may assume validity.
 """
 
 from dataclasses import dataclass, replace
+from itertools import compress, count
+from operator import ne
 
 from .errors import DomainError, FormatError, decode
 from .fillings import MINUS, PLUS
@@ -47,6 +49,37 @@ def weight_minus(w: str, seq) -> tuple[int, ...]:
         for i in reversed(range(len(w)))
         if w[i] == MINUS
     )
+
+
+def step_rows(w: str, seq) -> list[int]:
+    """0-based row of each step's box, or -1 for a step that keeps its label.
+
+    A + step adds the box and a - step removes it; the row is the first where
+    the step's two labels, one box apart, differ.
+    """
+    rows = []
+    for ch, a, b in zip(w, seq, seq[1:]):
+        lo, hi = (a, b) if ch == PLUS else (b, a)
+        rows.append(-1 if lo == hi else next(compress(count(), map(ne, lo, hi)), len(lo)))
+    return rows
+
+
+def unit_walk(start, w: str, rows) -> tuple[Part, ...]:
+    """The labels from start along w, with each step's box added or removed.
+
+    A part that falls to 0 is dropped, and a row of -1 keeps the label.  This
+    inverts step_rows on unit steps of partitions, and on + steps of staircases.
+    """
+    lam, seq = list(start), [tuple(start)]
+    for ch, r in zip(w, rows):
+        if r >= 0:
+            if r == len(lam):
+                lam.append(0)
+            lam[r] += 1 if ch == PLUS else -1
+            if ch == MINUS and not lam[-1]:
+                lam.pop()
+        seq.append(tuple(lam))
+    return tuple(seq)
 
 
 def mcw_sequence(seq, d: int) -> int:

@@ -303,6 +303,10 @@ def _cap_address_space():
         ),
         ("count --routes pairs --n-max 3 --d 40 --L 40", 2, ""),
         ("asym --d 100000000 --L 1", 0, "rate 1.0\nconstant 1.0\n"),
+        ("count --routes pairs --d 2 --L 3 --n-max 100000000", 2, ""),
+        ("count --routes pairs --d 100000000 --L 100000000 --n-max 3", 2, ""),
+        ("count --routes trig --d 100000000 --L 100000000 --n-max 3", 2, ""),
+        ("asym --d 100000000 --L 100000000", 2, ""),
     ],
 )
 def test_huge_parameters_end_at_once_in_bounded_memory(argv, code, out):

@@ -6,7 +6,6 @@ import pytest
 
 from cylrsk import growth
 from cylrsk.correspond import (
-    _conjugate_label,
     bwx_inverse,
     bwx_map,
     conjugate_standard_pair,
@@ -417,25 +416,48 @@ def test_conjugate_standard_pair_round_trip():
         assert conjugate_standard_pair(q, 3, 2) == p
 
 
+def _unbounded_standard_chain(rng, n):
+    """A random standard chain of n boxes, with no (d, L) bound."""
+    seq = [()]
+    for _ in range(n):
+        lam = seq[-1] + (0,)
+        i = rng.choice([i for i in range(len(lam)) if not i or lam[i - 1] > lam[i]])
+        seq.append(as_partition(lam[:i] + (lam[i] + 1,) + lam[i + 1 :]))
+    return SemistandardTableau(tuple(seq))
+
+
 def test_label_conjugation_matches_the_padded_staircase_map():
     rng = random.Random(107)
     refused = 0
-    for _ in range(4000):
-        d, L = rng.randint(1, 7), rng.randint(1, 7)
-        lam = tuple(sorted((rng.randint(1, L + 3) for _ in range(rng.randint(0, d + 1))), reverse=True))
+    for _ in range(1500):
+        d, L, n = rng.choice([*range(1, 8), 10**8]), rng.randint(1, 7), rng.randint(0, 10)
+        p = _unbounded_standard_chain(rng, n)
+        # the labels have at most n parts, so every degree past n conjugates
+        # them alike; the oracle pads to n + 1 parts, not to 10**8
+        pad = min(d, n + 1)
         try:
-            expected = staircase_to_partition(cyl_conjugate(partition_to_staircase(lam, d), d, L))
+            expected = tuple(
+                staircase_to_partition(cyl_conjugate(partition_to_staircase(lam, pad), pad, L))
+                for lam in p.seq
+            )
         except DomainError:
             refused += 1
-            with pytest.raises(DomainError):
-                _conjugate_label(lam, d, L)
+            with pytest.raises(DomainError, match=rf"is not \({d},{L}\)-cylindric"):
+                conjugate_standard_pair(p, d, L)
             continue
-        assert _conjugate_label(lam, d, L) == expected, (lam, d, L)
-    assert 1000 < refused < 3000
-    with pytest.raises(DomainError, match="more than 2 parts"):
-        _conjugate_label((1, 1, 1), 2, 3)
-    with pytest.raises(DomainError, match="width 4"):
-        _conjugate_label((5, 1), 2, 3)
+        assert conjugate_standard_pair(p, d, L).seq == expected, (p.seq, d, L)
+    assert 300 < refused < 1200
+    chain = SemistandardTableau(((), (1,), (1, 1), (1, 1, 1)))
+    with pytest.raises(DomainError, match=r"step 3: \(1, 1\) -> \(1, 1, 1\) is not \(2,3\)-cylindric"):
+        conjugate_standard_pair(chain, 2, 3)
+    chain = SemistandardTableau(((), (1,), (2,), (3,), (4,)))
+    with pytest.raises(DomainError, match=r"step 4: \(3,\) -> \(4,\) is not \(2,3\)-cylindric"):
+        conjugate_standard_pair(chain, 2, 3)
+    # a step of two boxes has no one-box image; a step of none keeps its label
+    with pytest.raises(DomainError, match="at most one box"):
+        conjugate_standard_pair(SemistandardTableau(((), (1,), (2, 1))), 2, 3)
+    kept = SemistandardTableau(((), (1,), (1,), (2,)))
+    assert conjugate_standard_pair(kept, 2, 3).seq == ((), (1,), (1,), (1, 1))
 
 
 def test_wilf_bijection_at_a_huge_degree():

@@ -7,8 +7,11 @@ import pytest
 
 from cylrsk import counting
 from cylrsk.counting import (
+    ASYM_K_LIMIT,
     BRUTE_LIMIT,
     _Chains,
+    _check_params,
+    _comb_exceeds,
     _count_from_terms,
     _cyclotomic,
     _TrigSum,
@@ -185,6 +188,54 @@ def test_pair_route_refuses_only_where_the_trig_sum_does(monkeypatch):
                     refused[name].add((d, L))
     assert (4, 5) in refused["pairs"] and (1, 7) not in refused["pairs"]
     assert refused["pairs"] < refused["trig"]
+
+
+def test_comb_budget_matches_the_exact_binomial():
+    for n in range(40):
+        for k in range(n + 1):
+            for budget in (0, 1, 40, 10**6, 2_000_000):
+                assert _comb_exceeds(n, k, budget) == (math.comb(n, k) > budget), (n, k, budget)
+
+
+def test_pair_and_trig_routes_refuse_a_huge_n_at_once():
+    for call in (
+        lambda: count_table(2, 3, 10**8, ("pairs",)),
+        lambda: count_table(2, 3, 10**8, ("trig",)),
+        lambda: tableau_pair_count(10**6, 2, 3),
+        lambda: cylindric_syt_count(10**6, 2, 3),
+        lambda: trig_count(10**6, 2, 3),
+    ):
+        with pytest.raises(DomainError, match="work budget"):
+            call()
+    # the benchmark's tables, the tier-1 tables and (8, 8) to n = 1000 stay inside
+    for d, L, n in ((8, 8, 1000), (8, 8, 200), (3, 3, 400), (2, 2, 400), (1, 1, 400), (5, 11, 16)):
+        _check_params(n, d, L, stepped=True)
+
+
+def _log_constant_bound(k):
+    """U(k): the log of the leading constant at min(d, L) = k is at most this."""
+    return math.fsum(
+        [(1 - k) * math.log(2 * k)] + [2 * (k - j) * math.log(math.pi * j / k) for j in range(1, k)]
+    )
+
+
+def test_asymptotic_refuses_a_large_min_dl_before_its_loop():
+    log_min = math.log(sys.float_info.min)
+    bounds = [_log_constant_bound(k) for k in range(2, 1000)]
+    assert all(a > b for a, b in zip(bounds, bounds[1:]))
+    assert _log_constant_bound(ASYM_K_LIMIT - 1) > log_min > _log_constant_bound(ASYM_K_LIMIT)
+    # U(k) bounds the exact log-constant, so the refusal loses no normal float
+    for k in range(2, 80):
+        for M in (2 * k, 2 * k + 1, 3 * k, 10 * k):
+            log_c = math.fsum(
+                [(1 - k) * math.log(M)]
+                + [(k - j) * math.log(4 * math.sin(math.pi * j / M) ** 2) for j in range(1, k)]
+            )
+            assert log_c <= _log_constant_bound(k) + 1e-9, (k, M)
+    # refused up front from 45 on, and by the loop at 41..44
+    for d, L in ((45, 45), (45, 10**8), (10**8, 10**8), (41, 41), (44, 10**6)):
+        with pytest.raises(DomainError, match="not a normal float"):
+            asymptotic(d, L)
 
 
 def test_asymptotic_tracks_exact_counts():

@@ -25,6 +25,8 @@ from cylrsk.tableaux import (
     parse_skew,
     parse_ssyt,
     split_pair,
+    step_rows,
+    unit_walk,
     weight_minus,
     weight_plus,
 )
@@ -330,3 +332,32 @@ def test_a_label_longer_than_d_is_not_cylindric():
             t.require_cylindric(*dl)
         with pytest.raises(DomainError, match="degree must be positive"):
             t.is_cylindric(0, dl[1])
+
+
+def _random_unit_oscillating(rng, steps):
+    """An oscillating tableau whose every step adds, removes or keeps one box."""
+    w, seq = "", [()]
+    while len(w) < steps or seq[-1]:
+        lam = seq[-1] + (0,)
+        ch = rng.choice("+-") if len(w) < steps else "-"
+        if ch == "+":
+            rows = [i for i in range(len(lam)) if not i or lam[i - 1] > lam[i]]
+        else:
+            rows = [i for i in range(len(lam) - 1) if lam[i] > lam[i + 1]]
+        if rows and rng.random() < 0.8:
+            i = rng.choice(rows)
+            lam = lam[:i] + (lam[i] + (1 if ch == "+" else -1),) + lam[i + 1 :]
+        w += ch
+        seq.append(tuple(x for x in lam if x))
+    return OscillatingTableau(w, tuple(seq))
+
+
+def test_unit_walk_inverts_step_rows():
+    rng = random.Random(211)
+    for _ in range(300):
+        t = _random_unit_oscillating(rng, rng.randint(0, 14))
+        for u in (t, t.reverse()):
+            assert unit_walk((), u.w, step_rows(u.w, u.seq)) == u.seq
+    # the row is 0-based, and the walk keeps the label on -1
+    assert step_rows("+-+", ((), (1,), (1,), (1, 1))) == [0, -1, 1]
+    assert unit_walk((), "+-+", [0, -1, 1]) == ((), (1,), (1,), (1, 1))
