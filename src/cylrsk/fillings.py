@@ -11,19 +11,20 @@ from dataclasses import dataclass
 from itertools import chain, compress
 
 from .errors import DomainError, FormatError, decode
-from .partitions import Part, as_partition, conjugate, format_partition, parse_partition, strict_int
+from .partitions import (
+    Part,
+    as_partition,
+    conjugate,
+    contained_in,
+    format_partition,
+    parse_partition,
+    strict_int,
+)
 
 PLUS = "+"
 MINUS = "-"
 
 Cell = tuple[int, int]
-
-
-def shape_contains(outer: Part, inner: Part) -> bool:
-    """True when every row of inner fits inside the same row of outer."""
-    if len(inner) > len(outer):
-        return False
-    return all(inner[i] <= outer[i] for i in range(len(inner)))
 
 
 def lattice_rows(shape: Part) -> list[int]:
@@ -176,7 +177,7 @@ def _restrict_cells(f: Filling, sub: Part | None) -> list[tuple[int, int, int]]:
     if sub is None:
         return f.nonzero_cells()
     sub = as_partition(sub)
-    if not shape_contains(f.shape, sub):
+    if not contained_in(sub, f.shape):
         raise DomainError(f"sub-shape {sub} not contained in {f.shape}")
     return [
         (c, r, v)
@@ -191,58 +192,25 @@ def longest_ne_chain(f: Filling, sub: Part | None = None) -> int:
     return total
 
 
-def _heaviest_chain(cells, before, weight):
-    """Heaviest chain through cells listed in a linear extension of before.
+def _longest_chain(cells, se: bool = False):
+    """Heaviest chain through cells listed in (col, row) order, and its cells.
 
-    Returns its weight and its cells in order.  Only strict gains replace a
-    score or the best, so among equal chains the earliest found is kept.
+    A NE chain steps weakly up and right and weighs its entries; an SE chain
+    (se=True) steps strictly down and right and counts its cells.  A Fenwick
+    tree over rows keeps the largest (score, -index) of the cells so far at
+    or below each row, so each cell finds its earliest best predecessor in
+    O(log rows).  SE chains reflect the rows and query one row short; the
+    cells before one in its own column then sit above it, so both steps are
+    strict.  Only strict gains replace the best, so the earliest end is kept.
     """
-    best, end = 0, None
-    score: list[int] = []
-    parent: list[int | None] = []
-    for i, cell in enumerate(cells):
-        v = weight(cell)
-        s, p = v, None
-        for j in range(i):
-            if score[j] + v > s and before(cells[j], cell):
-                s, p = score[j] + v, j
-        score.append(s)
-        parent.append(p)
-        if s > best:
-            best, end = s, i
-    return best, _chain_to(cells, parent, end)
-
-
-def _chain_to(cells, parent: list[int | None], end: int | None) -> list:
-    """The cells of the chain ending at index end, following parent links."""
-    chain = []
-    while end is not None:
-        chain.append(cells[end])
-        end = parent[end]
-    chain.reverse()
-    return chain
-
-
-def _strictly_se(a, b) -> bool:
-    return a[0] < b[0] and a[1] > b[1]
-
-
-def ne_chain_witness(f: Filling, sub: Part | None = None):
-    """Longest NE-chain value plus one witnessing chain of (col, row, entry).
-
-    The chain is the one _heaviest_chain finds over the cells in (col, row)
-    order, where an earlier cell precedes a later one exactly when its row is
-    not higher.  A Fenwick tree over rows keeps the largest (score, -index)
-    of the cells so far at or below each row, so each cell finds its earliest
-    best predecessor in O(log rows).
-    """
-    cells = sorted(_restrict_cells(f, sub), key=lambda t: (t[0], t[1]))
     rows = max((r for _, r, _ in cells), default=0)
     tree = [(0, 0)] * (rows + 1)  # rows are 1-based; scores are positive
     best, end = 0, None
     parent: list[int | None] = []
     for i, (_, r, v) in enumerate(cells):
-        top, k = (0, 0), r
+        if se:
+            r, v = rows + 1 - r, 1
+        top, k = (0, 0), r - 1 if se else r
         while k:
             if tree[k] > top:
                 top = tree[k]
@@ -255,13 +223,25 @@ def ne_chain_witness(f: Filling, sub: Part | None = None):
             k += k & -k
         if here[0] > best:
             best, end = here[0], i
-    return best, _chain_to(cells, parent, end)
+    chain = []
+    while end is not None:
+        chain.append(cells[end])
+        end = parent[end]
+    return best, chain[::-1]
+
+
+def ne_chain_witness(f: Filling, sub: Part | None = None):
+    """Longest NE-chain value plus one witnessing chain of (col, row, entry).
+
+    Among equal chains it is the one ending earliest in (col, row) order,
+    each cell reached from its earliest best predecessor.
+    """
+    return _longest_chain(sorted(_restrict_cells(f, sub)))
 
 
 def longest_se_chain(f: Filling, sub: Part | None = None) -> int:
     """Largest count over chains stepping strictly down and strictly right."""
-    cells = sorted(_restrict_cells(f, sub), key=lambda t: (t[0], -t[1]))
-    return _heaviest_chain(cells, _strictly_se, lambda t: 1)[0]
+    return _longest_chain(sorted(_restrict_cells(f, sub)), se=True)[0]
 
 
 def contains_pattern(f: Filling, d: int) -> bool:
@@ -278,14 +258,10 @@ def pattern_witness(f: Filling, d: int):
     """
     if d < 1:
         raise DomainError(f"pattern order must be >= 1, got {d}")
-    cells = f.nonzero_cells()
+    cells = sorted(f.nonzero_cells())
     for c, r, v in cells:
         # longest strictly-down-right chain in the open quadrant below-left
-        region = sorted(
-            (t for t in cells if t[0] < c and t[1] < r),
-            key=lambda t: (t[0], -t[1]),
-        )
-        best, chain = _heaviest_chain(region, _strictly_se, lambda t: 1)
+        best, chain = _longest_chain([t for t in cells if t[0] < c and t[1] < r], se=True)
         if best >= d:
             # any d consecutive chain cells stay below-left of the witness
             return chain[-d:] + [(c, r, v)]

@@ -47,13 +47,13 @@ from .fillings import (
     lattice_rows,
     parse_filling,
     path_points,
-    shape_contains,
     zero_filling,
 )
 from .partitions import (
     Part,
     as_partition,
     as_staircase,
+    contained_in,
     format_partition,
     interlaces,
     parse_partition,
@@ -422,7 +422,7 @@ def extract_boundary(g: GrowthDiagram, path=None):
         if isinstance(path, str):
             raise DomainError("word paths apply only to skew diagrams")
         sub = g.shape if path is None else as_partition(path)
-        if not shape_contains(g.shape, sub):
+        if not contained_in(sub, g.shape):
             raise DomainError(f"sub-shape {sub} escapes the diagram shape {g.shape}")
         w, x = boundary_type_sequence(sub), (sub[0] if sub else 0)
     seq = tuple(g.labels[p] for p in path_points(x, w))

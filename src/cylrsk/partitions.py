@@ -11,6 +11,10 @@ from .errors import DomainError, FormatError
 
 Part = tuple[int, ...]
 
+# bound on d * L in cyl_conjugate: the result has L parts, each a maximum
+# over d residues
+CONJUGATE_WORK_BUDGET = 10**6
+
 
 def strict_int(v) -> int:
     """v itself when it is an int; DomainError for anything else, bools and floats too."""
@@ -176,6 +180,10 @@ def cyl_conjugate(s: Part, d: int, L: int) -> Part:
     s = as_staircase(s, d)
     if L < 1:
         raise DomainError(f"width parameter must be positive, got {L}")
+    if d * L > CONJUGATE_WORK_BUDGET:
+        raise DomainError(
+            f"({d},{L}) exceeds the conjugation budget d * L <= {CONJUGATE_WORK_BUDGET}"
+        )
     if s[0] - s[d - 1] > L:
         raise DomainError(f"{s} is not a ({d},{L})-bounded staircase")
     # max over residues r of the largest index x = qd + (r+1) with a_x >= j,

@@ -273,9 +273,6 @@ class SkewRowStrictTableau(_Skew):
     seq: tuple[Part, ...]
     _co = True
 
-    def constituent_width(self) -> int:
-        return max_constituent_width(self.seq, self.d)
-
 
 def split_pair(t: OscillatingTableau) -> tuple[SemistandardTableau, SemistandardTableau]:
     """Split a tableau over +^n -^m into its ascending and descending halves."""

@@ -1,9 +1,10 @@
 """Shared random generators and independent brute-force oracles.
 
 The oracles here deliberately avoid the package's own dynamic programs: they
-enumerate chains recursively, scan permutation subsequences directly, and
-walk staircase boundaries step by step, so that test expectations never
-depend on the code paths they check.
+enumerate chains recursively or scan every earlier cell in a quadratic chain
+DP, scan permutation subsequences directly, and walk staircase boundaries
+step by step, so that test expectations never depend on the code paths they
+check.
 """
 
 import sys
@@ -163,6 +164,32 @@ def oracle_ne_chain(f: Filling) -> int:
         return best
 
     return max((best_from(i) for i in range(len(cells))), default=0)
+
+
+def heaviest_chain(cells, before, weight):
+    """Heaviest chain through cells listed in a linear extension of before.
+
+    The quadratic predicate DP: each cell scans every earlier one.  Returns
+    the chain's weight and its cells in order.  Only strict gains replace a
+    score or the best, so among equal chains the earliest found is kept.
+    """
+    best, end = 0, None
+    score, parent = [], []
+    for i, cell in enumerate(cells):
+        v = weight(cell)
+        s, p = v, None
+        for j in range(i):
+            if score[j] + v > s and before(cells[j], cell):
+                s, p = score[j] + v, j
+        score.append(s)
+        parent.append(p)
+        if s > best:
+            best, end = s, i
+    chain = []
+    while end is not None:
+        chain.append(cells[end])
+        end = parent[end]
+    return best, chain[::-1]
 
 
 def oracle_se_chain(f: Filling) -> int:

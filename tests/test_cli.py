@@ -293,27 +293,31 @@ def _cap_address_space():
 
 
 @pytest.mark.parametrize(
-    "argv, code, out",
+    "argv, code, out, stdin",
     [
-        ("count --routes pairs --n-max 3 --d 100000000 --L 1", 2, ""),
+        ("count --routes pairs --n-max 3 --d 100000000 --L 1", 2, "", None),
         (
             "count --routes pairs --n-max 3 --d 1 --L 100000000",
             0,
             "1      1     ok\n2      1     ok\n3      1     ok\n",
+            None,
         ),
-        ("count --routes pairs --n-max 3 --d 40 --L 40", 2, ""),
-        ("asym --d 100000000 --L 1", 0, "rate 1.0\nconstant 1.0\n"),
-        ("count --routes pairs --d 2 --L 3 --n-max 100000000", 2, ""),
-        ("count --routes pairs --d 100000000 --L 100000000 --n-max 3", 2, ""),
-        ("count --routes trig --d 100000000 --L 100000000 --n-max 3", 2, ""),
-        ("asym --d 100000000 --L 100000000", 2, ""),
+        ("count --routes pairs --n-max 3 --d 40 --L 40", 2, "", None),
+        ("asym --d 100000000 --L 1", 0, "rate 1.0\nconstant 1.0\n", None),
+        ("count --routes pairs --d 2 --L 3 --n-max 100000000", 2, "", None),
+        ("count --routes pairs --d 100000000 --L 100000000 --n-max 3", 2, "", None),
+        ("count --routes trig --d 100000000 --L 100000000 --n-max 3", 2, "", None),
+        ("asym --d 100000000 --L 100000000", 2, "", None),
+        ("conjugate --d 1 --L 300000000 -", 2, "", "[3]\n"),
+        ("rowstrict-retype --L 100000000 --to - -", 2, "", "-\n[1]\n[0]\n"),
     ],
 )
-def test_huge_parameters_end_at_once_in_bounded_memory(argv, code, out):
+def test_huge_parameters_end_at_once_in_bounded_memory(argv, code, out, stdin):
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-m", "cylrsk.cli", *argv.split()],
+        input=stdin,
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},

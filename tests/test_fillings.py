@@ -6,7 +6,6 @@ import pytest
 from cylrsk.errors import DomainError, FormatError
 from cylrsk.fillings import (
     Filling,
-    _heaviest_chain,
     _restrict_cells,
     boundary_points,
     boundary_type_sequence,
@@ -25,11 +24,11 @@ from cylrsk.fillings import (
     permutation_to_filling,
     reflect,
     row_sums,
-    shape_contains,
     shape_of_word,
     zero_filling,
 )
 from conftest import (
+    heaviest_chain,
     oracle_ne_chain,
     oracle_se_chain,
     perm_contains_descending_pattern,
@@ -105,10 +104,21 @@ def test_ne_chain_witness_matches_the_quadratic_chain_dp():
         sub = tuple(sorted((rng.randint(1, w) for w in rows), reverse=True))
         for sub in (None, sub):
             cells = sorted(_restrict_cells(f, sub), key=lambda t: (t[0], t[1]))
-            expected = _heaviest_chain(
+            expected = heaviest_chain(
                 cells, lambda a, b: a[0] <= b[0] and a[1] <= b[1], lambda t: t[2]
             )
             assert ne_chain_witness(f, sub) == expected, (f, sub)
+            cells.sort(key=lambda t: (t[0], -t[1]))
+            se = heaviest_chain(cells, lambda a, b: a[0] < b[0] and a[1] > b[1], lambda t: 1)
+            assert longest_se_chain(f, sub) == se[0], (f, sub)
+        for d in range(1, 5):
+            witness = pattern_witness(f, d)
+            if witness is None:
+                continue
+            *chain, (c, r, v) = witness
+            assert len(chain) == d and v and all(t[2] for t in chain), (f, d)
+            assert all(a[0] < b[0] and a[1] > b[1] for a, b in zip(chain, chain[1:])), (f, d)
+            assert all(t[0] < c and t[1] < r for t in chain), (f, d)
 
 
 def test_longest_se_chain_values():
@@ -231,12 +241,6 @@ def test_permutation_round_trip():
         filling_to_permutation(Filling((2, 2), ((1, 1), (0, 0))))
     with pytest.raises(DomainError):
         filling_to_permutation(Filling((2, 1), ((1, 0), (0,))))
-
-
-def test_shape_contains():
-    assert shape_contains((4, 3, 1), (3, 3))
-    assert not shape_contains((4, 3, 1), (3, 3, 2))
-    assert shape_contains((4, 3, 1), ())
 
 
 def test_text_and_json_round_trip():

@@ -96,6 +96,12 @@ def test_cointerlaces_examples():
     assert cointerlaces((3, 1), (3, 2))
 
 
+def test_contained_in_examples():
+    assert contained_in((3, 3), (4, 3, 1))
+    assert not contained_in((3, 3, 2), (4, 3, 1))
+    assert contained_in((), (4, 3, 1))
+
+
 def test_dl_cointerlaces():
     assert dl_cointerlaces((2, 1, 0), (3, 2, 1), 3, 3)
     # cointerlacing holds but the first operand is too wide
@@ -200,6 +206,8 @@ def test_cyl_conjugate_rejects_wide_staircase():
         cyl_conjugate((5, 0, 0), 3, 4)
     with pytest.raises(DomainError):
         cyl_conjugate((2, 1), 3, 4)
+    with pytest.raises(DomainError, match="conjugation budget"):
+        cyl_conjugate((3,), 1, 10**8)
 
 
 def test_cyl_conjugate_matches_path_oracle():

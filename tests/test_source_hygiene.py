@@ -1,0 +1,63 @@
+"""Static checks on the package source, with the standard library's ast only.
+
+Every module but ``__init__`` (which imports to re-export) must use each name
+it imports, and every private top-level function or class must be referenced
+somewhere in the package outside its own definition, so a deleted helper
+leaves neither its import nor its body behind.
+"""
+
+import ast
+from collections import Counter
+from itertools import chain
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "cylrsk"
+MODULES = {
+    path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
+    for path in sorted(SRC.glob("*.py"))
+}
+
+
+def _referenced(nodes) -> set[str]:
+    """Names loaded, and attributes read, anywhere inside the nodes."""
+    out = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                out.add(sub.attr)
+    return out
+
+
+def _imported(tree) -> set[str]:
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                out.add(alias.asname or alias.name.split(".")[0])
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(set(MODULES) - {"__init__"}))
+def test_every_imported_name_is_used(name):
+    tree = MODULES[name]
+    assert _imported(tree) - _referenced([tree]) == set()
+
+
+def test_every_private_top_level_definition_is_referenced():
+    nodes = [node for tree in MODULES.values() for node in tree.body]
+    refs = [_referenced([node]) for node in nodes]
+    # how many top-level statements mention each name
+    mentions = Counter(chain.from_iterable(refs))
+    unused = [
+        node.name
+        for node, names in zip(nodes, refs)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and mentions[node.name] == (node.name in names)
+    ]
+    assert unused == []
