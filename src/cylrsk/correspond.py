@@ -25,7 +25,7 @@ from .fillings import (
     permutation_to_filling,
 )
 from .growth import Rule, boundary_of, extract_boundary, filling_of, grow_skew
-from .partitions import Part, cyl_conjugate
+from .partitions import CONJUGATE_WORK_BUDGET, Part, cyl_conjugate
 from .tableaux import (
     OscillatingTableau,
     SemistandardTableau,
@@ -33,8 +33,6 @@ from .tableaux import (
     SkewRowStrictTableau,
     join_pair,
     split_pair,
-    step_rows,
-    unit_walk,
 )
 
 
@@ -149,6 +147,14 @@ def rowstrict_retype(
     """
     t.require_cylindric(L)
     d = t.d
+    # every label is conjugated there and back, and the retype grows a
+    # rows x cols diagram of degree-L labels
+    rows, cols = t.w.count(PLUS), t.w.count(MINUS)
+    if (len(t.seq) * d + rows * cols) * L > CONJUGATE_WORK_BUDGET:
+        raise DomainError(
+            f"retyping {len(t.seq)} labels of degree {d} at L = {L} "
+            f"exceeds the work budget {CONJUGATE_WORK_BUDGET}"
+        )
     conj = SkewOscillatingTableau(
         L, t.w, tuple(cyl_conjugate(s, d, L) for s in t.seq)
     )
@@ -190,12 +196,16 @@ def conjugate_standard_pair(
     """
     if d < 1 or L < 1:
         raise DomainError(f"d and L must be >= 1, got ({d},{L})")
-    p.require_cylindric(d, L)
-    if any(k > 1 for k in p.weight()):
+    return _conjugate(p.require_cylindric(d, L), L)
+
+
+def _conjugate(p: SemistandardTableau, L: int) -> SemistandardTableau:
+    """conjugate_standard_pair on a chain its caller has found (d, L)-cylindric."""
+    rows = p.unit_rows()
+    if rows is None:
         raise DomainError(f"conjugation needs steps of at most one box, got weights {p.weight()}")
-    rows = step_rows(p.w, p.seq)
     conj = [(lam[r] - 1) % L if r >= 0 else -1 for r, lam in zip(rows, p.seq[1:])]
-    return SemistandardTableau(unit_walk((), p.w, conj))
+    return SemistandardTableau._walked(p.w, conj)
 
 
 def wilf_bijection(perm, d: int, L: int) -> tuple[int, ...]:
@@ -204,7 +214,5 @@ def wilf_bijection(perm, d: int, L: int) -> tuple[int, ...]:
     Applies the permutation-to-tableaux map, conjugates both tableaux, and
     inverts at swapped parameters.  Involutions map to involutions.
     """
-    p, q = cylindric_rs(perm, d, L)
-    p2 = conjugate_standard_pair(p, d, L)
-    q2 = conjugate_standard_pair(q, d, L)
-    return cylindric_rs_inverse(p2, q2, L, d)
+    p, q = cylindric_rs(perm, d, L)  # each checked (d, L)-cylindric there
+    return cylindric_rs_inverse(_conjugate(p, L), _conjugate(q, L), L, d)

@@ -107,6 +107,23 @@ class Filling:
             if min(row) < 0:
                 raise DomainError(f"negative entry in row {i + 1}")
 
+    @classmethod
+    def _from_unit_columns(cls, shape: Part, cols) -> "Filling":
+        """The 0/1 filling with a 1 in 0-based column cols[r] of row r + 1, none at -1.
+
+        shape must be a partition and each column inside its row: the callers
+        have just built both, so __post_init__ is not run.
+        """
+        zero = (0,) * (shape[0] if shape else 0)
+        rows = tuple(
+            zero[:c] + (1,) + zero[c + 1 : width] if c >= 0 else zero[:width]
+            for width, c in zip(shape, cols)
+        )
+        f = object.__new__(cls)
+        object.__setattr__(f, "shape", shape)
+        object.__setattr__(f, "rows", rows)
+        return f
+
     def entry(self, col: int, row: int) -> int:
         """Entry in the addressed cell; the cell must lie in the shape."""
         if not self.has_cell(col, row):
@@ -277,8 +294,7 @@ def permutation_to_filling(perm) -> Filling:
     cols = [0] * n  # 0-based column of the 1 in each row
     for c, r in enumerate(perm):
         cols[r - 1] = c
-    zero = (0,) * n
-    return Filling((n,) * n if n else (), tuple(zero[:c] + (1,) + zero[c + 1 :] for c in cols))
+    return Filling._from_unit_columns((n,) * n, cols)
 
 
 def filling_to_permutation(f: Filling) -> tuple[int, ...]:

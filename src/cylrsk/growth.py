@@ -452,7 +452,11 @@ def classify_rs_cell(rule: Rule, bl, tl, br, tr, entry: int) -> str:
 
     up, right = (step_rows(PLUS, (bl, hi))[0] for hi in (tl, br))
     for s, hi in ((up, tl), (right, br)):
-        if walk([s]) != hi:
+        try:
+            unit = walk([s]) == hi
+        except DomainError:  # no corner to add in row s
+            unit = False
+        if not unit:
             raise InvariantViolation(f"{bl} -> {hi} is not a unit step")
     d = rule.d
     if entry == 1:
@@ -549,8 +553,7 @@ def boundary_of(rule: Rule, filling: Filling) -> OscillatingTableau:
         steps.append(a)
         line = here
     steps += reversed(line)
-    w = boundary_type_sequence(shape)
-    return OscillatingTableau(w, unit_walk((), w, steps))
+    return OscillatingTableau._walked(boundary_type_sequence(shape), steps)
 
 
 def filling_of(rule: Rule, shape: Part, t: OscillatingTableau) -> Filling:
@@ -560,14 +563,15 @@ def filling_of(rule: Rule, shape: Part, t: OscillatingTableau) -> Filling:
     step words, building no diagram; any other goes through
     grow_from_boundary.
     """
-    if max(t.wt_plus() + t.wt_minus(), default=0) > 1:
+    rows = t.unit_rows()
+    if rows is None:
         return grow_from_boundary(rule, shape, t).filling
     shape = _boundary_shape(rule, shape, t)
     d = rule.d
     # each line's steps right to left: its tail from the boundary, then the
     # part the row above it fills in; and the step up each row's right edge
     tails, ups = [[]], []
-    for ch, s in zip(t.w, step_rows(t.w, t.seq)):
+    for ch, s in zip(t.w, rows):
         if ch == PLUS:
             ups.append(s)
             tails.append([])
@@ -575,7 +579,7 @@ def filling_of(rule: Rule, shape: Part, t: OscillatingTableau) -> Filling:
             tails[-1].append(s)
     line, cols = tails[-1], []
     for row in range(len(shape), 0, -1):
-        below, a, j, col = line[:], ups[row - 1], -1, 0
+        below, a, j, col = line[:], ups[row - 1], -1, -1
         # index of the leftmost (d-1)-step: tl has d parts at the cells right of it
         rim = len(line) - 1 - line[::-1].index(d - 1) if d and d - 1 in line else -1
         try:
@@ -586,7 +590,7 @@ def filling_of(rule: Rule, shape: Part, t: OscillatingTableau) -> Filling:
                 elif j < rim:
                     a = d - 1
                 else:  # a new box: the cell's entry
-                    col, a = len(line) - j, -1
+                    col, a = len(line) - 1 - j, -1
                 below[j] = a
         except ValueError:
             pass
@@ -595,11 +599,7 @@ def filling_of(rule: Rule, shape: Part, t: OscillatingTableau) -> Filling:
             raise InvariantViolation(f"axis label at (0,{row - 1}) is not empty")
         cols.append(col)
         line = tails[row - 1] + below
-    rows = tuple(
-        (0,) * (col - 1) + (1,) + (0,) * (width - col) if col else (0,) * width
-        for width, col in zip(shape, reversed(cols))
-    )
-    return Filling(shape, rows)
+    return Filling._from_unit_columns(shape, cols[::-1])
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,11 @@ consecutive steps obey a direction word w over {+,-}: a + step interlaces
 upward, a - step downward.  Ascending-only chains from the empty partition
 are the semistandard (interlacing) and row-strict (cointerlacing) tableaux.
 Validation is eager at construction; downstream code may assume validity.
+A tableau the package builds itself from a unit walk (``growth.boundary_of``,
+conjugation), or as the halves or join of a valid tableau (``split_pair``,
+``join_pair``), is checked by that walk or inherits its source's validity,
+and is not checked again; it keeps its step rows for ``is_standard`` and
+``unit_rows``.  Public constructors, parsers and ``reverse`` check everything.
 """
 
 from dataclasses import dataclass, replace
@@ -69,15 +74,28 @@ def unit_walk(start, w: str, rows) -> tuple[Part, ...]:
 
     A part that falls to 0 is dropped, and a row of -1 keeps the label.  This
     inverts step_rows on unit steps of partitions, and on + steps of staircases.
+    Each step is checked once: a + box must land on an addable corner and a -
+    box must leave a removable one, else DomainError names the step.  So from
+    a partition every label is a partition and every step (co)interlaces.
     """
+    if len(rows) != len(w):
+        raise DomainError(f"{len(rows)} step rows do not fit word of length {len(w)}")
     lam, seq = list(start), [tuple(start)]
-    for ch, r in zip(w, rows):
+    for i, (ch, r) in enumerate(zip(w, rows), 1):
         if r >= 0:
-            if r == len(lam):
-                lam.append(0)
-            lam[r] += 1 if ch == PLUS else -1
-            if ch == MINUS and not lam[-1]:
-                lam.pop()
+            n = len(lam)
+            if ch == PLUS:
+                if r > n or r and lam[r - 1] == (lam[r] if r < n else 0):
+                    raise DomainError(f"step {i}: {seq[-1]} has no addable corner in row {r}")
+                if r == n:
+                    lam.append(0)
+                lam[r] += 1
+            else:
+                if r >= n or r + 1 < n and lam[r] == lam[r + 1]:
+                    raise DomainError(f"step {i}: {seq[-1]} has no removable corner in row {r}")
+                lam[r] -= 1
+                if not lam[-1]:
+                    lam.pop()
         seq.append(tuple(lam))
     return tuple(seq)
 
@@ -87,15 +105,6 @@ def mcw_sequence(seq, d: int) -> int:
     return max(
         (mcw_pair(seq[i], seq[i + 1], d) for i in range(len(seq) - 1)), default=0
     )
-
-
-def _first_bad_step(w: str, seq, ok) -> int | None:
-    """First step (1-based) whose operands, lower first, fail ok(lo, hi)."""
-    for i, ch in enumerate(w, 1):
-        lo, hi = (seq[i], seq[i - 1]) if ch == MINUS else (seq[i - 1], seq[i])
-        if not ok(lo, hi):
-            return i
-    return None
 
 
 def max_constituent_width(seq, d: int) -> int:
@@ -120,6 +129,31 @@ class _Tableau:
 
     _co = False
     _empty = ()
+    # set by _walked: the step rows and whether every step moves a box
+    _rows = None
+    _standard = None
+
+    @classmethod
+    def _walked(cls, w: str, rows, seq=None):
+        """The cls tableau on word w whose labels walk from () by the step rows.
+
+        unit_walk checks each step, so only the empty ends are left to check,
+        and __post_init__ is not run.  split_pair and join_pair pass the labels
+        of a valid tableau as seq instead, with its rows, or None when unknown.
+        For the partition classes only: the skew classes hold staircases.
+        """
+        if seq is None:
+            seq = unit_walk((), w, rows)
+            if any(seq[i] for i in cls._empty):
+                raise DomainError(f"unit walk ends at {seq[-1]}, not empty")
+        t = object.__new__(cls)
+        object.__setattr__(t, "seq", seq)
+        if "w" in cls.__dataclass_fields__:
+            object.__setattr__(t, "w", w)
+        if rows is not None:
+            object.__setattr__(t, "_rows", tuple(rows))
+            object.__setattr__(t, "_standard", -1 not in rows)
+        return t
 
     def __post_init__(self):
         if isinstance(self, _Skew):
@@ -135,12 +169,13 @@ class _Tableau:
         if any(seq[i] for i in self._empty):
             ends = "start and end" if len(self._empty) == 2 else "start"
             raise DomainError(f"sequence must {ends} empty")
-        bad = _first_bad_step(w, seq, cointerlaces if self._co else interlaces)
-        if bad is not None:
-            raise DomainError(
-                f"step {bad}: {seq[bad - 1]} -> {seq[bad]} "
-                f"fails {w[bad - 1]!r} {'co' * self._co}interlacing"
-            )
+        ok = cointerlaces if self._co else interlaces
+        for i, ch in enumerate(w, 1):
+            if not (ok(seq[i], seq[i - 1]) if ch == MINUS else ok(seq[i - 1], seq[i])):
+                raise DomainError(
+                    f"step {i}: {seq[i - 1]} -> {seq[i]} "
+                    f"fails {ch!r} {'co' * self._co}interlacing"
+                )
 
     def wt_plus(self) -> tuple[int, ...]:
         return weight_plus(self.w, self.seq)
@@ -149,7 +184,17 @@ class _Tableau:
         return weight_minus(self.w, self.seq)
 
     def is_standard(self) -> bool:
+        if self._standard is not None:
+            return self._standard
         return all(v == 1 for v in self.wt_plus() + self.wt_minus())
+
+    def unit_rows(self) -> tuple[int, ...] | None:
+        """step_rows of the tableau, or None when some step moves two or more boxes."""
+        if self._rows is not None:
+            return self._rows
+        if max(self.wt_plus() + self.wt_minus(), default=0) > 1:
+            return None
+        return tuple(step_rows(self.w, self.seq))
 
     def max_length(self) -> int:
         return max((len(p) for p in self.seq), default=0)
@@ -163,15 +208,21 @@ class _Tableau:
         d, L = dl = (self.d, *dl) if isinstance(self, _Skew) else dl
         if d < 1:
             raise DomainError(f"degree must be positive, got {d}")
-
-        def ok(lo, hi):
+        seq, co = self.seq, self._co
+        for i, ch in enumerate(self.w, 1):
+            lo, hi = (seq[i], seq[i - 1]) if ch == MINUS else (seq[i - 1], seq[i])
             if len(hi) > d:
-                return False
-            if self._co:
-                return max(part(lo, 1) - part(lo, d), part(hi, 1) - part(hi, d)) <= L
-            return part(hi, 1) - part(lo, d) <= L
-
-        return dl, _first_bad_step(self.w, self.seq, ok)
+                return dl, i
+            # lo lies inside hi, so it too has at most d parts
+            lo_d = lo[-1] if len(lo) == d else 0
+            if co:
+                hi_d = hi[-1] if len(hi) == d else 0
+                width = max((lo[0] if lo else 0) - lo_d, (hi[0] if hi else 0) - hi_d)
+            else:
+                width = (hi[0] if hi else 0) - lo_d
+            if width > L:
+                return dl, i
+        return dl, None
 
     def is_cylindric(self, *dl) -> bool:
         return self._cylindric_step(dl)[1] is None
@@ -274,23 +325,40 @@ class SkewRowStrictTableau(_Skew):
     _co = True
 
 
+def _require_type(t, cls):
+    if not isinstance(t, cls):
+        raise DomainError(f"expected {cls.__name__}, got {type(t).__name__}")
+
+
 def split_pair(t: OscillatingTableau) -> tuple[SemistandardTableau, SemistandardTableau]:
-    """Split a tableau over +^n -^m into its ascending and descending halves."""
+    """Split a tableau over +^n -^m into its ascending and descending halves.
+
+    The halves of a valid tableau are valid chains, so they are not re-checked.
+    """
+    _require_type(t, OscillatingTableau)
     n = len(t.w) - len(t.w.lstrip(PLUS))
-    if t.w != PLUS * n + MINUS * (len(t.w) - n):
+    m = len(t.w) - n
+    if t.w != PLUS * n + MINUS * m:
         raise DomainError(f"word {t.w!r} is not of the form +^n -^m")
-    left = SemistandardTableau(t.seq[: n + 1])
-    right = SemistandardTableau(tuple(reversed(t.seq[n:])))
+    rows = t._rows
+    left = SemistandardTableau._walked(PLUS * n, rows and rows[:n], t.seq[: n + 1])
+    right = SemistandardTableau._walked(PLUS * m, rows and rows[n:][::-1], t.seq[n:][::-1])
     return left, right
 
 
 def join_pair(p: SemistandardTableau, q: SemistandardTableau) -> OscillatingTableau:
-    """Inverse of split_pair; the halves must share their final shape."""
+    """Inverse of split_pair; the halves must share their final shape.
+
+    Two valid chains to one shape join into a valid tableau, not re-checked.
+    """
+    _require_type(p, SemistandardTableau)
+    _require_type(q, SemistandardTableau)
     if p.shape != q.shape:
         raise DomainError(f"shapes differ: {p.shape} vs {q.shape}")
     n, m = len(p.seq) - 1, len(q.seq) - 1
-    seq = p.seq + tuple(reversed(q.seq))[1:]
-    return OscillatingTableau(PLUS * n + MINUS * m, seq)
+    seq = p.seq + q.seq[-2::-1]
+    rows = None if p._rows is None or q._rows is None else p._rows + q._rows[::-1]
+    return OscillatingTableau._walked(PLUS * n + MINUS * m, rows, seq)
 
 
 SSYT_HEADER = "SSYT"

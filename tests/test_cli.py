@@ -310,6 +310,7 @@ def _cap_address_space():
         ("asym --d 100000000 --L 100000000", 2, "", None),
         ("conjugate --d 1 --L 300000000 -", 2, "", "[3]\n"),
         ("rowstrict-retype --L 100000000 --to - -", 2, "", "-\n[1]\n[0]\n"),
+        ("rowstrict-retype --L 400000 --to=-+ -", 2, "", "+-\n[1,1]\n[2,2]\n[2,1]\n"),
     ],
 )
 def test_huge_parameters_end_at_once_in_bounded_memory(argv, code, out, stdin):

@@ -4,7 +4,7 @@ from itertools import permutations, product
 
 import pytest
 
-from cylrsk import growth
+from cylrsk import correspond, growth
 from cylrsk.correspond import (
     bwx_inverse,
     bwx_map,
@@ -339,6 +339,15 @@ def test_rowstrict_retype():
         assert rowstrict_retype(out, L, w) == t
         flipped_v = "".join("+" if ch == "-" else "-" for ch in reversed(v))
         assert out.reverse() == rowstrict_retype(t.reverse(), L, flipped_v)
+
+
+def test_rowstrict_retype_refuses_past_the_work_budget(monkeypatch):
+    # 3 labels of degree 2 and a 1 x 1 diagram: (3 * 2 + 1) * L units of work
+    t = SkewRowStrictTableau(2, "+-", ((1, 1), (2, 2), (2, 1)))
+    monkeypatch.setattr(correspond, "CONJUGATE_WORK_BUDGET", 7 * 10)
+    assert rowstrict_retype(t, 10, "-+").w == "-+"
+    with pytest.raises(DomainError, match="exceeds the work budget 70"):
+        rowstrict_retype(t, 11, "-+")
 
 
 def test_bwx_map_properties():

@@ -243,6 +243,21 @@ def test_permutation_round_trip():
         filling_to_permutation(Filling((2, 1), ((1, 0), (0,))))
 
 
+def test_unit_column_fillings_match_the_public_constructor():
+    rng = random.Random(47)
+    for _ in range(200):
+        shape = random_shape(rng)
+        cols = [rng.randrange(-1, width) for width in shape]
+        rows = tuple(tuple(int(c == j) for j in range(width)) for width, c in zip(shape, cols))
+        built, public = Filling._from_unit_columns(shape, cols), Filling(shape, rows)
+        assert built == public and hash(built) == hash(public) and repr(built) == repr(public)
+    for n in range(6):
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        f = permutation_to_filling(perm)
+        assert f == Filling(f.shape, f.rows) and repr(f) == repr(Filling(f.shape, f.rows))
+
+
 def test_text_and_json_round_trip():
     text = format_filling(CHAIN)
     assert parse_filling(text) == CHAIN

@@ -429,6 +429,9 @@ def test_classify_guards_and_violations():
         classify_rs_cell(Rule.drsk(1), (1,), (1,), (1,), (2,), 1)
     with pytest.raises(InvariantViolation):
         classify_rs_cell(D3, (1,), (2,), (1,), (1,), 0)
+    # tl differs from bl first in row 1, where (2, 2) has no corner to add
+    with pytest.raises(InvariantViolation, match=r"^\(2, 2\) -> \(2, 1\) is not a unit step$"):
+        classify_rs_cell(D3, (2, 2), (2, 1), (2, 2), (2, 2), 0)
 
 
 def test_all_cells_of_unit_diagrams_classify():

@@ -3,7 +3,11 @@
 Every module but ``__init__`` (which imports to re-export) must use each name
 it imports, and every private top-level function or class must be referenced
 somewhere in the package outside its own definition, so a deleted helper
-leaves neither its import nor its body behind.
+leaves neither its import nor its body behind.  ``object.__new__``, which
+makes a value without running its validation, appears only inside the
+constructors of values built from a unit walk: the tableau, whose walk
+checks each step, and the 0/1 filling with one column per row, built from
+columns its callers have just computed.
 """
 
 import ast
@@ -61,3 +65,32 @@ def test_every_private_top_level_definition_is_referenced():
         and mentions[node.name] == (node.name in names)
     ]
     assert unused == []
+
+
+# (module, function) of each constructor allowed to skip __post_init__
+WALK_CONSTRUCTORS = {("tableaux", "_walked"), ("fillings", "_from_unit_columns")}
+
+
+def _object_new_sites(module, tree) -> list[tuple[str, str | None]]:
+    """(module, innermost enclosing function or None) of each object.__new__."""
+    sites = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr == "__new__"
+                and isinstance(child.value, ast.Name)
+                and child.value.id == "object"
+            ):
+                sites.append((module, func))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            visit(child, getattr(child, "name", "<lambda>") if inner else func)
+
+    visit(tree, None)
+    return sites
+
+
+def test_validation_is_skipped_only_in_the_walk_constructors():
+    sites = [site for name, tree in MODULES.items() for site in _object_new_sites(name, tree)]
+    assert sorted(sites) == sorted(WALK_CONSTRUCTORS)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -361,3 +362,85 @@ def test_unit_walk_inverts_step_rows():
     # the row is 0-based, and the walk keeps the label on -1
     assert step_rows("+-+", ((), (1,), (1,), (1, 1))) == [0, -1, 1]
     assert unit_walk((), "+-+", [0, -1, 1]) == ((), (1,), (1,), (1, 1))
+
+
+def _random_unit_walk(rng, d, ups, downs=0):
+    """Step rows and labels of a random unit walk from (): ups + steps, then
+    downs - steps back to (), through labels of at most d parts.  About one
+    step in five keeps its label; the labels are built box by box here, not
+    by unit_walk."""
+    lam, rows, seq = [], [], [()]
+    for k in range(ups + downs):
+        n = len(lam)
+        if k < ups:
+            corners = [r for r in range(min(n + 1, d)) if not r or lam[r - 1] > (lam + [0])[r]]
+            r = rng.choice(corners) if rng.random() < 0.8 else -1
+            if r == n:
+                lam.append(0)
+            if r >= 0:
+                lam[r] += 1
+        else:
+            corners = [r for r in range(n) if r + 1 == n or lam[r] > lam[r + 1]]
+            left = ups + downs - k  # steps to go, this one included
+            keep = not lam or (sum(lam) < left and rng.random() < 0.2)
+            r = -1 if keep else rng.choice(corners)
+            if r >= 0:
+                lam[r] -= 1
+                if not lam[r]:
+                    lam.pop()
+        rows.append(r)
+        seq.append(tuple(lam))
+    return rows, tuple(seq)
+
+
+def _assert_same_tableau(walked, public, d):
+    assert walked == public and hash(walked) == hash(public)
+    assert repr(walked) == repr(public) and asdict(walked) == asdict(public)
+    assert walked.is_standard() == public.is_standard()
+    assert walked.unit_rows() == public.unit_rows() == tuple(step_rows(public.w, public.seq))
+    for dd in (d - 1, d, d + 1):
+        for L in range(7):
+            if dd >= 1:
+                assert walked.is_cylindric(dd, L) == public.is_cylindric(dd, L)
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_walk_built_tableaux_match_the_public_constructor(d):
+    rng = random.Random(400 + d)
+    for _ in range(40):
+        n = rng.randint(0, 40)
+        rows, seq = _random_unit_walk(rng, d, n)
+        walked = SemistandardTableau._walked("+" * n, rows)
+        _assert_same_tableau(walked, SemistandardTableau(seq), d)
+        n = rng.randint(0, 20)
+        rows, seq = _random_unit_walk(rng, d, n, n)
+        w = "+" * n + "-" * n
+        walked, public = OscillatingTableau._walked(w, rows), OscillatingTableau(w, seq)
+        _assert_same_tableau(walked, public, d)
+        halves = split_pair(walked)
+        for a, b in zip(halves, split_pair(public)):
+            _assert_same_tableau(a, b, d)
+        _assert_same_tableau(join_pair(*halves), public, d)
+        # a tableau that is not walk-built splits and joins to the same values
+        _assert_same_tableau(join_pair(*split_pair(public)), public, d)
+        assert walked.reverse() == public.reverse()
+
+
+def test_unit_walk_refuses_a_box_off_a_corner():
+    with pytest.raises(DomainError, match=r"step 1: \(1, 1\) has no addable corner in row 1"):
+        unit_walk((1, 1), "+", [1])
+    with pytest.raises(DomainError, match=r"step 3: \(2,\) has no addable corner in row 2"):
+        unit_walk((), "+++", [0, 0, 2])
+    with pytest.raises(DomainError, match=r"step 2: \(2, 2\) has no removable corner in row 0"):
+        unit_walk((2, 1), "+-", [1, 0])
+    with pytest.raises(DomainError, match=r"step 1: \(1,\) has no removable corner in row 1"):
+        unit_walk((1,), "-", [1])
+    with pytest.raises(DomainError, match="2 step rows do not fit word of length 3"):
+        unit_walk((), "+++", [0, 0])
+    # the walk-built constructor also checks the ends the class fixes
+    with pytest.raises(DomainError, match=r"unit walk ends at \(1,\), not empty"):
+        OscillatingTableau._walked("+-", [0, -1])
+    with pytest.raises(DomainError, match="expected SemistandardTableau, got RowStrictTableau"):
+        join_pair(RowStrictTableau(((), (1,))), SemistandardTableau(((), (1,))))
+    with pytest.raises(DomainError, match="expected OscillatingTableau, got SkewOscillatingTableau"):
+        split_pair(SkewOscillatingTableau(1, "+-", ((0,), (1,), (0,))))
