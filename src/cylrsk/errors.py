@@ -45,13 +45,20 @@ def decode(source, from_text, from_json, what: str):
     text that starts with ``{`` is the JSON mirror and goes to ``from_json``;
     other text goes to ``from_text``.  A KeyError, TypeError or ValueError on
     the way (JSONDecodeError and DomainError among them) becomes a FormatError
-    naming ``what``; a FormatError passes through unchanged.
+    naming ``what``, as does JSON nested too deeply for the decoder; a
+    FormatError passes through unchanged.
     """
     try:
         if isinstance(source, dict):
             return from_json(source)
         text = source.strip()
-        return from_json(json.loads(text)) if text.startswith("{") else from_text(text)
+        if not text.startswith("{"):
+            return from_text(text)
+        try:
+            obj = json.loads(text)
+        except RecursionError as exc:  # only the decoder's: a reader's is a bug
+            raise FormatError(f"bad {what}: {exc}") from exc
+        return from_json(obj)
     except FormatError:
         raise
     except KeyError as exc:

@@ -32,10 +32,8 @@ Which path a map takes depends only on its input:
   kernel, whatever their input.
 """
 
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import add, ge, sub
-from types import MappingProxyType
 
 from .errors import DomainError, FormatError, InvariantViolation, PatternContainment, decode
 from .fillings import (
@@ -43,6 +41,8 @@ from .fillings import (
     PLUS,
     Filling,
     boundary_type_sequence,
+    filling_from_matrix,
+    filling_to_json,
     format_filling,
     lattice_rows,
     parse_filling,
@@ -267,30 +267,34 @@ def grow_backward_cell(rule: Rule, tl, br, tr) -> tuple[Part, int]:
 class GrowthDiagram:
     """A filled shape with a rule-consistent label at every lattice point.
 
-    labels maps each lattice point (x, y) to its label, read-only.
+    labels holds the label rows, bottom row first: labels[y][x] is the label
+    at the lattice point (x, y), as filling.rows holds the entries.  Each row
+    must have one label per lattice point at its height.  The diagram hashes
+    over its rule, filling and labels.
     """
 
     rule: Rule
     filling: Filling
-    labels: Mapping = field(hash=False)
+    labels: tuple[tuple[Part, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", MappingProxyType(dict(self.labels)))
+        labels = tuple(map(tuple, self.labels))
+        object.__setattr__(self, "labels", labels)
+        widths = lattice_rows(self.shape)
+        if len(labels) != len(widths):
+            raise DomainError(f"expected {len(widths)} label rows, got {len(labels)}")
+        for y, (row, width) in enumerate(zip(labels, widths)):
+            if len(row) != width:
+                raise DomainError(f"label row for height {y} needs {width} entries")
 
     @property
     def shape(self) -> Part:
         return self.filling.shape
 
     def label(self, x: int, y: int) -> Part:
-        try:
-            return self.labels[(x, y)]
-        except KeyError:
-            raise DomainError(f"({x},{y}) is not a lattice point of {self.shape}")
-
-
-def _label_map(grid) -> dict:
-    """{(x, y): label} from label rows indexed by height."""
-    return {(x, y): lab for y, row in enumerate(grid) for x, lab in enumerate(row)}
+        if y in range(len(self.labels)) and x in range(len(self.labels[y])):
+            return self.labels[y][x]
+        raise DomainError(f"({x},{y}) is not a lattice point of {self.shape}")
 
 
 def grow_from_filling(rule: Rule, filling: Filling) -> GrowthDiagram:
@@ -304,7 +308,7 @@ def grow_from_filling(rule: Rule, filling: Filling) -> GrowthDiagram:
     shape = filling.shape
     axes = MINUS * (shape[0] if shape else 0) + PLUS * len(shape)
     grid = _sweep(rule, shape, axes, [()] * (len(axes) + 1), filling.rows)
-    return GrowthDiagram(rule, filling, _label_map(grid))
+    return GrowthDiagram(rule, filling, grid)
 
 
 def _boundary_shape(rule: Rule, shape, t: OscillatingTableau) -> Part:
@@ -333,7 +337,7 @@ def grow_from_boundary(rule: Rule, shape: Part, t: OscillatingTableau) -> Growth
     for y, labs in enumerate(grid):
         if labs[0] != ():
             raise InvariantViolation(f"axis label at (0,{y}) is {labs[0]}")
-    return GrowthDiagram(rule, Filling(shape, rows), _label_map(grid))
+    return GrowthDiagram(rule, Filling(shape, rows), grid)
 
 
 def grow_skew(d: int, rect: Part, t: SkewOscillatingTableau) -> GrowthDiagram:
@@ -358,7 +362,7 @@ def grow_skew(d: int, rect: Part, t: SkewOscillatingTableau) -> GrowthDiagram:
     grid = _sweep(rule, rect, t.w, t.seq, [[0] * cols for _ in range(rows)])
     if any(lab is None for labs in grid for lab in labs):
         raise InvariantViolation("skew growth left unlabeled lattice points")
-    return GrowthDiagram(rule, zero_filling(rect), _label_map(grid))
+    return GrowthDiagram(rule, zero_filling(rect), grid)
 
 
 def _pattern_at(rule: Rule, col: int, row: int) -> PatternContainment:
@@ -425,7 +429,7 @@ def extract_boundary(g: GrowthDiagram, path=None):
         if not contained_in(sub, g.shape):
             raise DomainError(f"sub-shape {sub} escapes the diagram shape {g.shape}")
         w, x = boundary_type_sequence(sub), (sub[0] if sub else 0)
-    seq = tuple(g.labels[p] for p in path_points(x, w))
+    seq = tuple(g.labels[y][x] for x, y in path_points(x, w))
     return SkewOscillatingTableau(g.rule.d, w, seq) if skew else OscillatingTableau(w, seq)
 
 
@@ -605,17 +609,11 @@ def filling_of(rule: Rule, shape: Part, t: OscillatingTableau) -> Filling:
 # ---------------------------------------------------------------------------
 # Text format
 
-def _label_grid(g: GrowthDiagram) -> list[list]:
-    """The labels row by row, bottom row first, each row left to right."""
-    labels = g.labels
-    return [[labels[(x, y)] for x in range(width)] for y, width in enumerate(lattice_rows(g.shape))]
-
-
 def format_diagram(g: GrowthDiagram) -> str:
     """Dump: header `kind d rows cols`, filling block, label rows top-first."""
     shape = g.shape
     head = f"{g.rule.kind} {g.rule.d} {len(shape)} {shape[0] if shape else 0}"
-    rows = [" ".join(map(format_partition, row)) for row in reversed(_label_grid(g))]
+    rows = [" ".join(map(format_partition, row)) for row in reversed(g.labels)]
     return "\n".join([head, format_filling(g.filling), *rows])
 
 
@@ -627,7 +625,7 @@ def parse_diagram(text) -> GrowthDiagram:
     """
     g = decode(text, _diagram_from_text, _diagram_from_json, "diagram")
     # the readers put every label in canonical form; only drsk's bound is left
-    _check_labels(g, [[_bounded_label(g.rule, lab) for lab in row] for row in _label_grid(g)])
+    _check_labels(g, [[_bounded_label(g.rule, lab) for lab in row] for row in g.labels])
     return g
 
 
@@ -648,30 +646,18 @@ def _diagram_from_text(text: str) -> GrowthDiagram:
     if len(filling.shape) != n_rows or (filling.shape and filling.shape[0] != n_cols):
         raise FormatError("diagram header disagrees with the filling shape")
     parse = (lambda tok: parse_staircase(tok, rule.d)) if rule.kind == "skew" else parse_partition
-    return _diagram(rule, filling, [[parse(tok) for tok in ln.split()] for ln in body[1 + n_rows :]])
+    label_rows = [[parse(tok) for tok in ln.split()] for ln in reversed(body[1 + n_rows :])]
+    return GrowthDiagram(rule, filling, label_rows)
 
 
 def _diagram_from_json(obj) -> GrowthDiagram:
     rule = Rule(obj["rule"], strict_int(obj["d"]))
-    filling = Filling(obj["shape"], tuple(reversed([tuple(r) for r in obj["rows"]])))
+    filling = filling_from_matrix(obj["shape"], obj["rows"])
     coerce = (lambda lab: as_staircase(lab, rule.d)) if rule.kind == "skew" else as_partition
     label_rows = obj["labels"]
     if not isinstance(label_rows, list) or not all(isinstance(r, list) for r in label_rows):
         raise FormatError("diagram JSON labels must be a list of label rows")
-    return _diagram(rule, filling, [[coerce(lab) for lab in row] for row in label_rows])
-
-
-def _diagram(rule: Rule, filling: Filling, label_rows) -> GrowthDiagram:
-    """Diagram from label rows listed top row first; each row must fit the shape."""
-    widths = lattice_rows(filling.shape)
-    if len(label_rows) != len(widths):
-        raise FormatError(f"expected {len(widths)} label rows, got {len(label_rows)}")
-    labels = {}
-    for y, row in zip(reversed(range(len(widths))), label_rows):
-        if len(row) != widths[y]:
-            raise FormatError(f"label row for height {y} needs {widths[y]} entries")
-        labels.update(((x, y), lab) for x, lab in enumerate(row))
-    return GrowthDiagram(rule, filling, labels)
+    return GrowthDiagram(rule, filling, [[coerce(lab) for lab in row] for row in reversed(label_rows)])
 
 
 def validate_diagram(g: GrowthDiagram) -> None:
@@ -681,7 +667,7 @@ def validate_diagram(g: GrowthDiagram) -> None:
     edge between neighbouring lattice points is checked for interlacing once,
     and then each cell's side condition and row equations are compared.
     """
-    _check_labels(g, [[_validate_label(g.rule, lab) for lab in row] for row in _label_grid(g)])
+    _check_labels(g, [[_validate_label(g.rule, lab) for lab in row] for row in g.labels])
 
 
 def _check_labels(g: GrowthDiagram, grid) -> None:
@@ -718,11 +704,9 @@ def render_diagram(g: GrowthDiagram) -> str:
     def text(p):
         return ",".join(str(v) for v in p) if p else "."
 
-    width = max(
-        (len(text(lab)) for lab in g.labels.values()), default=1
-    )
+    width = max((len(text(lab)) for row in g.labels for lab in row), default=1)
     out = []
-    for y, labels in zip(reversed(range(len(g.shape) + 1)), reversed(_label_grid(g))):
+    for y, labels in zip(reversed(range(len(g.shape) + 1)), reversed(g.labels)):
         out.append("  ".join(text(lab).rjust(width) for lab in labels))
         if y > 0:
             cells = ((str(v) if v else ".").rjust(width) for v in g.filling.rows[y - 1])
@@ -734,7 +718,6 @@ def diagram_to_json(g: GrowthDiagram) -> dict:
     return {
         "rule": g.rule.kind,
         "d": g.rule.d,
-        "shape": list(g.shape),
-        "rows": [list(r) for r in reversed(g.filling.rows)],
-        "labels": [[list(lab) for lab in row] for row in reversed(_label_grid(g))],
+        **filling_to_json(g.filling),
+        "labels": [[list(lab) for lab in row] for row in reversed(g.labels)],
     }

@@ -129,9 +129,7 @@ class _Tableau:
 
     _co = False
     _empty = ()
-    # set by _walked: the step rows and whether every step moves a box
-    _rows = None
-    _standard = None
+    _rows = None  # the step rows, set by _walked
 
     @classmethod
     def _walked(cls, w: str, rows, seq=None):
@@ -152,7 +150,6 @@ class _Tableau:
             object.__setattr__(t, "w", w)
         if rows is not None:
             object.__setattr__(t, "_rows", tuple(rows))
-            object.__setattr__(t, "_standard", -1 not in rows)
         return t
 
     def __post_init__(self):
@@ -184,8 +181,8 @@ class _Tableau:
         return weight_minus(self.w, self.seq)
 
     def is_standard(self) -> bool:
-        if self._standard is not None:
-            return self._standard
+        if self._rows is not None:
+            return -1 not in self._rows
         return all(v == 1 for v in self.wt_plus() + self.wt_minus())
 
     def unit_rows(self) -> tuple[int, ...] | None:

@@ -376,10 +376,13 @@ def test_malformed_json_values_exit_3(capsys, tmp_path):
         (["check"], {**skew, "d": 1.0}),
         (["check"], {**diagram, "d": 0.0, "rows": [[0]]}),
         (["conjugate", "--d", "2", "--L", "3"], {"d": 2, "parts": [1.5, 0]}),
+        # nested deeper than json.dumps can write, so given as raw text
+        (["check"], '{"perm": ' + "[" * 5000 + "]" * 5000 + "}"),
+        (["rs", "--d", "2", "--L", "3"], '{"perm": ' + "[" * 5000 + "]" * 5000 + "}"),
     ]
     for i, (argv, obj) in enumerate(cases):
         path = tmp_path / f"case{i}.json"
-        path.write_text(json.dumps(obj))
+        path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
         code, _, err = run(capsys, *argv, str(path))
         assert code == 3 and err.startswith("format error"), (argv, err)
 

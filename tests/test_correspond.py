@@ -212,6 +212,12 @@ def test_cylindric_rsk_bounds():
     chain = err.value.chain
     assert sum(v for (_, _, v) in chain) == 7
     assert cylindric_rsk_inverse(p, q, 3, 7) == GRID7
+    # (d, L) are positive: refused before any chain is scanned
+    for d, L in ((2, 0), (2, -5), (0, 2)):
+        with pytest.raises(DomainError, match=r"d and L must be >= 1"):
+            cylindric_rsk(zero_filling((2, 2)), d, L)
+    with pytest.raises(DomainError, match=r"d and L must be >= 1, got \(3,0\)"):
+        cylindric_rsk_inverse(p, q, 3, 0)
 
 
 def test_cylindric_rsk_single_cell():

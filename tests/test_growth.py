@@ -3,12 +3,13 @@ import random
 import pytest
 
 from cylrsk import growth
-from cylrsk.errors import DomainError, InvariantViolation, PatternContainment
+from cylrsk.errors import DomainError, FormatError, InvariantViolation, PatternContainment
 from cylrsk.fillings import (
     Filling,
     boundary_points,
     boundary_type_sequence,
     lattice_points,
+    lattice_rows,
     longest_ne_chain,
     longest_se_chain,
     permutation_to_filling,
@@ -161,7 +162,7 @@ def test_grid7_full_reproduction():
 
 def test_zero_filling_grows_empty_labels():
     g = grow_from_filling(D3, zero_filling((4, 2, 1)))
-    assert all(lab == () for lab in g.labels.values())
+    assert all(lab == () for row in g.labels for lab in row)
     word = boundary_type_sequence((3, 3, 1))
     t = OscillatingTableau(word, ((),) * (len(word) + 1))
     assert grow_from_boundary(D3, (3, 3, 1), t).filling == zero_filling((3, 3, 1))
@@ -274,11 +275,11 @@ def test_labels_weakly_increase_and_edge_sums():
         g = grow_from_filling(Rule.drsk(rng.randint(1, 3) + f.total()), f)
         pts = lattice_points(shape)
         for (x, y) in pts:
-            if (x + 1, y) in g.labels:
+            if x + 1 < len(g.labels[y]):
                 assert contained_in(g.label(x, y), g.label(x + 1, y))
                 below = sum(f.rows[r - 1][x] for r in range(1, y + 1))
                 assert size(g.label(x + 1, y)) - size(g.label(x, y)) == below
-            if (x, y + 1) in g.labels:
+            if y + 1 < len(g.labels) and x < len(g.labels[y + 1]):
                 assert contained_in(g.label(x, y), g.label(x, y + 1))
                 left = sum(f.rows[y][c - 1] for c in range(1, x + 1))
                 assert size(g.label(x, y + 1)) - size(g.label(x, y)) == left
@@ -294,7 +295,10 @@ def test_reflecting_diagram_data_gives_diagram():
         d = f.total() + 1
         g = grow_from_filling(Rule.drsk(d), f)
         h = grow_from_filling(Rule.drsk(d), reflect(f))
-        assert h.labels == {(y, x): lab for (x, y), lab in g.labels.items()}
+        assert sum(map(len, h.labels)) == sum(map(len, g.labels))
+        for y, row in enumerate(g.labels):
+            for x, lab in enumerate(row):
+                assert h.labels[x][y] == lab
 
 
 def test_chain_length_theorems_small():
@@ -348,7 +352,7 @@ def test_grow_skew_constant_labels():
     lam = (2, 0, -1)
     t = SkewOscillatingTableau(3, "+--+", (lam,) * 5)
     g = grow_skew(3, (2, 2), t)
-    assert all(lab == lam for lab in g.labels.values())
+    assert all(lab == lam for row in g.labels for lab in row)
 
 
 def test_grow_skew_round_trip_and_word_independence():
@@ -508,50 +512,84 @@ def test_growth_diagram_is_hashable_and_read_only():
     h = grow_from_filling(D3, GRID7)
     assert g == h and hash(g) == hash(h)
     assert {g: "grid7"}[h] == "grid7"
-    assert g.labels == {(x, y): GRID7_LABELS[x][y] for x in range(8) for y in range(8)}
+    assert g.labels == tuple(tuple(GRID7_LABELS[x][y] for x in range(8)) for y in range(8))
     with pytest.raises(TypeError):
-        g.labels[(0, 0)] = (1,)
-    # the diagram keeps its own copy of the labels it was built from
-    labels = dict(g.labels)
+        g.labels[0][0] = (1,)
+    # the diagram keeps its own copy of the label rows it was built from
+    labels = [list(row) for row in g.labels]
     copy = GrowthDiagram(g.rule, g.filling, labels)
-    labels[(0, 0)] = (1,)
+    labels[0][0] = (1,)
     assert copy.label(0, 0) == ()
+    assert copy == g and GrowthDiagram(g.rule, g.filling, labels) != g
+
+
+def test_growth_diagram_refuses_labels_off_the_lattice():
+    g = grow_from_filling(D3, GRID7)
+    rows = [list(row) for row in g.labels]
+    for bad in (
+        rows[:-1],
+        rows + [rows[-1]],
+        [rows[0][:-1]] + rows[1:],
+        rows[:-1] + [rows[-1] + [()]],
+    ):
+        with pytest.raises(DomainError, match="label row"):
+            GrowthDiagram(g.rule, g.filling, bad)
+    # a point -> label dict is refused, not misread
+    points = {(x, y): lab for y, row in enumerate(g.labels) for x, lab in enumerate(row)}
+    with pytest.raises(DomainError):
+        GrowthDiagram(g.rule, g.filling, points)
+    empty = zero_filling(())
+    assert GrowthDiagram(D3, empty, [[()]]).label(0, 0) == ()
+    with pytest.raises(DomainError):
+        GrowthDiagram(D3, empty, {(0, 0): ()})
+    # a point off the lattice is refused, not read from the other end of a row
+    for x, y in ((8, 0), (0, 8), (-1, 0), (0, -1), ("0", 0)):
+        with pytest.raises(DomainError, match="not a lattice point"):
+            g.label(x, y)
+    # a dump whose label rows do not fit its shape is malformed
+    lines = format_diagram(g).splitlines()
+    for bad in (lines + lines[-1:], lines[:9] + [lines[9].rsplit(" ", 1)[0]] + lines[10:]):
+        with pytest.raises(FormatError, match="bad diagram: "):
+            parse_diagram("\n".join(bad))
 
 
 def _regrow_forward(rule, f):
     """Labels of f's diagram, grown cell by cell with the checked public kernel."""
     shape = f.shape
-    labels = {(x, 0): () for x in range((shape[0] if shape else 0) + 1)}
-    labels.update({(0, y): () for y in range(len(shape) + 1)})
+    widths = lattice_rows(shape)
+    labels = [[()] * widths[0]] + [[()] + [None] * (w - 1) for w in widths[1:]]
     for row in range(1, len(shape) + 1):
         for col in range(1, shape[row - 1] + 1):
-            labels[(col, row)] = grow_forward_cell(
+            labels[row][col] = grow_forward_cell(
                 rule,
-                labels[(col - 1, row - 1)],
-                labels[(col - 1, row)],
-                labels[(col, row - 1)],
+                labels[row - 1][col - 1],
+                labels[row][col - 1],
+                labels[row - 1][col],
                 f.rows[row - 1][col - 1],
             )
-    return labels
+    return tuple(map(tuple, labels))
 
 
 def _regrow_backward(rule, shape, t):
     """Labels and filling rebuilt from boundary t with the checked public kernel."""
-    labels = dict(zip(boundary_points(shape), t.seq))
+    labels = [[None] * w for w in lattice_rows(shape)]
+    for (x, y), lab in zip(boundary_points(shape), t.seq):
+        labels[y][x] = lab
     rows = [[None] * w for w in shape]
     for row in range(len(shape), 0, -1):
         for col in range(shape[row - 1], 0, -1):
-            labels[(col - 1, row - 1)], rows[row - 1][col - 1] = grow_backward_cell(
-                rule, labels[(col - 1, row)], labels[(col, row - 1)], labels[(col, row)]
+            labels[row - 1][col - 1], rows[row - 1][col - 1] = grow_backward_cell(
+                rule, labels[row][col - 1], labels[row - 1][col], labels[row][col]
             )
-    return labels, Filling(shape, tuple(tuple(r) for r in rows))
+    return tuple(map(tuple, labels)), Filling(shape, tuple(tuple(r) for r in rows))
 
 
 def _regrow_skew(d, rows, cols, t):
     """Labels around t's path, completed with the checked public kernels."""
     rule = Rule.skew(d)
     x, y = cols, 0
-    labels = {(x, y): t.seq[0]}
+    labels = [[None] * (cols + 1) for _ in range(rows + 1)]
+    labels[y][x] = t.seq[0]
     up_x = []
     for ch, lab in zip(t.w, t.seq[1:]):
         if ch == "+":
@@ -559,23 +597,23 @@ def _regrow_skew(d, rows, cols, t):
             y += 1
         else:
             x -= 1
-        labels[(x, y)] = lab
+        labels[y][x] = lab
     for row in range(rows, 0, -1):
         for col in range(up_x[row - 1], 0, -1):
-            labels[(col - 1, row - 1)], entry = grow_backward_cell(
-                rule, labels[(col - 1, row)], labels[(col, row - 1)], labels[(col, row)]
+            labels[row - 1][col - 1], entry = grow_backward_cell(
+                rule, labels[row][col - 1], labels[row - 1][col], labels[row][col]
             )
             assert entry == 0
     for row in range(1, rows + 1):
         for col in range(up_x[row - 1] + 1, cols + 1):
-            labels[(col, row)] = grow_forward_cell(
+            labels[row][col] = grow_forward_cell(
                 rule,
-                labels[(col - 1, row - 1)],
-                labels[(col - 1, row)],
-                labels[(col, row - 1)],
+                labels[row - 1][col - 1],
+                labels[row][col - 1],
+                labels[row - 1][col],
                 0,
             )
-    return labels
+    return tuple(map(tuple, labels))
 
 
 def _replay_cells(g):
