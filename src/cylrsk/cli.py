@@ -154,6 +154,8 @@ def _cmd_rowstrict_retype(args):
 
 
 def _cmd_conjugate(args):
+    if args.d < 1:  # before the staircase reader turns it into a format error
+        raise DomainError(f"staircase degree must be positive, got {args.d}")
     stair = decode(
         _read(args.file),
         lambda t: parse_staircase(t, args.d),

@@ -39,7 +39,8 @@ def _check_params(n: int, d: int, L: int, stepped: bool = False) -> None:
         raise DomainError(f"n must be >= 1, got {n}")
     if d < 1 or L < 1:
         raise DomainError(f"d and L must be >= 1, got ({d},{L})")
-    if stepped and _comb_exceeds(d + L - 1, d - 1, STEP_WORK_BUDGET // (n * n)):
+    # the stepped routes run at (min(d, L), max(d, L)): see _stepped_value
+    if stepped and _comb_exceeds(d + L - 1, min(d, L) - 1, STEP_WORK_BUDGET // (n * n)):
         raise DomainError(f"n = {n} at ({d},{L}) exceeds the work budget of the stepped routes")
 
 
@@ -200,7 +201,11 @@ class _Chains:
 
 
 def _stepped_value(cache: dict, lock, make, n: int, d: int, L: int):
-    """values[n] of the cached (d, L) state, built by make(d, L) and stepped up to n."""
+    """values[n] of the cached state, built by make and stepped up to n.
+
+    The counts are symmetric in (d, L), so the state is built at (min, max).
+    """
+    d, L = sorted((d, L))
     with lock:
         state = cache.get((d, L))
         if state is None:
@@ -276,6 +281,8 @@ def _distance_groups(d: int, M: int) -> dict[tuple[int, ...], int]:
     key that element would add.
     """
     half = M // 2
+    if d == 1:
+        return {(0,) * (half + 1): 1}
     width = (d * (d - 1) // 2).bit_length()
     weight = [[1 << width * min(abs(a - b), M - abs(a - b)) for b in range(M)] for a in range(M)]
     keys: Counter[int] = Counter()
@@ -287,10 +294,7 @@ def _distance_groups(d: int, M: int) -> dict[tuple[int, ...], int]:
         for c in range(last + 1, M - left + 1):
             extend(c, key + adds[c], [x + y for x, y in zip(adds, weight[c])], left - 1)
 
-    if d == 1:
-        keys[0] = 1
-    else:
-        extend(0, 0, weight[0], d - 1)
+    extend(0, 0, weight[0], d - 1)
     field = (1 << width) - 1
     return {
         tuple(key >> width * k & field for k in range(half + 1)): size
@@ -408,7 +412,10 @@ def trig_count(n: int, d: int, L: int) -> int:
     """
     _check_params(n, d, L, stepped=True)
     M = d + L
-    if _comb_exceeds(M, d, TRIG_TERM_BUDGET):
+    # each term has M coefficients, stepped by factors of up to M of them, and
+    # the build holds an M x M distance table: so besides C(M, d) itself, the
+    # work C(M, d) * M^2 is held to TRIG_TERM_BUDGET^2 / 4 = 10^12
+    if _comb_exceeds(M, d, min(TRIG_TERM_BUDGET, TRIG_TERM_BUDGET**2 // (4 * M * M))):
         raise DomainError(f"trigonometric sum over C({M},{d}) subsets exceeds budget")
     return _stepped_value(_TRIG_CACHE, _TRIG_LOCK, _TrigSum, n, d, L)
 

@@ -124,6 +124,17 @@ class Filling:
         object.__setattr__(f, "rows", rows)
         return f
 
+    def unit_columns(self) -> tuple[int, ...] | None:
+        """0-based column of each row's 1, or -1; None unless every row and column sums to <= 1."""
+        cols = []
+        for row in self.rows:
+            total = sum(row)
+            if total > 1:
+                return None
+            cols.append(row.index(1) if total else -1)
+        hits = [c for c in cols if c >= 0]
+        return tuple(cols) if len(set(hits)) == len(hits) else None
+
     def entry(self, col: int, row: int) -> int:
         """Entry in the addressed cell; the cell must lie in the shape."""
         if not self.has_cell(col, row):
@@ -302,13 +313,11 @@ def filling_to_permutation(f: Filling) -> tuple[int, ...]:
     n = len(f.shape)
     if f.shape != ((n,) * n if n else ()):
         raise DomainError(f"shape {f.shape} is not square")
+    cols = f.unit_columns()
+    if cols is None or -1 in cols:
+        raise DomainError("filling is not a permutation filling")
     perm = [0] * n
-    for r, row in enumerate(f.rows, 1):
-        if sum(row) != 1:  # entries are nonnegative, so the row holds a single 1
-            raise DomainError(f"row {r} is not a unit row")
-        c = row.index(1)
-        if perm[c]:
-            raise DomainError(f"column {c + 1} is not a unit column")
+    for r, c in enumerate(cols, 1):
         perm[c] = r
     return tuple(perm)
 

@@ -167,13 +167,6 @@ def _row_system(rule: Rule, a: Part, b: Part) -> list[int]:
 
 def _forward(rule: Rule, bl: Part, tl: Part, br: Part, entry: int) -> Part:
     """Top-right label of a cell whose bl interlaces below tl and br."""
-    if not entry:
-        # replay: the rule gives back the other label, and both edges of the
-        # result are edges the caller has verified
-        if tl == bl:
-            return br
-        if br == bl:
-            return tl
     s = _row_system(rule, tl, br)
     n = len(s)
     lo = bl + (0,) * (n - len(bl))
@@ -186,10 +179,6 @@ def _forward(rule: Rule, bl: Part, tl: Part, br: Part, entry: int) -> Part:
 
 def _backward(rule: Rule, tl: Part, br: Part, tr: Part) -> tuple[Part, int]:
     """Bottom-left label and entry of a cell whose tl and br interlace below tr."""
-    if tr == tl:
-        return br, 0
-    if tr == br:
-        return tl, 0
     s = _row_system(rule, tl, br)
     n = len(s)
     hi = tr + (0,) * (n - len(tr))
@@ -508,18 +497,6 @@ def classify_rs_cell(rule: Rule, bl, tl, br, tr, entry: int) -> str:
 # the line below holds a (d-1)-step left of the cell.
 
 
-def _unit_columns(filling: Filling) -> list[int] | None:
-    """0-based column of each row's 1, or -1; None unless every row and column sums to <= 1."""
-    cols = []
-    for row in filling.rows:
-        total = sum(row)
-        if total > 1:
-            return None
-        cols.append(row.index(1) if total else -1)
-    hits = [c for c in cols if c >= 0]
-    return cols if len(set(hits)) == len(hits) else None
-
-
 def boundary_of(rule: Rule, filling: Filling) -> OscillatingTableau:
     """Boundary tableau of the filling's growth diagram under rsk or drsk.
 
@@ -530,7 +507,7 @@ def boundary_of(rule: Rule, filling: Filling) -> OscillatingTableau:
     """
     if rule.kind == "skew":
         raise DomainError("skew diagrams are grown from path labels, not fillings")
-    cols = _unit_columns(filling)
+    cols = filling.unit_columns()
     if cols is None:
         return extract_boundary(grow_from_filling(rule, filling))
     d, shape = rule.d, filling.shape  # d is 0 under rsk

@@ -181,9 +181,8 @@ class _Tableau:
         return weight_minus(self.w, self.seq)
 
     def is_standard(self) -> bool:
-        if self._rows is not None:
-            return -1 not in self._rows
-        return all(v == 1 for v in self.wt_plus() + self.wt_minus())
+        rows = self.unit_rows()
+        return rows is not None and -1 not in rows
 
     def unit_rows(self) -> tuple[int, ...] | None:
         """step_rows of the tableau, or None when some step moves two or more boxes."""

@@ -146,6 +146,8 @@ def test_conjugate_verb(capsys, tmp_path):
     wide.write_text("[9,0,0]\n")
     code, _, _ = run(capsys, "conjugate", "--d", "3", "--L", "4", str(wide))
     assert code == 2
+    code, _, err = run(capsys, "conjugate", "--d", "0", "--L", "3", str(s_file))
+    assert code == 2 and "degree must be positive" in err
 
 
 def test_bwx_wilf_rowstrict_verbs(capsys, tmp_path):
@@ -295,13 +297,27 @@ def _cap_address_space():
 @pytest.mark.parametrize(
     "argv, code, out, stdin",
     [
-        ("count --routes pairs --n-max 3 --d 100000000 --L 1", 2, "", None),
+        # the stepped routes run at (min(d, L), max(d, L)), so a huge d costs
+        # what a huge L does
+        (
+            "count --routes pairs --n-max 3 --d 100000000 --L 1",
+            0,
+            "1      1     ok\n2      1     ok\n3      1     ok\n",
+            None,
+        ),
         (
             "count --routes pairs --n-max 3 --d 1 --L 100000000",
             0,
             "1      1     ok\n2      1     ok\n3      1     ok\n",
             None,
         ),
+        ("count --routes pairs --d 20000 --L 1 --n-max 2", 0, "2      1     ok\n", None),
+        ("count --routes pairs --d 200 --L 3 --n-max 3", 0, "3      6     ok\n", None),
+        ("count --routes trig --d 1200 --L 1 --n-max 3", 0, "3     1     ok\n", None),
+        ("count --routes trig --d 200 --L 3 --n-max 3", 0, "3     6     ok\n", None),
+        # the trig budget weighs M = d + L too
+        ("count --routes trig --d 1 --L 20000 --n-max 2", 2, "", None),
+        ("count --routes trig --d 2 --L 1990 --n-max 3", 2, "", None),
         ("count --routes pairs --n-max 3 --d 40 --L 40", 2, "", None),
         ("asym --d 100000000 --L 1", 0, "rate 1.0\nconstant 1.0\n", None),
         ("count --routes pairs --d 2 --L 3 --n-max 100000000", 2, "", None),

@@ -253,6 +253,9 @@ def test_count_table():
     assert table.routes == ("brute", "pairs", "trig")
     assert [row[0] for row in table.counts] == [1, 2, 6, 22, 86, 342]
     assert table.consistent()
+    # the exhaustive scan runs at (d, L) as given, the stepped routes at (3, 5)
+    table = count_table(5, 3, 8)
+    assert table.consistent() and table.counts == count_table(3, 5, 8).counts
     with pytest.raises(DomainError):
         count_table(2, 2, 4, routes=("nope",))
     with pytest.raises(DomainError):

@@ -241,6 +241,9 @@ def test_permutation_round_trip():
         filling_to_permutation(Filling((2, 2), ((1, 1), (0, 0))))
     with pytest.raises(DomainError):
         filling_to_permutation(Filling((2, 1), ((1, 0), (0,))))
+    for rows in (((1, 0), (0, 0)), ((1, 0), (1, 0)), ((2, 0), (0, 1))):
+        with pytest.raises(DomainError):
+            filling_to_permutation(Filling((2, 2), rows))
 
 
 def test_unit_column_fillings_match_the_public_constructor():
@@ -251,11 +254,20 @@ def test_unit_column_fillings_match_the_public_constructor():
         rows = tuple(tuple(int(c == j) for j in range(width)) for width, c in zip(shape, cols))
         built, public = Filling._from_unit_columns(shape, cols), Filling(shape, rows)
         assert built == public and hash(built) == hash(public) and repr(built) == repr(public)
+        hits = [c for c in cols if c >= 0]
+        assert built.unit_columns() == (tuple(cols) if len(set(hits)) == len(hits) else None)
     for n in range(6):
         perm = list(range(1, n + 1))
         rng.shuffle(perm)
         f = permutation_to_filling(perm)
         assert f == Filling(f.shape, f.rows) and repr(f) == repr(Filling(f.shape, f.rows))
+    # unit_columns reads the column word back
+    assert permutation_to_filling([2, 4, 1, 3]).unit_columns() == (2, 0, 3, 1)
+    partial = Filling((3, 3, 2), ((0, 1, 0), (0, 0, 0), (1, 0)))
+    assert partial.unit_columns() == (1, -1, 0)
+    assert Filling((3, 1), ((1, 0, 1), (0,))).unit_columns() is None  # row sums to 2
+    assert Filling((2, 2), ((0, 1), (0, 1))).unit_columns() is None  # repeated column
+    assert zero_filling(()).unit_columns() == ()
 
 
 def test_text_and_json_round_trip():

@@ -109,6 +109,15 @@ def test_cell_round_trip_all_rules():
         tr = grow_forward_cell(rule, pad(bl), pad(tl), pad(br), 0)
         assert grow_backward_cell(rule, pad(tl), pad(br), tr) == (pad(bl), 0)
         assert check_cell(rule, pad(bl), pad(tl), pad(br), tr, 0)
+        # replay cells: entry 0 and tl or br equal to bl, so the solve gives
+        # back the other label, and backward the cell's bl
+        for rule, lab in ((Rule.rsk(), tuple), (Rule.drsk(d), tuple), (rule, pad)):
+            b = lab(bl)
+            for o in (lab(tl), lab(br)):
+                assert grow_forward_cell(rule, b, b, o, 0) == o
+                assert grow_forward_cell(rule, b, o, b, 0) == o
+                assert grow_backward_cell(rule, b, o, o) == (b, 0)
+                assert grow_backward_cell(rule, o, b, o) == (b, 0)
 
 
 def test_cell_round_trip_converse():
