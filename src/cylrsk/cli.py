@@ -86,6 +86,8 @@ def _pair_from_json(obj):
 
 def _rule_from_args(args) -> growth.Rule:
     if args.rule == "rsk":
+        if args.d is not None:
+            raise FormatError("--d applies only to the drsk rule")
         return growth.Rule.rsk()
     if args.d is None:
         raise FormatError("--d is required for the drsk rule")

@@ -25,7 +25,7 @@ from .fillings import (
     permutation_to_filling,
 )
 from .growth import Rule, boundary_of, extract_boundary, filling_of, grow_skew
-from .partitions import CONJUGATE_WORK_BUDGET, Part, cyl_conjugate
+from .partitions import CONJUGATE_WORK_BUDGET, Part, cyl_conjugate, require_degrees
 from .tableaux import (
     OscillatingTableau,
     SemistandardTableau,
@@ -59,17 +59,10 @@ def rsk_inverse(shape: Part, t: OscillatingTableau) -> Filling:
     return filling_of(Rule.rsk(), shape, t)
 
 
-def _require_degrees(d: int, L: int) -> None:
-    """Refuse a (d, L) that is not a pair of positive integers."""
-    if d < 1 or L < 1:
-        raise DomainError(f"d and L must be >= 1, got ({d},{L})")
-
-
-def _require_rectangle(f: Filling) -> tuple[int, int]:
+def _require_rectangle(f: Filling) -> None:
     shape = f.shape
     if not shape or any(w != shape[0] for w in shape):
         raise DomainError(f"expected a nonempty rectangular shape, got {shape}")
-    return len(shape), shape[0]
 
 
 def cylindric_rsk(
@@ -80,7 +73,7 @@ def cylindric_rsk(
     The filling must avoid the order-d descending pattern and contain no
     NE-chain longer than L; the rejection names a maximal chain.
     """
-    _require_degrees(d, L)
+    require_degrees(d, L)
     _require_rectangle(f)
     ne, chain = ne_chain_witness(f)
     if ne > L:
@@ -97,7 +90,7 @@ def cylindric_rsk_inverse(
     p: SemistandardTableau, q: SemistandardTableau, d: int, L: int
 ) -> Filling:
     """Rectangular filling mapped to (p, q): p gives the rows, q the columns."""
-    _require_degrees(d, L)
+    require_degrees(d, L)
     p.require_cylindric(d, L)
     q.require_cylindric(d, L)
     rows, cols = len(p.seq) - 1, len(q.seq) - 1
@@ -202,7 +195,7 @@ def conjugate_standard_pair(
     that adds a box in column c adds one in row (c - 1) mod L of the
     conjugate (0-based); a step that keeps its label keeps it.
     """
-    _require_degrees(d, L)
+    require_degrees(d, L)
     return _conjugate(p.require_cylindric(d, L), L)
 
 

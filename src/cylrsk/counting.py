@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, combinations_with_replacement, compress
 
 from .errors import DomainError, InvariantViolation
+from .partitions import require_degrees
 
 BRUTE_LIMIT = 10
 TRIG_TERM_BUDGET = 2_000_000
@@ -37,8 +38,7 @@ STEP_WORK_BUDGET = 10**10
 def _check_params(n: int, d: int, L: int, stepped: bool = False) -> None:
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    if d < 1 or L < 1:
-        raise DomainError(f"d and L must be >= 1, got ({d},{L})")
+    require_degrees(d, L)
     # the stepped routes run at (min(d, L), max(d, L)): see _stepped_value
     if stepped and _comb_exceeds(d + L - 1, min(d, L) - 1, STEP_WORK_BUDGET // (n * n)):
         raise DomainError(f"n = {n} at ({d},{L}) exceeds the work budget of the stepped routes")
@@ -332,18 +332,24 @@ class _TrigSum:
         self.M = M
         self.factors = []  # per group: (k, m_k) for each distance k its pairs reach
         terms = []
-        # V(T) of every histogram prefix (m_0, ..., m_j), shared by the groups
-        # that extend it; m_0 is always 0, and that prefix is the polynomial 1
-        prefix: dict[tuple[int, ...], list[int]] = {(0,): [1] + [0] * (M - 1)}
-        for m, size in _distance_groups(d, M).items():
+        # prefix[j] is V(T) of the last group's histogram prefix (m_0, ...,
+        # m_{j-1}), prefix[0] the polynomial 1, and m_0 = 0 multiplies nothing.
+        # Sorted, the groups sharing a prefix are adjacent, so each group keeps
+        # what it shares with the last one and each prefix is multiplied once.
+        prefix, last = [[1] + [0] * (M - 1)], ()
+        for m, size in sorted(_distance_groups(d, M).items()):
             pairs = [(k, mk) for k, mk in enumerate(m) if k and mk]
-            for k, mk in enumerate(m[1:], 1):
-                if m[: k + 1] not in prefix:
-                    v = prefix[m[:k]]
-                    for _ in range(mk):
-                        v = _mul_symmetric(v, 2, [(k, -1)])
-                    prefix[m[: k + 1]] = v
-            term = [size * c for c in prefix[m]]
+            j = 0
+            while j < len(last) and last[j] == m[j]:
+                j += 1
+            del prefix[j + 1 :]
+            for k in range(j, len(m)):
+                v = prefix[k]
+                for _ in range(m[k]):
+                    v = _mul_symmetric(v, 2, [(k, -1)])
+                prefix.append(v)
+            last = m
+            term = [size * c for c in prefix[-1]]
             low = min(term)
             if low < 0:
                 term = [t - low for t in term]
@@ -433,8 +439,7 @@ def asymptotic(d: int, L: int) -> tuple[float, float]:
     rate = (sin(pi d / M) / sin(pi / M))**2 and
     constant = M**(1-d) * prod_{j<d} (4 sin^2(pi j / M))**(d-j), M = d + L.
     """
-    if d < 1 or L < 1:
-        raise DomainError(f"d and L must be >= 1, got ({d},{L})")
+    require_degrees(d, L)
     # rate and constant are symmetric in (d, L): the smaller one sets the terms
     M, k = d + L, min(d, L)
     if k >= ASYM_K_LIMIT:

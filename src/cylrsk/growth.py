@@ -25,7 +25,7 @@ Which path a map takes depends only on its input:
   drsk) sweep step words and build no diagram when every row and column of
   the filling sums to at most 1, which is when every step of the boundary
   changes the size by at most 1, and write or read the boundary with the
-  unit-step codec of ``tableaux``, as ``classify_rs_cell`` reads a cell;
+  unit-step codec of ``tableaux``;
   any other filling or boundary goes through the partition kernel below.
 * ``grow_from_filling``, ``grow_from_boundary``, ``grow_skew``, the
   single-cell functions and ``validate_diagram`` always use the partition
@@ -61,7 +61,7 @@ from .partitions import (
     part,
     strict_int,
 )
-from .tableaux import OscillatingTableau, SkewOscillatingTableau, step_rows, unit_walk
+from .tableaux import OscillatingTableau, SkewOscillatingTableau, step_rows
 
 
 @dataclass(frozen=True)
@@ -429,8 +429,9 @@ def classify_rs_cell(rule: Rule, bl, tl, br, tr, entry: int) -> str:
     """Name the unit-step configuration a cell realizes.
 
     Requires all adjacent labels to differ in size by at most one (the
-    unit-step regime); raises InvariantViolation when no configuration of the
-    rule matches.
+    unit-step regime); raises InvariantViolation when the cell breaks the
+    rule.  The case is read off the entry and the rows of the boxes that the
+    left and bottom edges add.
     """
     bl, tl, br, tr = (_validate_label(rule, p) for p in (bl, tl, br, tr))
     entry = _validate_entry(entry)
@@ -439,40 +440,22 @@ def classify_rs_cell(rule: Rule, bl, tl, br, tr, entry: int) -> str:
             raise DomainError(f"size jumps by more than 1 across the {edge} edge")
     if entry > 1:
         raise DomainError(f"unit-step cells carry entry 0 or 1, got {entry}")
-
-    def walk(rows):  # bl with a box added in each of the 0-based rows
-        return unit_walk(bl, PLUS * len(rows), rows)[-1]
-
+    if not check_cell(rule, bl, tl, br, tr, entry):
+        raise InvariantViolation(
+            f"cell breaks the local rule {rule}: bl={bl} tl={tl} br={br} tr={tr} entry={entry}"
+        )
+    # the rule keeps |tr| + |bl| = |tl| + |br| + entry, so with unit-step
+    # edges an entry of 1 leaves bl = tl = br
+    if entry:
+        return "new_box"
     up, right = (step_rows(PLUS, (bl, hi))[0] for hi in (tl, br))
-    for s, hi in ((up, tl), (right, br)):
-        try:
-            unit = walk([s]) == hi
-        except DomainError:  # no corner to add in row s
-            unit = False
-        if not unit:
-            raise InvariantViolation(f"{bl} -> {hi} is not a unit step")
-    d = rule.d
-    if entry == 1:
-        if rule.kind == "skew":
-            raise InvariantViolation("skew cells cannot carry entry 1")
-        if up >= 0 or right >= 0:
-            raise InvariantViolation("entry 1 requires equal bl, tl, br")
-        if rule.kind == "drsk" and part(bl, d) != 0:
-            raise InvariantViolation(f"new box over {bl} with full last row")
-        tag, boxes = "new_box", [0]
-    elif up < 0:
-        tag, boxes = ("empty", []) if right < 0 else ("replay_right", [right])
-    elif right < 0:
-        tag, boxes = "replay_up", [up]
-    elif up != right:
-        tag, boxes = "independent", [up, right]
-    elif rule.kind != "rsk" and up == d - 1:
-        tag, boxes = "wrap", [up, 0]
-    else:
-        tag, boxes = "bump", [up, up + 1]
-    if walk(boxes) != tr:
-        raise InvariantViolation(f"cell does not match any unit-step case near {tag!r}")
-    return tag
+    if up < 0:
+        return "empty" if right < 0 else "replay_right"
+    if right < 0:
+        return "replay_up"
+    if up != right:
+        return "independent"
+    return "wrap" if rule.kind != "rsk" and up == rule.d - 1 else "bump"
 
 
 # ---------------------------------------------------------------------------

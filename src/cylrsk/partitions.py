@@ -23,6 +23,12 @@ def strict_int(v) -> int:
     return v
 
 
+def require_degrees(d: int, L: int) -> None:
+    """Refuse a (d, L) that is not a pair of positive integers."""
+    if d < 1 or L < 1:
+        raise DomainError(f"d and L must be >= 1, got ({d},{L})")
+
+
 def as_partition(parts) -> Part:
     """Canonicalize an iterable of ints into a partition tuple.
 

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from cylrsk.cli import PARSERS, build_parser, main
 from cylrsk.fillings import Filling, format_filling, parse_filling
-from cylrsk.growth import Rule, format_diagram, grow_from_filling
+from cylrsk.growth import Rule, extract_boundary, format_diagram, grow_from_filling
+from cylrsk.tableaux import format_oscillating
 from worked_examples import CHAIN_ROWS, CHAIN_SHAPE, GRID7_ROWS
 
 GRID7 = Filling((7,) * 7, GRID7_ROWS)
@@ -289,9 +290,19 @@ def test_render_verb(capsys, tmp_path):
     assert code == 0 and "9,9,5" in out
 
 
-def _cap_address_space():
-    cap = 1_500_000 * 1024  # 1.5 GB: a state table for a huge d or L fails fast
-    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+def _run_capped(argv: str, stdin, cap: int):
+    """Run the CLI in a child process whose address space is capped at cap bytes."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "cylrsk.cli", *argv.split()],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=20,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
 
 
 @pytest.mark.parametrize(
@@ -330,20 +341,20 @@ def _cap_address_space():
     ],
 )
 def test_huge_parameters_end_at_once_in_bounded_memory(argv, code, out, stdin):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "cylrsk.cli", *argv.split()],
-        input=stdin,
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=20,
-        preexec_fn=_cap_address_space,
-    )
+    # 1.5 GB: a state table for a huge d or L fails fast
+    done = _run_capped(argv, stdin, 1_500_000 * 1024)
     assert done.returncode == code, done.stderr
     assert out in done.stdout and "Traceback" not in done.stderr
     assert done.stderr.startswith("error: ") == (code == 2)
+
+
+def test_trig_build_holds_one_prefix_product_per_distance():
+    # at d = 2 there are about M^2 / 8 histogram prefixes: a product held for
+    # each of them at once passes this 150 MB cap, while the products along
+    # one group's prefixes fit in under 100 MB
+    done = _run_capped("count --routes trig --d 2 --L 800 --n-max 3", None, 150 * 1024 * 1024)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith("3     5     ok\n")
 
 
 def test_bad_flags_exit_3(capsys, tmp_path):
@@ -353,6 +364,14 @@ def test_bad_flags_exit_3(capsys, tmp_path):
     assert code == 3
     code, _, err = run(capsys, "grow", "--rule", "drsk", "--d", "3", str(tmp_path / "missing"))
     assert code == 3
+    # the plain rule carries no degree, as Rule("rsk", 3) refuses one
+    f_file, t_file = tmp_path / "grid.fill", tmp_path / "boundary.tab"
+    f_file.write_text(format_filling(GRID7) + "\n")
+    t_file.write_text(format_oscillating(extract_boundary(grow_from_filling(Rule.rsk(), GRID7))))
+    for verb, path in (("grow", f_file), ("ungrow", t_file)):
+        code, out, err = run(capsys, verb, "--rule", "rsk", "--d", "3", str(path))
+        assert (code, out) == (3, "") and "--d applies only to the drsk rule" in err
+        assert run(capsys, verb, "--rule", "rsk", str(path))[0] == 0
 
 
 def test_stdin_input(capsys, monkeypatch):

@@ -442,39 +442,49 @@ def test_classify_guards_and_violations():
         classify_rs_cell(Rule.drsk(1), (1,), (1,), (1,), (2,), 1)
     with pytest.raises(InvariantViolation):
         classify_rs_cell(D3, (1,), (2,), (1,), (1,), 0)
-    # tl differs from bl first in row 1, where (2, 2) has no corner to add
-    with pytest.raises(InvariantViolation, match=r"^\(2, 2\) -> \(2, 1\) is not a unit step$"):
+    # tl = (2, 1) lies below bl = (2, 2), so the left edge does not interlace
+    with pytest.raises(
+        InvariantViolation,
+        match=r"^cell breaks the local rule drsk\(3\): "
+        r"bl=\(2, 2\) tl=\(2, 1\) br=\(2, 2\) tr=\(2, 2\) entry=0$",
+    ):
         classify_rs_cell(D3, (2, 2), (2, 1), (2, 2), (2, 2), 0)
 
 
 def test_all_cells_of_unit_diagrams_classify():
+    every_tag = {"empty", "replay_up", "replay_right", "independent", "bump", "wrap", "new_box"}
     rng = random.Random(83)
-    count = 0
-    while count < 25:
-        n = rng.randint(1, 6)
-        perm = list(range(1, n + 1))
-        rng.shuffle(perm)
-        f = permutation_to_filling(perm)
-        d = rng.randint(1, 3)
-        try:
-            g = grow_from_filling(Rule.drsk(d), f)
-        except PatternContainment:
-            continue
-        count += 1
-        tags = set()
-        for row in range(1, n + 1):
-            for col in range(1, n + 1):
-                tags.add(
-                    classify_rs_cell(
-                        g.rule,
-                        g.label(col - 1, row - 1),
-                        g.label(col - 1, row),
-                        g.label(col, row - 1),
-                        g.label(col, row),
-                        f.rows[row - 1][col - 1],
-                    )
+    for rule in (Rule.rsk(), Rule.drsk(1), Rule.drsk(2), Rule.drsk(3)):
+        seen = set()
+        count = 0
+        while count < 25:
+            n = rng.randint(1, 6)
+            perm = list(range(1, n + 1))
+            rng.shuffle(perm)
+            f = permutation_to_filling(perm)
+            try:
+                g = grow_from_filling(rule, f)
+            except PatternContainment:
+                continue
+            count += 1
+            tags = {
+                classify_rs_cell(
+                    rule,
+                    g.label(col - 1, row - 1),
+                    g.label(col - 1, row),
+                    g.label(col, row - 1),
+                    g.label(col, row),
+                    f.rows[row - 1][col - 1],
                 )
-        assert "new_box" in tags
+                for row in range(1, n + 1)
+                for col in range(1, n + 1)
+            }
+            assert "new_box" in tags
+            seen |= tags
+        if rule.kind == "rsk":
+            assert "wrap" not in seen
+        elif rule.d > 1:
+            assert seen == every_tag, rule
 
 
 def test_dump_parse_round_trip():
