@@ -6,6 +6,7 @@ produce byte-identical output.  Exit codes: 0 success, 2 domain errors
 """
 
 import argparse
+import decimal
 import functools
 import json
 import sys
@@ -167,8 +168,15 @@ def _cmd_conjugate(args):
     return "staircase", (args.L, cyl_conjugate(stair, args.d, args.L))
 
 
+# bound on the decimal digits of one count table, which text and CSV print in full
+COUNT_DIGIT_BUDGET = 5 * 10**7
+
+
 def _cmd_count(args):
     table = counting.count_table(args.d, args.L, args.n_max, tuple(args.routes.split(",")))
+    digits = sum(v.bit_length() for row in table.counts for v in row) * 0.302  # > log10(2)
+    if digits > COUNT_DIGIT_BUDGET:
+        raise DomainError(f"~{digits:.1e} count digits exceed the budget {COUNT_DIGIT_BUDGET:.0e}")
     return ("count-csv" if args.csv else "count"), table
 
 
@@ -250,8 +258,9 @@ def _cmd_render(args):
 
 def _count_rows(table) -> list[list[str]]:
     """Header, then one row per n: n, each route's count, agreement."""
+    # decimal writes every digit, where str() stops at the interpreter's limit
     return [["n", *table.routes, "agree"]] + [
-        [str(n), *map(str, row), "ok" if table.row_agrees(i) else "MISMATCH"]
+        [str(n), *map(str, map(decimal.Decimal, row)), "ok" if table.row_agrees(i) else "MISMATCH"]
         for i, (n, row) in enumerate(zip(table.n_values, table.counts))
     ]
 
@@ -263,6 +272,9 @@ def _count_text(table) -> str:
 
 
 def _count_json(table) -> dict:
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # int() = 0: no limit before 3.10.7
+    if limit and max(map(max, table.counts)) >= 10**limit:
+        raise DomainError(f"--json prints counts of at most {limit} digits; text prints all")
     return {
         "d": table.d,
         "L": table.L,

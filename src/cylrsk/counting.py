@@ -284,7 +284,8 @@ def _distance_groups(d: int, M: int) -> dict[tuple[int, ...], int]:
     if d == 1:
         return {(0,) * (half + 1): 1}
     width = (d * (d - 1) // 2).bit_length()
-    weight = [[1 << width * min(abs(a - b), M - abs(a - b)) for b in range(M)] for a in range(M)]
+    # the key the pair (0, b) adds; the pair (c, b) adds what (0, b - c) does
+    row = [1 << width * min(b, M - b) for b in range(M)]
     keys: Counter[int] = Counter()
 
     def extend(last: int, key: int, adds: list[int], left: int) -> None:
@@ -292,9 +293,10 @@ def _distance_groups(d: int, M: int) -> dict[tuple[int, ...], int]:
             keys.update(map(key.__add__, adds[last + 1 :]))
             return
         for c in range(last + 1, M - left + 1):
-            extend(c, key + adds[c], [x + y for x, y in zip(adds, weight[c])], left - 1)
+            moved = row[M - c :] + row[: M - c]
+            extend(c, key + adds[c], [x + y for x, y in zip(adds, moved)], left - 1)
 
-    extend(0, 0, weight[0], d - 1)
+    extend(0, 0, row, d - 1)
     field = (1 << width) - 1
     return {
         tuple(key >> width * k & field for k in range(half + 1)): size

@@ -326,7 +326,7 @@ def format_filling(f: Filling) -> str:
     """Shape line followed by entry rows, top row first."""
     lines = [format_partition(f.shape)]
     for row in reversed(f.rows):
-        lines.append(" ".join(str(v) for v in row))
+        lines.append(" ".join(map(str, row)))
     return "\n".join(lines)
 
 

@@ -33,7 +33,6 @@ Which path a map takes depends only on its input:
 """
 
 from dataclasses import dataclass
-from operator import add, ge, sub
 
 from .errors import DomainError, FormatError, InvariantViolation, PatternContainment, decode
 from .fillings import (
@@ -129,10 +128,11 @@ def _side_condition(rule: Rule, bl: Part, entry: int) -> str | None:
 # The local rule, written once
 #
 # All three rules share one system of n row equations in the corner labels,
-# zero-extended to n rows, with s = _row_system(rule, tl, br):
+# zero-extended to n rows.  With hi_j = min(tl_{j-1}, br_{j-1}) and
+# lo_j = max(tl_j, br_j), where row 0 is row n:
 #
-#     tr_1     + bl_n     = m + s_1      (the wrap row)
-#     tr_{i+1} + bl_i     = s_{i+1}      (1 <= i < n)
+#     tr_1 + bl_n     = m + hi_1 + lo_1      (the wrap row)
+#     tr_j + bl_{j-1} = hi_j + lo_j          (1 < j <= n)
 #
 # The plain rule takes n one more than the longer of tl and br; then
 # tl_n = br_n = 0 and, since bl interlaces below them, bl_n = 0, so its wrap
@@ -141,6 +141,15 @@ def _side_condition(rule: Rule, bl: Part, entry: int) -> str | None:
 # labels then have fewer than d parts, every row past n reads 0 = 0, and
 # bl_d = tl_d = br_d = 0 makes the d-row wrap row the plain rule's top row.
 #
+# Each row j > 1 has one unknown, tr_j going forward and bl_{j-1} going
+# backward, and it equals hi_j + lo_j minus the known one.  The unknown
+# interlaces with tl and br exactly when lo_j <= unknown <= hi_j; for
+# partitions that bound also makes it weakly decreasing and nonnegative.
+# Since the two parts sum to hi_j + lo_j, the known part meets the same
+# bound exactly when the unknown does, so a cell whose known label breaks
+# the kernel's precondition fails it too.  _solve solves these rows and
+# checks the bound in one loop, and each kernel adds its wrap row.
+#
 # The private kernels below take labels that are already canonical and
 # already interlacing (bl below tl and br going forward; tl and br below tr
 # going backward) and check only what they produce.  The sweeps validate
@@ -148,75 +157,62 @@ def _side_condition(rule: Rule, bl: Part, entry: int) -> str | None:
 # two new edges checked, so each later cell meets that precondition.
 
 
-def _row_system(rule: Rule, a: Part, b: Part) -> list[int]:
-    """Right-hand sides s of the row equations for upper-left a, lower-right b."""
-    n = max(len(a), len(b)) + 1
-    if rule.kind != "rsk" and n > rule.d:  # skew labels always have d parts
-        n = rule.d
-    if len(a) < n:
-        a = a + (0,) * (n - len(a))
-    if len(b) < n:
-        b = b + (0,) * (n - len(b))
-    s = [min(a[-1], b[-1]) + max(a[0], b[0])]
-    x, y = a[0], b[0]
-    for u, v in zip(a[1:], b[1:]):
-        s.append((x if x < y else y) + (u if u > v else v))
+def _solve(rule: Rule, tl: Part, br: Part, known: Part) -> tuple[int, int, list[int]]:
+    """hi_1, lo_1 and the unknowns of rows 2..n, given each row's known part in order."""
+    n = len(tl) if len(tl) > len(br) else len(br)
+    if rule.kind == "rsk" or n < rule.d:  # skew labels always have d parts
+        n += 1
+    pad = (0,) * n
+    a, b = iter(tl + pad), iter(br + pad)
+    x, y = next(a), next(b)
+    lo_1 = x if x > y else y
+    out = []
+    for j, u, v, k in zip(range(2, n + 1), a, b, known + pad):
+        hi = x if x < y else y
+        lo = u if u > v else v
+        s = hi + lo - k
+        if s < lo or s > hi:
+            raise InvariantViolation(f"row {j} solves to {s}, outside [{lo}, {hi}]")
+        out.append(s)
         x, y = u, v
-    return s
+    return (x if x < y else y), lo_1, out
 
 
 def _forward(rule: Rule, bl: Part, tl: Part, br: Part, entry: int) -> Part:
     """Top-right label of a cell whose bl interlaces below tl and br."""
-    s = _row_system(rule, tl, br)
-    n = len(s)
-    lo = bl + (0,) * (n - len(bl))
-    vec = [entry + s[0] - lo[-1], *map(sub, s[1:], lo)]
-    tr = tuple(vec) if rule.kind == "skew" else _to_partition(vec)
-    if not (interlaces(tl, tr) and interlaces(br, tr)):
-        raise InvariantViolation(f"forward growth produced non-interlacing {tr}")
-    return tr
+    hi, lo, tr = _solve(rule, tl, br, bl)
+    n = len(tr) + 1
+    first = entry + hi + lo - (bl[n - 1] if len(bl) >= n else 0)
+    if first < lo:
+        raise InvariantViolation(f"row 1 solves to {first}, below {lo}")
+    tr.insert(0, first)
+    while rule.kind != "skew" and tr and not tr[-1]:
+        tr.pop()
+    return tuple(tr)
 
 
 def _backward(rule: Rule, tl: Part, br: Part, tr: Part) -> tuple[Part, int]:
     """Bottom-left label and entry of a cell whose tl and br interlace below tr."""
-    s = _row_system(rule, tl, br)
-    n = len(s)
-    hi = tr + (0,) * (n - len(tr))
-    vec = list(map(sub, s[1:], hi[1:]))
-    wrap = s[0] - hi[0]  # bl_n - m
-    if rule.kind == "skew":
-        bl, entry = tuple(vec + [wrap]), 0
-    else:
-        # the sign of the wrap row decides which of bl_n, m is zero
-        bl = _to_partition(vec + [max(wrap, 0)])
-        entry = max(-wrap, 0)
-    if not (interlaces(bl, tl) and interlaces(bl, br)):
-        raise InvariantViolation(f"backward growth produced invalid ({bl}, {entry})")
-    return bl, entry
+    hi, lo, bl = _solve(rule, tl, br, tr[1:])
+    wrap = hi + lo - (tr[0] if tr else 0)  # bl_n - m
+    # outside the skew rule, the sign of the wrap row decides which of bl_n, m is zero
+    entry = -wrap if wrap < 0 and rule.kind != "skew" else 0
+    if wrap + entry > hi:
+        raise InvariantViolation(f"row 1 solves to {wrap + entry}, above {hi}")
+    bl.append(wrap + entry)
+    while rule.kind != "skew" and bl and not bl[-1]:
+        bl.pop()
+    return tuple(bl), entry
 
 
 def _holds(rule: Rule, bl: Part, tl: Part, br: Part, tr: Part, entry: int) -> bool:
     """Side condition and row equations of a cell with verified edges."""
     if _side_condition(rule, bl, entry) is not None:
         return False
-    s = _row_system(rule, tl, br)
-    n = len(s)
-    lo = bl + (0,) * (n - len(bl))
-    hi = tr + (0,) * (n - len(tr))
-    return hi[0] + lo[-1] == entry + s[0] and list(map(add, hi[1:], lo)) == s[1:]
-
-
-def _to_partition(vec) -> Part:
-    """vec without trailing zeros, when that is a partition."""
-    p = tuple(vec)
-    k = len(p)
-    while k and p[k - 1] == 0:
-        k -= 1
-    if k < len(p):
-        p = p[:k]
-    if p and (p[-1] < 0 or not all(map(ge, p, p[1:]))):
-        raise InvariantViolation(f"growth produced non-partition {vec}")
-    return p
+    try:
+        return _forward(rule, bl, tl, br, entry) == tr
+    except InvariantViolation:  # no label above tl and br solves the rows, tr included
+        return False
 
 
 def check_cell(rule: Rule, bl, tl, br, tr, entry: int) -> bool:

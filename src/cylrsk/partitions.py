@@ -7,6 +7,8 @@ there, so the two kinds are never silently interchanged.  Parts beyond the
 stored length of a partition read as 0.
 """
 
+from operator import ge
+
 from .errors import DomainError, FormatError
 
 Part = tuple[int, ...]
@@ -202,7 +204,7 @@ def cyl_conjugate(s: Part, d: int, L: int) -> Part:
 
 def format_partition(p: Part) -> str:
     """Bracketed comma-separated text form, `[]` for the empty partition."""
-    return "[" + ",".join(str(x) for x in p) + "]"
+    return "[" + ",".join(map(str, p)) + "]"
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -213,15 +215,18 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     if not inner:
         return ()
     try:
-        return tuple(int(tok.strip()) for tok in inner.split(","))
+        return tuple(map(int, inner.split(",")))
     except ValueError as exc:
         raise FormatError(f"bad integer list {text!r}") from exc
 
 
 def parse_partition(text: str) -> Part:
     """Parse the bracketed text form into a canonical partition."""
-    try:
-        return as_partition(_parse_int_list(text))
+    p = _parse_int_list(text)
+    if not p or (p[-1] > 0 and all(map(ge, p, p[1:]))):
+        return p
+    try:  # trailing zeros to drop, or a refusal to word
+        return as_partition(p)
     except DomainError as exc:
         raise FormatError(str(exc)) from exc
 

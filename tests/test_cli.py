@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cylrsk import cli, counting
 from cylrsk.cli import PARSERS, build_parser, main
 from cylrsk.fillings import Filling, format_filling, parse_filling
 from cylrsk.growth import Rule, extract_boundary, format_diagram, grow_from_filling
@@ -355,6 +356,30 @@ def test_trig_build_holds_one_prefix_product_per_distance():
     done = _run_capped("count --routes trig --d 2 --L 800 --n-max 3", None, 150 * 1024 * 1024)
     assert done.returncode == 0, done.stderr
     assert done.stdout.endswith("3     5     ok\n")
+
+
+def test_counts_past_the_str_digit_limit_print_in_full_and_json_refuses():
+    # at (2, 3) the counts pass str()'s default 4300-digit limit from about n = 10,300
+    argv = "count --routes pairs --d 2 --L 3 --n-max 11000"
+    done = _run_capped(argv, None, 1_500_000 * 1024)
+    assert done.returncode == 0, done.stderr
+    n, count, agree = done.stdout.splitlines()[-1].split()
+    assert (n, agree) == ("11000", "ok") and len(count) > 4300
+    value = counting.count_table(2, 3, 11000, ("pairs",)).counts[-1][0]
+    k = len(count)
+    assert 10 ** (k - 1) <= value < 10**k
+    assert (value // 10 ** (k - 18), value % 10**18) == (int(count[:18]), int(count[-18:]))
+    done = _run_capped(argv.replace("count", "count --json"), None, 1_500_000 * 1024)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: --json prints counts of at most 4300 digits")
+
+
+def test_count_refuses_a_table_past_the_digit_budget(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "COUNT_DIGIT_BUDGET", 20)
+    argv = ["count", "--routes", "pairs", "--d", "2", "--L", "3", "--n-max"]
+    assert run(capsys, *argv, "8")[0] == 0
+    code, out, err = run(capsys, *argv, "12")
+    assert (code, out) == (2, "") and err.startswith("error: ~2.8e+01 count digits exceed")
 
 
 def test_bad_flags_exit_3(capsys, tmp_path):

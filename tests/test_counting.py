@@ -428,3 +428,31 @@ def test_pair_counts_agree_across_threads_on_a_cold_cache():
             assert out == serial
     finally:
         sys.setswitchinterval(old)
+
+
+def _reference_distance_groups(d, M):
+    """_distance_groups with its whole M x M distance table, one row per element."""
+    half = M // 2
+    if d == 1:
+        return {(0,) * (half + 1): 1}
+    width = (d * (d - 1) // 2).bit_length()
+    weight = [[1 << width * min(abs(a - b), M - abs(a - b)) for b in range(M)] for a in range(M)]
+    keys = {}
+
+    def extend(last, key, adds, left):
+        if left == 1:
+            for x in adds[last + 1 :]:
+                keys[key + x] = keys.get(key + x, 0) + 1
+            return
+        for c in range(last + 1, M - left + 1):
+            extend(c, key + adds[c], [x + y for x, y in zip(adds, weight[c])], left - 1)
+
+    extend(0, 0, weight[0], d - 1)
+    field = (1 << width) - 1
+    return {tuple(key >> width * k & field for k in range(half + 1)): n for key, n in keys.items()}
+
+
+def test_distance_groups_match_the_full_distance_table():
+    for d in range(1, 5):
+        for M in range(d + 1, 13):
+            assert counting._distance_groups(d, M) == _reference_distance_groups(d, M), (d, M)

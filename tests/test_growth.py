@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -32,7 +33,7 @@ from cylrsk.growth import (
     render_diagram,
     validate_diagram,
 )
-from cylrsk.partitions import contained_in, part, size
+from cylrsk.partitions import as_partition, as_staircase, contained_in, interlaces, part, size
 from cylrsk.tableaux import OscillatingTableau, SkewOscillatingTableau, mcw_sequence
 from conftest import (
     random_filling,
@@ -218,6 +219,48 @@ def _full_row_system(rule, a, b):
     ]
 
 
+# Reference kernels: solve the full row system, then check the solved label
+# with as_partition and interlaces.
+
+
+def _ref_label(rule, vec):
+    if rule.kind == "skew":
+        return tuple(vec)
+    try:
+        return as_partition(vec)
+    except DomainError:
+        raise InvariantViolation(f"non-partition {vec}") from None
+
+
+def _ref_forward(rule, bl, tl, br, entry):
+    s = _full_row_system(rule, tl, br)
+    lo = bl + (0,) * (len(s) - len(bl))
+    tr = _ref_label(rule, [entry + s[0] - lo[-1]] + [v - u for v, u in zip(s[1:], lo)])
+    if not (interlaces(tl, tr) and interlaces(br, tr)):
+        raise InvariantViolation(f"non-interlacing {tr}")
+    return tr
+
+
+def _ref_backward(rule, tl, br, tr):
+    s = _full_row_system(rule, tl, br)
+    hi = tr + (0,) * (len(s) - len(tr))
+    wrap = s[0] - hi[0]  # bl_n - m
+    entry = 0 if rule.kind == "skew" else max(-wrap, 0)
+    bl = _ref_label(rule, [v - u for v, u in zip(s[1:], hi[1:])] + [wrap + entry])
+    if not (interlaces(bl, tl) and interlaces(bl, br)):
+        raise InvariantViolation(f"invalid ({bl}, {entry})")
+    return bl, entry
+
+
+def _ref_holds(rule, bl, tl, br, tr, entry):
+    if growth._side_condition(rule, bl, entry) is not None:
+        return False
+    s = _full_row_system(rule, tl, br)
+    lo = bl + (0,) * (len(s) - len(bl))
+    hi = tr + (0,) * (len(s) - len(tr))
+    return hi[0] + lo[-1] == entry + s[0] and [u + v for u, v in zip(hi[1:], lo)] == s[1:]
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -225,40 +268,99 @@ def _outcome(fn, *args):
         return InvariantViolation
 
 
-def test_drsk_cells_solve_only_the_rows_their_labels_use(monkeypatch):
-    rng = random.Random(67)
-    cells, short = [], 0
-    for _ in range(600):
+def _random_cells(rng, kind, count):
+    """Cells (rule, bl, tl, br, tr, entry) with bl below tl and br, and tr above them."""
+    for _ in range(count):
         d = rng.randint(1, 6)
         bl = step_up(rng, (), d, bump=4)
         tl, br = step_up(rng, bl, d), step_up(rng, bl, d)
-        short += max(len(tl), len(br)) + 1 < d
-        rule, entry = Rule.drsk(d), rng.randint(0, 2)
-        # the cell's own top-right label, and a random one above tl and br
+        entry = rng.randint(0, 2)
         vec = [max(part(tl, 1), part(br, 1)) + rng.randint(0, 2)]
         for i in range(2, d + 1):
             vec.append(rng.randint(max(part(tl, i), part(br, i)), min(part(tl, i - 1), part(br, i - 1))))
-        while vec and vec[-1] == 0:
-            vec.pop()
-        grown = _outcome(growth._forward, rule, bl, tl, br, entry)
-        for tr in ({grown, tuple(vec)} - {InvariantViolation}):
-            cells.append((rule, bl, tl, br, tr, entry))
-    assert short > 200
+        if kind == "skew":
+            # staircases: shift everything down to reach negative parts
+            shift = rng.randint(-3, 0)
+            bl, tl, br = (tuple(part(p, i) + shift for i in range(1, d + 1)) for p in (bl, tl, br))
+            yield Rule.skew(d), bl, tl, br, tuple(v + shift for v in vec), 0
+        else:
+            while vec and vec[-1] == 0:
+                vec.pop()
+            yield (Rule.drsk(d) if kind == "drsk" else Rule.rsk()), bl, tl, br, tuple(vec), entry
 
-    def solve_all():
-        return [
-            (
-                _outcome(growth._forward, rule, bl, tl, br, entry),
-                _outcome(growth._backward, rule, tl, br, tr),
-                growth._holds(rule, bl, tl, br, tr, entry),
-            )
-            for rule, bl, tl, br, tr, entry in cells
-        ]
 
-    got = solve_all()
-    assert sum(holds for _, _, holds in got) > 300
-    monkeypatch.setattr(growth, "_row_system", _full_row_system)
-    assert solve_all() == got
+def test_drsk_cells_solve_only_the_rows_their_labels_use():
+    """The kernels agree with a full row-system solve checked by interlaces.
+
+    Under drsk the reference always solves all d rows, so the kernels' shorter
+    solve, one row past the longer upper label, must lose nothing.
+    """
+    rng = random.Random(67)
+    cells = {kind: list(_random_cells(rng, kind, 600)) for kind in ("drsk", "rsk", "skew")}
+    assert sum(max(len(tl), len(br)) + 1 < r.d for r, _, tl, br, _, _ in cells["drsk"]) > 200
+    seen = Counter()
+    for kind, group in cells.items():
+        for rule, bl, tl, br, tr, entry in group:
+            grown = _outcome(growth._forward, rule, bl, tl, br, entry)
+            assert grown == _outcome(_ref_forward, rule, bl, tl, br, entry)
+            # the cell's own top-right label, and a random one above tl and br
+            for top in {grown, tr} - {InvariantViolation}:
+                back = _outcome(growth._backward, rule, tl, br, top)
+                assert back == _outcome(_ref_backward, rule, tl, br, top)
+                holds = growth._holds(rule, bl, tl, br, top, entry)
+                assert holds == _ref_holds(rule, bl, tl, br, top, entry)
+                seen[kind, holds] += 1
+    # under each rule, both the cell's own tr and many random ones
+    assert all(seen[kind, holds] > 400 for kind in cells for holds in (True, False))
+
+
+def _nudged(rng, rule, lab):
+    """lab with one part moved by one, or None when that leaves no label of the rule's kind."""
+    parts = list(lab) if rule.kind == "skew" else [*lab, 0]
+    parts[rng.randrange(len(parts))] += rng.choice((-1, 1))
+    try:
+        if rule.kind == "skew":
+            return as_staircase(parts, rule.d)
+        return growth._bounded_label(rule, as_partition(parts))
+    except DomainError:
+        return None
+
+
+def test_cell_kernels_refuse_labels_that_break_their_precondition():
+    """The solve loop's bound is the interlacing the kernels otherwise trust.
+
+    With entry 0, forward growth raises exactly when bl is not below tl and
+    br, and backward growth exactly when tl or br is not below tr.  A cell's
+    tr moved by one in one part never holds.
+    """
+    rng = random.Random(71)
+    seen = Counter()
+    for kind in ("rsk", "drsk", "skew"):
+        for rule, *labs, entry in _random_cells(rng, kind, 600):
+            bl, tl, br = labs[:3]
+            if growth._side_condition(rule, bl, entry) is None:
+                tr = growth._forward(rule, bl, tl, br, entry)
+                assert growth._holds(rule, bl, tl, br, tr, entry)
+                moved = _nudged(rng, rule, tr)
+                assert moved is None or not growth._holds(rule, bl, tl, br, moved, entry)
+                seen["moved tr", moved is None] += 1
+            i = rng.randrange(4)
+            labs[i] = _nudged(rng, rule, labs[i])
+            if labs[i] is None:
+                continue
+            bl, tl, br, tr = labs
+            if i < 3:
+                below = interlaces(bl, tl) and interlaces(bl, br)
+                raised = _outcome(growth._forward, rule, bl, tl, br, 0) is InvariantViolation
+                assert raised == (not below)
+                seen["forward", below] += 1
+            # past the row count, a solve reads no part of tr
+            if i > 0 and len(tr) <= max(len(tl), len(br)) + 1:
+                above = interlaces(tl, tr) and interlaces(br, tr)
+                raised = _outcome(growth._backward, rule, tl, br, tr) is InvariantViolation
+                assert raised == (not above)
+                seen["backward", above] += 1
+    assert len(seen) == 6 and min(seen.values()) > 100
 
 
 def test_large_degree_matches_plain_rule():

@@ -244,3 +244,76 @@ def test_text_round_trip():
         parse_partition("[3,4]")
     with pytest.raises(FormatError):
         parse_staircase("[1,0]", 3)
+
+
+# The label codec as it read and wrote before its one-split reader: every
+# token stripped, then int(); as_partition or as_staircase on the result.
+
+
+def _ref_int_list(text):
+    t = text.strip()
+    if not (t.startswith("[") and t.endswith("]")):
+        raise FormatError(f"expected bracketed list, got {text!r}")
+    inner = t[1:-1].strip()
+    if not inner:
+        return ()
+    try:
+        return tuple(int(tok.strip()) for tok in inner.split(","))
+    except ValueError as exc:
+        raise FormatError(f"bad integer list {text!r}") from exc
+
+
+def _ref_parse_partition(text):
+    try:
+        return as_partition(_ref_int_list(text))
+    except DomainError as exc:
+        raise FormatError(str(exc)) from exc
+
+
+def _ref_parse_staircase(text, d):
+    try:
+        return as_staircase(_ref_int_list(text), d)
+    except DomainError as exc:
+        raise FormatError(str(exc)) from exc
+
+
+def _result(fn, *args):
+    """(True, fn's value), or (False, type and text of what it raised)."""
+    try:
+        return True, fn(*args)
+    except (DomainError, FormatError) as exc:
+        return False, (type(exc), str(exc))
+
+
+def _random_label_text(rng):
+    """Bracketed lists of ints, mostly well formed, with stray spaces and bad tokens."""
+    toks = [str(rng.randint(rng.choice((0, -3)), 9)) for _ in range(rng.randint(0, 6))]
+    if toks and rng.random() < 0.5:
+        toks.sort(key=int, reverse=True)
+    if toks and rng.random() < 0.1:
+        toks[rng.randrange(len(toks))] = rng.choice(("", "x", "1.5", "+2", "1_0", "0x3", "٣"))
+    spaced = [" " * rng.randint(0, 1) + t + rng.choice(("", " ", "\t")) for t in toks]
+    body = ",".join(spaced)
+    opened = "[" if rng.random() < 0.95 else ""
+    return opened + body + (rng.choice(("]", " ]", "]\t")) if rng.random() < 0.95 else "")
+
+
+def test_label_codec_matches_the_token_stripping_reader():
+    fixed = [
+        "[ 3 , 1 ]", "[3,1,0,0]", "[]", "[ ]",
+        "[3,,1]", "[1,3]", "[0,1]", "[-1]", "[1_0]", "[+2]", "3,1",
+    ]
+    rng = random.Random(83)
+    texts = fixed + [_random_label_text(rng) for _ in range(2000)]
+    outcomes = set()
+    for text in texts:
+        ok, got = _result(parse_partition, text)
+        assert (ok, got) == _result(_ref_parse_partition, text), text
+        outcomes.add(ok or got[1].split()[0])
+        d = rng.randint(1, 4)
+        assert _result(parse_staircase, text, d) == _result(_ref_parse_staircase, text, d), text
+        if ok:
+            assert format_partition(got) == "[" + ",".join(str(x) for x in got) + "]"
+            assert parse_partition(format_partition(got)) == got
+    # accepted labels and each refusal: bracket, token, order and positivity
+    assert outcomes >= {True, "expected", "bad", "partition"}
