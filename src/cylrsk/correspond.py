@@ -4,27 +4,30 @@ Each map here is a pure function with an explicit inverse, verified by the
 uniqueness of forward/backward growth.  Rejections carry a witness: the cell
 of a forbidden pattern occurrence, or an over-long NE-chain.
 
-``drsk``, ``rsk`` and their inverses go through ``growth.boundary_of`` and
-``growth.filling_of``, which pick the path from the input: a filling whose
-rows and columns each sum to at most 1 (a permutation, say), or a boundary
-whose every step changes the size by at most 1, is swept as step words and
-builds no growth diagram; any other goes through the partition kernel.  So
-``cylindric_rs``, its inverse, ``wilf_bijection``, and ``bwx_map`` and
-``bwx_inverse`` on permutation fillings build no diagram.  The skew maps
-always grow one.  ``conjugate_standard_pair`` conjugates a chain one unit
-step at a time through the unit-step codec of ``tableaux``.
+``drsk``, ``rsk``, their inverses and the ``bwx`` maps go through
+``growth.boundary_of`` and ``growth.filling_of``, which sweep step words and
+build no growth diagram for a filling whose rows and columns each sum to at
+most 1, or a boundary whose every step changes the size by at most 1; any
+other goes through the partition kernel.  ``cylindric_rs``, its inverse and
+``wilf_bijection`` run those sweeps on a permutation's column word and build
+no ``Filling`` either.  The skew maps always grow a diagram.
+``conjugate_standard_pair`` conjugates a chain one unit step at a time
+through the unit-step codec of ``tableaux``.
 """
+
+from bisect import bisect_left
 
 from .errors import ChainBoundExceeded, DomainError, InvariantViolation
 from .fillings import (
     Filling,
     MINUS,
     PLUS,
-    filling_to_permutation,
+    _column_permutation,
+    _permutation_columns,
     ne_chain_witness,
-    permutation_to_filling,
 )
 from .growth import Rule, boundary_of, extract_boundary, filling_of, grow_skew
+from .growth import _unit_boundary, _unit_filling
 from .partitions import CONJUGATE_WORK_BUDGET, Part, cyl_conjugate, require_degrees
 from .tableaux import (
     OscillatingTableau,
@@ -59,12 +62,6 @@ def rsk_inverse(shape: Part, t: OscillatingTableau) -> Filling:
     return filling_of(Rule.rsk(), shape, t)
 
 
-def _require_rectangle(f: Filling) -> None:
-    shape = f.shape
-    if not shape or any(w != shape[0] for w in shape):
-        raise DomainError(f"expected a nonempty rectangular shape, got {shape}")
-
-
 def cylindric_rsk(
     f: Filling, d: int, L: int
 ) -> tuple[SemistandardTableau, SemistandardTableau]:
@@ -74,7 +71,9 @@ def cylindric_rsk(
     NE-chain longer than L; the rejection names a maximal chain.
     """
     require_degrees(d, L)
-    _require_rectangle(f)
+    shape = f.shape
+    if not shape or any(w != shape[0] for w in shape):
+        raise DomainError(f"expected a nonempty rectangular shape, got {shape}")
     ne, chain = ne_chain_witness(f)
     if ne > L:
         raise ChainBoundExceeded(
@@ -86,25 +85,39 @@ def cylindric_rsk(
     return pair
 
 
-def cylindric_rsk_inverse(
-    p: SemistandardTableau, q: SemistandardTableau, d: int, L: int
-) -> Filling:
-    """Rectangular filling mapped to (p, q): p gives the rows, q the columns."""
+def _pair_boundary(p: SemistandardTableau, q: SemistandardTableau, d: int, L: int):
+    """The rectangle of (p, q)'s filling and its boundary, once both are (d, L)-cylindric."""
     require_degrees(d, L)
     p.require_cylindric(d, L)
     q.require_cylindric(d, L)
     rows, cols = len(p.seq) - 1, len(q.seq) - 1
     if rows < 1 or cols < 1:
         raise DomainError("tableau pair must have at least one step each")
-    shape = (cols,) * rows
-    return drsk_inverse(shape, join_pair(p, q), d)
+    return (cols,) * rows, join_pair(p, q)
+
+
+def cylindric_rsk_inverse(
+    p: SemistandardTableau, q: SemistandardTableau, d: int, L: int
+) -> Filling:
+    """Rectangular filling mapped to (p, q): p gives the rows, q the columns."""
+    return drsk_inverse(*_pair_boundary(p, q, d, L), d)
 
 
 def cylindric_rs(
     perm, d: int, L: int
 ) -> tuple[SemistandardTableau, SemistandardTableau]:
     """Standard tableau pair of a doubly pattern-avoiding permutation."""
-    p, q = cylindric_rsk(permutation_to_filling(perm), d, L)
+    cols = _permutation_columns(perm)
+    n = len(cols)
+    require_degrees(d, L)
+    tails: list[int] = []  # patience piles: the filling's NE-chains rise in cols
+    for c in cols:
+        i = bisect_left(tails, c)
+        tails[i : i + 1] = (c,)
+    if not n or len(tails) > L:  # the filling route refuses it, naming a longest chain
+        cylindric_rsk(Filling._from_unit_columns((n,) * n, cols), d, L)
+    t = _unit_boundary(Rule.drsk(d), (n,) * n, cols)
+    p, q = (half.require_cylindric(d, L) for half in split_pair(t))
     if not (p.is_standard() and q.is_standard()):
         raise InvariantViolation("permutation input produced a non-standard pair")
     return p, q
@@ -115,7 +128,9 @@ def cylindric_rs_inverse(
 ) -> tuple[int, ...]:
     if not (p.is_standard() and q.is_standard()):
         raise DomainError("inverse of the permutation map needs standard tableaux")
-    return filling_to_permutation(cylindric_rsk_inverse(p, q, d, L))
+    # standard cylindric halves of one shape pass filling_of's shape checks
+    t = _pair_boundary(p, q, d, L)[1]
+    return _column_permutation(_unit_filling(d, t.w, t.unit_rows()))
 
 
 def skew_retype(t: SkewOscillatingTableau, v: str) -> SkewOscillatingTableau:

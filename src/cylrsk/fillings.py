@@ -298,28 +298,33 @@ def pattern_witness(f: Filling, d: int):
 
 def permutation_to_filling(perm) -> Filling:
     """0/1 square filling with a 1 in cell (j, perm[j-1]) for each column j."""
+    cols = _permutation_columns(perm)
+    return Filling._from_unit_columns((len(cols),) * len(cols), cols)
+
+
+def _permutation_columns(perm) -> list[int]:
+    """0-based column of the 1 in each row of perm's filling, bottom row first."""
     perm = tuple(map(strict_int, perm))
     n = len(perm)
     if sorted(perm) != list(range(1, n + 1)):
         raise DomainError(f"{perm} is not a permutation of 1..{n}")
-    cols = [0] * n  # 0-based column of the 1 in each row
-    for c, r in enumerate(perm):
-        cols[r - 1] = c
-    return Filling._from_unit_columns((n,) * n, cols)
+    return sorted(range(n), key=perm.__getitem__)  # the columns in order of their 1's row
 
 
 def filling_to_permutation(f: Filling) -> tuple[int, ...]:
     """Inverse of permutation_to_filling; requires a 0/1 permutation filling."""
     n = len(f.shape)
-    if f.shape != ((n,) * n if n else ()):
+    if f.shape != (n,) * n:
         raise DomainError(f"shape {f.shape} is not square")
     cols = f.unit_columns()
     if cols is None or -1 in cols:
         raise DomainError("filling is not a permutation filling")
-    perm = [0] * n
-    for r, c in enumerate(cols, 1):
-        perm[c] = r
-    return tuple(perm)
+    return _column_permutation(cols)
+
+
+def _column_permutation(cols) -> tuple[int, ...]:
+    """The permutation whose filling has its row-r 1 in 0-based column cols[r - 1]."""
+    return tuple(r + 1 for r in sorted(range(len(cols)), key=cols.__getitem__))
 
 
 def format_filling(f: Filling) -> str:

@@ -25,8 +25,9 @@ Which path a map takes depends only on its input:
   drsk) sweep step words and build no diagram when every row and column of
   the filling sums to at most 1, which is when every step of the boundary
   changes the size by at most 1, and write or read the boundary with the
-  unit-step codec of ``tableaux``;
-  any other filling or boundary goes through the partition kernel below.
+  unit-step codec of ``tableaux``; any other filling or boundary goes
+  through the partition kernel below.  ``correspond``'s permutation maps
+  call the two sweeps on column words and build no ``Filling`` either.
 * ``grow_from_filling``, ``grow_from_boundary``, ``grow_skew``, the
   single-cell functions and ``validate_diagram`` always use the partition
   kernel, whatever their input.
@@ -489,7 +490,12 @@ def boundary_of(rule: Rule, filling: Filling) -> OscillatingTableau:
     cols = filling.unit_columns()
     if cols is None:
         return extract_boundary(grow_from_filling(rule, filling))
-    d, shape = rule.d, filling.shape  # d is 0 under rsk
+    return _unit_boundary(rule, filling.shape, cols)
+
+
+def _unit_boundary(rule: Rule, shape: Part, cols) -> OscillatingTableau:
+    """boundary_of's step sweep, given the 0-based column of each row's 1 or -1."""
+    d = rule.d  # 0 under rsk
     line = [-1] * (shape[0] if shape else 0)  # the x-axis
     # the boundary's steps: left along each line's tail past the next row,
     # then up that row's right edge
@@ -527,18 +533,22 @@ def filling_of(rule: Rule, shape: Part, t: OscillatingTableau) -> Filling:
     if rows is None:
         return grow_from_boundary(rule, shape, t).filling
     shape = _boundary_shape(rule, shape, t)
-    d = rule.d
+    return Filling._from_unit_columns(shape, _unit_filling(rule.d, t.w, rows))
+
+
+def _unit_filling(d: int, w: str, rows) -> list[int]:
+    """filling_of's step sweep at degree d (0 for rsk): the column of each row's 1, or -1."""
     # each line's steps right to left: its tail from the boundary, then the
     # part the row above it fills in; and the step up each row's right edge
     tails, ups = [[]], []
-    for ch, s in zip(t.w, rows):
+    for ch, s in zip(w, rows):
         if ch == PLUS:
             ups.append(s)
             tails.append([])
         else:
             tails[-1].append(s)
     line, cols = tails[-1], []
-    for row in range(len(shape), 0, -1):
+    for row in range(len(ups), 0, -1):
         below, a, j, col = line[:], ups[row - 1], -1, -1
         # index of the leftmost (d-1)-step: tl has d parts at the cells right of it
         rim = len(line) - 1 - line[::-1].index(d - 1) if d and d - 1 in line else -1
@@ -559,7 +569,7 @@ def filling_of(rule: Rule, shape: Part, t: OscillatingTableau) -> Filling:
             raise InvariantViolation(f"axis label at (0,{row - 1}) is not empty")
         cols.append(col)
         line = tails[row - 1] + below
-    return Filling._from_unit_columns(shape, cols[::-1])
+    return cols[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -358,6 +358,17 @@ def test_trig_build_holds_one_prefix_product_per_distance():
     assert done.stdout.endswith("3     5     ok\n")
 
 
+def test_rs_round_trip_of_a_long_permutation_stays_a_column_word():
+    # the decreasing permutation avoids both patterns; its 3000 x 3000 0/1
+    # filling alone passes this 50 MB cap, while the step sweeps on its
+    # column word peak at about 18 MB RSS
+    perm = " ".join(map(str, range(3000, 0, -1))) + "\n"
+    done = _run_capped("rs --d 2 --L 3 -", perm, 50 * 1024 * 1024)
+    assert done.returncode == 0, done.stderr
+    back = _run_capped("rs --d 2 --L 3 --inverse -", done.stdout, 50 * 1024 * 1024)
+    assert (back.returncode, back.stdout) == (0, perm), back.stderr
+
+
 def test_counts_past_the_str_digit_limit_print_in_full_and_json_refuses():
     # at (2, 3) the counts pass str()'s default 4300-digit limit from about n = 10,300
     argv = "count --routes pairs --d 2 --L 3 --n-max 11000"

@@ -4,7 +4,7 @@ from itertools import permutations, product
 
 import pytest
 
-from cylrsk import correspond, growth
+from cylrsk import correspond, fillings, growth
 from cylrsk.correspond import (
     bwx_inverse,
     bwx_map,
@@ -20,10 +20,11 @@ from cylrsk.correspond import (
     skew_retype,
     wilf_bijection,
 )
-from cylrsk.errors import ChainBoundExceeded, DomainError, PatternContainment
+from cylrsk.errors import ChainBoundExceeded, DomainError, InvariantViolation, PatternContainment
 from cylrsk.fillings import (
     Filling,
     contains_pattern,
+    filling_to_permutation,
     lattice_points,
     longest_se_chain,
     permutation_to_filling,
@@ -548,3 +549,132 @@ def test_permutation_maps_build_no_growth_diagram(monkeypatch):
         drsk(GRID7, 3)
     with pytest.raises(Built):
         drsk_inverse(GRID7.shape, OscillatingTableau(GRID7_WORD, GRID7_BOUNDARY), 3)
+
+
+def test_permutation_maps_build_no_filling(monkeypatch):
+    """Accepted permutations and pairs go both ways without a Filling."""
+
+    class Built(Exception):
+        pass
+
+    def built(*args, **kwargs):
+        raise Built
+
+    perms = random.Random(109).sample(_avoiders(6, 2, 3), 6) + [tuple(range(40, 0, -1))]
+    monkeypatch.setattr(Filling, "_from_unit_columns", built)
+    monkeypatch.setattr(Filling, "unit_columns", built)
+    monkeypatch.setattr(Filling, "__post_init__", built)
+    monkeypatch.setattr(fillings, "permutation_to_filling", built)
+    for perm in perms:
+        p, q = cylindric_rs(perm, 2, 40)
+        assert cylindric_rs_inverse(p, q, 2, 40) == perm
+        assert wilf_bijection(wilf_bijection(perm, 2, 40), 40, 2) == perm
+
+
+def _reference_rs(perm, d, L):
+    """cylindric_rs through the filling route, from public functions."""
+    p, q = cylindric_rsk(permutation_to_filling(perm), d, L)
+    if not (p.is_standard() and q.is_standard()):
+        raise InvariantViolation("permutation input produced a non-standard pair")
+    return p, q
+
+
+def _reference_rs_inverse(p, q, d, L):
+    if not (p.is_standard() and q.is_standard()):
+        raise DomainError("inverse of the permutation map needs standard tableaux")
+    return filling_to_permutation(cylindric_rsk_inverse(p, q, d, L))
+
+
+def _reference_wilf(perm, d, L):
+    p, q = _reference_rs(perm, d, L)
+    conj = (conjugate_standard_pair(t, d, L) for t in (p, q))
+    return _reference_rs_inverse(*conj, L, d)
+
+
+def _outcome(fn, *args):
+    """What a call returns, or its exception's type, message, chain and cell."""
+    try:
+        return fn(*args)
+    except (DomainError, InvariantViolation) as exc:
+        return type(exc), str(exc), getattr(exc, "chain", None), getattr(exc, "cell", None)
+
+
+def _assert_permutation_maps_agree(perm, d, L):
+    """cylindric_rs and wilf_bijection match the filling route; returns cylindric_rs's outcome."""
+    got = _outcome(cylindric_rs, perm, d, L)
+    assert got == _outcome(_reference_rs, perm, d, L), (perm, d, L)
+    assert _outcome(wilf_bijection, perm, d, L) == _outcome(_reference_wilf, perm, d, L)
+    return got
+
+
+def _assert_inverses_agree(p, q, d, L):
+    got = _outcome(cylindric_rs_inverse, p, q, d, L)
+    assert got == _outcome(_reference_rs_inverse, p, q, d, L), (p, q, d, L)
+    return got
+
+
+def test_permutation_maps_match_the_filling_route():
+    outcomes = {}
+    for n in range(1, 8):
+        for perm in permutations(range(1, n + 1)):
+            for d, L in product((1, 2, 3), repeat=2):
+                got = _assert_permutation_maps_agree(perm, d, L)
+                kind = got[0] if isinstance(got[0], type) else type(got[0])
+                outcomes[kind] = outcomes.get(kind, 0) + 1
+                if kind is SemistandardTableau:
+                    assert _assert_inverses_agree(*got, d, L) == perm
+    # accepted pairs, chain refusals and pattern refusals all occur
+    assert set(outcomes) == {SemistandardTableau, ChainBoundExceeded, PatternContainment}
+    rng = random.Random(113)
+    for d, L in ((2, 3), (3, 4), (5, 5)):
+        for _ in range(100):
+            n = rng.randint(1, 40)
+            perm = tuple(rng.sample(range(1, n + 1), n))
+            got = _assert_permutation_maps_agree(perm, d, L)
+            if isinstance(got[0], SemistandardTableau):
+                assert _assert_inverses_agree(*got, d, L) == perm
+
+
+@pytest.mark.parametrize("d, L", [(2, 3), (0, 3), (2, 0), (0, 0)])
+def test_permutation_maps_refuse_bad_input_as_the_filling_route(d, L):
+    bad = [(1, 1), (0, 1), (2, 0, 1), (True, 2), (1, True), (1.0, 2), (2, 1.0), (), "21"]
+    for perm in bad:
+        assert _assert_permutation_maps_agree(perm, d, L)[0] is DomainError, perm
+    for perm in [(2, 1), (1, 2)]:
+        _assert_permutation_maps_agree(perm, d, L)
+    got = _outcome(cylindric_rs, iter((3, 1, 2)), d, L)
+    assert got == _outcome(_reference_rs, iter((3, 1, 2)), d, L)
+
+
+def test_permutation_inverse_refuses_as_the_filling_route():
+    rng = random.Random(127)
+    standard = 0
+    while standard < 60:
+        d, L, n = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 9)
+        p, q = _standard_chain(rng, n, d, L), _standard_chain(rng, n, d, L)
+        if p is None or q is None:
+            continue
+        standard += 1
+        # equal shapes invert; differing shapes are refused by join_pair
+        for dd, LL in ((d, L), (0, L), (d, 0), (max(d - 1, 1), max(L - 1, 1))):
+            _assert_inverses_agree(p, q, dd, LL)
+    one = SemistandardTableau(((), (1,)))
+    column = SemistandardTableau(((), (1,), (1, 1), (1, 1, 1)))
+    row = SemistandardTableau(((), (1,), (2,), (3,)))
+    two_boxes = SemistandardTableau(((), (2,)))
+    kept = SemistandardTableau(((), (1,), (1,)))
+    empty = SemistandardTableau(((),))
+    for p, q in [
+        (one, one),
+        (column, column),  # not (2, 2)-cylindric
+        (row, row),  # not (2, 2)-cylindric either
+        (column, row),  # shapes differ
+        (one, row),  # sizes differ
+        (two_boxes, two_boxes),  # not standard
+        (kept, kept),  # not standard: a step keeps its label
+        (one, two_boxes),
+        (empty, empty),  # standard, but no steps
+    ]:
+        for d, L in ((2, 2), (3, 3), (0, 2), (2, 0), (1, 1)):
+            _assert_inverses_agree(p, q, d, L)
+            _assert_inverses_agree(q, p, d, L)
