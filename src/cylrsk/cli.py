@@ -9,6 +9,7 @@ import argparse
 import decimal
 import functools
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -173,11 +174,20 @@ COUNT_DIGIT_BUDGET = 5 * 10**7
 
 
 def _cmd_count(args):
-    table = counting.count_table(args.d, args.L, args.n_max, tuple(args.routes.split(",")))
-    digits = sum(v.bit_length() for row in table.counts for v in row) * 0.302  # > log10(2)
+    routes = tuple(args.routes.split(","))
+    # at min(d, L) >= 2 every count of n is at least 2^(n-1), so it has n bits or more
+    if min(args.d, args.L) >= 2 and args.n_max > 0 and set(routes) <= {"pairs", "trig"}:
+        _check_count_digits(len(routes) * args.n_max * (args.n_max + 1) // 2)
+    table = counting.count_table(args.d, args.L, args.n_max, routes)
+    _check_count_digits(sum(v.bit_length() for row in table.counts for v in row))
+    return ("count-csv" if args.csv else "count"), table
+
+
+def _check_count_digits(bits: int) -> None:
+    """Refuse a count table of this many bits past COUNT_DIGIT_BUDGET decimal digits."""
+    digits = bits * 0.302 if bits < 2**1000 else math.inf  # 0.302 > log10(2)
     if digits > COUNT_DIGIT_BUDGET:
         raise DomainError(f"~{digits:.1e} count digits exceed the budget {COUNT_DIGIT_BUDGET:.0e}")
-    return ("count-csv" if args.csv else "count"), table
 
 
 def _cmd_asym(args):

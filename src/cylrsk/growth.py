@@ -153,9 +153,10 @@ def _side_condition(rule: Rule, bl: Part, entry: int) -> str | None:
 #
 # The private kernels below take labels that are already canonical and
 # already interlacing (bl below tl and br going forward; tl and br below tr
-# going backward) and check only what they produce.  The sweeps validate
-# their inputs once at entry, and every label a kernel returns has had its
-# two new edges checked, so each later cell meets that precondition.
+# going backward) and check only what they produce.  The sweeps and
+# validate_diagram check the labels on their path once at entry, and every
+# label a kernel returns (or confirms, in validate_diagram) has had its two
+# new edges checked, so each later cell meets that precondition.
 
 
 def _solve(rule: Rule, tl: Part, br: Part, known: Part) -> tuple[int, int, list[int]]:
@@ -216,17 +217,15 @@ def _holds(rule: Rule, bl: Part, tl: Part, br: Part, tr: Part, entry: int) -> bo
         return False
 
 
+def _cell_holds(rule: Rule, bl: Part, tl: Part, br: Part, tr: Part, entry: int) -> bool:
+    """Whether a cell of canonical labels holds: bl below tl and br, and tr solved above them."""
+    return interlaces(bl, tl) and interlaces(bl, br) and _holds(rule, bl, tl, br, tr, entry)
+
+
 def check_cell(rule: Rule, bl, tl, br, tr, entry: int) -> bool:
     """True iff the five pieces of cell data satisfy the rule."""
     bl, tl, br, tr = (_validate_label(rule, p) for p in (bl, tl, br, tr))
-    entry = _validate_entry(entry)
-    return (
-        interlaces(bl, tl)
-        and interlaces(bl, br)
-        and interlaces(tl, tr)
-        and interlaces(br, tr)
-        and _holds(rule, bl, tl, br, tr, entry)
-    )
+    return _cell_holds(rule, bl, tl, br, tr, _validate_entry(entry))
 
 
 def grow_forward_cell(rule: Rule, bl, tl, br, entry: int) -> Part:
@@ -437,7 +436,7 @@ def classify_rs_cell(rule: Rule, bl, tl, br, tr, entry: int) -> str:
             raise DomainError(f"size jumps by more than 1 across the {edge} edge")
     if entry > 1:
         raise DomainError(f"unit-step cells carry entry 0 or 1, got {entry}")
-    if not check_cell(rule, bl, tl, br, tr, entry):
+    if not _cell_holds(rule, bl, tl, br, tr, entry):
         raise InvariantViolation(
             f"cell breaks the local rule {rule}: bl={bl} tl={tl} br={br} tr={tr} entry={entry}"
         )
@@ -627,11 +626,11 @@ def _diagram_from_json(obj) -> GrowthDiagram:
 
 
 def validate_diagram(g: GrowthDiagram) -> None:
-    """Check every label, edge and cell and the axis condition; raise on failure.
+    """Check every label, the axes and every cell; raise on failure.
 
-    Independent of how the diagram was made: each label is coerced once, each
-    edge between neighbouring lattice points is checked for interlacing once,
-    and then each cell's side condition and row equations are compared.
+    Independent of how the diagram was made: each label is coerced once, the
+    axis labels must be empty (under skew, interlace along each axis), and
+    each cell's top-right label must be the one the rule solves for it.
     """
     _check_labels(g, [[_validate_label(g.rule, lab) for lab in row] for row in g.labels])
 
@@ -639,29 +638,28 @@ def validate_diagram(g: GrowthDiagram) -> None:
 def _check_labels(g: GrowthDiagram, grid) -> None:
     """validate_diagram's checks after the labels, in grid, are coerced."""
     rule = g.rule
-    if rule.kind != "skew":
-        for x, lab in enumerate(grid[0]):
-            if lab != ():
-                raise DomainError(f"axis label at ({x},0) must be empty")
-        for y, labs in enumerate(grid):
-            if labs[0] != ():
-                raise DomainError(f"axis label at (0,{y}) must be empty")
-    for y, labs in enumerate(grid):
-        for x in range(1, len(labs)):
-            if not interlaces(labs[x - 1], labs[x]):
-                raise DomainError(f"labels at ({x - 1},{y}) and ({x},{y}) do not interlace")
-        if y:
-            below = grid[y - 1]
-            for x, lab in enumerate(labs):
-                if not interlaces(below[x], lab):
-                    raise DomainError(
-                        f"labels at ({x},{y - 1}) and ({x},{y}) do not interlace"
-                    )
+    skew = rule.kind == "skew"
+    for axis, at in ((grid[0], "({},0)"), ([labs[0] for labs in grid], "(0,{})")):
+        for i, lab in enumerate(axis):
+            if not skew and lab != ():
+                raise DomainError(f"axis label at {at.format(i)} must be empty")
+            if skew and i and not interlaces(axis[i - 1], lab):
+                raise DomainError(
+                    f"labels at {at.format(i - 1)} and {at.format(i)} do not interlace"
+                )
+    # Every other edge is the top or right edge of a cell, and a cell holds
+    # only when tr is _forward's label, which interlaces above tl and br.
+    # Bottom row first, left to right, each cell's bottom and left edges are
+    # then on an axis or were checked by an earlier cell, as _forward needs.
     for row, entries in enumerate(g.filling.rows, 1):
         here, below = grid[row], grid[row - 1]
         for col, entry in enumerate(entries, 1):
-            if not _holds(rule, below[col - 1], here[col - 1], below[col], here[col], entry):
-                raise DomainError(f"cell ({col},{row}) violates rule {rule}")
+            bl, tl, br, tr = below[col - 1], here[col - 1], below[col], here[col]
+            if not _holds(rule, bl, tl, br, tr, entry):
+                raise DomainError(
+                    f"cell ({col},{row}) violates rule {rule}: "
+                    f"bl={bl} tl={tl} br={br} tr={tr} entry={entry}"
+                )
 
 
 def render_diagram(g: GrowthDiagram) -> str:

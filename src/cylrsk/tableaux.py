@@ -9,7 +9,8 @@ A tableau the package builds itself from a unit walk (``growth.boundary_of``,
 conjugation), or as the halves or join of a valid tableau (``split_pair``,
 ``join_pair``), is checked by that walk or inherits its source's validity,
 and is not checked again; it keeps its step rows for ``is_standard`` and
-``unit_rows``.  Public constructors, parsers and ``reverse`` check everything.
+``unit_rows``, as any tableau does once ``unit_rows`` has computed them.
+Public constructors, parsers and ``reverse`` check everything.
 """
 
 from dataclasses import dataclass, replace
@@ -129,7 +130,7 @@ class _Tableau:
 
     _co = False
     _empty = ()
-    _rows = None  # the step rows, set by _walked
+    _rows = None  # the step rows, set by _walked or the first unit_rows
 
     @classmethod
     def _walked(cls, w: str, rows, seq=None):
@@ -190,7 +191,8 @@ class _Tableau:
             return self._rows
         if max(self.wt_plus() + self.wt_minus(), default=0) > 1:
             return None
-        return tuple(step_rows(self.w, self.seq))
+        object.__setattr__(self, "_rows", tuple(step_rows(self.w, self.seq)))
+        return self._rows
 
     def max_length(self) -> int:
         return max((len(p) for p in self.seq), default=0)

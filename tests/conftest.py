@@ -2,9 +2,9 @@
 
 The oracles here deliberately avoid the package's own dynamic programs: they
 enumerate chains recursively or scan every earlier cell in a quadratic chain
-DP, scan permutation subsequences directly, and walk staircase boundaries
-step by step, so that test expectations never depend on the code paths they
-check.
+DP, scan permutation subsequences directly, walk staircase boundaries step by
+step, and check every edge of a growth diagram with interlaces, so that test
+expectations never depend on the code paths they check.
 """
 
 import sys
@@ -13,8 +13,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from cylrsk import growth
+from cylrsk.errors import DomainError
 from cylrsk.fillings import Filling
-from cylrsk.partitions import part
+from cylrsk.partitions import interlaces, part
 
 
 # ---------------------------------------------------------------------------
@@ -260,3 +262,36 @@ def oracle_cyl_conjugate(s, d, L):
         candidates = [x for x in xs if values[x] >= j]
         out.append(max(candidates))
     return tuple(out)
+
+
+def oracle_diagram_failure(g):
+    """The first check of the every-edge diagram validator that g fails, or None.
+
+    Coerces every label, checks the axis labels (empty, outside skew), then
+    every horizontal and vertical edge with interlaces, and only then each
+    cell's side condition and row equations.  A failure is ("label", None),
+    ("axis", point), ("edge", (lower point, upper point)) or ("cell", (col, row)).
+    """
+    rule = g.rule
+    try:
+        grid = [[growth._validate_label(rule, lab) for lab in row] for row in g.labels]
+    except DomainError:
+        return "label", None
+    if rule.kind != "skew":
+        for y, labs in enumerate(grid):
+            for x, lab in enumerate(labs):
+                if (x == 0 or y == 0) and lab != ():
+                    return "axis", (x, y)
+    for y, labs in enumerate(grid):
+        for x in range(1, len(labs)):
+            if not interlaces(labs[x - 1], labs[x]):
+                return "edge", ((x - 1, y), (x, y))
+        for x in range(len(labs) if y else 0):
+            if not interlaces(grid[y - 1][x], labs[x]):
+                return "edge", ((x, y - 1), (x, y))
+    for row, entries in enumerate(g.filling.rows, 1):
+        here, below = grid[row], grid[row - 1]
+        for col, entry in enumerate(entries, 1):
+            if not growth._holds(rule, below[col - 1], here[col - 1], below[col], here[col], entry):
+                return "cell", (col, row)
+    return None

@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -257,6 +258,25 @@ def test_check_verb(capsys, tmp_path, grid7_file):
     assert code == 0 and "skew" in out
 
 
+def test_check_names_the_cell_an_inner_label_breaks(capsys, tmp_path):
+    lines = format_diagram(grow_from_filling(Rule.drsk(3), GRID7)).splitlines()
+    # label rows follow the header and the filling block, top row first; the
+    # label at (3,4) goes from [2,1] to [2,2], which still interlaces above its
+    # left and lower neighbours but no longer below its right one
+    labels = lines[12].split()
+    assert labels[3] == "[2,1]"
+    labels[3] = "[2,2]"
+    lines[12] = " ".join(labels)
+    b_file = tmp_path / "bad.dump"
+    b_file.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "check", str(b_file))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: cell (3,4) violates rule drsk(3): "
+        "bl=(1,) tl=(1, 1) br=(2,) tr=(2, 2) entry=0\n"
+    )
+
+
 def test_check_pair_artifact(capsys, tmp_path):
     perm_file = tmp_path / "perm.txt"
     perm_file.write_text("4 5 2 3 1\n")
@@ -389,8 +409,23 @@ def test_count_refuses_a_table_past_the_digit_budget(capsys, monkeypatch):
     monkeypatch.setattr(cli, "COUNT_DIGIT_BUDGET", 20)
     argv = ["count", "--routes", "pairs", "--d", "2", "--L", "3", "--n-max"]
     assert run(capsys, *argv, "8")[0] == 0
+    # n = 11 passes the up-front estimate of n bits a count (0.302 * 66 digits)
+    # and is refused after stepping
+    code, out, err = run(capsys, *argv, "11")
+    assert (code, out) == (2, "") and err.startswith("error: ~2.4e+01 count digits exceed")
+    # n = 12 is refused before any count is stepped (0.302 * 78 digits)
+    monkeypatch.setattr(counting, "count_table", None)
     code, out, err = run(capsys, *argv, "12")
-    assert (code, out) == (2, "") and err.startswith("error: ~2.8e+01 count digits exceed")
+    assert (code, out) == (2, "") and err.startswith("error: ~2.4e+01 count digits exceed")
+
+
+def test_count_refuses_an_oversized_table_before_stepping():
+    # stepping this table took 21.5 s and 467 MB before its digits were refused
+    start = time.perf_counter()
+    done = _run_capped("count --routes pairs --d 2 --L 3 --n-max 50000", None, 1_500_000 * 1024)
+    assert time.perf_counter() - start < 2
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: ~3.8e+08 count digits exceed the budget 5e+07\n"
 
 
 def test_bad_flags_exit_3(capsys, tmp_path):

@@ -4,7 +4,7 @@ from itertools import permutations, product
 
 import pytest
 
-from cylrsk import correspond, fillings, growth
+from cylrsk import correspond, fillings, growth, tableaux
 from cylrsk.correspond import (
     bwx_inverse,
     bwx_map,
@@ -45,6 +45,7 @@ from cylrsk.tableaux import (
     SemistandardTableau,
     SkewOscillatingTableau,
     SkewRowStrictTableau,
+    step_rows,
 )
 from conftest import (
     perm_contains_descending_pattern,
@@ -569,6 +570,25 @@ def test_permutation_maps_build_no_filling(monkeypatch):
         p, q = cylindric_rs(perm, 2, 40)
         assert cylindric_rs_inverse(p, q, 2, 40) == perm
         assert wilf_bijection(wilf_bijection(perm, 2, 40), 40, 2) == perm
+
+
+def test_inverse_of_a_parsed_pair_reads_each_step_once(monkeypatch):
+    """A pair from the public constructors keeps the step rows is_standard computes."""
+    perm = tuple(range(300, 0, -1))
+    parsed = [SemistandardTableau(half.seq) for half in cylindric_rs(perm, 2, 300)]
+    fresh = [SemistandardTableau(half.seq) for half in parsed]
+    steps = []
+
+    def counted(w, seq):
+        steps.append(len(w))
+        return step_rows(w, seq)
+
+    monkeypatch.setattr(tableaux, "step_rows", counted)
+    assert cylindric_rs_inverse(*parsed, 2, 300) == perm
+    assert steps == [300, 300]
+    # the kept rows are not a field: equality and hashing see only the labels
+    assert parsed == fresh and list(map(hash, parsed)) == list(map(hash, fresh))
+    assert [half.unit_rows() for half in parsed] == [half.unit_rows() for half in fresh]
 
 
 def _reference_rs(perm, d, L):

@@ -88,6 +88,9 @@ def test_pair_count_classical_limits():
     for n in range(1, 7):
         assert tableau_pair_count(n, n, n) == math.factorial(n)
         assert tableau_pair_count(n, 1, 3) == 1
+    # the floor behind `cylrsk count`'s up-front digit estimate: at
+    # min(d, L) >= 2 every count is at least the one at (2, 2)
+    assert all(tableau_pair_count(n, 2, 2) == 2 ** (n - 1) for n in range(1, 41))
 
 
 def test_syt_count_matches_involutions():

@@ -36,9 +36,12 @@ from cylrsk.growth import (
 from cylrsk.partitions import as_partition, as_staircase, contained_in, interlaces, part, size
 from cylrsk.tableaux import OscillatingTableau, SkewOscillatingTableau, mcw_sequence
 from conftest import (
+    oracle_diagram_failure,
     random_filling,
+    random_partition,
     random_shape,
     random_skew_seq,
+    random_staircase,
     random_word,
     step_up,
     subshapes,
@@ -361,6 +364,28 @@ def test_cell_kernels_refuse_labels_that_break_their_precondition():
                 assert raised == (not above)
                 seen["backward", above] += 1
     assert len(seen) == 6 and min(seen.values()) > 100
+
+
+def test_check_cell_agrees_with_the_four_edge_form():
+    """check_cell checks the bottom and left edges; a cell that holds has the other two."""
+    rng = random.Random(73)
+    seen = Counter()
+    for kind in ("rsk", "drsk", "skew"):
+        for rule, *labs, entry in _random_cells(rng, kind, 400):
+            bl, tl, br = labs[:3]
+            cells = [labs]
+            if growth._side_condition(rule, bl, entry) is None:
+                cells.append([bl, tl, br, growth._forward(rule, bl, tl, br, entry)])
+            for cell in cells[:]:
+                i = rng.randrange(4)
+                cells.append(cell[:i] + [_nudged(rng, rule, cell[i])] + cell[i + 1 :])
+            for bl, tl, br, tr in (cell for cell in cells if None not in cell):
+                edges = ((bl, tl), (bl, br), (tl, tr), (br, tr))
+                four = all(interlaces(a, b) for a, b in edges)
+                four = four and growth._holds(rule, bl, tl, br, tr, entry)
+                assert check_cell(rule, bl, tl, br, tr, entry) == four
+                seen[kind, four] += 1
+    assert min(seen.values()) > 200 and len(seen) == 6
 
 
 def test_large_degree_matches_plain_rule():
@@ -788,6 +813,101 @@ def test_sweeps_match_the_checked_single_cell_kernels():
         labels = _regrow_skew(d, rows, cols, t)
         assert g.labels == labels
         validate_diagram(GrowthDiagram(g.rule, g.filling, labels))
+
+
+def _solved_skew_diagram(rng, d):
+    """Random skew axis labels, each cell's tr solved from its row equations unchecked.
+
+    The axis labels need not interlace, so only the axes, or the bound that
+    the solve loop checks, tell such a diagram from a valid one.  None when
+    some solved label is no staircase.
+    """
+    rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+    labels = [[random_staircase(rng, d, -3, 3) for _ in range(cols + 1)]]
+    labels += [[random_staircase(rng, d, -3, 3)] + [None] * cols for _ in range(rows)]
+    for y in range(1, rows + 1):
+        for x in range(1, cols + 1):
+            bl, tl, br = labels[y - 1][x - 1], labels[y][x - 1], labels[y - 1][x]
+            s = _full_row_system(Rule.skew(d), tl, br)
+            tr = (s[0] - bl[-1], *(v - u for v, u in zip(s[1:], bl)))
+            if tr != tuple(sorted(tr, reverse=True)):
+                return None
+            labels[y][x] = tr
+    return GrowthDiagram(Rule.skew(d), zero_filling((cols,) * rows), labels)
+
+
+def _corrupted_diagrams(rng, count):
+    """Grown diagrams with 0-2 labels replaced by random ones and now and then an entry changed.
+
+    About one skew diagram in four is solved from random axis labels instead.
+    """
+    rules = (Rule.rsk(), *map(Rule.drsk, (1, 2, 3)), *map(Rule.skew, (1, 2, 3)))
+    while count:
+        rule = rng.choice(rules)
+        if rule.kind == "skew" and rng.random() < 0.25:
+            g = _solved_skew_diagram(rng, rule.d)
+            if g is None:
+                continue
+        elif rule.kind == "skew":
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            w = random_word(rng, rows, cols)
+            t = SkewOscillatingTableau(rule.d, w, random_skew_seq(rng, rule.d, w))
+            g = grow_skew(rule.d, (cols,) * rows, t)
+        else:
+            shape = random_shape(rng, 5, 5) or (1,)
+            try:
+                g = grow_from_filling(rule, random_filling(rng, shape, density=0.5, max_entry=2))
+            except PatternContainment:
+                continue
+        labels = [list(row) for row in g.labels]
+        for _ in range(rng.randint(0, 2)):
+            row = rng.choice(labels)
+            if rule.kind == "skew":
+                row[rng.randrange(len(row))] = random_staircase(rng, rule.d, -4, 8)
+            else:
+                row[rng.randrange(len(row))] = random_partition(rng, (rule.d or 3) + 1, 8)
+        entries = [list(row) for row in g.filling.rows]
+        if rng.random() < 0.2:
+            row = rng.choice(entries)
+            row[rng.randrange(len(row))] = rng.randint(0, 2)
+        count -= 1
+        yield GrowthDiagram(rule, Filling(g.shape, entries), labels)
+
+
+def _refusal(check, g):
+    """The DomainError message check(g) raises, or None when it accepts g."""
+    try:
+        check(g)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+def test_validation_accepts_what_the_every_edge_oracle_accepts():
+    """Checking the axes and then each cell in order accepts exactly the valid diagrams.
+
+    The oracle checks every edge with interlaces before any cell; both
+    validate_diagram and the dump reader must give its verdict.  An axis edge
+    that the oracle finds first is named as such.
+    """
+    rng = random.Random(101)
+    seen = Counter()
+    for g in _corrupted_diagrams(rng, 6000):
+        failure = oracle_diagram_failure(g)
+        refusals = [
+            _refusal(check, g)
+            for check in (validate_diagram, lambda g: parse_diagram(format_diagram(g)))
+        ]
+        assert [why is None for why in refusals] == [failure is None] * 2, (g, failure)
+        kind = failure[0] if failure else "accepted"
+        if kind == "edge":
+            (x0, y0), (x, y) = failure[1]
+            kind = "inner edge" if x and y else "axis edge"
+            if kind == "axis edge":
+                assert refusals[0] == f"labels at ({x0},{y0}) and ({x},{y}) do not interlace"
+        seen[kind] += 1
+    assert seen["accepted"] > 1000 and seen["inner edge"] > 100
+    assert sum(seen.values()) - seen["accepted"] > 1000 and len(seen) == 6, seen
 
 
 def _partial_permutation(rng, shape):
