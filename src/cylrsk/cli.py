@@ -33,7 +33,7 @@ from .partitions import (
 )
 from .tableaux import (
     SSYT_HEADER,
-    SemistandardTableau,
+    _ssyt_from_json,
     format_oscillating,
     format_skew,
     format_ssyt,
@@ -83,7 +83,7 @@ def _pair_from_text(t: str):
 
 
 def _pair_from_json(obj):
-    return tuple(SemistandardTableau(tuple(map(tuple, obj[k]["seq"]))) for k in "PQ")
+    return _ssyt_from_json(obj["P"]), _ssyt_from_json(obj["Q"])
 
 
 def _rule_from_args(args) -> growth.Rule:

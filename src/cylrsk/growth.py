@@ -143,20 +143,24 @@ def _side_condition(rule: Rule, bl: Part, entry: int) -> str | None:
 # bl_d = tl_d = br_d = 0 makes the d-row wrap row the plain rule's top row.
 #
 # Each row j > 1 has one unknown, tr_j going forward and bl_{j-1} going
-# backward, and it equals hi_j + lo_j minus the known one.  The unknown
-# interlaces with tl and br exactly when lo_j <= unknown <= hi_j; for
-# partitions that bound also makes it weakly decreasing and nonnegative.
-# Since the two parts sum to hi_j + lo_j, the known part meets the same
-# bound exactly when the unknown does, so a cell whose known label breaks
-# the kernel's precondition fails it too.  _solve solves these rows and
-# checks the bound in one loop, and each kernel adds its wrap row.
+# backward, and it equals hi_j + lo_j minus the known one.  _solve solves
+# these rows, and each kernel adds its wrap row.
 #
-# The private kernels below take labels that are already canonical and
-# already interlacing (bl below tl and br going forward; tl and br below tr
-# going backward) and check only what they produce.  The sweeps and
-# validate_diagram check the labels on their path once at entry, and every
-# label a kernel returns (or confirms, in validate_diagram) has had its two
-# new edges checked, so each later cell meets that precondition.
+# The kernels below take canonical labels that meet their precondition: bl
+# interlaces below tl and br going forward, tl and br interlace below tr
+# going backward.  The known part of each row then lies in [lo_j, hi_j], so
+# the unknown does too, since the two sum to hi_j + lo_j; the wrap row keeps
+# tr_1 >= lo_1 forward and bl_n <= hi_1 backward.  So the solved label
+# interlaces with tl and br (for partitions it is also weakly decreasing and
+# nonnegative) and no kernel checks it.  Four places establish the
+# precondition:
+#
+# * the three sweeps, from their validated path tableau or empty axes: each
+#   cell's known edges lie on the path or were solved by an earlier cell;
+# * validate_diagram and parse_diagram, by the axis check and the bottom-row-
+#   first cell order of _check_labels;
+# * check_cell and classify_rs_cell, by the interlaces calls of _cell_holds;
+# * grow_forward_cell and grow_backward_cell, by their own interlaces checks.
 
 
 def _solve(rule: Rule, tl: Part, br: Part, known: Part) -> tuple[int, int, list[int]]:
@@ -165,29 +169,20 @@ def _solve(rule: Rule, tl: Part, br: Part, known: Part) -> tuple[int, int, list[
     if rule.kind == "rsk" or n < rule.d:  # skew labels always have d parts
         n += 1
     pad = (0,) * n
-    a, b = iter(tl + pad), iter(br + pad)
-    x, y = next(a), next(b)
-    lo_1 = x if x > y else y
-    out = []
-    for j, u, v, k in zip(range(2, n + 1), a, b, known + pad):
-        hi = x if x < y else y
-        lo = u if u > v else v
-        s = hi + lo - k
-        if s < lo or s > hi:
-            raise InvariantViolation(f"row {j} solves to {s}, outside [{lo}, {hi}]")
-        out.append(s)
-        x, y = u, v
-    return (x if x < y else y), lo_1, out
+    a, b = tl + pad, br + pad
+    out = [
+        (x if x < y else y) + (u if u > v else v) - k
+        for x, y, u, v, k in zip(a, b, a[1:n], b[1:], known + pad)
+    ]
+    x, y, u, v = a[0], b[0], a[n - 1], b[n - 1]
+    return (u if u < v else v), (x if x > y else y), out
 
 
 def _forward(rule: Rule, bl: Part, tl: Part, br: Part, entry: int) -> Part:
     """Top-right label of a cell whose bl interlaces below tl and br."""
     hi, lo, tr = _solve(rule, tl, br, bl)
     n = len(tr) + 1
-    first = entry + hi + lo - (bl[n - 1] if len(bl) >= n else 0)
-    if first < lo:
-        raise InvariantViolation(f"row 1 solves to {first}, below {lo}")
-    tr.insert(0, first)
+    tr.insert(0, entry + hi + lo - (bl[n - 1] if len(bl) >= n else 0))
     while rule.kind != "skew" and tr and not tr[-1]:
         tr.pop()
     return tuple(tr)
@@ -199,8 +194,6 @@ def _backward(rule: Rule, tl: Part, br: Part, tr: Part) -> tuple[Part, int]:
     wrap = hi + lo - (tr[0] if tr else 0)  # bl_n - m
     # outside the skew rule, the sign of the wrap row decides which of bl_n, m is zero
     entry = -wrap if wrap < 0 and rule.kind != "skew" else 0
-    if wrap + entry > hi:
-        raise InvariantViolation(f"row 1 solves to {wrap + entry}, above {hi}")
     bl.append(wrap + entry)
     while rule.kind != "skew" and bl and not bl[-1]:
         bl.pop()
@@ -209,12 +202,7 @@ def _backward(rule: Rule, tl: Part, br: Part, tr: Part) -> tuple[Part, int]:
 
 def _holds(rule: Rule, bl: Part, tl: Part, br: Part, tr: Part, entry: int) -> bool:
     """Side condition and row equations of a cell with verified edges."""
-    if _side_condition(rule, bl, entry) is not None:
-        return False
-    try:
-        return _forward(rule, bl, tl, br, entry) == tr
-    except InvariantViolation:  # no label above tl and br solves the rows, tr included
-        return False
+    return _side_condition(rule, bl, entry) is None and _forward(rule, bl, tl, br, entry) == tr
 
 
 def _cell_holds(rule: Rule, bl: Part, tl: Part, br: Part, tr: Part, entry: int) -> bool:
@@ -345,8 +333,6 @@ def grow_skew(d: int, rect: Part, t: SkewOscillatingTableau) -> GrowthDiagram:
         )
     rule = Rule.skew(d)
     grid = _sweep(rule, rect, t.w, t.seq, [[0] * cols for _ in range(rows)])
-    if any(lab is None for labs in grid for lab in labs):
-        raise InvariantViolation("skew growth left unlabeled lattice points")
     return GrowthDiagram(rule, zero_filling(rect), grid)
 
 
@@ -373,25 +359,17 @@ def _sweep(rule: Rule, shape: Part, w: str, seq, entries) -> list[list]:
         grid[y][x] = lab
     # x of the up step into each row, bottom row first
     up_x = [x for (x, _), ch in zip(pts, w) if ch == PLUS]
-    try:
-        for row in range(len(shape), 0, -1):
-            here, below, ents = grid[row], grid[row - 1], entries[row - 1]
-            for col in range(up_x[row - 1], 0, -1):
-                below[col - 1], ents[col - 1] = _backward(
-                    rule, here[col - 1], below[col], here[col]
-                )
-        for row in range(1, len(shape) + 1):
-            here, below, ents = grid[row], grid[row - 1], entries[row - 1]
-            for col in range(up_x[row - 1] + 1, shape[row - 1] + 1):
-                bl, entry = below[col - 1], ents[col - 1]
-                if entry and _side_condition(rule, bl, entry):
-                    raise _pattern_at(rule, col, row)
-                here[col] = _forward(rule, bl, here[col - 1], below[col], entry)
-    except InvariantViolation as exc:
-        bl, tl, br, tr = below[col - 1], here[col - 1], below[col], here[col]
-        raise InvariantViolation(
-            f"{exc} at cell ({col},{row}) under rule {rule}: bl={bl} tl={tl} br={br} tr={tr}"
-        ) from exc
+    for row in range(len(shape), 0, -1):
+        here, below, ents = grid[row], grid[row - 1], entries[row - 1]
+        for col in range(up_x[row - 1], 0, -1):
+            below[col - 1], ents[col - 1] = _backward(rule, here[col - 1], below[col], here[col])
+    for row in range(1, len(shape) + 1):
+        here, below, ents = grid[row], grid[row - 1], entries[row - 1]
+        for col in range(up_x[row - 1] + 1, shape[row - 1] + 1):
+            bl, entry = below[col - 1], ents[col - 1]
+            if entry and _side_condition(rule, bl, entry):
+                raise _pattern_at(rule, col, row)
+            here[col] = _forward(rule, bl, here[col - 1], below[col], entry)
     return grid
 
 

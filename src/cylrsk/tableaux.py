@@ -21,14 +21,13 @@ from .errors import DomainError, FormatError, decode
 from .fillings import MINUS, PLUS
 from .partitions import (
     Part,
+    _parse_int_list,
     as_partition,
     as_staircase,
     cointerlaces,
     format_partition,
     interlaces,
     mcw_pair,
-    parse_partition,
-    parse_staircase,
     part,
     size,
     strict_int,
@@ -392,7 +391,7 @@ def parse_oscillating(text) -> OscillatingTableau:
 
 def _oscillating_from_text(text: str) -> OscillatingTableau:
     lines = _tableau_lines(text)
-    return OscillatingTableau(lines[0], tuple(map(parse_partition, lines[1:])))
+    return OscillatingTableau(lines[0], tuple(map(_parse_int_list, lines[1:])))
 
 
 def _oscillating_from_json(obj) -> OscillatingTableau:
@@ -407,7 +406,7 @@ def _ssyt_from_text(text: str) -> SemistandardTableau:
     lines = _tableau_lines(text)
     if lines[0] != SSYT_HEADER:
         raise FormatError(f"expected {SSYT_HEADER} header, got {lines[0]!r}")
-    return SemistandardTableau(tuple(map(parse_partition, lines[1:])))
+    return SemistandardTableau(tuple(map(_parse_int_list, lines[1:])))
 
 
 def _ssyt_from_json(obj) -> SemistandardTableau:
@@ -438,11 +437,10 @@ def _skew_from_text(text: str, cls):
     lines = _tableau_lines(text)
     if len(lines) < 2:
         raise FormatError("skew tableau needs a word line and at least one staircase")
-    first = lines[1]
-    d = len(first[1:-1].split(",")) if first != "[]" else 0
-    if d < 1:
+    seq = tuple(map(_parse_int_list, lines[1:]))
+    if not seq[0]:
         raise FormatError("skew staircases must have at least one part")
-    return cls(d, lines[0], tuple(parse_staircase(ln, d) for ln in lines[1:]))
+    return cls(len(seq[0]), lines[0], seq)
 
 
 def _skew_from_json(obj, cls):

@@ -359,6 +359,23 @@ def _run_capped(argv: str, stdin, cap: int):
         ("conjugate --d 1 --L 300000000 -", 2, "", "[3]\n"),
         ("rowstrict-retype --L 100000000 --to - -", 2, "", "-\n[1]\n[0]\n"),
         ("rowstrict-retype --L 400000 --to=-+ -", 2, "", "+-\n[1,1]\n[2,2]\n[2,1]\n"),
+        # a huge degree or width costs a two-element input nothing
+        (
+            "rs --d 100000000 --L 100000000 -",
+            0,
+            "SSYT\n[]\n[1]\n[1,1]\n\nSSYT\n[]\n[1]\n[1,1]\n",
+            "2 1\n",
+        ),
+        ("wilf --d 100000000 --L 100000000 -", 0, "1 2\n", "2 1\n"),
+        ("rsk --d 100000000 -", 0, "+--\n[]\n[2]\n[1]\n[]\n", "[2]\n1 1\n"),
+        ("bwx --d 100000000 -", 0, "[2]\n1 1\n", "[2]\n1 1\n"),
+        (
+            "cylrsk --d 100000000 --L 100000000 -",
+            0,
+            "SSYT\n[]\n[2]\n\nSSYT\n[]\n[1]\n[2]\n",
+            "[2]\n1 1\n",
+        ),
+        ("grow --rule drsk --d 100000000 -", 0, "[] [1] [2]\n[] [] []\n", "[2]\n1 1\n"),
     ],
 )
 def test_huge_parameters_end_at_once_in_bounded_memory(argv, code, out, stdin):

@@ -7,7 +7,9 @@ leaves neither its import nor its body behind.  ``object.__new__``, which
 makes a value without running its validation, appears only inside the
 constructors of values built from a unit walk: the tableau, whose walk
 checks each step, and the 0/1 filling with one column per row, built from
-columns its callers have just computed.
+columns its callers have just computed.  ``InvariantViolation`` reports a
+bug, so only ``cli.main`` catches it, to turn it into an exit code; no
+``except`` clause elsewhere names it, a base class of it, or nothing.
 """
 
 import ast
@@ -71,26 +73,44 @@ def test_every_private_top_level_definition_is_referenced():
 WALK_CONSTRUCTORS = {("tableaux", "_walked"), ("fillings", "_from_unit_columns")}
 
 
-def _object_new_sites(module, tree) -> list[tuple[str, str | None]]:
-    """(module, innermost enclosing function or None) of each object.__new__."""
+def _sites(match) -> list[tuple[str, str | None]]:
+    """(module, innermost enclosing function or None) of each node match accepts."""
     sites = []
 
-    def visit(node, func):
+    def visit(module, node, func):
         for child in ast.iter_child_nodes(node):
-            if (
-                isinstance(child, ast.Attribute)
-                and child.attr == "__new__"
-                and isinstance(child.value, ast.Name)
-                and child.value.id == "object"
-            ):
+            if match(child):
                 sites.append((module, func))
             inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
-            visit(child, getattr(child, "name", "<lambda>") if inner else func)
+            visit(module, child, getattr(child, "name", "<lambda>") if inner else func)
 
-    visit(tree, None)
+    for module, tree in MODULES.items():
+        visit(module, tree, None)
     return sites
 
 
+def _is_object_new(node) -> bool:
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "__new__"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "object"
+    )
+
+
 def test_validation_is_skipped_only_in_the_walk_constructors():
-    sites = [site for name, tree in MODULES.items() for site in _object_new_sites(name, tree)]
-    assert sorted(sites) == sorted(WALK_CONSTRUCTORS)
+    assert sorted(_sites(_is_object_new)) == sorted(WALK_CONSTRUCTORS)
+
+
+# InvariantViolation and the classes an except clause could name to catch it
+INVARIANT_VIOLATION = {"InvariantViolation", "RuntimeError", "Exception", "BaseException"}
+
+
+def _catches_invariant_violation(node) -> bool:
+    if not isinstance(node, ast.ExceptHandler):
+        return False
+    return node.type is None or bool(_referenced([node.type]) & INVARIANT_VIOLATION)
+
+
+def test_only_the_cli_catches_invariant_violations():
+    assert _sites(_catches_invariant_violation) == [("cli", "main")]
