@@ -9,21 +9,23 @@ walk to depth n fills S_1..S_n, and the pair DP and the trigonometric sum
 each step their (d, L) state from n to n + 1.
 
 The pair DP steps only the reduced shapes of the size class mod d that the
-level can reach.  The trigonometric sum keeps one polynomial per group of
-subsets, made nonnegative by adding a multiple of Psi = 1 + x + ... +
+level can reach, and builds each shape's moves when a level first reaches
+it.  The trigonometric sum keeps one polynomial per Galois orbit of groups
+of subsets, made nonnegative by adding a multiple of Psi = 1 + x + ... +
 x^(M-1), which vanishes mod Phi_M, and packs each one into a single int
-(Kronecker substitution, x = 2^K).  K comes from a proven bound: the
-coefficients of the summed terms add up to exactly norm * d^(2n), so no
+(Kronecker substitution, x = 2^K); each level's sum, averaged over the
+Galois group, is the sum over every group.  K comes from a proven bound:
+the coefficients of the summed terms add up to exactly norm * d^(2n), so no
 K-bit field can carry while that sum is below 2^K (see _TrigSum).
 """
 
 import math
 import sys
 import threading
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations_with_replacement, compress
+from itertools import accumulate, chain, compress
 
 from .errors import DomainError, InvariantViolation
 from .partitions import require_degrees
@@ -65,52 +67,47 @@ def _walk(n: int):
     the tree is exactly S_k.  The child's completable chains are the parent's
     plus those the new last value completes, which are the decreasing
     subsequences of the parent's values below r; its LIS grows by one iff r
-    lies above the parent's last patience tail.  Values are 0-based here.
+    lies above the parent's last patience tail.  Values are 0-based here, and
+    each node is carried as its inverse pos (value -> position): the child of
+    rank r has inverse pos[:r] + [k] + pos[r:].
     """
-    counts = [{} for _ in range(n + 1)]
-    inv_counts = [{} for _ in range(n + 1)]
+    counts = [Counter() for _ in range(n + 1)]
+    inv_counts = [Counter() for _ in range(n + 1)]
 
-    def visit(perm, tails, best, is_inv):
-        k = len(perm)
-        pos = [0] * k
-        for i, v in enumerate(perm):
-            pos[v] = i
+    def visit(pos, tails, best, is_inv):
+        k = len(pos)
         # chains[r]: the child of rank r keeps the parent's best or gains the
         # longest decreasing subsequence among the values < r, which is the
-        # longest decreasing run of their positions taken in value order
-        chains = [best]
+        # longest decreasing run of their positions taken in value order; those
+        # lengths never fall as r grows, so best holds up to the first past it
         piles: list[int] = []
+        lengths = []
         for p in pos:
             j = bisect_left(piles, -p)
             piles[j : j + 1] = [-p]
-            chains.append(max(best, len(piles)))
+            lengths.append(len(piles))
+        i = bisect_right(lengths, best)
+        chains = [best] * (i + 1) + lengths[i:]
         lis = len(tails)
         last = tails[-1] if tails else -1
         keys = [(c + 1, lis) for c in chains[: last + 1]]
         keys += [(c + 1, lis + 1) for c in chains[last + 1 :]]
-        level = counts[k + 1]
-        for key in keys:
-            level[key] = level.get(key, 0) + 1
+        counts[k + 1].update(keys)
         # the child of rank r maps its last position to r, so it is an
         # involution only if it maps r back: r is last (a fixed point), or the
         # parent's maximum sat at position r and the rest pairs up
         inv = [False] * k + [is_inv]
         if k:
-            top = perm.index(k - 1)
-            child = [v + (v >= top) for v in perm]
-            child.append(top)
-            inv[top] = all(child[c] == i for i, c in enumerate(child))
-        inv_level = inv_counts[k + 1]
-        for key in compress(keys, inv):
-            inv_level[key] = inv_level.get(key, 0) + 1
+            top = pos[k - 1]
+            cp = pos[:top] + [k] + pos[top:]  # that child's inverse, an involution iff it is
+            inv[top] = list(map(cp.__getitem__, cp)) == list(range(k + 1))
+        inv_counts[k + 1].update(compress(keys, inv))
         if k + 1 < n:
             for r in range(k + 1):
-                child = [v + (v >= r) for v in perm]
-                child.append(r)
                 child_tails = [t + (t >= r) for t in tails]
                 j = bisect_left(child_tails, r)
                 child_tails[j : j + 1] = [r]
-                visit(child, child_tails, chains[r], inv[r])
+                visit(pos[:r] + [k] + pos[r:], child_tails, chains[r], inv[r])
 
     visit([], [], 0, True)
     return counts, inv_counts
@@ -156,42 +153,62 @@ class _Chains:
     A shape with at most d parts and first minus d-th part <= L is kept as
     its reduced shape, its first d - 1 parts minus its d-th part.  There are
     finitely many, and at a fixed size each one stands for exactly one shape,
-    so the box-addition graph is built once and every level is one pass over
-    a list of chain counts.  A reduced shape has size |lambda| - d lambda_d,
-    so level n reaches only the reduced shapes of size n mod d: the states
-    are indexed within each such class, and a step maps one class's list of
-    counts to the next class's.
+    so every level is one pass over a list of chain counts.  A reduced shape
+    has size |lambda| - d lambda_d, so level n reaches only the reduced
+    shapes of size n mod d: the states are indexed within each such class,
+    and a step maps one class's list of counts to the next class's.  The
+    graph is built as the levels reach it: a class indexes a reduced shape
+    when a step first reaches it, and a state's moves are built just before
+    the first step out of its class, so a short table builds only the shapes
+    it reaches.
     """
 
     def __init__(self, d: int, L: int):
         # C(M - 1, d - 1) <= C(M, d): refused only where the trig sum is too
         if _comb_exceeds(L + d - 1, d - 1, TRIG_TERM_BUDGET):
             raise DomainError(f"pair DP over C({L + d - 1},{d - 1}) shapes exceeds budget")
-        # at d = 1 the one reduced shape is (), whatever L is
-        parts = combinations_with_replacement(range(L + 1) if d > 1 else (), d - 1)
-        classes: list[list[tuple[int, ...]]] = [[] for _ in range(d)]
-        for c in parts:
-            classes[sum(c) % d].append(tuple(reversed(c)))
-        index = {mu: i for cls in classes for i, mu in enumerate(cls)}
-        self.moves = []  # per class, per state: its targets in the next class
-        for cls in classes:
-            class_moves = []
-            for mu in cls:
-                targets = []
-                for i in range(d - 1):
-                    if (mu[i - 1] > mu[i]) if i else mu[0] < L:
-                        targets.append(index[mu[:i] + (mu[i] + 1,) + mu[i + 1 :]])
-                if d == 1 or mu[-1] > 0:  # a box in row d lowers every reduced part
-                    targets.append(index[tuple(p - 1 for p in mu)])
-                class_moves.append(targets)
-            self.moves.append(class_moves)
-        self.frontier = [0] * len(classes[0])
-        self.frontier[index[(0,) * (d - 1)]] = 1
+        self.L = L
+        start = (0,) * (d - 1)  # at d = 1 the one reduced shape is (), whatever L is
+        self.index = [{start: 0}] + [{} for _ in range(d - 1)]  # per class: shape -> state
+        self.pending = [[start]] + [[] for _ in range(d - 1)]  # per class: shapes with no moves
+        self.moves = [[] for _ in range(d)]  # per class, per state: its targets in the next class
+        self.frontier = [1]
         self.values = [(1, 1)]  # per size: (chains, same-shape pairs of chains)
+
+    def _build_moves(self, cls: int) -> None:
+        """Moves of the class's pending shapes, indexing their targets in the next class.
+
+        Once no class has a pending shape, every reachable shape has its moves
+        and the index is dropped.
+        """
+        d, L = len(self.moves), self.L
+        todo, self.pending[cls] = self.pending[cls], []
+        index, pending = self.index[(cls + 1) % d], self.pending[(cls + 1) % d]
+        for mu in todo:
+            targets = [
+                mu[:i] + (mu[i] + 1,) + mu[i + 1 :]
+                for i in range(d - 1)
+                if ((mu[i - 1] > mu[i]) if i else mu[0] < L)
+            ]
+            if d == 1 or mu[-1] > 0:  # a box in row d lowers every reduced part
+                targets.append(tuple(p - 1 for p in mu))
+            row = []
+            for nu in targets:
+                t = index.get(nu)
+                if t is None:
+                    t = index[nu] = len(index)
+                    pending.append(nu)
+                row.append(t)
+            self.moves[cls].append(row)
+        if not any(self.pending):
+            self.index = None
 
     def step(self) -> None:
         n, d = len(self.values) - 1, len(self.moves)
-        nxt = [0] * len(self.moves[(n + 1) % d])
+        if self.index:
+            self._build_moves(n % d)
+        # the next class's states: those with moves and those still pending
+        nxt = [0] * (len(self.moves[(n + 1) % d]) + len(self.pending[(n + 1) % d]))
         for ways, targets in zip(self.frontier, self.moves[n % d]):
             if ways:
                 for t in targets:
@@ -304,6 +321,66 @@ def _distance_groups(d: int, M: int) -> dict[tuple[int, ...], int]:
     }
 
 
+def _unit_generators(M: int) -> list[int]:
+    """A generating set of the units of Z_M modulo +-1, taken greedily.
+
+    Each unit a in 2..M/2 that the ones before it do not generate joins the
+    set.  The units commute, so the subgroup it reaches is the old one times
+    the powers of a: each member (written as min(a, M - a)) is multiplied by
+    a, the new ones too, until nothing new appears.
+    """
+    reached, gens = {1}, []
+    for a in range(2, M // 2 + 1):
+        if math.gcd(a, M) == 1 and a not in reached:
+            gens.append(a)
+            stack = list(reached)
+            while stack:
+                c = stack.pop() * a % M
+                c = min(c, M - c)
+                if c not in reached:
+                    reached.add(c)
+                    stack.append(c)
+    return gens
+
+
+def _galois_orbits(groups: dict[tuple[int, ...], int], M: int) -> dict[tuple[int, ...], int]:
+    """One histogram per orbit of the units of Z_M, weighted by its orbit's size.
+
+    Multiplying a subset T by a unit a of Z_M moves a pair at distance k to
+    distance min(j, M - j), j = ak mod M, so it maps each distance group onto
+    one of the same size, and x -> x^a maps the one's term onto the other's.
+    The orbits are searched along the generators of _unit_generators, each
+    acting on a histogram's nonzero entries only.  Each orbit keeps its
+    least histogram, weighted by the sum of the group sizes in the orbit.
+    """
+    gens = _unit_generators(M)
+    # each histogram as its nonzero (k, m_k), the form the units act on
+    sparse = {m: tuple((k, mk) for k, mk in enumerate(m) if mk) for m in groups}
+    sizes = {sparse[m]: size for m, size in groups.items()}
+    seen: set[tuple[tuple[int, int], ...]] = set()
+    orbits = {}
+    for m in sorted(groups):
+        key = sparse[m]
+        if key in seen:
+            continue
+        seen.add(key)
+        stack, weight = [key], 0
+        while stack:
+            key = stack.pop()
+            weight += sizes[key]
+            for a in gens:
+                image: Counter[int] = Counter()
+                for k, mk in key:
+                    j = a * k % M
+                    image[min(j, M - j)] += mk
+                image_key = tuple(sorted(image.items()))
+                if image_key not in seen:
+                    seen.add(image_key)
+                    stack.append(image_key)
+        orbits[m] = weight
+    return orbits
+
+
 class _TrigSum:
     """The root-of-unity sum for (d, L), stepped from n to n + 1 in Z[x]/(x^M - 1).
 
@@ -311,10 +388,19 @@ class _TrigSum:
     of Z_M is M/d times the sum over subsets T containing 0.  Subsets with the
     same number m_k of pairs at each cyclic distance k give the same terms,
     |z_T|^2 = d + sum m_k (x^k + x^-k) and V(T) = prod (2 - x^k - x^-k)^m_k,
-    so one polynomial V(T) |z_T|^(2n) per group, times the group's size, is
-    kept and multiplied by |z_T|^2 at each step.
+    so one polynomial V(T) |z_T|^(2n) per group, times the group's size,
+    stands for the group and is multiplied by |z_T|^2 at each step.
 
-    Each group's term is made nonnegative: where size V(T) has a negative
+    A unit a of Z_M maps each group onto a group of the same size, and its
+    term onto that group's term by sigma_a: x -> x^a (see _galois_orbits).
+    So only one term per orbit of the units is kept, weighted by the orbit's
+    total size, and each level averages the kept terms' sum Y over the
+    Galois group: (1/phi(M)) sum_a sigma_a(Y) sends x^i to the mean of Y
+    over the class {j : gcd(j, M) = gcd(i, M)}, and it is exactly the sum
+    over every group.  A class sum that the class size does not divide
+    raises InvariantViolation.
+
+    Each kept term is made nonnegative: where weight V(T) has a negative
     coefficient, -min times Psi = 1 + x + ... + x^(M-1) is added to it.
     Phi_M divides Psi (M >= 2), and x^k Psi = Psi, so Psi |z_T|^2 = d^2 Psi
     and every residue mod Phi_M, hence every count, is unchanged.  A term is
@@ -332,14 +418,14 @@ class _TrigSum:
         M = d + L
         self.d = d
         self.M = M
-        self.factors = []  # per group: (k, m_k) for each distance k its pairs reach
+        self.factors = []  # per kept term: (k, m_k) for each distance k its pairs reach
         terms = []
-        # prefix[j] is V(T) of the last group's histogram prefix (m_0, ...,
-        # m_{j-1}), prefix[0] the polynomial 1, and m_0 = 0 multiplies nothing.
-        # Sorted, the groups sharing a prefix are adjacent, so each group keeps
-        # what it shares with the last one and each prefix is multiplied once.
+        # prefix[j] is V(T) of the last histogram's prefix (m_0, ..., m_{j-1}),
+        # prefix[0] the polynomial 1, and m_0 = 0 multiplies nothing.  Sorted,
+        # the histograms sharing a prefix are adjacent, so each one keeps what
+        # it shares with the last one and each prefix is multiplied once.
         prefix, last = [[1] + [0] * (M - 1)], ()
-        for m, size in sorted(_distance_groups(d, M).items()):
+        for m, weight in sorted(_galois_orbits(_distance_groups(d, M), M).items()):
             pairs = [(k, mk) for k, mk in enumerate(m) if k and mk]
             j = 0
             while j < len(last) and last[j] == m[j]:
@@ -351,17 +437,20 @@ class _TrigSum:
                     v = _mul_symmetric(v, 2, [(k, -1)])
                 prefix.append(v)
             last = m
-            term = [size * c for c in prefix[-1]]
+            term = [weight * c for c in prefix[-1]]
             low = min(term)
             if low < 0:
                 term = [t - low for t in term]
             self.factors.append(pairs)
             terms.append(term)
         self.bound = sum(map(sum, terms))  # the summed terms' coefficient sum, norm d^(2n)
+        self.classes: dict[int, list[int]] = {}  # gcd(i, M) -> every such i in 0..M-1
+        for i in range(M):
+            self.classes.setdefault(math.gcd(i, M), []).append(i)
         self.phi = _cyclotomic(M)
         self.den = d * M ** (d - 1)  # N = c * M / (d * M^d)
         self._pack(terms)
-        self.values = [_count_from_terms(self._unpack(sum(self.packed)), self.phi, self.den)]
+        self.values = [_count_from_terms(self._total(), self.phi, self.den)]
 
     def _pack(self, terms) -> None:
         """Pack the terms with K = the bits of the bound plus a quarter."""
@@ -376,6 +465,21 @@ class _TrigSum:
         field = (1 << self.K) - 1
         return [packed >> i * self.K & field for i in range(self.M)]
 
+    def _total(self) -> list[int]:
+        """The sum over every group: the kept terms' sum, averaged over each gcd class."""
+        kept = self._unpack(sum(self.packed))
+        total = [0] * self.M
+        for g, members in self.classes.items():
+            mean, left = divmod(sum(map(kept.__getitem__, members)), len(members))
+            if left:
+                raise InvariantViolation(
+                    f"trigonometric sum over the class gcd(i, {self.M}) = {g} "
+                    f"is not a multiple of its size {len(members)}"
+                )
+            for i in members:
+                total[i] = mean
+        return total
+
     def step(self) -> None:
         self.bound *= self.d * self.d
         if self.bound.bit_length() > self.K:
@@ -389,7 +493,7 @@ class _TrigSum:
                 wide += mk * ((p << up) + (p << down))
             packed.append(d * p + (wide & mask) + (wide >> width))
         self.packed = packed
-        self.values.append(_count_from_terms(self._unpack(sum(packed)), self.phi, self.den))
+        self.values.append(_count_from_terms(self._total(), self.phi, self.den))
 
 
 def _count_from_terms(total: list[int], phi: list[int], den: int) -> int:

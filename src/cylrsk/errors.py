@@ -41,9 +41,10 @@ class ChainBoundExceeded(DomainError):
 def decode(source, from_text, from_json, what: str):
     """Read an artifact from its text form or its JSON mirror.
 
-    ``source`` is text, or a JSON object already decoded from text.  Stripped
-    text that starts with ``{`` is the JSON mirror and goes to ``from_json``;
-    other text goes to ``from_text``.  A KeyError, TypeError or ValueError on
+    ``source`` is text, or a JSON object already decoded from text; any
+    other value is a FormatError naming ``what``.  Stripped text that starts
+    with ``{`` is the JSON mirror and goes to ``from_json``; other text goes
+    to ``from_text``.  A KeyError, TypeError or ValueError on
     the way (JSONDecodeError and DomainError among them) becomes a FormatError
     naming ``what``, as does JSON nested too deeply for the decoder; a
     FormatError passes through unchanged.
@@ -51,6 +52,9 @@ def decode(source, from_text, from_json, what: str):
     try:
         if isinstance(source, dict):
             return from_json(source)
+        if not isinstance(source, str):
+            kind = type(source).__name__
+            raise FormatError(f"bad {what}: expected text or a JSON object, got {kind}")
         text = source.strip()
         if not text.startswith("{"):
             return from_text(text)

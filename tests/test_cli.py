@@ -347,6 +347,9 @@ def _run_capped(argv: str, stdin, cap: int):
         ("count --routes pairs --d 200 --L 3 --n-max 3", 0, "3      6     ok\n", None),
         ("count --routes trig --d 1200 --L 1 --n-max 3", 0, "3     1     ok\n", None),
         ("count --routes trig --d 200 --L 3 --n-max 3", 0, "3     6     ok\n", None),
+        # one trig term per Galois orbit: 3 of 401 groups at M = 802, 48 of 3434 at M = 203
+        ("count --routes trig --d 2 --L 800 --n-max 3", 0, "3     5     ok\n", None),
+        ("count --routes trig --d 3 --L 200 --n-max 3", 0, "3     6     ok\n", None),
         # the trig budget weighs M = d + L too
         ("count --routes trig --d 1 --L 20000 --n-max 2", 2, "", None),
         ("count --routes trig --d 2 --L 1990 --n-max 3", 2, "", None),

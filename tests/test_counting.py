@@ -14,6 +14,9 @@ from cylrsk.counting import (
     _comb_exceeds,
     _count_from_terms,
     _cyclotomic,
+    _distance_groups,
+    _galois_orbits,
+    _mul_symmetric,
     _TrigSum,
     _scan_profiles,
     asymptotic,
@@ -385,6 +388,82 @@ def _shape_chain_levels(d, L, n_max):
     return values
 
 
+def _reference_trig_totals(d, L, n_max):
+    """Per level 0..n_max, the summed terms of every distance group, stepped as lists.
+
+    This is the sum the trig route kept before it stepped one term per
+    Galois orbit: each group's size V(T), shifted by -min Psi where it has a
+    negative coefficient, times |z_T|^(2n).
+    """
+    M = d + L
+    terms, factors = [], []
+    for m, size in _distance_groups(d, M).items():
+        pairs = [(k, mk) for k, mk in enumerate(m) if k and mk]
+        v = [1] + [0] * (M - 1)
+        for k, mk in pairs:
+            for _ in range(mk):
+                v = _mul_symmetric(v, 2, [(k, -1)])
+        term = [size * c for c in v]
+        low = min(min(term), 0)
+        terms.append([t - low for t in term])
+        factors.append(pairs)
+    totals = []
+    for _ in range(n_max + 1):
+        totals.append([sum(column) for column in zip(*terms)])
+        terms = [_mul_symmetric(t, d, pairs) for t, pairs in zip(terms, factors)]
+    return totals
+
+
+def test_orbit_terms_sum_to_the_every_group_total():
+    # every (d, L) with d + L <= 13: prime M = 13 at (2, 11), and M = 12, with
+    # many divisors, at (4, 8) and (6, 6)
+    for d in range(1, 13):
+        for L in range(1, 14 - d):
+            trig = _TrigSum(d, L)
+            totals = [trig._total()]
+            for _ in range(30):
+                trig.step()
+                totals.append(trig._total())
+            assert totals == _reference_trig_totals(d, L, 30), (d, L)
+
+
+def _histogram_image(m, a, M):
+    """The distance histogram of aT, for the histogram m of T."""
+    image = [0] * len(m)
+    for k, mk in enumerate(m):
+        j = a * k % M
+        image[min(j, M - j)] += mk
+    return tuple(image)
+
+
+def test_orbit_weights_cover_every_group_once():
+    # the units mod +-1 are cyclic for every M <= 23, and not at M = 24
+    grid = [(d, L) for d in range(1, 13) for L in range(1, 14 - d)] + [(2, 22), (3, 21), (4, 20)]
+    for d, L in grid:
+        M = d + L
+        groups = _distance_groups(d, M)
+        orbits = _galois_orbits(groups, M)
+        assert sum(orbits.values()) == math.comb(M - 1, d - 1), (d, L)
+        # each group's orbit under every unit, not only the generators
+        least = set()
+        for m in groups:
+            orbit = {_histogram_image(m, a, M) for a in range(1, M) if math.gcd(a, M) == 1}
+            assert {groups[g] for g in orbit} == {groups[m]}, (d, L, m)
+            assert orbits[min(orbit)] == sum(groups[g] for g in orbit), (d, L, m)
+            least.add(min(orbit))
+        assert set(orbits) == least, (d, L)
+    # one term per orbit: the count workload's (7, 8) keeps 64 of 222 groups
+    assert len(_TrigSum(7, 8).packed) == 64
+    assert len(_TrigSum(8, 8).packed) == 75
+
+
+def test_trig_refuses_a_corrupted_class_sum():
+    trig = _TrigSum(3, 3)
+    trig.packed[0] += 1 << trig.K  # one more x: the class {1, 5} of M = 6 sums to an odd number
+    with pytest.raises(InvariantViolation, match="class"):
+        trig._total()
+
+
 def test_pair_dp_over_live_classes_matches_a_shape_dp():
     for d in range(1, 9):
         for L in range(1, 10 - d):
@@ -392,6 +471,19 @@ def test_pair_dp_over_live_classes_matches_a_shape_dp():
             for _ in range(40):
                 chains.step()
             assert chains.values == _shape_chain_levels(d, L, 40), (d, L)
+
+
+def test_pair_dp_builds_only_the_shapes_its_levels_reach():
+    # (7, 8) to n = 16 indexes 518 of its 3003 reduced shapes, 424 with moves
+    chains = _Chains(7, 8)
+    for _ in range(16):
+        chains.step()
+    assert (sum(map(len, chains.moves)), sum(map(len, chains.pending))) == (424, 94)
+    # (8, 8) has built every state's moves by n = 57 and drops its index
+    chains = _Chains(8, 8)
+    for _ in range(57):
+        chains.step()
+    assert sum(map(len, chains.moves)) == math.comb(15, 7) and chains.index is None
 
 
 def test_trig_refuses_a_corrupted_remainder():

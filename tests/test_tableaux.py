@@ -4,6 +4,8 @@ from dataclasses import asdict
 import pytest
 
 from cylrsk.errors import DomainError, FormatError
+from cylrsk.fillings import parse_filling
+from cylrsk.growth import parse_diagram
 from cylrsk.partitions import (
     cyl_conjugate,
     dl_cointerlaces,
@@ -24,6 +26,7 @@ from cylrsk.tableaux import (
     mcw_sequence,
     parse_oscillating,
     parse_skew,
+    parse_skew_rowstrict,
     parse_ssyt,
     split_pair,
     step_rows,
@@ -245,6 +248,24 @@ def test_text_round_trips():
         parse_ssyt("[1]\n[2]")
     with pytest.raises(FormatError):
         parse_oscillating("+-\n[]\n[1]\n[1]")  # endpoint violation surfaces as format
+
+
+@pytest.mark.parametrize(
+    "parse",
+    [
+        parse_diagram,
+        parse_filling,
+        parse_oscillating,
+        parse_skew,
+        parse_skew_rowstrict,
+        parse_ssyt,
+    ],
+)
+def test_every_parser_refuses_a_source_neither_text_nor_an_object(parse):
+    # a decoded JSON list or number is no artifact: a FormatError, not an AttributeError
+    for source in ([[]], 7):
+        with pytest.raises(FormatError, match="^bad .*: expected text or a JSON object, got "):
+            parse(source)
 
 
 def _cointerlacing_step(rng, lam, up):
