@@ -177,7 +177,7 @@ def _cmd_count(args):
     routes = tuple(args.routes.split(","))
     # at min(d, L) >= 2 every count of n is at least 2^(n-1), so it has n bits or more
     if min(args.d, args.L) >= 2 and args.n_max > 0 and set(routes) <= {"pairs", "trig"}:
-        _check_count_digits(len(routes) * args.n_max * (args.n_max + 1) // 2)
+        _check_count_digits(len(set(routes)) * args.n_max * (args.n_max + 1) // 2)
     table = counting.count_table(args.d, args.L, args.n_max, routes)
     _check_count_digits(sum(v.bit_length() for row in table.counts for v in row))
     return ("count-csv" if args.csv else "count"), table

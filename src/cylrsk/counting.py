@@ -2,21 +2,20 @@
 
 Three independent routes compute the same numbers: an exhaustive walk of the
 symmetric groups, a dynamic program over same-shape tableau pairs, and the
-trigonometric sum evaluated exactly in the cyclotomic integers.  Counts are
-exact Python ints throughout.  Each route builds its state once and caches
-it, so a table for n = 1..n_max is one pass, not n_max separate runs: one
-walk to depth n fills S_1..S_n, and the pair DP and the trigonometric sum
-each step their (d, L) state from n to n + 1.
+trigonometric sum evaluated exactly at a root of unity modulo primes.
+Counts are exact Python ints throughout.  Each route builds its state once
+and caches it, so a table for n = 1..n_max is one pass, not n_max separate
+runs: one walk to depth n fills S_1..S_n, and the pair DP and the
+trigonometric sum each step their (d, L) state from n to n + 1.
 
 The pair DP steps only the reduced shapes of the size class mod d that the
 level can reach, and builds each shape's moves when a level first reaches
-it.  The trigonometric sum keeps one polynomial per Galois orbit of groups
-of subsets, made nonnegative by adding a multiple of Psi = 1 + x + ... +
-x^(M-1), which vanishes mod Phi_M, and packs each one into a single int
-(Kronecker substitution, x = 2^K); each level's sum, averaged over the
-Galois group, is the sum over every group.  K comes from a proven bound:
-the coefficients of the summed terms add up to exactly norm * d^(2n), so no
-K-bit field can carry while that sum is below 2^K (see _TrigSum).
+it.  The trigonometric sum groups the subsets of Z_M by their distance
+histograms, built from the necklaces of their gap words.  It evaluates each
+group's term at a primitive M-th root of unity modulo primes p = 1 (mod M),
+whose product passes a proven bound on the count, and lifts the count from
+the residues by CRT; a spare prime and a second root check every lift (see
+_TrigSum).
 """
 
 import math
@@ -25,7 +24,7 @@ import threading
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain, compress, count, islice, repeat
 
 from .errors import DomainError, InvariantViolation
 from .partitions import require_degrees
@@ -248,263 +247,212 @@ def cylindric_syt_count(n: int, d: int, L: int) -> int:
     return _stepped_value(_CHAIN_CACHE, _CHAIN_LOCK, _Chains, n, d, L)[0]
 
 
-# Polynomials below are coefficient lists, lowest degree first.
+def _distance_groups(d: int, M: int) -> dict[tuple[tuple[int, int], ...], int]:
+    """The d-subsets of Z_M containing 0, counted by their distance histogram.
 
-
-def _divmod_monic(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by the monic polynomial b."""
-    rem = list(a)
-    db = len(b) - 1
-    quot = [0] * max(len(rem) - db, 0)
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i]
-        if c:
-            quot[i - db] = c
-            for j, bj in enumerate(b):
-                rem[i - db + j] -= c * bj
-    return quot, rem[:db]
-
-
-def _cyclotomic(M: int) -> list[int]:
-    """Phi_M: x^M - 1 divided exactly by Phi_k for each proper divisor k of M."""
-    phi: dict[int, list[int]] = {}
-    for m in range(1, M + 1):
-        if M % m == 0:
-            poly = [-1] + [0] * (m - 1) + [1]
-            for k, phi_k in phi.items():
-                if m % k == 0:
-                    poly, rem = _divmod_monic(poly, phi_k)
-                    if any(rem):
-                        raise InvariantViolation(f"Phi_{k} does not divide x^{m} - 1")
-            phi[m] = poly
-    return phi[M]
-
-
-def _mul_symmetric(p: list[int], c0: int, pairs) -> list[int]:
-    """p * (c0 + sum(c * (x^k + x^-k) for k, c in pairs)) modulo x^len(p) - 1."""
-    out = [c0 * x for x in p]
-    for k, c in pairs:
-        out = [o + c * (x + y) for o, x, y in zip(out, p[-k:] + p[:-k], p[k:] + p[:k])]
-    return out
-
-
-def _distance_groups(d: int, M: int) -> dict[tuple[int, ...], int]:
-    """The d-subsets T of Z_M containing 0, counted by their distance histogram.
-
-    The histogram m has m[k] = the number of pairs of T at cyclic distance k.
-    It is packed into one int, one field per distance, so a subset's key is a
-    sum of entries of a distance table; the subsets are built in increasing
-    order, and each prefix carries, for every candidate next element, the
-    key that element would add.
+    A histogram is sparse: (k, m_k) for each cyclic distance k that m_k > 0
+    pairs of the subset lie at.  A subset 0 = t_0 < ... < t_(d-1) is its gap
+    word g_1..g_d, g_i = t_i - t_(i-1) and g_d = M - t_(d-1), so each
+    g_i >= 1 and they sum to M.  Rotating the word moves another element to
+    0 and keeps every distance, so only necklaces, the least rotation of
+    each word, are built (FKM: Fredricksen, Kessler and Maiorana), and a
+    necklace of period q stands for the q subsets its rotations give.  A
+    necklace's first gap is its least, which bounds the gaps still to come.
+    The histogram is packed into one int, one field per distance, and each
+    new element adds the distances to the elements before it, so a prefix's
+    key is shared by every word that extends it.
     """
-    half = M // 2
-    if d == 1:
-        return {(0,) * (half + 1): 1}
     width = (d * (d - 1) // 2).bit_length()
-    # the key the pair (0, b) adds; the pair (c, b) adds what (0, b - c) does
-    row = [1 << width * min(b, M - b) for b in range(M)]
+    row = [1 << width * min(b, M - b) for b in range(M)]  # the key of one pair at distance b
+    gaps = [1] * (d + 1)  # gaps[t] = g_t; gaps[0] = 1 lies at or below every gap
+    elements = [0]
     keys: Counter[int] = Counter()
 
-    def extend(last: int, key: int, adds: list[int], left: int) -> None:
-        if left == 1:
-            keys.update(map(key.__add__, adds[last + 1 :]))
+    def extend(t: int, p: int, key: int) -> None:
+        # g_1..g_(t-1) are placed, a prenecklace of period p, ending at elements[-1]
+        s = elements[-1]
+        if t == d:  # g_d closes the word
+            last, prev = M - s, gaps[d - p]
+            if last >= prev and d % (p if last == prev else d) == 0:
+                keys[key] += p if last == prev else d
             return
-        for c in range(last + 1, M - left + 1):
-            moved = row[M - c :] + row[: M - c]
-            extend(c, key + adds[c], [x + y for x, y in zip(adds, moved)], left - 1)
+        top = M - s - (d - t) * gaps[1] if t > 1 else M // d
+        for g in range(gaps[t - p], top + 1):
+            gaps[t], y = g, s + g
+            adds = sum([row[y - x] for x in elements])
+            elements.append(y)
+            extend(t + 1, p if g == gaps[t - p] else t, key + adds)
+            elements.pop()
 
-    extend(0, 0, row, d - 1)
+    extend(1, 1, 0)
     field = (1 << width) - 1
-    return {
-        tuple(key >> width * k & field for k in range(half + 1)): size
-        for key, size in keys.items()
-    }
+    groups = {}
+    for key, size in keys.items():
+        hist = []
+        while key:
+            k = ((key & -key).bit_length() - 1) // width  # the least distance left
+            mk = key >> k * width & field
+            hist.append((k, mk))
+            key -= mk << k * width
+        groups[tuple(hist)] = size
+    return groups
 
 
-def _unit_generators(M: int) -> list[int]:
-    """A generating set of the units of Z_M modulo +-1, taken greedily.
-
-    Each unit a in 2..M/2 that the ones before it do not generate joins the
-    set.  The units commute, so the subgroup it reaches is the old one times
-    the powers of a: each member (written as min(a, M - a)) is multiplied by
-    a, the new ones too, until nothing new appears.
-    """
-    reached, gens = {1}, []
-    for a in range(2, M // 2 + 1):
-        if math.gcd(a, M) == 1 and a not in reached:
-            gens.append(a)
-            stack = list(reached)
-            while stack:
-                c = stack.pop() * a % M
-                c = min(c, M - c)
-                if c not in reached:
-                    reached.add(c)
-                    stack.append(c)
-    return gens
+_BASES = (2, 3, 5, 7)
 
 
-def _galois_orbits(groups: dict[tuple[int, ...], int], M: int) -> dict[tuple[int, ...], int]:
-    """One histogram per orbit of the units of Z_M, weighted by its orbit's size.
-
-    Multiplying a subset T by a unit a of Z_M moves a pair at distance k to
-    distance min(j, M - j), j = ak mod M, so it maps each distance group onto
-    one of the same size, and x -> x^a maps the one's term onto the other's.
-    The orbits are searched along the generators of _unit_generators, each
-    acting on a histogram's nonzero entries only.  Each orbit keeps its
-    least histogram, weighted by the sum of the group sizes in the orbit.
-    """
-    gens = _unit_generators(M)
-    # each histogram as its nonzero (k, m_k), the form the units act on
-    sparse = {m: tuple((k, mk) for k, mk in enumerate(m) if mk) for m in groups}
-    sizes = {sparse[m]: size for m, size in groups.items()}
-    seen: set[tuple[tuple[int, int], ...]] = set()
-    orbits = {}
-    for m in sorted(groups):
-        key = sparse[m]
-        if key in seen:
+def _is_prime(p: int) -> bool:
+    """Miller-Rabin to the bases 2, 3, 5 and 7, exact for p < 3.2 * 10^9."""
+    for q in _BASES:
+        if p % q == 0:
+            return p == q
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^s * odd
+    for a in _BASES:
+        x = pow(a, (p - 1) >> s, p)
+        if x == 1 or x == p - 1:
             continue
-        seen.add(key)
-        stack, weight = [key], 0
-        while stack:
-            key = stack.pop()
-            weight += sizes[key]
-            for a in gens:
-                image: Counter[int] = Counter()
-                for k, mk in key:
-                    j = a * k % M
-                    image[min(j, M - j)] += mk
-                image_key = tuple(sorted(image.items()))
-                if image_key not in seen:
-                    seen.add(image_key)
-                    stack.append(image_key)
-        orbits[m] = weight
-    return orbits
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _roots(M: int):
+    """Primes p = 1 (mod M) below 2^30, largest first, each with a primitive M-th root w.
+
+    Each prime is one CPython digit, so arithmetic mod p stays on small
+    ints.  For any g, g^((p - 1) / M) is an M-th root of unity, and it is
+    primitive when its (M / q)-th power is not 1 for any prime q dividing M.
+    Inside the trig budgets a count needs far fewer primes than there are.
+    """
+    factors = [q for q in range(2, M + 1) if M % q == 0 and _is_prime(q)]
+    step = 2 * M  # p odd and 1 mod M
+    top = (1 << 30) - 1
+    for p in range(top - top % step + 1, M, -step):
+        if _is_prime(p):
+            for g in count(2):
+                w = pow(g, (p - 1) // M, p)
+                if all(pow(w, M // q, p) != 1 for q in factors):
+                    yield p, w
+                    break
+
+
+def _count_bound(n: int, d: int, den: int) -> int:
+    """A bound on c_n = count * den at min(d, L) = d.
+
+    The avoiders of size n are some of the n! permutations, and a chain
+    adds each of its n boxes to one of d rows, so there are at most d^n
+    chains and d^(2n) pairs of them.  n! >= (n/e)^n, so from n = 3 d^2 on
+    d^(2n) is the smaller, and n! is not computed.
+    """
+    pairs = d ** (2 * n)
+    return (pairs if n >= 3 * d * d else min(math.factorial(n), pairs)) * den
 
 
 class _TrigSum:
-    """The root-of-unity sum for (d, L), stepped from n to n + 1 in Z[x]/(x^M - 1).
+    """The root-of-unity sum for (d, L), evaluated modulo primes and stepped from n to n + 1.
 
     Rotation leaves |z_S|^2 and V(S) unchanged, so the sum over d-subsets S
-    of Z_M is M/d times the sum over subsets T containing 0.  Subsets with the
-    same number m_k of pairs at each cyclic distance k give the same terms,
-    |z_T|^2 = d + sum m_k (x^k + x^-k) and V(T) = prod (2 - x^k - x^-k)^m_k,
-    so one polynomial V(T) |z_T|^(2n) per group, times the group's size,
-    stands for the group and is multiplied by |z_T|^2 at each step.
+    of Z_M is M/d times the sum over subsets T containing 0.  Subsets with
+    the same number m_k of pairs at each cyclic distance k give the same
+    terms, |z_T|^2 = d + sum m_k (x^k + x^-k) and
+    V(T) = prod (2 - x^k - x^-k)^m_k at x = zeta, a primitive M-th root of
+    unity, and the sum of size * V(T) |z_T|^(2n) over the groups is the
+    integer c_n = count * den.
 
-    A unit a of Z_M maps each group onto a group of the same size, and its
-    term onto that group's term by sigma_a: x -> x^a (see _galois_orbits).
-    So only one term per orbit of the units is kept, weighted by the orbit's
-    total size, and each level averages the kept terms' sum Y over the
-    Galois group: (1/phi(M)) sum_a sigma_a(Y) sends x^i to the mean of Y
-    over the class {j : gcd(j, M) = gcd(i, M)}, and it is exactly the sum
-    over every group.  A class sum that the class size does not divide
-    raises InvariantViolation.
+    For a prime p = 1 (mod M) and a primitive M-th root w mod p, x -> w maps
+    Z[zeta] = Z[x]/(Phi_M) into Z/p, so it maps c_n to c_n mod p.  Modulo a
+    product Q of such primes, the root whose residue mod each prime is that
+    prime's w does the same for c_n mod Q.  There each group is two
+    residues, lambda_T (|z_T|^2 at the root) and size * V(T); groups with
+    equal lambda_T are merged, and a step multiplies each merged value by
+    its lambda_T.  The lifting primes' product P passes twice _count_bound,
+    so c_n is the sum's residue mod P taken into (-P/2, P/2].  When the bound
+    outgrows that, primes join and the sum is evaluated again at level n; a
+    join covers the bound at level 2n, so joins come at doubling levels.
 
-    Each kept term is made nonnegative: where weight V(T) has a negative
-    coefficient, -min times Psi = 1 + x + ... + x^(M-1) is added to it.
-    Phi_M divides Psi (M >= 2), and x^k Psi = Psi, so Psi |z_T|^2 = d^2 Psi
-    and every residue mod Phi_M, hence every count, is unchanged.  A term is
-    then held as one int, the polynomial evaluated at x = 2^K: a product with
-    x^k shifts it by kK bits, and the bits at or above KM fold back onto the
-    bottom (x^M = 1).  |z_T|^2 has nonnegative coefficients summing to d^2,
-    so at level n every coefficient of the summed terms is at most
-    norm d^(2n), where norm is the coefficient sum of the shifted terms at
-    n = 0.  While that bound is below 2^K no K-bit field carries into the
-    next; before a step would cross it, the terms are unpacked and packed
-    again with about 25% more bits.
+    A spare prime p checks every lift.  The sum is kept mod Q = P p, and the
+    lift must agree with its residue mod p; and mod p it is kept at w^a too,
+    for the least unit a != +-1 of Z_M, where it must equal the sum at w
+    (x -> x^a permutes the groups, so it fixes the whole sum; such a unit
+    exists unless M is 1, 2, 3, 4 or 6).  A lift that fails either check,
+    or that is negative or not a multiple of den, raises InvariantViolation.
     """
 
     def __init__(self, d: int, L: int):
         M = d + L
-        self.d = d
-        self.M = M
-        self.factors = []  # per kept term: (k, m_k) for each distance k its pairs reach
-        terms = []
-        # prefix[j] is V(T) of the last histogram's prefix (m_0, ..., m_{j-1}),
-        # prefix[0] the polynomial 1, and m_0 = 0 multiplies nothing.  Sorted,
-        # the histograms sharing a prefix are adjacent, so each one keeps what
-        # it shares with the last one and each prefix is multiplied once.
-        prefix, last = [[1] + [0] * (M - 1)], ()
-        for m, weight in sorted(_galois_orbits(_distance_groups(d, M), M).items()):
-            pairs = [(k, mk) for k, mk in enumerate(m) if k and mk]
-            j = 0
-            while j < len(last) and last[j] == m[j]:
-                j += 1
-            del prefix[j + 1 :]
-            for k in range(j, len(m)):
-                v = prefix[k]
-                for _ in range(m[k]):
-                    v = _mul_symmetric(v, 2, [(k, -1)])
-                prefix.append(v)
-            last = m
-            term = [weight * c for c in prefix[-1]]
-            low = min(term)
-            if low < 0:
-                term = [t - low for t in term]
-            self.factors.append(pairs)
-            terms.append(term)
-        self.bound = sum(map(sum, terms))  # the summed terms' coefficient sum, norm d^(2n)
-        self.classes: dict[int, list[int]] = {}  # gcd(i, M) -> every such i in 0..M-1
-        for i in range(M):
-            self.classes.setdefault(math.gcd(i, M), []).append(i)
-        self.phi = _cyclotomic(M)
+        self.d, self.M = d, M
+        groups = _distance_groups(d, M)
+        # each group as the indices k * width + m_k of its histogram, and its size
+        self.width = d * (d - 1) // 2 + 1
+        self.groups = [([k * self.width + mk for k, mk in h], size) for h, size in groups.items()]
+        self.reach = max(hist[-1][0] if hist else 0 for hist in groups)  # the largest distance
         self.den = d * M ** (d - 1)  # N = c * M / (d * M^d)
-        self._pack(terms)
-        self.values = [_count_from_terms(self._total(), self.phi, self.den)]
+        self.roots = _roots(M)
+        self.spare, w = next(self.roots)
+        self.lift = 1  # P, the product of the lifting primes
+        self.root = w  # a primitive M-th root of unity mod Q = P p
+        self.values = []
+        # (q, merged lambda_T, their values): mod Q, set by the first join, then
+        # mod p at w^a for the least unit a != +-1 of Z_M, where there is one
+        units = islice((a for a in range(2, M - 1) if math.gcd(a, M) == 1), 1)
+        self.sums = [None] + [self._evaluate(self.spare, pow(w, a, self.spare)) for a in units]
+        self.values.append(self._count())
 
-    def _pack(self, terms) -> None:
-        """Pack the terms with K = the bits of the bound plus a quarter."""
-        bits = self.bound.bit_length()
-        K = self.K = bits + bits // 4
-        self.packed = [sum(c << i * K for i, c in enumerate(t)) for t in terms]
-        self.shifts = [
-            [(k * K, (self.M - k) * K, mk) for k, mk in pairs] for pairs in self.factors
-        ]
+    def _evaluate(self, q: int, w: int):
+        """(q, lambdas, values) at the root w mod q: each distinct lambda_T mod q,
+        and the sum of size * V(T) lambda_T^n over the groups that share it."""
+        n, width = len(self.values), self.width
+        up = accumulate(repeat(w, self.reach), lambda x, y: x * y % q, initial=1)
+        down = accumulate(repeat(pow(w, -1, q), self.reach), lambda x, y: x * y % q, initial=1)
+        lam_parts, v_parts = [], []  # at k * width + m_k: m_k c_k and (2 - c_k)^m_k
+        for c in map(int.__add__, up, down):  # c_k = w^k + w^-k
+            lam_parts += range(0, width * c, c)
+            v_parts += accumulate(repeat(2 - c, width - 1), lambda x, y: x * y % q, initial=1)
+        merged: dict[int, int] = {}
+        for parts, size in self.groups:
+            lam = (self.d + sum(map(lam_parts.__getitem__, parts))) % q
+            v = size * math.prod(map(v_parts.__getitem__, parts))
+            merged[lam] = merged.get(lam, 0) + v
+        return q, list(merged), [v * pow(lam, n, q) % q for lam, v in merged.items()]
 
-    def _unpack(self, packed: int) -> list[int]:
-        field = (1 << self.K) - 1
-        return [packed >> i * self.K & field for i in range(self.M)]
+    def _join(self, bound: int) -> None:
+        """Fold primes into the lift until P passes 2 * bound, and evaluate there."""
+        while self.lift <= 2 * bound:
+            p, w = next(self.roots)
+            Q = self.lift * self.spare
+            self.root += Q * ((w - self.root) * pow(Q, -1, p) % p)
+            self.lift *= p
+        self.sums[0] = self._evaluate(self.lift * self.spare, self.root)
 
-    def _total(self) -> list[int]:
-        """The sum over every group: the kept terms' sum, averaged over each gcd class."""
-        kept = self._unpack(sum(self.packed))
-        total = [0] * self.M
-        for g, members in self.classes.items():
-            mean, left = divmod(sum(map(kept.__getitem__, members)), len(members))
-            if left:
-                raise InvariantViolation(
-                    f"trigonometric sum over the class gcd(i, {self.M}) = {g} "
-                    f"is not a multiple of its size {len(members)}"
-                )
-            for i in members:
-                total[i] = mean
-        return total
+    def _count(self) -> int:
+        n = len(self.values)
+        if self.lift <= 2 * _count_bound(n, self.d, self.den):
+            # cover the bound at 2n, so that joins come at doubling levels
+            self._join(_count_bound(2 * n, self.d, self.den))
+        (Q, _, values), *galois = self.sums
+        total, P, p = sum(values) % Q, self.lift, self.spare
+        c = total % P
+        if c > P // 2:
+            c -= P
+        where = f"trigonometric sum at (d, M) = ({self.d}, {self.M}), n = {n}, mod {p}"
+        if any(sum(other) % p != total % p for _, _, other in galois):
+            raise InvariantViolation(f"{where}: the sum at a power of w differs from the sum at w")
+        if (total - c) % p:
+            raise InvariantViolation(f"{where}: the spare prime disagrees with the lift {c}")
+        if c < 0 or c % self.den:
+            raise InvariantViolation(f"{where}: the lift {c} is not a count times {self.den}")
+        return c // self.den
 
     def step(self) -> None:
-        self.bound *= self.d * self.d
-        if self.bound.bit_length() > self.K:
-            self._pack([self._unpack(p) for p in self.packed])
-        d, width = self.d, self.K * self.M
-        mask = (1 << width) - 1
-        packed = []
-        for p, shifts in zip(self.packed, self.shifts):
-            wide = 0  # the x^k and x^-k products, before folding x^M = 1
-            for up, down, mk in shifts:
-                wide += mk * ((p << up) + (p << down))
-            packed.append(d * p + (wide & mask) + (wide >> width))
-        self.packed = packed
-        self.values.append(_count_from_terms(self._total(), self.phi, self.den))
-
-
-def _count_from_terms(total: list[int], phi: list[int], den: int) -> int:
-    """The count c / den, where c is the constant the summed terms leave mod Phi_M."""
-    _, rem = _divmod_monic(total, phi)
-    c = rem[0]
-    if any(rem[1:]) or c < 0 or c % den:
-        raise InvariantViolation(
-            f"trigonometric sum leaves {rem} mod Phi_M, not a multiple of {den}"
-        )
-    return c // den
+        self.sums = [
+            (q, lams, [v * lam % q for v, lam in zip(values, lams)])
+            for q, lams, values in self.sums
+        ]
+        self.values.append(self._count())
 
 
 _TRIG_CACHE: dict[tuple[int, int], _TrigSum] = {}
@@ -518,15 +466,21 @@ def trig_count(n: int, d: int, L: int) -> int:
     roots of unity, where z_S is the subset sum and V the squared Vandermonde
     spread; the total is divided by M^d.  Tuples with repeated roots vanish,
     so summing subsets and cancelling d! against the orbit size is exact.
-    The sum is computed in Z[x]/(x^M - 1) and reduced modulo the cyclotomic
-    polynomial Phi_M; the remainder must be a constant that the division
-    leaves integral, and anything else raises InvariantViolation.
+    The sum is evaluated at a primitive M-th root of unity modulo primes
+    p = 1 (mod M), and the count is lifted from the residues by CRT.  A lift
+    that a spare prime or a second root refuses, or that is not a count,
+    raises InvariantViolation.
     """
     _check_params(n, d, L, stepped=True)
     M = d + L
-    # each term has M coefficients, stepped by factors of up to M of them, and
-    # the build holds an M x M distance table: so besides C(M, d) itself, the
-    # work C(M, d) * M^2 is held to TRIG_TERM_BUDGET^2 / 4 = 10^12
+    # the work is about necklaces x primes: about C(M, d) / M necklaces of
+    # gap words give the groups, and each group is evaluated at every join,
+    # and its merged value stepped at every level, modulo a product of
+    # primes whose digits grow with n (held by STEP_WORK_BUDGET).  The limits
+    # on C(M, d) are the route's old ones: C(M, d) itself at most
+    # TRIG_TERM_BUDGET, and C(M, d) * M^2 at most TRIG_TERM_BUDGET^2 / 4 =
+    # 10^12, which is loose for this cost (at d = 1 it refuses M >= 10^4,
+    # one necklace) and keeps the refusals where they were
     if _comb_exceeds(M, d, min(TRIG_TERM_BUDGET, TRIG_TERM_BUDGET**2 // (4 * M * M))):
         raise DomainError(f"trigonometric sum over C({M},{d}) subsets exceeds budget")
     return _stepped_value(_TRIG_CACHE, _TRIG_LOCK, _TrigSum, n, d, L)
@@ -603,6 +557,8 @@ def count_table(d: int, L: int, n_max: int, routes=("brute", "pairs", "trig")) -
     for name in routes:
         if name not in ROUTES:
             raise DomainError(f"unknown route {name!r}; choose from {sorted(ROUTES)}")
+    if len(set(routes)) < len(routes):
+        raise DomainError(f"a route is named more than once in {','.join(routes)}")
     if {"pairs", "trig"} & set(routes):
         _check_params(n_max, d, L, stepped=True)
     if "brute" in routes:

@@ -218,6 +218,26 @@ def test_count_csv_and_json(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["rows"][3] == {"n": 4, "brute": 8, "trig": 8, "agree": True}
+    # one column per route: a JSON row cannot hold "trig" twice
+    for routes in ("trig,trig", "pairs,brute,pairs"):
+        argv = ["count", "--d", "2", "--L", "2", "--n-max", "4", "--json", "--routes", routes]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and "more than once" in err
+
+
+def test_count_exits_2_on_a_corrupted_trig_group(capsys, monkeypatch):
+    groups = counting._distance_groups
+
+    def corrupted(d, M):
+        out = groups(d, M)
+        out[(1, 2), (2, 1)] += 1  # one subset too many beside {0, 1, 2} of Z_7
+        return out
+
+    monkeypatch.setattr(counting, "_distance_groups", corrupted)
+    monkeypatch.setattr(counting, "_TRIG_CACHE", {})
+    argv = ["count", "--routes", "trig", "--d", "3", "--L", "4", "--n-max", "3"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and "differs from the sum at w" in err
 
 
 def test_asym_verb(capsys):
@@ -347,7 +367,8 @@ def _run_capped(argv: str, stdin, cap: int):
         ("count --routes pairs --d 200 --L 3 --n-max 3", 0, "3      6     ok\n", None),
         ("count --routes trig --d 1200 --L 1 --n-max 3", 0, "3     1     ok\n", None),
         ("count --routes trig --d 200 --L 3 --n-max 3", 0, "3     6     ok\n", None),
-        # one trig term per Galois orbit: 3 of 401 groups at M = 802, 48 of 3434 at M = 203
+        # the trig groups come from necklaces of gap words: 401 at M = 802, and
+        # 6767 necklaces in 3434 groups at M = 203
         ("count --routes trig --d 2 --L 800 --n-max 3", 0, "3     5     ok\n", None),
         ("count --routes trig --d 3 --L 200 --n-max 3", 0, "3     6     ok\n", None),
         # the trig budget weighs M = d + L too
@@ -390,9 +411,10 @@ def test_huge_parameters_end_at_once_in_bounded_memory(argv, code, out, stdin):
 
 
 def test_trig_build_holds_one_prefix_product_per_distance():
-    # at d = 2 there are about M^2 / 8 histogram prefixes: a product held for
-    # each of them at once passes this 150 MB cap, while the products along
-    # one group's prefixes fit in under 100 MB
+    # at d = 2 there are about M^2 / 8 histogram prefixes: a polynomial
+    # product held for each of them at once passed this 150 MB cap; the
+    # necklace build holds one packed key per group and two residues per
+    # group and modulus
     done = _run_capped("count --routes trig --d 2 --L 800 --n-max 3", None, 150 * 1024 * 1024)
     assert done.returncode == 0, done.stderr
     assert done.stdout.endswith("3     5     ok\n")

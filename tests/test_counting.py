@@ -12,11 +12,8 @@ from cylrsk.counting import (
     _Chains,
     _check_params,
     _comb_exceeds,
-    _count_from_terms,
-    _cyclotomic,
-    _distance_groups,
-    _galois_orbits,
-    _mul_symmetric,
+    _count_bound,
+    _is_prime,
     _TrigSum,
     _scan_profiles,
     asymptotic,
@@ -268,6 +265,10 @@ def test_count_table():
         count_table(2, 2, 0)
     with pytest.raises(DomainError):
         count_table(2, 2, BRUTE_LIMIT + 1)  # refused before any walk
+    # a table holds one column per route, so a route named twice is refused
+    for routes in (("trig", "trig"), ("pairs", "brute", "pairs")):
+        with pytest.raises(DomainError, match="more than once"):
+            count_table(2, 3, 4, routes)
 
 
 def _lis_length(perm):
@@ -352,21 +353,20 @@ def test_trig_matches_pairs_on_the_gate_grid():
         assert trig_count(n, d, L) == value == tableau_pair_count(n, d, L)
 
 
-def test_trig_matches_pairs_across_repacks():
-    # each repack widens the packed fields; the counts must not notice
+def test_trig_matches_pairs_as_primes_join():
+    # primes join the lift as the count bound grows; the counts must not notice
     for d, L, n_max in ((1, 1, 400), (2, 2, 400), (3, 3, 400), (8, 8, 120)):
         trig, pairs = _TrigSum(d, L), _Chains(d, L)
-        widths = {trig.K}
-        for _ in range(n_max):
+        lifts = {trig.lift}
+        for n in range(1, n_max + 1):
             trig.step()
             pairs.step()
-            widths.add(trig.K)
-            # |z_T|^2 has coefficient sum d^2, so the bound is the exact sum,
-            # and it must fit in a field
-            assert sum(trig._unpack(sum(trig.packed))) == trig.bound < 1 << trig.K
+            lifts.add(trig.lift)
+            # the lift covers the count's bound, and the bound holds
+            assert trig.values[n] * trig.den <= _count_bound(n, d, trig.den) < trig.lift // 2
         assert trig.values == [pair for _, pair in pairs.values], (d, L)
         if d > 1:
-            assert len(widths) > 5, (d, L, sorted(widths))
+            assert len(lifts) > 3, (d, L, len(lifts))
 
 
 def _shape_chain_levels(d, L, n_max):
@@ -388,80 +388,42 @@ def _shape_chain_levels(d, L, n_max):
     return values
 
 
-def _reference_trig_totals(d, L, n_max):
-    """Per level 0..n_max, the summed terms of every distance group, stepped as lists.
+def test_trig_refuses_a_corrupted_group_size(monkeypatch):
+    groups = counting._distance_groups
 
-    This is the sum the trig route kept before it stepped one term per
-    Galois orbit: each group's size V(T), shifted by -min Psi where it has a
-    negative coefficient, times |z_T|^(2n).
-    """
-    M = d + L
-    terms, factors = [], []
-    for m, size in _distance_groups(d, M).items():
-        pairs = [(k, mk) for k, mk in enumerate(m) if k and mk]
-        v = [1] + [0] * (M - 1)
-        for k, mk in pairs:
-            for _ in range(mk):
-                v = _mul_symmetric(v, 2, [(k, -1)])
-        term = [size * c for c in v]
-        low = min(min(term), 0)
-        terms.append([t - low for t in term])
-        factors.append(pairs)
-    totals = []
-    for _ in range(n_max + 1):
-        totals.append([sum(column) for column in zip(*terms)])
-        terms = [_mul_symmetric(t, d, pairs) for t, pairs in zip(terms, factors)]
-    return totals
+    def corrupted(d, M):
+        # {0, 1, 2} in Z_7 has two pairs at distance 1 and one at 2; x -> x^2
+        # maps its term onto the term of two pairs at 2 and one at 3
+        out = groups(d, M)
+        out[(1, 2), (2, 1)] += 1
+        return out
+
+    monkeypatch.setattr(counting, "_distance_groups", corrupted)
+    monkeypatch.setattr(counting, "_TRIG_CACHE", {})
+    with pytest.raises(InvariantViolation, match="sum at a power of w differs"):
+        trig_count(1, 3, 4)
 
 
-def test_orbit_terms_sum_to_the_every_group_total():
-    # every (d, L) with d + L <= 13: prime M = 13 at (2, 11), and M = 12, with
-    # many divisors, at (4, 8) and (6, 6)
-    for d in range(1, 13):
-        for L in range(1, 14 - d):
-            trig = _TrigSum(d, L)
-            totals = [trig._total()]
-            for _ in range(30):
-                trig.step()
-                totals.append(trig._total())
-            assert totals == _reference_trig_totals(d, L, 30), (d, L)
+def test_trig_spare_prime_refuses_a_short_lift(monkeypatch):
+    # with the bound held at 1, one prime of 30 bits lifts every level; at
+    # (7, 8) c_n = count * 7 * 15^6 passes half of it at n = 4
+    monkeypatch.setattr(counting, "_count_bound", lambda n, d, den: 1)
+    monkeypatch.setattr(counting, "_TRIG_CACHE", {})
+    assert [trig_count(n, 7, 8) for n in (1, 2, 3)] == [1, 2, 6]
+    with pytest.raises(InvariantViolation, match="spare prime disagrees"):
+        trig_count(4, 7, 8)
 
 
-def _histogram_image(m, a, M):
-    """The distance histogram of aT, for the histogram m of T."""
-    image = [0] * len(m)
-    for k, mk in enumerate(m):
-        j = a * k % M
-        image[min(j, M - j)] += mk
-    return tuple(image)
-
-
-def test_orbit_weights_cover_every_group_once():
-    # the units mod +-1 are cyclic for every M <= 23, and not at M = 24
-    grid = [(d, L) for d in range(1, 13) for L in range(1, 14 - d)] + [(2, 22), (3, 21), (4, 20)]
-    for d, L in grid:
-        M = d + L
-        groups = _distance_groups(d, M)
-        orbits = _galois_orbits(groups, M)
-        assert sum(orbits.values()) == math.comb(M - 1, d - 1), (d, L)
-        # each group's orbit under every unit, not only the generators
-        least = set()
-        for m in groups:
-            orbit = {_histogram_image(m, a, M) for a in range(1, M) if math.gcd(a, M) == 1}
-            assert {groups[g] for g in orbit} == {groups[m]}, (d, L, m)
-            assert orbits[min(orbit)] == sum(groups[g] for g in orbit), (d, L, m)
-            least.add(min(orbit))
-        assert set(orbits) == least, (d, L)
-    # one term per orbit: the count workload's (7, 8) keeps 64 of 222 groups
-    assert len(_TrigSum(7, 8).packed) == 64
-    assert len(_TrigSum(8, 8).packed) == 75
-
-
-def test_trig_refuses_a_corrupted_class_sum():
-    trig = _TrigSum(3, 3)
-    trig.packed[0] += 1 << trig.K  # one more x: the class {1, 5} of M = 6 sums to an odd number
-    with pytest.raises(InvariantViolation, match="class"):
-        trig._total()
+def test_prime_test_matches_trial_division():
+    sieve = [True] * 20_000
+    sieve[:2] = [False, False]
+    for i in range(2, 142):
+        sieve[i * i :: i] = [False] * len(sieve[i * i :: i])
+    assert [_is_prime(p) for p in range(2, 20_000)] == sieve[2:]
+    # the least strong pseudoprimes to the bases 2, to 2 and 3, and to 2, 3
+    # and 5, and the largest primes below 2^30 and 2^31
+    assert not any(map(_is_prime, (2047, 1373653, 25326001)))
+    assert all(map(_is_prime, ((1 << 30) - 35, (1 << 31) - 1)))
 
 
 def test_pair_dp_over_live_classes_matches_a_shape_dp():
@@ -484,18 +446,6 @@ def test_pair_dp_builds_only_the_shapes_its_levels_reach():
     for _ in range(57):
         chains.step()
     assert sum(map(len, chains.moves)) == math.comb(15, 7) and chains.index is None
-
-
-def test_trig_refuses_a_corrupted_remainder():
-    phi = _cyclotomic(6)
-    assert phi == [1, -1, 1]
-    den = 3 * 6**2  # d * M^(d-1) at (d, L) = (3, 3)
-    good = [5 * den, 0, 0, 0, 0, 0]
-    assert _count_from_terms(good, phi, den) == 5
-    assert _count_from_terms([den * 5 + 1, 0, 0, 1, 0, 0], phi, den) == 5  # x^3 + 1 = 0
-    for bad in ([0, 1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0], [-6 * den, 0, 0, 0, 0, 0]):
-        with pytest.raises(InvariantViolation):
-            _count_from_terms([g + b for g, b in zip(good, bad)], phi, den)
 
 
 def test_pair_counts_agree_across_threads_on_a_cold_cache():
@@ -548,6 +498,12 @@ def _reference_distance_groups(d, M):
 
 
 def test_distance_groups_match_the_full_distance_table():
-    for d in range(1, 5):
-        for M in range(d + 1, 13):
-            assert counting._distance_groups(d, M) == _reference_distance_groups(d, M), (d, M)
+    # the necklace enumerator against every subset containing 0; at M = 203
+    # and 802 the trig route's CLI rows run it
+    grid = [(d, M) for d in range(1, 5) for M in range(d + 1, 13)] + [(3, 203), (2, 802)]
+    for d, M in grid:
+        dense = {
+            tuple((k, mk) for k, mk in enumerate(m) if mk): size
+            for m, size in _reference_distance_groups(d, M).items()
+        }
+        assert counting._distance_groups(d, M) == dense, (d, M)
