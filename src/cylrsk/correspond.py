@@ -17,7 +17,7 @@ through the unit-step codec of ``tableaux``.
 
 from bisect import bisect_left
 
-from .errors import ChainBoundExceeded, DomainError, InvariantViolation
+from .errors import ChainBoundExceeded, DomainError
 from .fillings import (
     Filling,
     MINUS,
@@ -79,10 +79,7 @@ def cylindric_rsk(
         raise ChainBoundExceeded(
             f"NE-chain of length {ne} exceeds the bound {L}: {chain}", chain=chain
         )
-    pair = split_pair(drsk(f, d))
-    for t in pair:
-        t.require_cylindric(d, L)
-    return pair
+    return split_pair(drsk(f, d))
 
 
 def _pair_boundary(p: SemistandardTableau, q: SemistandardTableau, d: int, L: int):
@@ -106,7 +103,9 @@ def cylindric_rsk_inverse(
 def cylindric_rs(
     perm, d: int, L: int
 ) -> tuple[SemistandardTableau, SemistandardTableau]:
-    """Standard tableau pair of a doubly pattern-avoiding permutation."""
+    """Standard tableau pair of a doubly pattern-avoiding permutation.
+
+    The halves are (d, L)-cylindric by the main theorem, so they are not checked."""
     cols = _permutation_columns(perm)
     n = len(cols)
     require_degrees(d, L)
@@ -116,11 +115,7 @@ def cylindric_rs(
         tails[i : i + 1] = (c,)
     if not n or len(tails) > L:  # the filling route refuses it, naming a longest chain
         cylindric_rsk(Filling._from_unit_columns((n,) * n, cols), d, L)
-    t = _unit_boundary(Rule.drsk(d), (n,) * n, cols)
-    p, q = (half.require_cylindric(d, L) for half in split_pair(t))
-    if not (p.is_standard() and q.is_standard()):
-        raise InvariantViolation("permutation input produced a non-standard pair")
-    return p, q
+    return split_pair(_unit_boundary(Rule.drsk(d), (n,) * n, cols))
 
 
 def cylindric_rs_inverse(
@@ -129,7 +124,11 @@ def cylindric_rs_inverse(
     if not (p.is_standard() and q.is_standard()):
         raise DomainError("inverse of the permutation map needs standard tableaux")
     # standard cylindric halves of one shape pass filling_of's shape checks
-    t = _pair_boundary(p, q, d, L)[1]
+    return _unit_permutation(d, _pair_boundary(p, q, d, L)[1])
+
+
+def _unit_permutation(d: int, t: OscillatingTableau) -> tuple[int, ...]:
+    """The permutation whose degree-d boundary is t, the join of a standard pair of one shape."""
     return _column_permutation(_unit_filling(d, t.w, t.unit_rows()))
 
 
@@ -215,7 +214,7 @@ def conjugate_standard_pair(
 
 
 def _conjugate(p: SemistandardTableau, L: int) -> SemistandardTableau:
-    """conjugate_standard_pair on a chain its caller has found (d, L)-cylindric."""
+    """conjugate_standard_pair on a (d, L)-cylindric chain: one it checked, or a half from cylindric_rs."""
     rows = p.unit_rows()
     if rows is None:
         raise DomainError(f"conjugation needs steps of at most one box, got weights {p.weight()}")
@@ -229,5 +228,5 @@ def wilf_bijection(perm, d: int, L: int) -> tuple[int, ...]:
     Applies the permutation-to-tableaux map, conjugates both tableaux, and
     inverts at swapped parameters.  Involutions map to involutions.
     """
-    p, q = cylindric_rs(perm, d, L)  # each checked (d, L)-cylindric there
-    return cylindric_rs_inverse(_conjugate(p, L), _conjugate(q, L), L, d)
+    p, q = cylindric_rs(perm, d, L)
+    return _unit_permutation(L, join_pair(_conjugate(p, L), _conjugate(q, L)))

@@ -132,7 +132,11 @@ def _brute(n: int, d: int, L: int, involutions: bool) -> int:
     _check_params(n, d, L)
     if n > BRUTE_LIMIT:
         raise DomainError(f"exhaustive scan refused for n > {BRUTE_LIMIT}")
-    table = _scan_profiles(n)[1 if involutions else 0]
+    return _tally(_scan_profiles(n)[1 if involutions else 0], d, L)
+
+
+def _tally(table: dict, d: int, L: int) -> int:
+    """The permutations of a (descending threshold, LIS) histogram that avoid both patterns."""
     return sum(v for (thr, lis), v in table.items() if thr <= d and lis <= L)
 
 
@@ -548,7 +552,8 @@ class CountTable:
 
 
 def count_table(d: int, L: int, n_max: int, routes=("brute", "pairs", "trig")) -> CountTable:
-    """Run the requested routes for n = 1..n_max."""
+    """Run the requested routes for n = 1..n_max: each route's public function
+    once, at n_max, with its checks, then every n read from the state it built."""
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     routes = tuple(routes)
@@ -559,13 +564,17 @@ def count_table(d: int, L: int, n_max: int, routes=("brute", "pairs", "trig")) -
             raise DomainError(f"unknown route {name!r}; choose from {sorted(ROUTES)}")
     if len(set(routes)) < len(routes):
         raise DomainError(f"a route is named more than once in {','.join(routes)}")
-    if {"pairs", "trig"} & set(routes):
-        _check_params(n_max, d, L, stepped=True)
+    stepped = [name for name in routes if name != "brute"]
     if "brute" in routes:
-        # the largest n first: it refuses n_max > BRUTE_LIMIT at once, and
-        # otherwise its one walk fills the histograms of every smaller n
-        brute_count(n_max, d, L)
-    rows = tuple(
-        tuple(ROUTES[name](n, d, L) for name in routes) for n in range(1, n_max + 1)
-    )
+        if stepped:  # the stepped routes' work budget refuses before the scan limit
+            _check_params(n_max, d, L, stepped=True)
+        brute_count(n_max, d, L)  # its one walk fills the histograms of every smaller n
+    for name in stepped:
+        ROUTES[name](n_max, d, L)
+    read = {
+        "brute": lambda n: _tally(_scan_profiles(n)[0], d, L),
+        "pairs": lambda n: _stepped_value(_CHAIN_CACHE, _CHAIN_LOCK, _Chains, n, d, L)[1],
+        "trig": lambda n: _stepped_value(_TRIG_CACHE, _TRIG_LOCK, _TrigSum, n, d, L),
+    }
+    rows = tuple(tuple(read[name](n) for name in routes) for n in range(1, n_max + 1))
     return CountTable(d, L, tuple(range(1, n_max + 1)), routes, rows)

@@ -304,12 +304,6 @@ def grow_from_boundary(rule: Rule, shape: Part, t: OscillatingTableau) -> Growth
     shape = _boundary_shape(rule, shape, t)
     rows = [[0] * width for width in shape]
     grid = _sweep(rule, shape, t.w, t.seq, rows)
-    for x, lab in enumerate(grid[0]):
-        if lab != ():
-            raise InvariantViolation(f"axis label at ({x},0) is {lab}")
-    for y, labs in enumerate(grid):
-        if labs[0] != ():
-            raise InvariantViolation(f"axis label at (0,{y}) is {labs[0]}")
     return GrowthDiagram(rule, Filling(shape, rows), grid)
 
 
@@ -529,21 +523,17 @@ def _unit_filling(d: int, w: str, rows) -> list[int]:
         below, a, j, col = line[:], ups[row - 1], -1, -1
         # index of the leftmost (d-1)-step: tl has d parts at the cells right of it
         rim = len(line) - 1 - line[::-1].index(d - 1) if d and d - 1 in line else -1
-        try:
-            while a >= 0:
-                j = line.index(a, j + 1)
-                if a:
-                    a -= 1
-                elif j < rim:
-                    a = d - 1
-                else:  # a new box: the cell's entry
-                    col, a = len(line) - 1 - j, -1
-                below[j] = a
-        except ValueError:
-            pass
-        # with the left axis empty, sizes force the x-axis to be empty too
-        if a >= 0:
-            raise InvariantViolation(f"axis label at (0,{row - 1}) is not empty")
+        # the box moves left until a cell takes it as its entry: growth from a
+        # boundary tableau leaves the axis labels empty, so it never runs out
+        while a >= 0:
+            j = line.index(a, j + 1)
+            if a:
+                a -= 1
+            elif j < rim:
+                a = d - 1
+            else:  # a new box: the cell's entry
+                col, a = len(line) - 1 - j, -1
+            below[j] = a
         cols.append(col)
         line = tails[row - 1] + below
     return cols[::-1]

@@ -135,15 +135,15 @@ class _Tableau:
     def _walked(cls, w: str, rows, seq=None):
         """The cls tableau on word w whose labels walk from () by the step rows.
 
-        unit_walk checks each step, so only the empty ends are left to check,
-        and __post_init__ is not run.  split_pair and join_pair pass the labels
-        of a valid tableau as seq instead, with its rows, or None when unknown.
-        For the partition classes only: the skew classes hold staircases.
+        unit_walk checks each step and __post_init__ is not run.  The ends need
+        no check: a chain (conjugation) fixes only its start, and a filling's
+        boundary (growth.boundary_of) ends at the empty top-left axis label.
+        split_pair and join_pair pass the labels of a valid tableau as seq
+        instead, with its rows, or None when unknown.  For the partition
+        classes only: the skew classes hold staircases.
         """
         if seq is None:
             seq = unit_walk((), w, rows)
-            if any(seq[i] for i in cls._empty):
-                raise DomainError(f"unit walk ends at {seq[-1]}, not empty")
         t = object.__new__(cls)
         object.__setattr__(t, "seq", seq)
         if "w" in cls.__dataclass_fields__:

@@ -400,6 +400,14 @@ def _run_capped(argv: str, stdin, cap: int):
             "[2]\n1 1\n",
         ),
         ("grow --rule drsk --d 100000000 -", 0, "[] [1] [2]\n[] [] []\n", "[2]\n1 1\n"),
+        # small inputs, each refused by a guard that the tests above do not reach
+        ("grow --rule drsk -", 3, "", "[2]\n1 1\n"),
+        ("bwx --d 1 --inverse -", 2, "", "[2,2]\n1 0\n0 1\n"),
+        ("skew-retype --to=+-x -", 2, "", "+-\n[0]\n[1]\n[0]\n"),
+        ("skew-retype --to=-+ -", 3, "", "+-\n[]\n[1]\n[0]\n"),
+        ("ungrow --rule drsk --d 1 -", 2, "", "++--\n[]\n[1]\n[1,1]\n[1]\n[]\n"),
+        ("check -", 3, "", "rsk 0 1 2\n[1]\n1\n[] [1]\n[] []\n"),
+        ("render -", 3, "", "foo 0 1 1\n[1]\n1\n[] [1]\n[] []\n"),
     ],
 )
 def test_huge_parameters_end_at_once_in_bounded_memory(argv, code, out, stdin):

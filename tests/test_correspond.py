@@ -281,6 +281,42 @@ def test_cylindric_rs_exhaustive_s4():
     assert sum(1 for (p, q) in images.values() if p == q) == 8
 
 
+def test_forward_maps_give_cylindric_pairs():
+    """The main theorem: accepted inputs map to (d, L)-cylindric pairs of one shape.
+
+    cylindric_rs accepts exactly the avoiders, and gives standard pairs whose
+    conjugates are (L, d)-cylindric, as wilf_bijection needs.
+    """
+    accepted = 0
+    for d, L in product((1, 2, 3), repeat=2):
+        for n in range(1, 7):
+            pairs = {}
+            for perm in permutations(range(1, n + 1)):
+                try:
+                    pairs[perm] = cylindric_rs(perm, d, L)
+                except (PatternContainment, ChainBoundExceeded):
+                    pass
+            assert list(pairs) == _avoiders(n, d, L), (n, d, L)
+            for perm, pair in pairs.items():
+                for half in pair:
+                    assert half.is_standard() and half.is_cylindric(d, L), (perm, d, L)
+                    assert conjugate_standard_pair(half, d, L).is_cylindric(L, d), (perm, d, L)
+            accepted += len(pairs)
+    assert accepted == 840
+    rng = random.Random(131)
+    accepted = 0
+    for _ in range(400):
+        f = random_filling(rng, (rng.randint(1, 4),) * rng.randint(1, 4), max_entry=2)
+        d, L = rng.randint(1, 3), rng.randint(1, 4)
+        try:
+            p, q = cylindric_rsk(f, d, L)
+        except (PatternContainment, ChainBoundExceeded):
+            continue
+        accepted += 1
+        assert p.shape == q.shape and p.is_cylindric(d, L) and q.is_cylindric(d, L), (f, d, L)
+    assert accepted > 150
+
+
 def test_skew_retype_single_cell():
     t = SkewOscillatingTableau(1, "+-", ((0,), (1,), (0,)))
     out = skew_retype(t, "-+")

@@ -82,6 +82,8 @@ def test_trig_hand_value_and_trivial_route():
         assert trig_count(n, 1, 4) == 1
     with pytest.raises(DomainError):
         trig_count(2, 18, 18)  # subset budget exceeded
+    with pytest.raises(DomainError, match="n must be >= 1, got 0"):
+        trig_count(0, 2, 3)
 
 
 def test_pair_count_classical_limits():
@@ -269,6 +271,27 @@ def test_count_table():
     for routes in (("trig", "trig"), ("pairs", "brute", "pairs")):
         with pytest.raises(DomainError, match="more than once"):
             count_table(2, 3, 4, routes)
+    with pytest.raises(DomainError, match="at least one route is required"):
+        count_table(2, 3, 4, ())
+
+
+def test_count_table_checks_each_route_once_at_n_max(monkeypatch):
+    calls = []
+    exceeds = counting._comb_exceeds
+    monkeypatch.setattr(counting, "_comb_exceeds", lambda *args: calls.append(args) or exceeds(*args))
+    table = count_table(2, 3, 60, ("trig",))
+    assert len(calls) == 2  # trig_count's work and subset budgets, at n = 60
+    assert [row[0] for row in table.counts] == [tableau_pair_count(n, 2, 3) for n in range(1, 61)]
+    # refused in the order of the checks: the stepped routes' work budget, the
+    # exhaustive scan's limit, then each stepped route's own budget
+    with pytest.raises(DomainError, match="work budget of the stepped routes"):
+        count_table(20, 20, 11, ("brute", "pairs"))
+    with pytest.raises(DomainError, match="exhaustive scan refused"):
+        count_table(15, 15, 11, ("pairs", "brute"))
+    with pytest.raises(DomainError, match="pair DP over"):
+        count_table(15, 15, 5, ("pairs", "trig", "brute"))
+    with pytest.raises(DomainError, match="trigonometric sum over"):
+        count_table(15, 15, 5, ("trig", "pairs", "brute"))
 
 
 def _lis_length(perm):
@@ -412,6 +435,17 @@ def test_trig_spare_prime_refuses_a_short_lift(monkeypatch):
     assert [trig_count(n, 7, 8) for n in (1, 2, 3)] == [1, 2, 6]
     with pytest.raises(InvariantViolation, match="spare prime disagrees"):
         trig_count(4, 7, 8)
+
+
+def test_trig_lift_refuses_a_value_that_is_not_a_count(monkeypatch):
+    # negated group sizes keep the residues consistent and lift to -c_n
+    groups = counting._distance_groups
+    monkeypatch.setattr(
+        counting, "_distance_groups", lambda d, M: {h: -size for h, size in groups(d, M).items()}
+    )
+    monkeypatch.setattr(counting, "_TRIG_CACHE", {})
+    with pytest.raises(InvariantViolation, match="the lift -10 is not a count times 10$"):
+        trig_count(1, 2, 3)
 
 
 def test_prime_test_matches_trial_division():

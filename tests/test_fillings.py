@@ -81,6 +81,8 @@ def test_filling_validation():
     for entry in (1.7, 2.0, True, "1"):
         with pytest.raises(DomainError):
             Filling((2,), ((entry, 0),))
+    with pytest.raises(DomainError, match=r"cell \(3,1\) outside shape \(2, 1\)"):
+        Filling((2, 1), ((1, 0), (0,))).entry(3, 1)
 
 
 def test_longest_ne_chain_values():
@@ -156,6 +158,8 @@ def test_contains_pattern_examples():
     two = Filling((2, 2), ((1, 0), (0, 1)))
     assert contains_pattern(two, 1)
     assert pattern_witness(two, 1) == [(1, 1, 1), (2, 2, 1)]
+    with pytest.raises(DomainError, match="pattern order must be >= 1, got 0"):
+        contains_pattern(two, 0)
 
 
 def test_pattern_witness_is_valid():

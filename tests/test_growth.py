@@ -84,6 +84,8 @@ def test_forward_cell_precondition_errors():
         grow_forward_cell(Rule.skew(1), (0,), (1,), (1,), 1)  # skew entry must be 0
     with pytest.raises(DomainError):
         grow_forward_cell(Rule.rsk(), (), (), (), 1.9)  # not an int
+    with pytest.raises(DomainError, match="cell entry must be nonnegative, got -1"):
+        check_cell(Rule.rsk(), (), (), (), (), -1)
 
 
 def test_backward_cell_examples():
@@ -479,6 +481,13 @@ def test_extract_boundary_axes_and_empty():
     assert sub.seq[0] == () and sub.seq[-1] == ()
     with pytest.raises(DomainError):
         extract_boundary(g, (8,))
+    with pytest.raises(DomainError, match="word paths apply only to skew diagrams"):
+        extract_boundary(g, "+-")
+    skew = grow_skew(1, (1,), SkewOscillatingTableau(1, "+-", ((0,), (1,), (0,))))
+    with pytest.raises(DomainError, match="skew extraction needs a direction word"):
+        extract_boundary(skew)
+    with pytest.raises(DomainError, match=r"word '\+\+' does not fit a 1x1 rectangle"):
+        extract_boundary(skew, "++")
 
 
 def test_grow_skew_single_cell():
@@ -520,6 +529,26 @@ def test_grow_skew_validation():
         grow_skew(1, (2,), t)  # word does not fit the rectangle
     with pytest.raises(DomainError):
         grow_skew(2, (1,), t)  # degree mismatch
+    # the boundary bijection's functions take no skew rule
+    one = Filling((1,), ((1,),))
+    for call in (
+        lambda: grow_from_filling(Rule.skew(1), one),
+        lambda: growth.boundary_of(Rule.skew(1), one),
+        lambda: grow_from_boundary(Rule.skew(1), (1,), OscillatingTableau("+-", ((), (1,), ()))),
+    ):
+        with pytest.raises(DomainError, match="^skew diagrams are grown "):
+            call()
+
+
+def test_rule_refuses_a_bad_kind_or_degree():
+    for args, message in (
+        (("x",), "unknown rule kind 'x'"),
+        (("rsk", 1), "plain rule carries no degree"),
+        (("drsk", 0), "rule 'drsk' needs a positive degree"),
+        (("skew", -1), "rule 'skew' needs a positive degree"),
+    ):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            Rule(*args)
 
 
 def test_classify_unit_cells():
@@ -540,6 +569,8 @@ def test_classify_unit_cells():
 def test_classify_guards_and_violations():
     with pytest.raises(DomainError):
         classify_rs_cell(D3, (4, 2, 1), (4, 4, 2), (8, 4, 1), (8, 4, 4), 0)
+    with pytest.raises(DomainError, match="unit-step cells carry entry 0 or 1, got 2"):
+        classify_rs_cell(D3, (), (), (), (), 2)
     with pytest.raises(InvariantViolation):
         classify_rs_cell(Rule.skew(1), (0,), (0,), (0,), (1,), 1)
     with pytest.raises(InvariantViolation):
@@ -952,3 +983,45 @@ def test_step_sweeps_match_the_partition_kernel():
         for rule in rules:
             t = _unit_step_tableau(rng, w, rule.d or len(w))
             assert growth.filling_of(rule, shape, t) == grow_from_boundary(rule, shape, t).filling
+
+
+def _boundary_tableaux(w, k, labels):
+    """Every oscillating tableau on w, over the given labels, whose steps move at most k boxes."""
+    seqs = [((),)]
+    for i, ch in enumerate(w):
+        room = w[i + 1 :].count("-") * k  # what the - steps left can still remove
+        seqs = [
+            seq + (mu,)
+            for seq in seqs
+            for mu in labels
+            if size(mu) <= room
+            and abs(size(mu) - size(seq[-1])) <= k
+            and (interlaces(seq[-1], mu) if ch == "+" else interlaces(mu, seq[-1]))
+        ]
+    return [OscillatingTableau(w, seq) for seq in seqs]
+
+
+def test_every_small_boundary_tableau_comes_from_a_filling():
+    """Growth is onto: each boundary tableau grows back to empty axes and round-trips.
+
+    Under drsk(d) the tableaux are those with labels of at most d parts.  The
+    round trips elsewhere start from fillings, which shows only injectivity.
+    """
+    labels = [lam for lam in subshapes((6,) * 6) if size(lam) <= 6]
+    # shapes in a 3 x 3 box with steps of up to 2 boxes, and in a 4 x 4 box with unit steps
+    cases = dict.fromkeys(
+        (shape, t)
+        for box, k in (((3, 3, 3), 2), ((4,) * 4, 1))
+        for shape in subshapes(box)
+        for t in _boundary_tableaux(boundary_type_sequence(shape), k, labels)
+    )
+    trips = 0
+    for shape, t in cases:
+        for rule in [Rule.rsk()] + [Rule.drsk(d) for d in range(max(t.max_length(), 1), 4)]:
+            g = grow_from_boundary(rule, shape, t)
+            assert set(g.labels[0]) | {row[0] for row in g.labels} == {()}, (rule, shape, t)
+            f = growth.filling_of(rule, shape, t)
+            assert f == g.filling
+            assert growth.boundary_of(rule, f) == t
+            trips += 1
+    assert (len(cases), trips) == (4205, 14974)

@@ -54,6 +54,8 @@ def test_staircase_form():
         as_staircase([1, 0], 3)
     with pytest.raises(DomainError):
         as_staircase([1.5, 0], 2)
+    with pytest.raises(DomainError, match="staircase degree must be positive, got 0"):
+        as_staircase([1], 0)
 
 
 def test_part_access_extends_by_zero():
@@ -88,6 +90,12 @@ def test_dl_interlaces_examples():
     assert dl_interlaces((8, 4, 2), (9, 4, 4), 3, 7)
     with pytest.raises(DomainError):
         dl_interlaces((2, 1, 1), (3, 1, 1), 2, 5)
+    with pytest.raises(DomainError, match="degree must be positive, got 0"):
+        dl_interlaces((), (1,), 0, 1)
+    with pytest.raises(DomainError, match="degree must be positive, got 0"):
+        is_dl_staircase((1,), 0, 1)
+    with pytest.raises(DomainError, match=r"operand \(1, 0, 0\) exceeds degree 2"):
+        is_dl_staircase((1, 0, 0), 2, 1)
 
 
 def test_cointerlaces_examples():
@@ -208,6 +216,8 @@ def test_cyl_conjugate_rejects_wide_staircase():
         cyl_conjugate((2, 1), 3, 4)
     with pytest.raises(DomainError, match="conjugation budget"):
         cyl_conjugate((3,), 1, 10**8)
+    with pytest.raises(DomainError, match="width parameter must be positive, got 0"):
+        cyl_conjugate((1,), 1, 0)
 
 
 def test_cyl_conjugate_matches_path_oracle():
