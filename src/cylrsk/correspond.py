@@ -34,6 +34,7 @@ from .tableaux import (
     SemistandardTableau,
     SkewOscillatingTableau,
     SkewRowStrictTableau,
+    _check_word,
     join_pair,
     split_pair,
 )
@@ -141,6 +142,7 @@ def skew_retype(t: SkewOscillatingTableau, v: str) -> SkewOscillatingTableau:
     cylindric width are preserved, and retype back to t's word is the
     inverse.
     """
+    _check_word(v)
     if v.count(PLUS) != t.w.count(PLUS) or v.count(MINUS) != t.w.count(MINUS):
         raise DomainError(f"words {t.w!r} and {v!r} have different step counts")
     rows, cols = t.w.count(PLUS), t.w.count(MINUS)

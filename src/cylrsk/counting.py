@@ -24,7 +24,7 @@ import threading
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, count, islice, repeat
+from itertools import accumulate, chain, count, islice, repeat
 
 from .errors import DomainError, InvariantViolation
 from .partitions import require_degrees
@@ -56,8 +56,11 @@ def _comb_exceeds(n: int, k: int, budget: int) -> bool:
     return any(c > budget for c in products)
 
 
-def _walk(n: int):
-    """Histograms of (descending threshold, LIS) over S_1..S_n, plus involutions.
+_KEY_CHUNK = 1 << 16
+
+
+def _walk(n: int) -> list[dict[tuple[int, int], int]]:
+    """Histograms of (descending threshold, LIS) over S_1..S_n, at indices 1..n.
 
     The descending threshold is the smallest d such that a permutation avoids
     d..1(d+1): one more than the longest decreasing subsequence that a later,
@@ -67,72 +70,135 @@ def _walk(n: int):
     plus those the new last value completes, which are the decreasing
     subsequences of the parent's values below r; its LIS grows by one iff r
     lies above the parent's last patience tail.  Values are 0-based here, and
-    each node is carried as its inverse pos (value -> position): the child of
-    rank r has inverse pos[:r] + [k] + pos[r:].
-    """
-    counts = [Counter() for _ in range(n + 1)]
-    inv_counts = [Counter() for _ in range(n + 1)]
+    each node is carried as its negated inverse neg (value -> -position): the
+    child of rank r has neg[:r] + [-k] + neg[r:].
 
-    def visit(pos, tails, best, is_inv):
-        k = len(pos)
+    A child's (threshold, LIS) is packed as threshold * B + LIS, B = n + 2,
+    and appended to its level's list of keys, which a Counter tallies in
+    chunks of at most _KEY_CHUNK keys (level 10 holds 3.6M).
+    """
+    B = n + 2
+    counts = [Counter() for _ in range(n + 1)]
+    pending: list[list[int]] = [[] for _ in range(n + 1)]
+
+    def visit(neg, tails, best):
+        k = len(neg)
         # chains[r]: the child of rank r keeps the parent's best or gains the
         # longest decreasing subsequence among the values < r, which is the
         # longest decreasing run of their positions taken in value order; those
         # lengths never fall as r grows, so best holds up to the first past it
         piles: list[int] = []
         lengths = []
-        for p in pos:
-            j = bisect_left(piles, -p)
-            piles[j : j + 1] = [-p]
+        for p in neg:
+            j = bisect_left(piles, p)
+            if j < len(piles):
+                piles[j] = p
+            else:
+                piles.append(p)
             lengths.append(len(piles))
         i = bisect_right(lengths, best)
         chains = [best] * (i + 1) + lengths[i:]
-        lis = len(tails)
         last = tails[-1] if tails else -1
-        keys = [(c + 1, lis) for c in chains[: last + 1]]
-        keys += [(c + 1, lis + 1) for c in chains[last + 1 :]]
-        counts[k + 1].update(keys)
-        # the child of rank r maps its last position to r, so it is an
-        # involution only if it maps r back: r is last (a fixed point), or the
-        # parent's maximum sat at position r and the rest pairs up
-        inv = [False] * k + [is_inv]
-        if k:
-            top = pos[k - 1]
-            cp = pos[:top] + [k] + pos[top:]  # that child's inverse, an involution iff it is
-            inv[top] = list(map(cp.__getitem__, cp)) == list(range(k + 1))
-        inv_counts[k + 1].update(compress(keys, inv))
+        low = B + len(tails)  # c * B + low packs (c + 1, the parent's LIS)
+        keys = pending[k + 1]
+        keys += [c * B + low for c in chains[: last + 1]]
+        keys += [c * B + low + 1 for c in chains[last + 1 :]]
+        if len(keys) >= _KEY_CHUNK:
+            counts[k + 1].update(keys)
+            keys.clear()
         if k + 1 < n:
             for r in range(k + 1):
                 child_tails = [t + (t >= r) for t in tails]
                 j = bisect_left(child_tails, r)
                 child_tails[j : j + 1] = [r]
-                visit(pos[:r] + [k] + pos[r:], child_tails, chains[r], inv[r])
+                visit(neg[:r] + [-k] + neg[r:], child_tails, chains[r])
 
-    visit([], [], 0, True)
-    return counts, inv_counts
+    visit([], [], 0)
+    for level, keys in zip(counts, pending):
+        level.update(keys)
+    return [{divmod(key, B): v for key, v in level.items()} for level in counts]
+
+
+def _involutions(n: int) -> list[list[tuple[int, ...]]]:
+    """The involutions of S_0..S_n, level by level, for n >= 1.
+
+    In an involution of S_k the largest value k - 1 is a fixed point, which
+    extends an involution of S_(k-1), or it is paired with some i < k - 1,
+    which extends an involution of S_(k-2): values and positions at or above
+    i move up by one, k - 1 goes in at position i, and i at the end.
+    """
+    levels = [[()], [(0,)]]
+    for k in range(2, n + 1):
+        top = k - 1
+        level = [s + (top,) for s in levels[k - 1]]
+        for s in levels[k - 2]:
+            for i in range(top):
+                t = tuple([x + (x >= i) for x in s])
+                level.append(t[:i] + (top,) + t[i:] + (i,))
+        levels.append(level)
+    return levels
+
+
+def _profile(perm) -> tuple[int, int]:
+    """(descending threshold, LIS) of one permutation.
+
+    A completable decreasing chain lies below some later value, and a value
+    is dominated by any later, larger one, whose prefix and range both hold
+    more; so only the right-to-left maxima need their longest decreasing
+    subsequence among the smaller values before them.
+    """
+    tails: list[int] = []
+    for x in perm:
+        j = bisect_left(tails, x)
+        tails[j : j + 1] = [x]
+    best, top = 0, -1
+    for j in range(len(perm) - 1, -1, -1):
+        if j <= best:  # no decreasing run before j is longer than j
+            break
+        v = perm[j]
+        if v > top:
+            top = v
+            piles: list[int] = []
+            for x in perm[:j]:
+                if x < v:
+                    i = bisect_left(piles, -x)
+                    piles[i : i + 1] = [-x]
+            best = max(best, len(piles))
+    return best + 1, len(tails)
 
 
 # Each cache is shared by every thread, so each is read and filled only under
 # its own lock: a long scan does not stall pair counts in other threads.
-_PROFILE_CACHE: dict[int, tuple[dict, dict]] = {}
+_PROFILE_CACHE: dict[int, dict[tuple[int, int], int]] = {}
 _PROFILE_LOCK = threading.Lock()
+_INVOLUTION_CACHE: dict[int, dict[tuple[int, int], int]] = {}
+_INVOLUTION_LOCK = threading.Lock()
 
 
-def _scan_profiles(n: int):
-    """Histogram of (descending threshold, LIS) over S_n, plus involutions."""
+def _scan_profiles(n: int) -> dict[tuple[int, int], int]:
+    """Histogram of (descending threshold, LIS) over S_n."""
     with _PROFILE_LOCK:
         if n not in _PROFILE_CACHE:
-            counts, inv_counts = _walk(n)
+            counts = _walk(n)
             for k in range(1, n + 1):
-                _PROFILE_CACHE[k] = (counts[k], inv_counts[k])
+                _PROFILE_CACHE[k] = counts[k]
         return _PROFILE_CACHE[n]
+
+
+def _involution_profiles(n: int) -> dict[tuple[int, int], int]:
+    """Histogram of (descending threshold, LIS) over the involutions of S_n."""
+    with _INVOLUTION_LOCK:
+        if n not in _INVOLUTION_CACHE:
+            for k, level in enumerate(_involutions(n)):
+                _INVOLUTION_CACHE[k] = dict(Counter(map(_profile, level)))
+        return _INVOLUTION_CACHE[n]
 
 
 def _brute(n: int, d: int, L: int, involutions: bool) -> int:
     _check_params(n, d, L)
     if n > BRUTE_LIMIT:
         raise DomainError(f"exhaustive scan refused for n > {BRUTE_LIMIT}")
-    return _tally(_scan_profiles(n)[1 if involutions else 0], d, L)
+    return _tally((_involution_profiles if involutions else _scan_profiles)(n), d, L)
 
 
 def _tally(table: dict, d: int, L: int) -> int:
@@ -572,7 +638,7 @@ def count_table(d: int, L: int, n_max: int, routes=("brute", "pairs", "trig")) -
     for name in stepped:
         ROUTES[name](n_max, d, L)
     read = {
-        "brute": lambda n: _tally(_scan_profiles(n)[0], d, L),
+        "brute": lambda n: _tally(_scan_profiles(n), d, L),
         "pairs": lambda n: _stepped_value(_CHAIN_CACHE, _CHAIN_LOCK, _Chains, n, d, L)[1],
         "trig": lambda n: _stepped_value(_TRIG_CACHE, _TRIG_LOCK, _TrigSum, n, d, L),
     }

@@ -358,6 +358,17 @@ def test_skew_retype_count_mismatch():
         skew_retype(t, "++")
 
 
+def test_skew_retype_refuses_a_bad_letter_before_growing(monkeypatch):
+    t = SkewOscillatingTableau(1, "+-", ((0,), (1,), (0,)))
+    grown = []
+    monkeypatch.setattr(correspond, "grow_skew", lambda *args: grown.append(args))
+    with pytest.raises(DomainError, match="direction word must be over"):
+        skew_retype(t, "-+x")
+    with pytest.raises(DomainError, match="direction word must be over"):
+        skew_retype(t, "x+-")
+    assert grown == []
+
+
 def test_rowstrict_retype():
     rng = random.Random(131)
     done = 0

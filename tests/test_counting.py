@@ -15,6 +15,7 @@ from cylrsk.counting import (
     _count_bound,
     _is_prime,
     _TrigSum,
+    _involution_profiles,
     _scan_profiles,
     asymptotic,
     brute_count,
@@ -349,7 +350,9 @@ def _descending_threshold(perm):
 
 def test_scan_matches_per_permutation_oracle():
     counting._PROFILE_CACHE.clear()
+    counting._INVOLUTION_CACHE.clear()
     _scan_profiles(7)  # one walk fills every level up to 7
+    _involution_profiles(7)  # and one involution scan
     for n in range(1, 8):
         counts, inv_counts = {}, {}
         for perm in permutations(range(1, n + 1)):
@@ -357,7 +360,23 @@ def test_scan_matches_per_permutation_oracle():
             counts[key] = counts.get(key, 0) + 1
             if all(perm[perm[i] - 1] == i + 1 for i in range(n)):
                 inv_counts[key] = inv_counts.get(key, 0) + 1
-        assert _scan_profiles(n) == (counts, inv_counts), n
+        assert _scan_profiles(n) == counts, n
+        assert _involution_profiles(n) == inv_counts, n
+
+
+def test_involution_count_does_not_walk_the_symmetric_group():
+    counting._PROFILE_CACHE.clear()
+    counting._INVOLUTION_CACHE.clear()
+    assert brute_count_involutions(8, 3, 3) == cylindric_syt_count(8, 3, 3)
+    assert counting._PROFILE_CACHE == {}
+    assert sum(_involution_profiles(8).values()) == 764
+
+
+def test_involution_scan_matches_syt_counts_at_9_and_10():
+    for n in (9, 10):
+        for d in range(1, 5):
+            for L in range(1, 5):
+                assert brute_count_involutions(n, d, L) == cylindric_syt_count(n, d, L), (n, d, L)
 
 
 def test_trig_matches_pairs_on_the_gate_grid():
