@@ -110,8 +110,7 @@ def _cmd_ungrow(args):
             f"--shape {args.shape} does not match the word-derived shape "
             f"{format_partition(shape)}"
         )
-    rule = _rule_from_args(args)
-    return "filling", growth.grow_from_boundary(rule, shape, t).filling
+    return "filling", growth.filling_of(_rule_from_args(args), shape, t)
 
 
 def _cmd_rsk(args):

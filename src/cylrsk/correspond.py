@@ -10,7 +10,8 @@ build no growth diagram for a filling whose rows and columns each sum to at
 most 1, or a boundary whose every step changes the size by at most 1; any
 other goes through the partition kernel.  ``cylindric_rs``, its inverse and
 ``wilf_bijection`` run those sweeps on a permutation's column word and build
-no ``Filling`` either.  The skew maps always grow a diagram.
+no ``Filling`` either.  The skew maps grow a diagram unless the target word
+is the tableau's own.
 ``conjugate_standard_pair`` conjugates a chain one unit step at a time
 through the unit-step codec of ``tableaux``.
 """
@@ -145,11 +146,9 @@ def skew_retype(t: SkewOscillatingTableau, v: str) -> SkewOscillatingTableau:
     _check_word(v)
     if v.count(PLUS) != t.w.count(PLUS) or v.count(MINUS) != t.w.count(MINUS):
         raise DomainError(f"words {t.w!r} and {v!r} have different step counts")
-    rows, cols = t.w.count(PLUS), t.w.count(MINUS)
-    if rows == 0 or cols == 0:
-        # the path is a straight line, so the word determines the tableau
-        return SkewOscillatingTableau(t.d, v, t.seq)
-    g = grow_skew(t.d, (cols,) * rows, t)
+    if v == t.w:  # also every straight path: its step counts give one word
+        return t
+    g = grow_skew(t.d, (t.w.count(MINUS),) * t.w.count(PLUS), t)
     return extract_boundary(g, v)
 
 
@@ -172,6 +171,7 @@ def rowstrict_retype(
             f"retyping {len(t.seq)} labels of degree {d} at L = {L} "
             f"exceeds the work budget {CONJUGATE_WORK_BUDGET}"
         )
+    _check_word(v)
     conj = SkewOscillatingTableau(
         L, t.w, tuple(cyl_conjugate(s, d, L) for s in t.seq)
     )

@@ -581,11 +581,8 @@ def asymptotic(d: int, L: int) -> tuple[float, float]:
             ((k - j) * math.log(4.0 * math.sin(math.pi * j / M) ** 2) for j in range(1, k)),
         )
     )
-    try:
-        constant = math.exp(log_constant)
-    except OverflowError:
-        constant = math.inf
-    if not sys.float_info.min <= constant < math.inf:
+    constant = math.exp(log_constant)  # log_constant <= U(k) <= U(1) = 0
+    if constant < sys.float_info.min:
         raise DomainError(
             f"leading constant at ({d},{L}) is e**{log_constant:.6g}, not a normal float"
         )

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -13,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from cylrsk import cli, counting
 from cylrsk.cli import PARSERS, build_parser, main
-from cylrsk.fillings import Filling, format_filling, parse_filling
+from cylrsk.correspond import rsk
+from cylrsk.fillings import Filling, format_filling, parse_filling, permutation_to_filling
 from cylrsk.growth import Rule, extract_boundary, format_diagram, grow_from_filling
 from cylrsk.tableaux import format_oscillating
 from worked_examples import CHAIN_ROWS, CHAIN_SHAPE, GRID7_ROWS
@@ -126,6 +128,8 @@ def test_rs_verb(capsys, tmp_path):
     pair_file.write_text(out)
     code, out2, _ = run(capsys, "rs", "--d", "2", "--L", "3", "--inverse", str(pair_file))
     assert code == 0 and out2.strip() == "3 4 2 1"
+    perm_file.write_text("[3, 4, 2, 1]\n")  # the bracketed form reads the same
+    assert run(capsys, "rs", "--d", "2", "--L", "3", str(perm_file)) == (0, out, "")
     bad = tmp_path / "bad.txt"
     bad.write_text("1 2 3 4\n")
     code, _, err = run(capsys, "rs", "--d", "2", "--L", "3", str(bad))
@@ -437,6 +441,18 @@ def test_rs_round_trip_of_a_long_permutation_stays_a_column_word():
     assert done.returncode == 0, done.stderr
     back = _run_capped("rs --d 2 --L 3 --inverse -", done.stdout, 50 * 1024 * 1024)
     assert (back.returncode, back.stdout) == (0, perm), back.stderr
+
+
+def test_ungrow_of_a_unit_step_boundary_takes_the_step_sweep():
+    # the full (n + 1)^2 label grid of this boundary passes the 100 MB cap
+    # (about 300 MB); the step sweep holds its step words
+    perm = list(range(1, 1001))
+    random.Random(7).shuffle(perm)
+    f = permutation_to_filling(perm)
+    boundary = format_oscillating(rsk(f)) + "\n"
+    done = _run_capped("ungrow --rule rsk -", boundary, 100 * 1024 * 1024)
+    assert done.returncode == 0 and "Traceback" not in done.stderr, done.stderr
+    assert done.stdout == format_filling(f) + "\n"
 
 
 def test_counts_past_the_str_digit_limit_print_in_full_and_json_refuses():

@@ -369,6 +369,27 @@ def test_skew_retype_refuses_a_bad_letter_before_growing(monkeypatch):
     assert grown == []
 
 
+def test_skew_retype_to_its_own_word_returns_its_input(monkeypatch):
+    grown = []
+    monkeypatch.setattr(correspond, "grow_skew", lambda *args: grown.append(args))
+    for t in (
+        SkewOscillatingTableau(1, "++", ((0,), (1,), (2,))),
+        SkewOscillatingTableau(1, "--", ((2,), (1,), (0,))),
+        SkewOscillatingTableau(1, "+-+-", ((0,), (1,), (0,), (1,), (0,))),
+    ):
+        assert skew_retype(t, t.w) is t
+    assert grown == []
+
+
+def test_rowstrict_retype_refuses_a_bad_letter_before_conjugating(monkeypatch):
+    t = SkewRowStrictTableau(2, "+", ((1, 1), (2, 2)))
+    calls = []
+    monkeypatch.setattr(correspond, "cyl_conjugate", lambda *args: calls.append(args))
+    with pytest.raises(DomainError, match=r"direction word must be over \+-, got '\+x'"):
+        rowstrict_retype(t, 2, "+x")
+    assert calls == []
+
+
 def test_rowstrict_retype():
     rng = random.Random(131)
     done = 0

@@ -229,6 +229,8 @@ def test_asymptotic_refuses_a_large_min_dl_before_its_loop():
     log_min = math.log(sys.float_info.min)
     bounds = [_log_constant_bound(k) for k in range(2, 1000)]
     assert all(a > b for a, b in zip(bounds, bounds[1:]))
+    # so the constant below the limit is at most e**U(1) = 1, and exp cannot overflow
+    assert all(_log_constant_bound(k) <= 0 for k in range(1, ASYM_K_LIMIT))
     assert _log_constant_bound(ASYM_K_LIMIT - 1) > log_min > _log_constant_bound(ASYM_K_LIMIT)
     # U(k) bounds the exact log-constant, so the refusal loses no normal float
     for k in range(2, 80):
@@ -348,11 +350,8 @@ def _descending_threshold(perm):
     return best + 1
 
 
-def test_scan_matches_per_permutation_oracle():
-    counting._PROFILE_CACHE.clear()
-    counting._INVOLUTION_CACHE.clear()
-    _scan_profiles(7)  # one walk fills every level up to 7
-    _involution_profiles(7)  # and one involution scan
+def test_scan_matches_per_permutation_oracle(monkeypatch):
+    oracle = {}
     for n in range(1, 8):
         counts, inv_counts = {}, {}
         for perm in permutations(range(1, n + 1)):
@@ -360,8 +359,17 @@ def test_scan_matches_per_permutation_oracle():
             counts[key] = counts.get(key, 0) + 1
             if all(perm[perm[i] - 1] == i + 1 for i in range(n)):
                 inv_counts[key] = inv_counts.get(key, 0) + 1
-        assert _scan_profiles(n) == counts, n
-        assert _involution_profiles(n) == inv_counts, n
+        oracle[n] = counts, inv_counts
+    # a chunk of 5 keys makes the walk tally its levels in many chunks
+    for chunk in (5, counting._KEY_CHUNK):
+        monkeypatch.setattr(counting, "_KEY_CHUNK", chunk)
+        counting._PROFILE_CACHE.clear()
+        counting._INVOLUTION_CACHE.clear()
+        brute_count(7, 1, 1)  # one walk fills every level up to 7
+        brute_count_involutions(7, 1, 1)  # and one involution scan
+        for n, (counts, inv_counts) in oracle.items():
+            assert _scan_profiles(n) == counts, (chunk, n)
+            assert _involution_profiles(n) == inv_counts, (chunk, n)
 
 
 def test_involution_count_does_not_walk_the_symmetric_group():

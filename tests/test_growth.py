@@ -488,6 +488,8 @@ def test_extract_boundary_axes_and_empty():
         extract_boundary(skew)
     with pytest.raises(DomainError, match=r"word '\+\+' does not fit a 1x1 rectangle"):
         extract_boundary(skew, "++")
+    with pytest.raises(DomainError, match=r"direction word must be over \+-, got '\+-x'"):
+        extract_boundary(skew, "+-x")
 
 
 def test_grow_skew_single_cell():

@@ -86,6 +86,7 @@ def test_mcw_values():
     assert mcw_sequence(SSYT_CHAIN, 4) == 6
     assert mcw_sequence(SSYT_CHAIN, 5) == 6
     assert BOUNDARY.mcw(3) == 7
+    assert SemistandardTableau(SSYT_CHAIN).mcw(3) == 4
     assert mcw_sequence(((), (), ()), 2) == 0
     with pytest.raises(DomainError):
         BOUNDARY.mcw(2)  # three-row labels exceed degree 2
