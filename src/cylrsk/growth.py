@@ -19,21 +19,18 @@ Forward growth solves a cell for tr; backward growth solves for bl and m.
 Both directions are unique, which is what makes whole-diagram growth a
 bijection between fillings and boundary label sequences.
 
-Which path a map takes depends only on its input:
-
-* ``boundary_of`` and ``filling_of`` (the boundary bijection under rsk and
-  drsk) sweep step words and build no diagram when every row and column of
-  the filling sums to at most 1, which is when every step of the boundary
-  changes the size by at most 1, and write or read the boundary with the
-  unit-step codec of ``tableaux``; any other filling or boundary goes
-  through the partition kernel below.  ``correspond``'s permutation maps
-  call the two sweeps on column words and build no ``Filling`` either.
-* ``grow_from_filling``, ``grow_from_boundary``, ``grow_skew``, the
-  single-cell functions and ``validate_diagram`` always use the partition
-  kernel, whatever their input.
+Which path a map takes depends only on its input.  ``boundary_of`` and
+``filling_of`` (the boundary bijection under rsk and drsk) sweep step words
+when every row and column of the filling sums to at most 1, which is when
+every step of the boundary changes the size by at most 1, as ``correspond``'s
+permutation maps do on column words.  All else goes through the packed
+partition kernel below, where those two maps still build no diagram.
 """
 
 from dataclasses import dataclass
+from operator import itemgetter, sub
+from struct import Struct
+from types import SimpleNamespace
 
 from .errors import DomainError, FormatError, InvariantViolation, PatternContainment, decode
 from .fillings import (
@@ -135,25 +132,30 @@ def _side_condition(rule: Rule, bl: Part, entry: int) -> str | None:
 #     tr_1 + bl_n     = m + hi_1 + lo_1      (the wrap row)
 #     tr_j + bl_{j-1} = hi_j + lo_j          (1 < j <= n)
 #
-# The plain rule takes n one more than the longer of tl and br; then
+# The plain rule may take any n past the longer of tl and br; then
 # tl_n = br_n = 0 and, since bl interlaces below them, bl_n = 0, so its wrap
 # row reduces to tr_1 = m + max(tl_1, br_1).  The cyclic rules take n = d,
-# except that drsk takes the plain rule's n while that is smaller: both
+# except that drsk may take the plain rule's n while that is smaller: both
 # labels then have fewer than d parts, every row past n reads 0 = 0, and
 # bl_d = tl_d = br_d = 0 makes the d-row wrap row the plain rule's top row.
 #
-# Each row j > 1 has one unknown, tr_j going forward and bl_{j-1} going
-# backward, and it equals hi_j + lo_j minus the known one.  _solve solves
-# these rows, and each kernel adds its wrap row.
+# _Lanes holds each label of a diagram as one int of n fields of W bits,
+# field j - 1 holding part j plus a bias, and solves the rows on whole labels
+# (after L. Lamport, CACM 18, 1975): tr = max(tl, br) + rot(min(tl, br) - bl)
+# + m, where rot moves each field one up and the top one to field 0, and
+# backward the inverse, with the wrap row's bl_n - m solved apart.  Each
+# field's top bit, its guard, is clear in every label, so field j of
+# ((tl | guards) - br) keeps its guard exactly when tl_j >= br_j.
 #
-# The kernels below take canonical labels that meet their precondition: bl
-# interlaces below tl and br going forward, tl and br interlace below tr
-# going backward.  The known part of each row then lies in [lo_j, hi_j], so
-# the unknown does too, since the two sum to hi_j + lo_j; the wrap row keeps
-# tr_1 >= lo_1 forward and bl_n <= hi_1 backward.  So the solved label
-# interlaces with tl and br (for partitions it is also weakly decreasing and
-# nonnegative) and no kernel checks it.  Four places establish the
-# precondition:
+# The kernel takes labels that meet its precondition: bl interlaces below tl
+# and br going forward, tl and br interlace below tr going backward.  The
+# known part of each row then lies in [lo_j, hi_j], so the unknown does too,
+# since the two sum to hi_j + lo_j; the wrap row keeps tr_1 >= lo_1 forward
+# and bl_n <= hi_1 backward.  So the solved label interlaces with tl and br
+# (for partitions it is also weakly decreasing and nonnegative) and no kernel
+# checks it; each difference taken is fieldwise nonnegative and each sum at
+# most a solved part, so no field borrows or carries while those parts fit
+# below the guards.  Four places establish the precondition:
 #
 # * the three sweeps, from their validated path tableau or empty axes: each
 #   cell's known edges lie on the path or were solved by an earlier cell;
@@ -161,53 +163,102 @@ def _side_condition(rule: Rule, bl: Part, entry: int) -> str | None:
 #   first cell order of _check_labels;
 # * check_cell and classify_rs_cell, by the interlaces calls of _cell_holds;
 # * grow_forward_cell and grow_backward_cell, by their own interlaces checks.
+#
+# Among labels of parts in [lo, hi] and entries of at most e, every solved
+# part is at most 2hi + e, and under skew lies within (d - 1)(hi - lo) + V of
+# [lo, hi], V the labels' total size variation in order.  That bounds a sweep
+# from a path too: |tr| + |bl| = |tl| + |br| + m, so a skew label's size is
+# A(x) + B(y), within V of a size on the path, and parts grow weakly going up
+# or right, so they are at least lo right of the path, at most hi left of it,
+# and the size bounds their other end.  Going back from a boundary keeps
+# bl_i <= tl_i; growing a filling gives a label at height y the mass
+# below-left of it as its size and at most y parts.
 
 
-def _solve(rule: Rule, tl: Part, br: Part, known: Part) -> tuple[int, int, list[int]]:
-    """hi_1, lo_1 and the unknowns of rows 2..n, given each row's known part in order."""
-    n = len(tl) if len(tl) > len(br) else len(br)
-    if rule.kind == "rsk" or n < rule.d:  # skew labels always have d parts
-        n += 1
-    pad = (0,) * n
-    a, b = tl + pad, br + pad
-    out = [
-        (x if x < y else y) + (u if u > v else v) - k
-        for x, y, u, v, k in zip(a, b, a[1:n], b[1:], known + pad)
-    ]
-    x, y, u, v = a[0], b[0], a[n - 1], b[n - 1]
-    return (u if u < v else v), (x if x > y else y), out
+class _Fields(dict):
+    """pack and unpack of n little-endian unsigned fields of k bytes, by n, made on first use."""
+
+    def __init__(self, k: int):
+        self.k = k
+
+    def __missing__(self, n: int):
+        k, code = self.k, {1: "B", 2: "H", 4: "I", 8: "Q"}.get(self.k)
+        return self.setdefault(n, Struct(f"<{n}{code}") if code else SimpleNamespace(
+            # a width Struct has no code for
+            pack=lambda *vals: b"".join(v.to_bytes(k, "little") for v in vals),
+            unpack=lambda b: tuple(int.from_bytes(b[i : i + k], "little") for i in range(0, len(b), k)),
+        ))
 
 
-def _forward(rule: Rule, bl: Part, tl: Part, br: Part, entry: int) -> Part:
-    """Top-right label of a cell whose bl interlaces below tl and br."""
-    hi, lo, tr = _solve(rule, tl, br, bl)
-    n = len(tr) + 1
-    tr.insert(0, entry + hi + lo - (bl[n - 1] if len(bl) >= n else 0))
-    while rule.kind != "skew" and tr and not tr[-1]:
-        tr.pop()
-    return tuple(tr)
+class _Lanes:
+    """One diagram's labels packed as above, and the kernel on them."""
 
+    def __init__(self, rule: Rule, longest: int, lo: int, hi: int):
+        """For labels of at most longest parts, each part solved in [lo, hi]: lo = 0 but in skew."""
+        self.rule, self.skew, self.bias = rule, rule.kind == "skew", -lo
+        n = rule.d if self.skew or rule.kind == "drsk" and rule.d <= longest else longest + 1
+        k = (hi - lo).bit_length() // 8 + 1  # bytes that keep each field's guard clear
+        k = 1 << (k - 1).bit_length() if k <= 8 else k  # as Struct packs them, up to 8
+        self.n, self.k, self.w, self.top = n, k, 8 * k, 8 * k * (n - 1)
+        self.fields = _Fields(k)
+        self.low, self.field = (1 << self.top) - 1, (1 << self.w) - 1
+        self.guards = ((1 << self.w * n) - 1) // self.field << (self.w - 1)
+        # entry and bl >> full breaks drsk's side condition, and never the plain rule's
+        self.full = self.w * (rule.d - 1 if rule.kind == "drsk" else n)
 
-def _backward(rule: Rule, tl: Part, br: Part, tr: Part) -> tuple[Part, int]:
-    """Bottom-left label and entry of a cell whose tl and br interlace below tr."""
-    hi, lo, bl = _solve(rule, tl, br, tr[1:])
-    wrap = hi + lo - (tr[0] if tr else 0)  # bl_n - m
-    # outside the skew rule, the sign of the wrap row decides which of bl_n, m is zero
-    entry = -wrap if wrap < 0 and rule.kind != "skew" else 0
-    bl.append(wrap + entry)
-    while rule.kind != "skew" and bl and not bl[-1]:
-        bl.pop()
-    return tuple(bl), entry
+    @classmethod
+    def fitting(cls, rule: Rule, labels, entry: int = 0) -> "_Lanes":
+        """Lanes to solve among canonical labels with entries up to entry, or to sweep from them."""
+        hi = max(map(itemgetter(0), filter(None, labels)), default=0)
+        if rule.kind != "skew":
+            return cls(rule, max(map(len, labels)), 0, 2 * hi + entry)
+        lo, sizes = min(map(itemgetter(-1), labels)), list(map(sum, labels))
+        reach = (rule.d - 1) * (hi - lo) + sum(map(abs, map(sub, sizes, sizes[1:])))
+        return cls(rule, rule.d, lo - reach, hi + reach)
 
+    def pack(self, lab: Part) -> int:
+        lab = [v + self.bias for v in lab] if self.bias else lab
+        return int.from_bytes(self.fields[len(lab)].pack(*lab), "little")
 
-def _holds(rule: Rule, bl: Part, tl: Part, br: Part, tr: Part, entry: int) -> bool:
-    """Side condition and row equations of a cell with verified edges."""
-    return _side_condition(rule, bl, entry) is None and _forward(rule, bl, tl, br, entry) == tr
+    def unpack(self, x: int) -> Part:
+        # a partition's parts are positive, so its last nonzero field ends it
+        n = self.n if self.skew else -(-x.bit_length() // self.w)
+        lab = self.fields[n].unpack(x.to_bytes(n * self.k, "little"))
+        return tuple(v - self.bias for v in lab) if self.bias else lab
+
+    def unpacked(self, grid: list[list[int]]) -> list[tuple[Part, ...]]:
+        """The grid's rows as label tuples, unpacked in place to free each packed row in turn."""
+        for y, row in enumerate(grid):
+            grid[y] = tuple(map(self.unpack, row))
+        return grid
+
+    def _max_min(self, a: int, b: int) -> tuple[int, int]:
+        g = ((a | self.guards) - b) & self.guards  # the guard of each field where a >= b
+        x = (a ^ b) & (g - (g >> (self.w - 1)))
+        return b ^ x, a ^ x
+
+    def forward(self, bl: int, tl: int, br: int, entry: int) -> int:
+        """Top-right label of a cell whose bl interlaces below tl and br."""
+        big, small = self._max_min(tl, br)
+        d = small - bl
+        return big + ((d & self.low) << self.w | d >> self.top) + entry
+
+    def backward(self, tl: int, br: int, tr: int) -> tuple[int, int]:
+        """Bottom-left label and entry of a cell whose tl and br interlace below tr."""
+        big, small = self._max_min(tl, br)
+        wrap = (small >> self.top) + (big & self.field) - (tr & self.field) - self.bias  # bl_n - m
+        # outside the skew rule, the sign of the wrap row decides which of bl_n, m is zero
+        entry = -wrap if wrap < 0 and not self.skew else 0
+        rest = (small & self.low) - ((tr - big) >> self.w)
+        return rest | (wrap + entry + self.bias) << self.top, entry
 
 
 def _cell_holds(rule: Rule, bl: Part, tl: Part, br: Part, tr: Part, entry: int) -> bool:
     """Whether a cell of canonical labels holds: bl below tl and br, and tr solved above them."""
-    return interlaces(bl, tl) and interlaces(bl, br) and _holds(rule, bl, tl, br, tr, entry)
+    if not (interlaces(bl, tl) and interlaces(bl, br)) or _side_condition(rule, bl, entry):
+        return False
+    lanes = _Lanes.fitting(rule, (bl, tl, br, tr), entry)
+    return lanes.forward(*map(lanes.pack, (bl, tl, br)), entry) == lanes.pack(tr)
 
 
 def check_cell(rule: Rule, bl, tl, br, tr, entry: int) -> bool:
@@ -222,10 +273,10 @@ def grow_forward_cell(rule: Rule, bl, tl, br, entry: int) -> Part:
     entry = _validate_entry(entry)
     if not (interlaces(bl, tl) and interlaces(bl, br)):
         raise DomainError(f"{bl} does not interlace below {tl} and {br}")
-    why = _side_condition(rule, bl, entry)
-    if why is not None:
+    if why := _side_condition(rule, bl, entry):
         raise DomainError(why)
-    return _forward(rule, bl, tl, br, entry)
+    lanes = _Lanes.fitting(rule, (bl, tl, br), entry)
+    return lanes.unpack(lanes.forward(*map(lanes.pack, (bl, tl, br)), entry))
 
 
 def grow_backward_cell(rule: Rule, tl, br, tr) -> tuple[Part, int]:
@@ -233,7 +284,9 @@ def grow_backward_cell(rule: Rule, tl, br, tr) -> tuple[Part, int]:
     tl, br, tr = (_validate_label(rule, p) for p in (tl, br, tr))
     if not (interlaces(tl, tr) and interlaces(br, tr)):
         raise DomainError(f"{tr} does not interlace above {tl} and {br}")
-    return _backward(rule, tl, br, tr)
+    lanes = _Lanes.fitting(rule, (tl, br, tr))
+    bl, entry = lanes.backward(*map(lanes.pack, (tl, br, tr)))
+    return lanes.unpack(bl), entry
 
 
 @dataclass(frozen=True)
@@ -278,10 +331,16 @@ def grow_from_filling(rule: Rule, filling: Filling) -> GrowthDiagram:
     """
     if rule.kind == "skew":
         raise DomainError("skew diagrams are grown from path labels, not fillings")
-    shape = filling.shape
+    lanes, grid = _filled(rule, filling)
+    return GrowthDiagram(rule, filling, lanes.unpacked(grid))
+
+
+def _filled(rule: Rule, filling: Filling) -> tuple["_Lanes", list[list[int]]]:
+    """The packed labels of a filling's diagram under rsk or drsk, and their lanes."""
+    shape, total = filling.shape, filling.total()
     axes = MINUS * (shape[0] if shape else 0) + PLUS * len(shape)
-    grid = _sweep(rule, shape, axes, [()] * (len(axes) + 1), filling.rows)
-    return GrowthDiagram(rule, filling, grid)
+    lanes = _Lanes(rule, min(len(shape), total), 0, total)
+    return lanes, _sweep(lanes, shape, axes, [()] * (len(axes) + 1), filling.rows)
 
 
 def _boundary_shape(rule: Rule, shape, t: OscillatingTableau) -> Part:
@@ -303,8 +362,9 @@ def grow_from_boundary(rule: Rule, shape: Part, t: OscillatingTableau) -> Growth
     """Rebuild the unique growth diagram with the given boundary labels."""
     shape = _boundary_shape(rule, shape, t)
     rows = [[0] * width for width in shape]
-    grid = _sweep(rule, shape, t.w, t.seq, rows)
-    return GrowthDiagram(rule, Filling(shape, rows), grid)
+    lanes = _Lanes.fitting(rule, t.seq)
+    grid = _sweep(lanes, shape, t.w, t.seq, rows)
+    return GrowthDiagram(rule, Filling(shape, rows), lanes.unpacked(grid))
 
 
 def grow_skew(d: int, rect: Part, t: SkewOscillatingTableau) -> GrowthDiagram:
@@ -325,9 +385,9 @@ def grow_skew(d: int, rect: Part, t: SkewOscillatingTableau) -> GrowthDiagram:
             f"word {t.w!r} needs {rows} ups and {cols} lefts for a "
             f"{rows}x{cols} rectangle"
         )
-    rule = Rule.skew(d)
-    grid = _sweep(rule, rect, t.w, t.seq, [[0] * cols for _ in range(rows)])
-    return GrowthDiagram(rule, zero_filling(rect), grid)
+    lanes = _Lanes.fitting(Rule.skew(d), t.seq)
+    grid = _sweep(lanes, rect, t.w, t.seq, [[0] * cols for _ in range(rows)])
+    return GrowthDiagram(lanes.rule, zero_filling(rect), lanes.unpacked(grid))
 
 
 def _pattern_at(rule: Rule, col: int, row: int) -> PatternContainment:
@@ -338,8 +398,8 @@ def _pattern_at(rule: Rule, col: int, row: int) -> PatternContainment:
     )
 
 
-def _sweep(rule: Rule, shape: Part, w: str, seq, entries) -> list[list]:
-    """Label rows, bottom first, with seq along the path w and the rest grown.
+def _sweep(lanes: _Lanes, shape: Part, w: str, seq, entries) -> list[list[int]]:
+    """Packed label rows, bottom first, with seq along the path w and the rest grown.
 
     The path starts at (shape_1, 0) and steps up on + and left on -.  Cells
     left of it are grown backward, top row first, and their entries written
@@ -347,23 +407,24 @@ def _sweep(rule: Rule, shape: Part, w: str, seq, entries) -> list[list]:
     bottom row first, from the entries read there.  Labels on the path must
     be valid for the rule and interlace along it.
     """
-    grid = [[None] * width for width in lattice_rows(shape)]
+    grid = [[0] * width for width in lattice_rows(shape)]
     pts = path_points(shape[0] if shape else 0, w)
     for (x, y), lab in zip(pts, seq):
-        grid[y][x] = lab
+        grid[y][x] = lanes.pack(lab)
     # x of the up step into each row, bottom row first
     up_x = [x for (x, _), ch in zip(pts, w) if ch == PLUS]
+    backward, forward, full = lanes.backward, lanes.forward, lanes.full
     for row in range(len(shape), 0, -1):
         here, below, ents = grid[row], grid[row - 1], entries[row - 1]
         for col in range(up_x[row - 1], 0, -1):
-            below[col - 1], ents[col - 1] = _backward(rule, here[col - 1], below[col], here[col])
+            below[col - 1], ents[col - 1] = backward(here[col - 1], below[col], here[col])
     for row in range(1, len(shape) + 1):
         here, below, ents = grid[row], grid[row - 1], entries[row - 1]
         for col in range(up_x[row - 1] + 1, shape[row - 1] + 1):
             bl, entry = below[col - 1], ents[col - 1]
-            if entry and _side_condition(rule, bl, entry):
-                raise _pattern_at(rule, col, row)
-            here[col] = _forward(rule, bl, here[col - 1], below[col], entry)
+            if entry and bl >> full:
+                raise _pattern_at(lanes.rule, col, row)
+            here[col] = forward(bl, here[col - 1], below[col], entry)
     return grid
 
 
@@ -375,9 +436,7 @@ def extract_boundary(g: GrowthDiagram, path=None):
             raise DomainError("skew extraction needs a direction word")
         rows, cols = len(g.shape), g.shape[0]
         if path.count(PLUS) != rows or path.count(MINUS) != cols:
-            raise DomainError(
-                f"word {path!r} does not fit a {rows}x{cols} rectangle"
-            )
+            raise DomainError(f"word {path!r} does not fit a {rows}x{cols} rectangle")
         w, x = path, cols
     else:
         if isinstance(path, str):
@@ -452,16 +511,19 @@ def boundary_of(rule: Rule, filling: Filling) -> OscillatingTableau:
     """Boundary tableau of the filling's growth diagram under rsk or drsk.
 
     A filling whose rows and columns each sum to at most 1 is swept as step
-    words, building no diagram; any other goes through grow_from_filling.
+    words; any other by the packed sweep, unpacking only the boundary.
     Under drsk the filling must avoid the order-d descending pattern; the
     offending cell is reported otherwise.
     """
     if rule.kind == "skew":
         raise DomainError("skew diagrams are grown from path labels, not fillings")
     cols = filling.unit_columns()
-    if cols is None:
-        return extract_boundary(grow_from_filling(rule, filling))
-    return _unit_boundary(rule, filling.shape, cols)
+    if cols is not None:
+        return _unit_boundary(rule, filling.shape, cols)
+    lanes, grid = _filled(rule, filling)
+    w = boundary_type_sequence(filling.shape)
+    pts = path_points(filling.shape[0], w)
+    return OscillatingTableau(w, tuple(lanes.unpack(grid[y][x]) for x, y in pts))
 
 
 def _unit_boundary(rule: Rule, shape: Part, cols) -> OscillatingTableau:
@@ -497,14 +559,14 @@ def filling_of(rule: Rule, shape: Part, t: OscillatingTableau) -> Filling:
     """Filling whose growth diagram under rsk or drsk has boundary t on the shape.
 
     A boundary whose every step changes the size by at most 1 is swept as
-    step words, building no diagram; any other goes through
-    grow_from_boundary.
+    step words; any other by the packed sweep, which writes only the entries.
     """
-    rows = t.unit_rows()
-    if rows is None:
-        return grow_from_boundary(rule, shape, t).filling
-    shape = _boundary_shape(rule, shape, t)
-    return Filling._from_unit_columns(shape, _unit_filling(rule.d, t.w, rows))
+    unit, shape = t.unit_rows(), _boundary_shape(rule, shape, t)
+    if unit is not None:
+        return Filling._from_unit_columns(shape, _unit_filling(rule.d, t.w, unit))
+    rows = [[0] * width for width in shape]
+    _sweep(_Lanes.fitting(rule, t.seq), shape, t.w, t.seq, rows)
+    return Filling(shape, rows)
 
 
 def _unit_filling(d: int, w: str, rows) -> list[int]:
@@ -616,14 +678,19 @@ def _check_labels(g: GrowthDiagram, grid) -> None:
                     f"labels at {at.format(i - 1)} and {at.format(i)} do not interlace"
                 )
     # Every other edge is the top or right edge of a cell, and a cell holds
-    # only when tr is _forward's label, which interlaces above tl and br.
-    # Bottom row first, left to right, each cell's bottom and left edges are
-    # then on an axis or were checked by an earlier cell, as _forward needs.
+    # only when tr is the kernel's forward label, which interlaces above tl
+    # and br.  Bottom row first, left to right, each cell's bottom and left
+    # edges are then on an axis or were checked by an earlier cell, as it needs.
+    most = max(map(max, g.filling.rows), default=0)
+    lanes = _Lanes.fitting(rule, [lab for row in grid for lab in row], most)
+    grow, full = lanes.forward, lanes.full
+    here = list(map(lanes.pack, grid[0]))
     for row, entries in enumerate(g.filling.rows, 1):
-        here, below = grid[row], grid[row - 1]
+        below, here = here, list(map(lanes.pack, grid[row]))
         for col, entry in enumerate(entries, 1):
-            bl, tl, br, tr = below[col - 1], here[col - 1], below[col], here[col]
-            if not _holds(rule, bl, tl, br, tr, entry):
+            bl, tr = below[col - 1], here[col]
+            if entry and (skew or bl >> full) or grow(bl, here[col - 1], below[col], entry) != tr:
+                (bl, br), (tl, tr) = grid[row - 1][col - 1 : col + 1], grid[row][col - 1 : col + 1]
                 raise DomainError(
                     f"cell ({col},{row}) violates rule {rule}: "
                     f"bl={bl} tl={tl} br={br} tr={tr} entry={entry}"

@@ -196,6 +196,9 @@ class _Tableau:
     def max_length(self) -> int:
         return max((len(p) for p in self.seq), default=0)
 
+    def mcw(self, d: int) -> int:
+        return mcw_sequence(self.seq, d)
+
     def _cylindric_step(self, dl):
         """(d, L) and the first step that is not (d, L)-cylindric, or None.
 
@@ -269,6 +272,9 @@ class _Skew(_Tableau):
     def outer(self) -> Part:
         return self.seq[-1]
 
+    def mcw(self) -> int:
+        return mcw_sequence(self.seq, self.d)
+
 
 @dataclass(frozen=True)
 class OscillatingTableau(_Tableau):
@@ -278,18 +284,12 @@ class OscillatingTableau(_Tableau):
     seq: tuple[Part, ...]
     _empty = (0, -1)
 
-    def mcw(self, d: int) -> int:
-        return mcw_sequence(self.seq, d)
-
 
 @dataclass(frozen=True)
 class SemistandardTableau(_Chain):
     """Ascending interlacing chain from the empty partition."""
 
     seq: tuple[Part, ...]
-
-    def mcw(self, d: int) -> int:
-        return mcw_sequence(self.seq, d)
 
 
 @dataclass(frozen=True)
@@ -307,9 +307,6 @@ class SkewOscillatingTableau(_Skew):
     d: int
     w: str
     seq: tuple[Part, ...]
-
-    def mcw(self) -> int:
-        return mcw_sequence(self.seq, self.d)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 
 from cylrsk import growth
-from cylrsk.errors import DomainError
-from cylrsk.fillings import Filling
+from cylrsk.errors import DomainError, PatternContainment
+from cylrsk.fillings import Filling, lattice_rows, path_points
 from cylrsk.partitions import interlaces, part
 
 
@@ -264,6 +264,81 @@ def oracle_cyl_conjugate(s, d, L):
     return tuple(out)
 
 
+# ---------------------------------------------------------------------------
+# the tuple kernel: the local rule solved row by row on label tuples, the
+# reference that growth's packed kernel must match, label for label and entry
+# for entry, on every cell
+
+
+def ref_solve(rule, tl, br, known):
+    """hi_1, lo_1 and the unknowns of rows 2..n, given each row's known part in order."""
+    n = len(tl) if len(tl) > len(br) else len(br)
+    if rule.kind == "rsk" or n < rule.d:  # skew labels always have d parts
+        n += 1
+    pad = (0,) * n
+    a, b = tl + pad, br + pad
+    out = [
+        (x if x < y else y) + (u if u > v else v) - k
+        for x, y, u, v, k in zip(a, b, a[1:n], b[1:], known + pad)
+    ]
+    x, y, u, v = a[0], b[0], a[n - 1], b[n - 1]
+    return (u if u < v else v), (x if x > y else y), out
+
+
+def ref_forward(rule, bl, tl, br, entry):
+    """Top-right label of a cell whose bl interlaces below tl and br."""
+    hi, lo, tr = ref_solve(rule, tl, br, bl)
+    n = len(tr) + 1
+    tr.insert(0, entry + hi + lo - (bl[n - 1] if len(bl) >= n else 0))
+    while rule.kind != "skew" and tr and not tr[-1]:
+        tr.pop()
+    return tuple(tr)
+
+
+def ref_backward(rule, tl, br, tr):
+    """Bottom-left label and entry of a cell whose tl and br interlace below tr."""
+    hi, lo, bl = ref_solve(rule, tl, br, tr[1:])
+    wrap = hi + lo - (tr[0] if tr else 0)  # bl_n - m
+    entry = -wrap if wrap < 0 and rule.kind != "skew" else 0
+    bl.append(wrap + entry)
+    while rule.kind != "skew" and bl and not bl[-1]:
+        bl.pop()
+    return tuple(bl), entry
+
+
+def ref_holds(rule, bl, tl, br, tr, entry):
+    """Side condition and row equations of a cell with verified edges."""
+    if growth._side_condition(rule, bl, entry) is not None:
+        return False
+    return ref_forward(rule, bl, tl, br, entry) == tr
+
+
+def ref_sweep(rule, shape, w, seq, entries):
+    """Label rows, bottom first, with seq along the path w and the rest grown by the tuple kernel.
+
+    Entries of the cells left of the path are written into entries; a cell
+    right of it that breaks drsk's side condition raises PatternContainment
+    with its (col, row).
+    """
+    grid = [[None] * width for width in lattice_rows(shape)]
+    pts = path_points(shape[0] if shape else 0, w)
+    for (x, y), lab in zip(pts, seq):
+        grid[y][x] = lab
+    up_x = [x for (x, _), ch in zip(pts, w) if ch == "+"]
+    for row in range(len(shape), 0, -1):
+        here, below, ents = grid[row], grid[row - 1], entries[row - 1]
+        for col in range(up_x[row - 1], 0, -1):
+            below[col - 1], ents[col - 1] = ref_backward(rule, here[col - 1], below[col], here[col])
+    for row in range(1, len(shape) + 1):
+        here, below, ents = grid[row], grid[row - 1], entries[row - 1]
+        for col in range(up_x[row - 1] + 1, shape[row - 1] + 1):
+            bl, entry = below[col - 1], ents[col - 1]
+            if growth._side_condition(rule, bl, entry):
+                raise PatternContainment("side condition", cell=(col, row))
+            here[col] = ref_forward(rule, bl, here[col - 1], below[col], entry)
+    return tuple(map(tuple, grid))
+
+
 def oracle_diagram_failure(g):
     """The first check of the every-edge diagram validator that g fails, or None.
 
@@ -292,6 +367,6 @@ def oracle_diagram_failure(g):
     for row, entries in enumerate(g.filling.rows, 1):
         here, below = grid[row], grid[row - 1]
         for col, entry in enumerate(entries, 1):
-            if not growth._holds(rule, below[col - 1], here[col - 1], below[col], here[col], entry):
+            if not ref_holds(rule, below[col - 1], here[col - 1], below[col], here[col], entry):
                 return "cell", (col, row)
     return None

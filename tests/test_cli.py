@@ -16,8 +16,10 @@ from cylrsk import cli, counting
 from cylrsk.cli import PARSERS, build_parser, main
 from cylrsk.correspond import rsk
 from cylrsk.fillings import Filling, format_filling, parse_filling, permutation_to_filling
-from cylrsk.growth import Rule, extract_boundary, format_diagram, grow_from_filling
+from cylrsk.growth import Rule, extract_boundary, format_diagram, grow_from_filling, parse_diagram
+from cylrsk.partitions import format_partition, parse_partition
 from cylrsk.tableaux import format_oscillating
+from conftest import ref_sweep
 from worked_examples import CHAIN_ROWS, CHAIN_SHAPE, GRID7_ROWS
 
 GRID7 = Filling((7,) * 7, GRID7_ROWS)
@@ -70,6 +72,33 @@ def test_drsk_round_trip_at_a_huge_degree(capsys, tmp_path, grid7_file):
     assert code == 0 and parse_filling(back) == GRID7
     code, out, _ = run(capsys, "check", str(d_file))
     assert (code, out) == (0, "ok: diagram\n")
+
+
+def test_entries_past_64_bits_grow_ungrow_and_check(capsys, tmp_path):
+    """Labels whose parts need fields wider than 64 bits go through the same kernel."""
+    f = Filling((3, 3, 3), ((2**64 + 5, 0, 1), (0, 3, 2**70), (1, 2**64, 0)))
+    src, dump_file, tab_file = (tmp_path / name for name in ("big.fill", "big.dump", "big.tab"))
+    src.write_text(format_filling(f) + "\n")
+    for rule in (Rule.rsk(), Rule.drsk(3)):
+        flags = ["--rule", rule.kind] + (["--d", "3"] if rule.d else [])
+        code, out, _ = run(capsys, "grow", *flags, str(src))
+        assert code == 0
+        dump, boundary = out.rstrip("\n").split("\n\n")
+        want = ref_sweep(rule, f.shape, "---+++", [()] * 7, f.rows)
+        assert parse_diagram(dump).labels == want and max(map(len, want[3])) == 3
+        tab_file.write_text(boundary + "\n")
+        code, out, _ = run(capsys, "ungrow", *flags, str(tab_file))
+        assert (code, parse_filling(out)) == (0, f)
+        dump_file.write_text(dump + "\n")
+        assert run(capsys, "check", str(dump_file))[:2] == (0, "ok: diagram\n")
+        # the top-right label one larger in its first part breaks the last cell
+        lines = dump.split("\n")  # header, filling, then the top label row
+        *left, tr = lines[5].split(" ")
+        tr = parse_partition(tr)
+        lines[5] = " ".join([*left, format_partition((tr[0] + 1, *tr[1:]))])
+        dump_file.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "check", str(dump_file))
+        assert code == 2 and err.startswith("error: cell (3,3) violates rule")
 
 
 def test_ungrow_shape_cross_check(capsys, tmp_path, grid7_file):

@@ -15,6 +15,7 @@ from cylrsk.fillings import (
     longest_se_chain,
     permutation_to_filling,
     reflect,
+    shape_of_word,
     zero_filling,
 )
 from cylrsk.growth import (
@@ -43,6 +44,8 @@ from conftest import (
     random_skew_seq,
     random_staircase,
     random_word,
+    ref_sweep,
+    step_down,
     step_up,
     subshapes,
 )
@@ -266,6 +269,19 @@ def _ref_holds(rule, bl, tl, br, tr, entry):
     return hi[0] + lo[-1] == entry + s[0] and [u + v for u, v in zip(hi[1:], lo)] == s[1:]
 
 
+def _packed_forward(rule, bl, tl, br, entry):
+    """The packed kernel's tr, in lanes fitted to the cell, checking no precondition."""
+    lanes = growth._Lanes.fitting(rule, (bl, tl, br), entry)
+    return lanes.unpack(lanes.forward(*map(lanes.pack, (bl, tl, br)), entry))
+
+
+def _packed_backward(rule, tl, br, tr):
+    """The packed kernel's bl and entry, in lanes fitted to the cell, checking no precondition."""
+    lanes = growth._Lanes.fitting(rule, (tl, br, tr))
+    bl, entry = lanes.backward(*map(lanes.pack, (tl, br, tr)))
+    return lanes.unpack(bl), entry
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -306,17 +322,121 @@ def test_drsk_cells_solve_only_the_rows_their_labels_use():
     seen = Counter()
     for kind, group in cells.items():
         for rule, bl, tl, br, tr, entry in group:
-            grown = _outcome(growth._forward, rule, bl, tl, br, entry)
+            grown = _outcome(_packed_forward, rule, bl, tl, br, entry)
             assert grown == _outcome(_ref_forward, rule, bl, tl, br, entry)
             # the cell's own top-right label, and a random one above tl and br
             for top in {grown, tr} - {InvariantViolation}:
-                back = _outcome(growth._backward, rule, tl, br, top)
+                back = _outcome(_packed_backward, rule, tl, br, top)
                 assert back == _outcome(_ref_backward, rule, tl, br, top)
-                holds = growth._holds(rule, bl, tl, br, top, entry)
+                holds = growth._cell_holds(rule, bl, tl, br, top, entry)
                 assert holds == _ref_holds(rule, bl, tl, br, top, entry)
                 seen[kind, holds] += 1
     # under each rule, both the cell's own tr and many random ones
     assert all(seen[kind, holds] > 400 for kind in cells for holds in (True, False))
+
+
+def _ref_grow(rule, f):
+    """Labels of f's diagram from the tuple kernel, or the cell its side condition fails at."""
+    shape = f.shape
+    axes = "-" * (shape[0] if shape else 0) + "+" * len(shape)
+    try:
+        return ref_sweep(rule, shape, axes, [()] * (len(axes) + 1), f.rows)
+    except PatternContainment as exc:
+        return exc.cell
+
+
+def _ref_ungrow(rule, t):
+    """Labels and filling of the diagram with boundary t, from the tuple kernel."""
+    shape = shape_of_word(t.w)
+    rows = [[0] * width for width in shape]
+    return ref_sweep(rule, shape, t.w, t.seq, rows), Filling(shape, rows)
+
+
+def _long_walk(rng, w, d):
+    """An empty-to-empty oscillating walk on w whose + steps add a part while d allows."""
+    lam, seq, downs = (), [()], w.count("-")
+    for ch in w:
+        if ch == "+":
+            up = [part(lam, 1) + rng.randint(0 if lam else 1, 2)]
+            up += [rng.randint(part(lam, i + 1), lam[i - 1]) for i in range(1, len(lam))]
+            if lam and len(lam) < min(d, downs):
+                up.append(rng.randint(1, lam[-1]))
+            lam = tuple(up)
+        else:
+            downs -= 1
+            lam = step_down(rng, lam, min(d, downs))
+        seq.append(lam)
+    return tuple(seq)
+
+
+def _fill_cli_skew_walk(rng, d, rows, cols):
+    """A staircase walk as the fill_cli benchmark draws it: parts near 0, the last negative."""
+    w = ["+"] * rows + ["-"] * cols
+    rng.shuffle(w)
+    s = sorted((rng.randint(-6, 6) for _ in range(d)), reverse=True)
+    s[-1] = min(s[-1], -1)
+    seq = [tuple(s)]
+    for ch in w:
+        a = seq[-1]
+        if ch == "+":
+            b = [a[0] + rng.randint(0, 2)] + [rng.randint(a[i], a[i - 1]) for i in range(1, d)]
+        else:
+            b = [rng.randint(a[i + 1], a[i]) for i in range(d - 1)] + [a[d - 1] - rng.randint(0, 2)]
+        seq.append(tuple(b))
+    return SkewOscillatingTableau(d, "".join(w), tuple(seq))
+
+
+def test_packed_kernel_matches_the_tuple_kernel():
+    """Every packed sweep gives the tuple kernel's labels, entries and refusals.
+
+    rsk and drsk at d = 1..5 grow diagrams back from random boundaries whose
+    labels reach d parts, so the cyclic wrap row is live both ways, and then
+    forward from the fillings found; random fillings go forward too, refusals
+    included.  Skew grows the fill_cli benchmark's staircase walks and small
+    walks whose parts fill at least half of the narrowest fields the derived
+    bound allows; no part may reach a guard bit.
+    """
+    rng = random.Random(131)
+    full = Counter()
+    for _ in range(60):
+        shape = (rng.randint(3, 8),) * rng.randint(3, 8)
+        w = boundary_type_sequence(shape)
+        for rule in (Rule.rsk(), *map(Rule.drsk, range(1, 6))):
+            t = OscillatingTableau(w, _long_walk(rng, w, rule.d or 7))
+            labels, f = _ref_ungrow(rule, t)
+            back = grow_from_boundary(rule, shape, t)
+            assert (back.labels, back.filling) == (labels, f)
+            assert growth.filling_of(rule, shape, t) == f and growth.boundary_of(rule, f) == t
+            assert grow_from_filling(rule, f).labels == labels == _ref_grow(rule, f)
+            full[rule.d] += sum(len(lab) == rule.d for row in labels for lab in row)
+            g = random_filling(rng, shape, density=0.7, max_entry=3)
+            want = _ref_grow(rule, g)
+            try:
+                assert grow_from_filling(rule, g).labels == want
+            except PatternContainment as exc:
+                assert exc.cell == want
+                full["refused"] += 1
+    assert min(full[d] for d in range(1, 6)) > 50 and full["refused"] > 30, full
+    edge = 0
+    for d, rows, cols in ((3, 30, 30), (4, 28, 32)):
+        t = _fill_cli_skew_walk(rng, d, rows, cols)
+        assert grow_skew(d, (cols,) * rows, t).labels == _ref_skew(t, rows, cols)
+    for _ in range(600):
+        d, rows, cols = rng.randint(1, 4), rng.randint(1, 5), rng.randint(1, 5)
+        w = random_word(rng, rows, cols)
+        t = SkewOscillatingTableau(d, w, random_skew_seq(rng, d, w, -12, 12, bump=6))
+        labels = grow_skew(d, (cols,) * rows, t).labels
+        assert labels == _ref_skew(t, rows, cols)
+        lanes = growth._Lanes.fitting(Rule.skew(d), t.seq)
+        parts = [v + lanes.bias for row in labels for lab in row for v in lab]
+        room = 1 << (8 * lanes.k - 1)  # the guard bit of each field
+        assert 0 <= min(parts) and max(parts) < room
+        edge += lanes.k == 1 and 2 * max(parts) >= room
+    assert edge > 10
+
+
+def _ref_skew(t, rows, cols):
+    return ref_sweep(Rule.skew(t.d), (cols,) * rows, t.w, t.seq, [[0] * cols for _ in range(rows)])
 
 
 def _nudged(rng, rule, lab):
@@ -354,9 +474,9 @@ def test_cell_kernels_refuse_labels_that_break_their_precondition():
             bl, tl, br = labs[:3]
             if growth._side_condition(rule, bl, entry) is None:
                 tr = grow_forward_cell(rule, bl, tl, br, entry)
-                assert growth._holds(rule, bl, tl, br, tr, entry)
+                assert growth._cell_holds(rule, bl, tl, br, tr, entry)
                 moved = _nudged(rng, rule, tr)
-                assert moved is None or not growth._holds(rule, bl, tl, br, moved, entry)
+                assert moved is None or not growth._cell_holds(rule, bl, tl, br, moved, entry)
                 seen["moved tr", moved is None] += 1
             i = rng.randrange(4)
             labs[i] = _nudged(rng, rule, labs[i])
@@ -383,14 +503,14 @@ def test_check_cell_agrees_with_the_four_edge_form():
             bl, tl, br = labs[:3]
             cells = [labs]
             if growth._side_condition(rule, bl, entry) is None:
-                cells.append([bl, tl, br, growth._forward(rule, bl, tl, br, entry)])
+                cells.append([bl, tl, br, _packed_forward(rule, bl, tl, br, entry)])
             for cell in cells[:]:
                 i = rng.randrange(4)
                 cells.append(cell[:i] + [_nudged(rng, rule, cell[i])] + cell[i + 1 :])
             for bl, tl, br, tr in (cell for cell in cells if None not in cell):
                 edges = ((bl, tl), (bl, br), (tl, tr), (br, tr))
                 four = all(interlaces(a, b) for a, b in edges)
-                four = four and growth._holds(rule, bl, tl, br, tr, entry)
+                four = four and growth._cell_holds(rule, bl, tl, br, tr, entry)
                 assert check_cell(rule, bl, tl, br, tr, entry) == four
                 seen[kind, four] += 1
     assert min(seen.values()) > 200 and len(seen) == 6

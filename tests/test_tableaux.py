@@ -92,6 +92,23 @@ def test_mcw_values():
         BOUNDARY.mcw(2)  # three-row labels exceed degree 2
 
 
+def test_every_tableau_class_has_the_one_mcw():
+    """mcw is written once for the partition tableaux and once for the skew ones.
+
+    The row-strict classes have it too; a cointerlacing step whose labels
+    interlace in neither direction has no cylindric width, and is refused.
+    """
+    assert OscillatingTableau.mcw is SemistandardTableau.mcw is RowStrictTableau.mcw
+    assert SkewOscillatingTableau.mcw is SkewRowStrictTableau.mcw
+    chain = RowStrictTableau(((), (1,), (1, 1), (2, 1)))
+    assert chain.mcw(2) == 1 and chain.mcw(3) == 2
+    with pytest.raises(DomainError, match="do not interlace in either direction"):
+        RowStrictTableau(((), (1,), (1, 1), (2, 2))).mcw(2)
+    seq = ((0, -1), (1, -1), (0, -1))
+    skew = SkewRowStrictTableau(2, "+-", seq)
+    assert skew.mcw() == SkewOscillatingTableau(2, "+-", seq).mcw() == 2
+
+
 def test_mcw_is_least_accepted_width():
     rng = random.Random(9)
     for _ in range(80):
