@@ -27,7 +27,9 @@ permutation maps do on column words.  All else goes through the packed
 partition kernel below, where those two maps still build no diagram.
 """
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import groupby
 from operator import itemgetter, sub
 from struct import Struct
 from types import SimpleNamespace
@@ -157,10 +159,10 @@ def _side_condition(rule: Rule, bl: Part, entry: int) -> str | None:
 # most a solved part, so no field borrows or carries while those parts fit
 # below the guards.  Four places establish the precondition:
 #
-# * the three sweeps, from their validated path tableau or empty axes: each
-#   cell's known edges lie on the path or were solved by an earlier cell;
-# * validate_diagram and parse_diagram, by the axis check and the bottom-row-
-#   first cell order of _check_labels;
+# * the two line steps, from their validated path tableau or empty axes:
+#   each cell's known edges lie on the path or were solved by an earlier cell;
+# * validate_diagram and parse_diagram, by the axis check and by regrowing from
+#   the axes: grown labels are the given ones up to the first failing cell;
 # * check_cell and classify_rs_cell, by the interlaces calls of _cell_holds;
 # * grow_forward_cell and grow_backward_cell, by their own interlaces checks.
 #
@@ -203,8 +205,8 @@ class _Lanes:
         self.fields = _Fields(k)
         self.low, self.field = (1 << self.top) - 1, (1 << self.w) - 1
         self.guards = ((1 << self.w * n) - 1) // self.field << (self.w - 1)
-        # entry and bl >> full breaks drsk's side condition, and never the plain rule's
-        self.full = self.w * (rule.d - 1 if rule.kind == "drsk" else n)
+        # entry and bl >= bar breaks drsk's and skew's side condition, never the plain rule's
+        self.bar = 0 if self.skew else 1 << self.w * (rule.d - 1 if rule.kind == "drsk" else n)
 
     @classmethod
     def fitting(cls, rule: Rule, labels, entry: int = 0) -> "_Lanes":
@@ -226,11 +228,9 @@ class _Lanes:
         lab = self.fields[n].unpack(x.to_bytes(n * self.k, "little"))
         return tuple(v - self.bias for v in lab) if self.bias else lab
 
-    def unpacked(self, grid: list[list[int]]) -> list[tuple[Part, ...]]:
-        """The grid's rows as label tuples, unpacked in place to free each packed row in turn."""
-        for y, row in enumerate(grid):
-            grid[y] = tuple(map(self.unpack, row))
-        return grid
+    def unpacked(self, lines) -> list[tuple[Part, ...]]:
+        """The packed lines as label tuples, each unpacked as it comes."""
+        return [tuple(map(self.unpack, line)) for line in lines]
 
     def _max_min(self, a: int, b: int) -> tuple[int, int]:
         g = ((a | self.guards) - b) & self.guards  # the guard of each field where a >= b
@@ -331,16 +331,16 @@ def grow_from_filling(rule: Rule, filling: Filling) -> GrowthDiagram:
     """
     if rule.kind == "skew":
         raise DomainError("skew diagrams are grown from path labels, not fillings")
-    lanes, grid = _filled(rule, filling)
-    return GrowthDiagram(rule, filling, lanes.unpacked(grid))
+    lanes, lines = _filled(rule, filling)
+    return GrowthDiagram(rule, filling, lanes.unpacked(lines))
 
 
-def _filled(rule: Rule, filling: Filling) -> tuple["_Lanes", list[list[int]]]:
-    """The packed labels of a filling's diagram under rsk or drsk, and their lanes."""
+def _filled(rule: Rule, filling: Filling):
+    """The lanes of a filling's diagram under rsk or drsk, and its packed lines, bottom first."""
     shape, total = filling.shape, filling.total()
-    axes = MINUS * (shape[0] if shape else 0) + PLUS * len(shape)
     lanes = _Lanes(rule, min(len(shape), total), 0, total)
-    return lanes, _sweep(lanes, shape, axes, [()] * (len(axes) + 1), filling.rows)
+    axes = ([0] * (width if y == 0 else 1) for y, width in enumerate(lattice_rows(shape)))
+    return lanes, _forward(lanes, axes, filling.rows)
 
 
 def _boundary_shape(rule: Rule, shape, t: OscillatingTableau) -> Part:
@@ -363,8 +363,8 @@ def grow_from_boundary(rule: Rule, shape: Part, t: OscillatingTableau) -> Growth
     shape = _boundary_shape(rule, shape, t)
     rows = [[0] * width for width in shape]
     lanes = _Lanes.fitting(rule, t.seq)
-    grid = _sweep(lanes, shape, t.w, t.seq, rows)
-    return GrowthDiagram(rule, Filling(shape, rows), lanes.unpacked(grid))
+    labels = lanes.unpacked(_backward(lanes, shape, t.w, t.seq, rows))
+    return GrowthDiagram(rule, Filling(shape, rows), labels[::-1])
 
 
 def grow_skew(d: int, rect: Part, t: SkewOscillatingTableau) -> GrowthDiagram:
@@ -385,9 +385,9 @@ def grow_skew(d: int, rect: Part, t: SkewOscillatingTableau) -> GrowthDiagram:
             f"word {t.w!r} needs {rows} ups and {cols} lefts for a "
             f"{rows}x{cols} rectangle"
         )
-    lanes = _Lanes.fitting(Rule.skew(d), t.seq)
-    grid = _sweep(lanes, rect, t.w, t.seq, [[0] * cols for _ in range(rows)])
-    return GrowthDiagram(lanes.rule, zero_filling(rect), lanes.unpacked(grid))
+    lanes, zeros = _Lanes.fitting(Rule.skew(d), t.seq), [[0] * cols for _ in range(rows)]
+    lines = _forward(lanes, reversed(list(_backward(lanes, rect, t.w, t.seq, zeros))), zeros)
+    return GrowthDiagram(lanes.rule, zero_filling(rect), lanes.unpacked(lines))
 
 
 def _pattern_at(rule: Rule, col: int, row: int) -> PatternContainment:
@@ -398,34 +398,40 @@ def _pattern_at(rule: Rule, col: int, row: int) -> PatternContainment:
     )
 
 
-def _sweep(lanes: _Lanes, shape: Part, w: str, seq, entries) -> list[list[int]]:
-    """Packed label rows, bottom first, with seq along the path w and the rest grown.
+def _backward(lanes: _Lanes, shape: Part, w: str, seq, entries):
+    """Packed label lines, top first, each up to its right end on the path w, labelled by seq.
 
-    The path starts at (shape_1, 0) and steps up on + and left on -.  Cells
-    left of it are grown backward, top row first, and their entries written
-    into entries (rows bottom first); cells right of it are grown forward,
-    bottom row first, from the entries read there.  Labels on the path must
-    be valid for the rule and interlace along it.
+    The path starts at (shape_1, 0) and steps up on + and left on -; its labels
+    must be valid for the rule and interlace along it.  The cells left of it
+    are grown from the line above, their entries written into entries.
     """
-    grid = [[0] * width for width in lattice_rows(shape)]
-    pts = path_points(shape[0] if shape else 0, w)
-    for (x, y), lab in zip(pts, seq):
-        grid[y][x] = lanes.pack(lab)
-    # x of the up step into each row, bottom row first
-    up_x = [x for (x, _), ch in zip(pts, w) if ch == PLUS]
-    backward, forward, full = lanes.backward, lanes.forward, lanes.full
-    for row in range(len(shape), 0, -1):
-        here, below, ents = grid[row], grid[row - 1], entries[row - 1]
-        for col in range(up_x[row - 1], 0, -1):
+    backward, pts = lanes.backward, path_points(shape[0] if shape else 0, w)
+    lines = groupby(zip(reversed(pts), map(lanes.pack, reversed(seq))), key=lambda pt: pt[0][1])
+    yield (here := [lab for _, lab in next(lines)[1]])
+    for y, run in lines:
+        # the path goes up from this line at x = u, where the line above ends
+        u, ents = len(here) - 1, entries[y]
+        below = [0] * u + [lab for _, lab in run]
+        for col in range(u, 0, -1):
             below[col - 1], ents[col - 1] = backward(here[col - 1], below[col], here[col])
-    for row in range(1, len(shape) + 1):
-        here, below, ents = grid[row], grid[row - 1], entries[row - 1]
-        for col in range(up_x[row - 1] + 1, shape[row - 1] + 1):
+        yield (here := below)
+
+
+def _forward(lanes: _Lanes, lines, entries):
+    """The lines, bottom first, each extended in place through its cells grown from the line below.
+
+    The first line comes finished, each later one up to the path.  A cell that
+    breaks the side condition raises PatternContainment with its (col, row).
+    """
+    forward, bar, lines = lanes.forward, lanes.bar, iter(lines)
+    yield (below := next(lines))
+    for row, (here, ents) in enumerate(zip(lines, entries), 1):
+        for col in range(len(here), len(ents) + 1):
             bl, entry = below[col - 1], ents[col - 1]
-            if entry and bl >> full:
+            if entry and bl >= bar:
                 raise _pattern_at(lanes.rule, col, row)
-            here[col] = forward(bl, here[col - 1], below[col], entry)
-    return grid
+            here.append(forward(bl, here[col - 1], below[col], entry))
+        yield (below := here)
 
 
 def extract_boundary(g: GrowthDiagram, path=None):
@@ -511,7 +517,7 @@ def boundary_of(rule: Rule, filling: Filling) -> OscillatingTableau:
     """Boundary tableau of the filling's growth diagram under rsk or drsk.
 
     A filling whose rows and columns each sum to at most 1 is swept as step
-    words; any other by the packed sweep, unpacking only the boundary.
+    words; any other by the forward line step, unpacking only the boundary.
     Under drsk the filling must avoid the order-d descending pattern; the
     offending cell is reported otherwise.
     """
@@ -520,10 +526,10 @@ def boundary_of(rule: Rule, filling: Filling) -> OscillatingTableau:
     cols = filling.unit_columns()
     if cols is not None:
         return _unit_boundary(rule, filling.shape, cols)
-    lanes, grid = _filled(rule, filling)
-    w = boundary_type_sequence(filling.shape)
-    pts = path_points(filling.shape[0], w)
-    return OscillatingTableau(w, tuple(lanes.unpack(grid[y][x]) for x, y in pts))
+    lanes, lines = _filled(rule, filling)
+    # the boundary: each line's points past the row above it, right to left
+    ends = [lab for line, left in zip(lines, (*filling.shape, 0)) for lab in line[left:][::-1]]
+    return OscillatingTableau(boundary_type_sequence(filling.shape), tuple(map(lanes.unpack, ends)))
 
 
 def _unit_boundary(rule: Rule, shape: Part, cols) -> OscillatingTableau:
@@ -559,13 +565,13 @@ def filling_of(rule: Rule, shape: Part, t: OscillatingTableau) -> Filling:
     """Filling whose growth diagram under rsk or drsk has boundary t on the shape.
 
     A boundary whose every step changes the size by at most 1 is swept as
-    step words; any other by the packed sweep, which writes only the entries.
+    step words; any other by the backward line step, which writes the entries.
     """
     unit, shape = t.unit_rows(), _boundary_shape(rule, shape, t)
     if unit is not None:
         return Filling._from_unit_columns(shape, _unit_filling(rule.d, t.w, unit))
     rows = [[0] * width for width in shape]
-    _sweep(_Lanes.fitting(rule, t.seq), shape, t.w, t.seq, rows)
+    deque(_backward(_Lanes.fitting(rule, t.seq), shape, t.w, t.seq, rows), maxlen=0)
     return Filling(shape, rows)
 
 
@@ -677,24 +683,26 @@ def _check_labels(g: GrowthDiagram, grid) -> None:
                 raise DomainError(
                     f"labels at {at.format(i - 1)} and {at.format(i)} do not interlace"
                 )
-    # Every other edge is the top or right edge of a cell, and a cell holds
-    # only when tr is the kernel's forward label, which interlaces above tl
-    # and br.  Bottom row first, left to right, each cell's bottom and left
-    # edges are then on an axis or were checked by an earlier cell, as it needs.
+    # Every other edge is the top or right edge of a cell, and a cell holds only
+    # when tr is the kernel's forward label: regrown from the axes, bottom row
+    # first, the first line that differs names the first failing cell.
     most = max(map(max, g.filling.rows), default=0)
     lanes = _Lanes.fitting(rule, [lab for row in grid for lab in row], most)
-    grow, full = lanes.forward, lanes.full
-    here = list(map(lanes.pack, grid[0]))
-    for row, entries in enumerate(g.filling.rows, 1):
-        below, here = here, list(map(lanes.pack, grid[row]))
-        for col, entry in enumerate(entries, 1):
-            bl, tr = below[col - 1], here[col]
-            if entry and (skew or bl >> full) or grow(bl, here[col - 1], below[col], entry) != tr:
-                (bl, br), (tl, tr) = grid[row - 1][col - 1 : col + 1], grid[row][col - 1 : col + 1]
-                raise DomainError(
-                    f"cell ({col},{row}) violates rule {rule}: "
-                    f"bl={bl} tl={tl} br={br} tr={tr} entry={entry}"
-                )
+    pack, col = lanes.pack, None
+    lines = [list(map(pack, grid[0]))] + [[pack(labs[0])] for labs in grid[1:]]
+    grown = enumerate(_forward(lanes, lines, g.filling.rows))
+    try:
+        row = next((row for row, line in grown if line != list(map(pack, grid[row]))), None)
+    except PatternContainment as side:
+        col, row = side.cell  # unless a label left of it, grown in place, differs
+    if row is None:
+        return
+    col = next((x for x, lab in enumerate(lines[row]) if lab != pack(grid[row][x])), col)
+    (bl, br), (tl, tr) = grid[row - 1][col - 1 : col + 1], grid[row][col - 1 : col + 1]
+    raise DomainError(
+        f"cell ({col},{row}) violates rule {rule}: "
+        f"bl={bl} tl={tl} br={br} tr={tr} entry={g.filling.rows[row - 1][col - 1]}"
+    )
 
 
 def render_diagram(g: GrowthDiagram) -> str:

@@ -328,6 +328,14 @@ def test_check_names_the_cell_an_inner_label_breaks(capsys, tmp_path):
         "error: cell (3,4) violates rule drsk(3): "
         "bl=(1,) tl=(1, 1) br=(2,) tr=(2, 2) entry=0\n"
     )
+    # under drsk(1) the entry at (2,2) breaks the side condition; a wrong
+    # label left of it in the same row comes first in the cell order, so it
+    # is the one named
+    dump = "drsk 1 2 2\n[2,2]\n0 1\n1 0\n[] [1] [2]\n[] [1] [1]\n[] [] []\n"
+    for top, cell in (("[] [1] [2]", "(2,2)"), ("[] [2] [2]", "(1,2)")):
+        b_file.write_text(dump.replace("[] [1] [2]", top))
+        code, out, err = run(capsys, "check", str(b_file))
+        assert (code, out) == (2, "") and err.startswith(f"error: cell {cell} violates rule drsk(1)")
 
 
 def test_check_pair_artifact(capsys, tmp_path):
@@ -441,13 +449,24 @@ def _run_capped(argv: str, stdin, cap: int):
         ("ungrow --rule drsk --d 1 -", 2, "", "++--\n[]\n[1]\n[1,1]\n[1]\n[]\n"),
         ("check -", 3, "", "rsk 0 1 2\n[1]\n1\n[] [1]\n[] []\n"),
         ("render -", 3, "", "foo 0 1 1\n[1]\n1\n[] [1]\n[] []\n"),
+        # a format error whose message no other row pins: out is the whole stderr
+        ("check -", 3, "format error: skew staircases must have at least one part\n", "+\n[]\n[1]\n"),
+        (
+            "check -",
+            3,
+            "format error: diagram JSON labels must be a list of label rows\n",
+            '{"rule": "rsk", "d": 0, "shape": [1], "rows": [[0]], "labels": "ab"}\n',
+        ),
     ],
 )
 def test_huge_parameters_end_at_once_in_bounded_memory(argv, code, out, stdin):
     # 1.5 GB: a state table for a huge d or L fails fast
     done = _run_capped(argv, stdin, 1_500_000 * 1024)
     assert done.returncode == code, done.stderr
-    assert out in done.stdout and "Traceback" not in done.stderr
+    if code == 3 and out:
+        assert (done.stdout, done.stderr) == ("", out)
+    else:
+        assert out in done.stdout and "Traceback" not in done.stderr
     assert done.stderr.startswith("error: ") == (code == 2)
 
 
@@ -482,6 +501,20 @@ def test_ungrow_of_a_unit_step_boundary_takes_the_step_sweep():
     done = _run_capped("ungrow --rule rsk -", boundary, 100 * 1024 * 1024)
     assert done.returncode == 0 and "Traceback" not in done.stderr, done.stderr
     assert done.stdout == format_filling(f) + "\n"
+
+
+def test_dense_rsk_both_ways_holds_one_lattice_line():
+    # the packed labels of the whole 301 x 301 lattice take about 35 MB (0.4 KB
+    # each), so with the interpreter a sweep that kept every line of the
+    # diagram passed this 40 MB cap and ended in MemoryError both ways; the
+    # line steps hold one or two lines and the boundary or filling they build
+    rng = random.Random(5)
+    rows = [[rng.choice((0, 0, 0, 1, 2)) for _ in range(300)] for _ in range(300)]
+    text = format_filling(Filling((300,) * 300, rows)) + "\n"
+    done = _run_capped("rsk --d 100000 -", text, 40 * 1024 * 1024)
+    assert done.returncode == 0 and "Traceback" not in done.stderr, done.stderr
+    back = _run_capped("rsk --d 100000 --inverse -", done.stdout, 40 * 1024 * 1024)
+    assert (back.returncode, back.stdout) == (0, text), back.stderr
 
 
 def test_counts_past_the_str_digit_limit_print_in_full_and_json_refuses():

@@ -606,8 +606,9 @@ def test_permutation_maps_build_no_growth_diagram(monkeypatch):
         raise Built
 
     perms = random.Random(103).sample(_avoiders(6, 2, 3), 6)
-    # every diagram the partition kernel grows goes through its one sweep
-    monkeypatch.setattr(growth, "_sweep", built)
+    # every diagram the partition kernel grows goes through its two line steps
+    monkeypatch.setattr(growth, "_forward", built)
+    monkeypatch.setattr(growth, "_backward", built)
     for perm in perms:
         p, q = cylindric_rs(perm, 2, 3)
         assert cylindric_rs_inverse(p, q, 2, 3) == perm
