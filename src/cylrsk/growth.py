@@ -205,8 +205,8 @@ class _Lanes:
         self.fields = _Fields(k)
         self.low, self.field = (1 << self.top) - 1, (1 << self.w) - 1
         self.guards = ((1 << self.w * n) - 1) // self.field << (self.w - 1)
-        # entry and bl >= bar breaks drsk's and skew's side condition, never the plain rule's
-        self.bar = 0 if self.skew else 1 << self.w * (rule.d - 1 if rule.kind == "drsk" else n)
+        # entry and bl >= bar breaks the side condition; no label reaches field n, nor bar past it
+        self.bar = 0 if self.skew else 1 << self.w * (min(rule.d - 1, n) if rule.kind == "drsk" else n)
 
     @classmethod
     def fitting(cls, rule: Rule, labels, entry: int = 0) -> "_Lanes":
@@ -421,7 +421,8 @@ def _forward(lanes: _Lanes, lines, entries):
     """The lines, bottom first, each extended in place through its cells grown from the line below.
 
     The first line comes finished, each later one up to the path.  A cell that
-    breaks the side condition raises PatternContainment with its (col, row).
+    breaks the side condition raises PatternContainment with its (col, row),
+    its line already extended in place through the cells left of it.
     """
     forward, bar, lines = lanes.forward, lanes.bar, iter(lines)
     yield (below := next(lines))

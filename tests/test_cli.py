@@ -441,6 +441,16 @@ def _run_capped(argv: str, stdin, cap: int):
             "[2]\n1 1\n",
         ),
         ("grow --rule drsk --d 100000000 -", 0, "[] [1] [2]\n[] [] []\n", "[2]\n1 1\n"),
+        # past d ~ 10^9 a side-condition test held as a d-field int no longer fits
+        ("grow --rule drsk --d 1000000000000 -", 0, "[] [1] [2]\n[] [] []\n", "[2]\n1 1\n"),
+        ("rsk --d 1000000000000 -", 0, "+--\n[]\n[2]\n[1]\n[]\n", "[2]\n1 1\n"),
+        ("rsk --d 1000000000000 --inverse -", 0, "[2]\n1 1\n", "+--\n[]\n[2]\n[1]\n[]\n"),
+        (
+            "check -",
+            0,
+            "ok: diagram\n",
+            "drsk 1000000000000 1 2\n[2]\n1 1\n[] [1] [2]\n[] [] []\n",
+        ),
         # small inputs, each refused by a guard that the tests above do not reach
         ("grow --rule drsk -", 3, "", "[2]\n1 1\n"),
         ("bwx --d 1 --inverse -", 2, "", "[2,2]\n1 0\n0 1\n"),
@@ -504,16 +514,17 @@ def test_ungrow_of_a_unit_step_boundary_takes_the_step_sweep():
 
 
 def test_dense_rsk_both_ways_holds_one_lattice_line():
-    # the packed labels of the whole 301 x 301 lattice take about 35 MB (0.4 KB
-    # each), so with the interpreter a sweep that kept every line of the
-    # diagram passed this 40 MB cap and ended in MemoryError both ways; the
-    # line steps hold one or two lines and the boundary or filling they build
+    # a sweep that kept every packed label of the 501 x 501 lattice passed this
+    # 80 MB cap and ended in MemoryError both ways (it needed over 150 MB of
+    # address space forward, over 100 MB back); the line steps hold one or two
+    # lines and the boundary or filling they build, and on CPython 3.11 x86-64
+    # Linux pass both ways under 32 MB, so the cap leaves them 48 MB of headroom
     rng = random.Random(5)
-    rows = [[rng.choice((0, 0, 0, 1, 2)) for _ in range(300)] for _ in range(300)]
-    text = format_filling(Filling((300,) * 300, rows)) + "\n"
-    done = _run_capped("rsk --d 100000 -", text, 40 * 1024 * 1024)
+    rows = [[rng.choice((0, 0, 0, 1, 2)) for _ in range(500)] for _ in range(500)]
+    text = format_filling(Filling((500,) * 500, rows)) + "\n"
+    done = _run_capped("rsk --d 100000 -", text, 80 * 1024 * 1024)
     assert done.returncode == 0 and "Traceback" not in done.stderr, done.stderr
-    back = _run_capped("rsk --d 100000 --inverse -", done.stdout, 40 * 1024 * 1024)
+    back = _run_capped("rsk --d 100000 --inverse -", done.stdout, 80 * 1024 * 1024)
     assert (back.returncode, back.stdout) == (0, text), back.stderr
 
 
