@@ -10,8 +10,9 @@ build no growth diagram for a filling whose rows and columns each sum to at
 most 1, or a boundary whose every step changes the size by at most 1; any
 other goes through the partition kernel.  ``cylindric_rs``, its inverse and
 ``wilf_bijection`` run those sweeps on a permutation's column word and build
-no ``Filling`` either.  The skew maps grow a diagram unless the target word
-is the tableau's own.
+no ``Filling`` either.  The skew maps grow a diagram's packed label lines
+unless the target word is the tableau's own, and unpack only the labels on the
+target word's path.
 ``conjugate_standard_pair`` conjugates a chain one unit step at a time
 through the unit-step codec of ``tableaux``.
 """
@@ -26,9 +27,10 @@ from .fillings import (
     _column_permutation,
     _permutation_columns,
     ne_chain_witness,
+    path_points,
 )
-from .growth import Rule, boundary_of, extract_boundary, filling_of, grow_skew
-from .growth import _unit_boundary, _unit_filling
+from .growth import Rule, boundary_of, filling_of
+from .growth import _skew_lines, _unit_boundary, _unit_filling
 from .partitions import CONJUGATE_WORK_BUDGET, Part, cyl_conjugate, require_degrees
 from .tableaux import (
     OscillatingTableau,
@@ -139,7 +141,7 @@ def skew_retype(t: SkewOscillatingTableau, v: str) -> SkewOscillatingTableau:
 
     Both words are read as monotone paths through one rectangle; the tableau
     labels the first path, the unique diagram around it is grown, and the
-    labels along the second path are extracted.  Shape, weights, and minimum
+    labels along the second path, and only those, are unpacked.  Shape, weights, and minimum
     cylindric width are preserved, and retype back to t's word is the
     inverse.
     """
@@ -148,8 +150,10 @@ def skew_retype(t: SkewOscillatingTableau, v: str) -> SkewOscillatingTableau:
         raise DomainError(f"words {t.w!r} and {v!r} have different step counts")
     if v == t.w:  # also every straight path: its step counts give one word
         return t
-    g = grow_skew(t.d, (t.w.count(MINUS),) * t.w.count(PLUS), t)
-    return extract_boundary(g, v)
+    cols = t.w.count(MINUS)
+    lanes, lines = _skew_lines(t.d, (cols,) * t.w.count(PLUS), t)
+    seq = tuple(lanes.unpack(lines[y][x]) for x, y in path_points(cols, v))
+    return SkewOscillatingTableau(t.d, v, seq)
 
 
 def rowstrict_retype(

@@ -53,7 +53,7 @@ from .partitions import (
     as_partition,
     as_staircase,
     contained_in,
-    format_partition,
+    format_labels,
     interlaces,
     parse_partition,
     parse_staircase,
@@ -374,6 +374,12 @@ def grow_skew(d: int, rect: Part, t: SkewOscillatingTableau) -> GrowthDiagram:
     top-left corner, stepping per t's word.  Cells below-left of the path
     are completed by backward growth, the rest by forward growth.
     """
+    lanes, lines = _skew_lines(d, rect, t)
+    return GrowthDiagram(lanes.rule, zero_filling(rect), lanes.unpacked(lines))
+
+
+def _skew_lines(d: int, rect: Part, t: SkewOscillatingTableau):
+    """grow_skew's lanes and packed label lines, bottom first, once its arguments pass its checks."""
     rect = as_partition(rect)
     if not rect or any(wd != rect[0] for wd in rect):
         raise DomainError(f"skew growth needs a nonempty rectangle, got {rect}")
@@ -386,8 +392,8 @@ def grow_skew(d: int, rect: Part, t: SkewOscillatingTableau) -> GrowthDiagram:
             f"{rows}x{cols} rectangle"
         )
     lanes, zeros = _Lanes.fitting(Rule.skew(d), t.seq), [[0] * cols for _ in range(rows)]
-    lines = _forward(lanes, reversed(list(_backward(lanes, rect, t.w, t.seq, zeros))), zeros)
-    return GrowthDiagram(lanes.rule, zero_filling(rect), lanes.unpacked(lines))
+    lines = reversed(list(_backward(lanes, rect, t.w, t.seq, zeros)))
+    return lanes, list(_forward(lanes, lines, zeros))
 
 
 def _pattern_at(rule: Rule, col: int, row: int) -> PatternContainment:
@@ -615,23 +621,31 @@ def format_diagram(g: GrowthDiagram) -> str:
     """Dump: header `kind d rows cols`, filling block, label rows top-first."""
     shape = g.shape
     head = f"{g.rule.kind} {g.rule.d} {len(shape)} {shape[0] if shape else 0}"
-    rows = [" ".join(map(format_partition, row)) for row in reversed(g.labels)]
-    return "\n".join([head, format_filling(g.filling), *rows])
+    return "\n".join([head, format_filling(g.filling), *map(format_labels, reversed(g.labels))])
 
 
 def parse_diagram(text) -> GrowthDiagram:
     """Parse a dump (or its JSON mirror) and revalidate every cell.
 
-    Malformed input is a FormatError; a well-formed diagram that breaks its
-    rule is a DomainError from validate_diagram's checks.
+    An rsk or drsk text dump is first regrown from its filling, one lattice
+    line at a time, and each line written by the dump writer is compared with
+    the dump's label line, whitespace collapsed.  When every line matches, the
+    regrown diagram is returned with no label parsed.  Any other dump -- skew,
+    the JSON mirror, a filling that breaks drsk's side condition, or label
+    text that differs in any way, non-canonical forms such as [3,2,0]
+    included -- has its labels read, those of the lines that matched as
+    regrown and the rest parsed, and every cell checked as validate_diagram
+    does.  Malformed input is a FormatError; a well-formed diagram that
+    breaks its rule is a DomainError from validate_diagram's checks.
     """
-    g = decode(text, _diagram_from_text, _diagram_from_json, "diagram")
-    # the readers put every label in canonical form; only drsk's bound is left
-    _check_labels(g, [[_bounded_label(g.rule, lab) for lab in row] for row in g.labels])
+    g, regrown = decode(text, _diagram_from_text, _diagram_from_json, "diagram")
+    if not regrown:
+        # the readers put every label in canonical form; only drsk's bound is left
+        _check_labels(g, [[_bounded_label(g.rule, lab) for lab in row] for row in g.labels])
     return g
 
 
-def _diagram_from_text(text: str) -> GrowthDiagram:
+def _diagram_from_text(text: str) -> tuple[GrowthDiagram, bool]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise FormatError("empty diagram input")
@@ -647,19 +661,50 @@ def _diagram_from_text(text: str) -> GrowthDiagram:
     filling = parse_filling("\n".join(body[: 1 + n_rows]))
     if len(filling.shape) != n_rows or (filling.shape and filling.shape[0] != n_cols):
         raise FormatError("diagram header disagrees with the filling shape")
+    texts = body[1 + n_rows :]
+    fixed = rule.kind != "skew" and len(texts) == n_rows + 1  # labels fixed by the filling
+    grown = _regrown(rule, filling, texts) if fixed else []
+    if len(grown) == len(texts):
+        return GrowthDiagram(rule, filling, grown), True
+    # the matched rows read as their regrown labels; the rest are parsed
     parse = (lambda tok: parse_staircase(tok, rule.d)) if rule.kind == "skew" else parse_partition
-    label_rows = [[parse(tok) for tok in ln.split()] for ln in reversed(body[1 + n_rows :])]
-    return GrowthDiagram(rule, filling, label_rows)
+    rest = [[parse(tok) for tok in ln.split()] for ln in reversed(texts[: len(texts) - len(grown)])]
+    return GrowthDiagram(rule, filling, grown + rest), False
 
 
-def _diagram_from_json(obj) -> GrowthDiagram:
+def _regrown(rule: Rule, filling: Filling, texts) -> list[list[Part]]:
+    """The label rows of an rsk or drsk filling's diagram, bottom first, while they match texts.
+
+    texts are a dump's label lines, top first, and a row matches its line when
+    the line is the writer's text of the row, whitespace aside.  The regrowth
+    stops at the first line that differs, or at a cell that breaks drsk's side
+    condition.
+    """
+    # Regrown labels have empty axes, at most d parts under drsk and every cell
+    # solved by the rule, and the writer is injective: matching text would parse
+    # to these very labels, and a dump that matches throughout passes every
+    # check of _check_labels.
+    lanes, lines, rows = *_filled(rule, filling), []
+    try:
+        for line, text in zip(lines, reversed(texts)):
+            row = list(map(lanes.unpack, line))
+            if format_labels(row) != " ".join(text.split()):
+                break
+            rows.append(row)
+    except PatternContainment:
+        pass
+    return rows
+
+
+def _diagram_from_json(obj) -> tuple[GrowthDiagram, bool]:
     rule = Rule(obj["rule"], strict_int(obj["d"]))
     filling = filling_from_matrix(obj["shape"], obj["rows"])
     coerce = (lambda lab: as_staircase(lab, rule.d)) if rule.kind == "skew" else as_partition
     label_rows = obj["labels"]
     if not isinstance(label_rows, list) or not all(isinstance(r, list) for r in label_rows):
         raise FormatError("diagram JSON labels must be a list of label rows")
-    return GrowthDiagram(rule, filling, [[coerce(lab) for lab in row] for row in reversed(label_rows)])
+    rows = [[coerce(lab) for lab in row] for row in reversed(label_rows)]
+    return GrowthDiagram(rule, filling, rows), False
 
 
 def validate_diagram(g: GrowthDiagram) -> None:
@@ -689,16 +734,22 @@ def _check_labels(g: GrowthDiagram, grid) -> None:
     # first, the first line that differs names the first failing cell.
     most = max(map(max, g.filling.rows), default=0)
     lanes = _Lanes.fitting(rule, [lab for row in grid for lab in row], most)
-    pack, col = lanes.pack, None
-    lines = [list(map(pack, grid[0]))] + [[pack(labs[0])] for labs in grid[1:]]
-    grown = enumerate(_forward(lanes, lines, g.filling.rows))
+    pack, col, held = lanes.pack, None, [None]
+
+    def axes():
+        yield list(map(pack, grid[0]))
+        for labs in grid[1:]:
+            held[0] = [pack(labs[0])]  # the line in hand, which _forward extends
+            yield held[0]
+
+    grown = enumerate(_forward(lanes, axes(), g.filling.rows))
     try:
         row = next((row for row, line in grown if line != list(map(pack, grid[row]))), None)
     except PatternContainment as side:
         col, row = side.cell  # unless a label left of it, grown in place, differs
     if row is None:
         return
-    col = next((x for x, lab in enumerate(lines[row]) if lab != pack(grid[row][x])), col)
+    col = next((x for x, lab in enumerate(held[0]) if lab != pack(grid[row][x])), col)
     (bl, br), (tl, tr) = grid[row - 1][col - 1 : col + 1], grid[row][col - 1 : col + 1]
     raise DomainError(
         f"cell ({col},{row}) violates rule {rule}: "

@@ -207,6 +207,15 @@ def format_partition(p: Part) -> str:
     return "[" + ",".join(map(str, p)) + "]"
 
 
+def format_labels(row) -> str:
+    """The text forms of a row of labels, space-separated, from one str() of the row."""
+    # "[(3,), (), (2, 1)]" -> "[3] [] [2,1]": a one-part tuple's comma, the
+    # comma-spaces, then the separators between labels and the brackets
+    text = str(list(map(tuple, row)))[1:-1]
+    text = text.replace(",)", ")").replace(", ", ",").replace("),(", ") (")
+    return text.replace("(", "[").replace(")", "]")
+
+
 def _parse_int_list(text: str) -> tuple[int, ...]:
     t = text.strip()
     if not (t.startswith("[") and t.endswith("]")):

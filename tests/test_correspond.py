@@ -361,7 +361,7 @@ def test_skew_retype_count_mismatch():
 def test_skew_retype_refuses_a_bad_letter_before_growing(monkeypatch):
     t = SkewOscillatingTableau(1, "+-", ((0,), (1,), (0,)))
     grown = []
-    monkeypatch.setattr(correspond, "grow_skew", lambda *args: grown.append(args))
+    monkeypatch.setattr(correspond, "_skew_lines", lambda *args: grown.append(args))
     with pytest.raises(DomainError, match="direction word must be over"):
         skew_retype(t, "-+x")
     with pytest.raises(DomainError, match="direction word must be over"):
@@ -371,7 +371,7 @@ def test_skew_retype_refuses_a_bad_letter_before_growing(monkeypatch):
 
 def test_skew_retype_to_its_own_word_returns_its_input(monkeypatch):
     grown = []
-    monkeypatch.setattr(correspond, "grow_skew", lambda *args: grown.append(args))
+    monkeypatch.setattr(correspond, "_skew_lines", lambda *args: grown.append(args))
     for t in (
         SkewOscillatingTableau(1, "++", ((0,), (1,), (2,))),
         SkewOscillatingTableau(1, "--", ((2,), (1,), (0,))),

@@ -754,6 +754,24 @@ def test_dump_parse_round_trip():
     gs = grow_skew(2, (2, 2), t)
     back = parse_diagram(format_diagram(gs))
     assert back.labels == gs.labels
+    # and so does every rule on random input, the empty shape included
+    rng = random.Random(31)
+    diagrams = [grow_from_filling(rule, zero_filling(())) for rule in (Rule.rsk(), D3)]
+    for _ in range(40):
+        f = random_filling(rng, random_shape(rng, 5, 5))
+        for rule in (Rule.rsk(), Rule.drsk(rng.randint(1, 3))):
+            try:
+                diagrams.append(grow_from_filling(rule, f))
+            except PatternContainment:
+                pass
+        d, rows, cols = rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 4)
+        w = random_word(rng, rows, cols)
+        st = SkewOscillatingTableau(d, w, random_skew_seq(rng, d, w))
+        diagrams.append(grow_skew(d, (cols,) * rows, st))
+    assert {g.rule.kind for g in diagrams} == {"rsk", "drsk", "skew"}
+    for g in diagrams:
+        text = format_diagram(g)
+        assert parse_diagram(text) == g and format_diagram(parse_diagram(text)) == text
 
 
 def test_diagram_json_round_trip():
@@ -769,12 +787,92 @@ def test_diagram_json_round_trip():
         parse_diagram(json.dumps(blob))
 
 
+def _dump_lines(rule, f):
+    return format_diagram(grow_from_filling(rule, f)).splitlines()
+
+
+def _swapped(lines, i, old, new):
+    """The dump lines with old replaced by new once in line i."""
+    assert old in lines[i]
+    return lines[:i] + [lines[i].replace(old, new, 1)] + lines[i + 1 :]
+
+
 def test_parse_diagram_rejects_corrupt_labels():
-    text = format_diagram(grow_from_filling(D3, GRID7))
-    lines = text.splitlines()
-    lines[9] = lines[9].replace("[9,9,5]", "[9,9,4]", 1)
-    with pytest.raises(DomainError):
-        parse_diagram("\n".join(lines))
+    # GRID7's drsk(3) dump: header, filling block, label rows y = 7 (line 9)
+    # down to the x-axis (line 16)
+    lines = _dump_lines(D3, GRID7)
+    middle = _swapped(lines, 12, "[3,1]", "[3,2]")
+    rsk = _dump_lines(Rule.rsk(), GRID7)
+    pattern = _dump_lines(Rule.rsk(), Filling((2, 2), [[1, 0], [0, 1]]))
+    pattern_right = _dump_lines(Rule.rsk(), Filling((3, 3), [[1, 0, 0], [0, 0, 1]]))
+    cases = [
+        (_swapped(lines, 16, "[] [] [] []", "[] [] [] [1]"), DomainError,
+         "axis label at (3,0) must be empty"),
+        (_swapped(lines, 15, "[2] [3]", "[2] [4]"), DomainError,
+         "cell (7,1) violates rule drsk(3): bl=() tl=(2,) br=() tr=(4,) entry=1"),
+        (_swapped(lines, 15, "[] [] [] [] [] [1]", "[] [] [] [] [] [2]"), DomainError,
+         "cell (5,1) violates rule drsk(3): bl=() tl=() br=() tr=(2,) entry=1"),
+        (_swapped(lines, 9, "[9,9,5]", "[9,9,4]"), DomainError,
+         "cell (7,7) violates rule drsk(3): bl=(8, 7, 4) tl=(9, 8, 5) br=(9, 7, 4) tr=(9, 9, 4) entry=0"),
+        (_swapped(lines, 9, "[5,3,1]", "[5,3,2]"), DomainError,
+         "cell (3,7) violates rule drsk(3): bl=(3, 2) tl=(3, 3) br=(3, 2, 1) tr=(5, 3, 2) entry=2"),
+        (middle, DomainError,
+         "cell (4,4) violates rule drsk(3): bl=(2,) tl=(2, 1) br=(2,) tr=(3, 2) entry=1"),
+        # every token is read before any cell is checked
+        (_swapped(middle, 10, "[3,2]", "[3,x]"), FormatError, "bad integer list '[3,x]'"),
+        (lines[:13] + [lines[13].rsplit(" ", 1)[0]] + lines[14:], FormatError,
+         "bad diagram: label row for height 3 needs 8 entries"),
+        (lines + lines[-1:], FormatError, "bad diagram: expected 8 label rows, got 9"),
+        (lines[:10] + lines[9:], FormatError, "bad diagram: expected 8 label rows, got 9"),
+        # drsk(1)'s side condition fails at (2,2), and at (3,2) unless a label
+        # left of it is wrong
+        (["drsk 1 2 2"] + pattern[1:], DomainError,
+         "cell (2,2) violates rule drsk(1): bl=(1,) tl=(1,) br=(1,) tr=(2,) entry=1"),
+        (["drsk 1 2 3"] + pattern_right[1:], DomainError,
+         "cell (3,2) violates rule drsk(1): bl=(1,) tl=(1,) br=(1,) tr=(2,) entry=1"),
+        (_swapped(["drsk 1 2 3"] + pattern_right[1:], 4, "[] [1] [1]", "[] [2] [1]"), DomainError,
+         "cell (1,2) violates rule drsk(1): bl=() tl=() br=(1,) tr=(2,) entry=0"),
+        # labels of more than d parts
+        (["drsk 3 7 7"] + rsk[1:], DomainError, "label (7, 4, 1, 1) exceeds 3 parts"),
+        (["drsk 2 7 7"] + rsk[1:], DomainError, "label (6, 2, 1) exceeds 2 parts"),
+    ]
+    for bad, kind, message in cases:
+        with pytest.raises(kind) as info:
+            parse_diagram("\n".join(bad))
+        assert (type(info.value), str(info.value)) == (kind, message)
+
+
+def test_parse_diagram_reads_non_canonical_label_text():
+    for rule in (Rule.rsk(), D3):
+        text = format_diagram(grow_from_filling(rule, GRID7))
+        g = parse_diagram(text)
+        variants = [
+            text.replace(" ", "\t"),
+            text.replace("] [", "]  ["),
+            text.replace("\n[]", "\n  []  "),
+            text.replace("[3]", "[03]"),
+            text.replace("[3,2]", "[3,2,0]"),
+            text.replace("[]", "[0]"),
+        ]
+        for variant in variants:
+            assert variant != text and parse_diagram(variant) == g
+
+
+def test_parse_diagram_accepts_its_own_dump_as_text(monkeypatch):
+    diagrams = [grow_from_filling(rule, f) for rule in (Rule.rsk(), D3) for f in (GRID7, zero_filling(()))]
+    texts = [format_diagram(g) for g in diagrams]
+
+    def refuse(*args):
+        raise AssertionError("a regrown dump has no label parsed or checked")
+
+    monkeypatch.setattr(growth, "parse_partition", refuse)
+    monkeypatch.setattr(growth, "_check_labels", refuse)
+    for g, text in zip(diagrams, texts):
+        assert parse_diagram(text) == g
+        # whitespace aside
+        assert parse_diagram(text.replace(" ", " \t ").replace("\n", "\n\n") + "\n") == g
+    with pytest.raises(AssertionError):
+        parse_diagram(texts[0].replace("[3]", "[03]"))
 
 
 def test_render_contains_labels_and_entries():

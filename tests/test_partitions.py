@@ -14,6 +14,7 @@ from cylrsk.partitions import (
     cyl_conjugate,
     dl_cointerlaces,
     dl_interlaces,
+    format_labels,
     format_partition,
     interlaces,
     is_dl_staircase,
@@ -254,6 +255,30 @@ def test_text_round_trip():
         parse_partition("[3,4]")
     with pytest.raises(FormatError):
         parse_staircase("[1,0]", 3)
+
+
+
+def test_row_writer_matches_the_label_writer():
+    rng = random.Random(29)
+    rows = [
+        [(3,), (), (2, 1)],  # a one-part tuple's repr ends in ",)"
+        [(), ()],
+        [()],  # the one label row of the empty shape
+        [(7,)],
+        [(10, 0, -1), (1, -2, -20), (0,), (-3,)],  # skew staircases
+        ((5, 5), (5, 1)),
+        [[4, 1], [2], []],  # labels given as lists
+        [],
+    ]
+    for _ in range(300):
+        rows.append([
+            tuple(sorted((rng.randint(-30, 300) for _ in range(rng.randint(0, 6))), reverse=True))
+            for _ in range(rng.randint(1, 8))
+        ])
+    for row in rows:
+        assert format_labels(row) == " ".join(map(format_partition, row)), row
+    assert format_labels([(3,), (), (2, 1)]) == "[3] [] [2,1]"
+    assert format_labels([()]) == "[]"
 
 
 # The label codec as it read and wrote before its one-split reader: every
