@@ -30,6 +30,7 @@ from .partitions import (
     parse_partition,
     parse_staircase,
     strict_int,
+    strict_list,
 )
 from .tableaux import (
     SSYT_HEADER,
@@ -61,7 +62,10 @@ def _read(path: str) -> str:
 
 def _parse_permutation(text) -> tuple[int, ...]:
     return decode(
-        text, _permutation_from_text, lambda o: tuple(map(strict_int, o["perm"])), "permutation"
+        text,
+        _permutation_from_text,
+        lambda o: tuple(map(strict_int, strict_list(o["perm"]))),
+        "permutation",
     )
 
 

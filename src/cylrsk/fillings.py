@@ -19,6 +19,7 @@ from .partitions import (
     format_partition,
     parse_partition,
     strict_int,
+    strict_list,
 )
 
 PLUS = "+"
@@ -356,4 +357,5 @@ def _filling_from_text(text: str) -> Filling:
 
 
 def _filling_from_json(obj) -> Filling:
-    return filling_from_matrix(tuple(obj["shape"]), [tuple(r) for r in obj["rows"]])
+    shape, rows = strict_list(obj["shape"]), strict_list(obj["rows"])
+    return filling_from_matrix(shape, list(map(strict_list, rows)))

@@ -29,8 +29,8 @@ partition kernel below, where those two maps still build no diagram.
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter, sub
+from itertools import chain, compress, count, groupby
+from operator import itemgetter, ne, sub
 from struct import Struct
 from types import SimpleNamespace
 
@@ -39,8 +39,8 @@ from .fillings import (
     MINUS,
     PLUS,
     Filling,
+    _filling_from_json,
     boundary_type_sequence,
-    filling_from_matrix,
     filling_to_json,
     format_filling,
     lattice_rows,
@@ -59,6 +59,7 @@ from .partitions import (
     parse_staircase,
     part,
     strict_int,
+    strict_list,
 )
 from .tableaux import OscillatingTableau, SkewOscillatingTableau, step_rows
 
@@ -162,7 +163,8 @@ def _side_condition(rule: Rule, bl: Part, entry: int) -> str | None:
 # * the two line steps, from their validated path tableau or empty axes:
 #   each cell's known edges lie on the path or were solved by an earlier cell;
 # * validate_diagram and parse_diagram, by the axis check and by regrowing from
-#   the axes: grown labels are the given ones up to the first failing cell;
+#   the filling, or under skew from the axes: grown labels are the given ones
+#   up to the first failing cell;
 # * check_cell and classify_rs_cell, by the interlaces calls of _cell_holds;
 # * grow_forward_cell and grow_backward_cell, by their own interlaces checks.
 #
@@ -427,8 +429,9 @@ def _forward(lanes: _Lanes, lines, entries):
     """The lines, bottom first, each extended in place through its cells grown from the line below.
 
     The first line comes finished, each later one up to the path.  A cell that
-    breaks the side condition raises PatternContainment with its (col, row),
-    its line already extended in place through the cells left of it.
+    breaks the side condition cuts its line short: the line is yielded through
+    the cells left of it, so it ends just left of the cell, and the next step
+    raises PatternContainment with the cell's (col, row).
     """
     forward, bar, lines = lanes.forward, lanes.bar, iter(lines)
     yield (below := next(lines))
@@ -436,6 +439,7 @@ def _forward(lanes: _Lanes, lines, entries):
         for col in range(len(here), len(ents) + 1):
             bl, entry = below[col - 1], ents[col - 1]
             if entry and bl >= bar:
+                yield here
                 raise _pattern_at(lanes.rule, col, row)
             here.append(forward(bl, here[col - 1], below[col], entry))
         yield (below := here)
@@ -630,22 +634,24 @@ def parse_diagram(text) -> GrowthDiagram:
     An rsk or drsk text dump is first regrown from its filling, one lattice
     line at a time, and each line written by the dump writer is compared with
     the dump's label line, whitespace collapsed.  When every line matches, the
-    regrown diagram is returned with no label parsed.  Any other dump -- skew,
-    the JSON mirror, a filling that breaks drsk's side condition, or label
-    text that differs in any way, non-canonical forms such as [3,2,0]
-    included -- has its labels read, those of the lines that matched as
-    regrown and the rest parsed, and every cell checked as validate_diagram
-    does.  Malformed input is a FormatError; a well-formed diagram that
-    breaks its rule is a DomainError from validate_diagram's checks.
+    regrown diagram is returned with no label parsed.  Otherwise the lines
+    that matched keep their regrown labels, the rest are parsed (non-canonical
+    forms such as [3,2,0] included), and the same regrowth goes on from the
+    first line that differs, checking each cell as validate_diagram does.  A
+    skew dump and the JSON mirror have every label parsed and checked so.
+    Malformed input is a FormatError; a well-formed diagram that breaks its
+    rule is a DomainError from validate_diagram's checks.
     """
-    g, regrown = decode(text, _diagram_from_text, _diagram_from_json, "diagram")
-    if not regrown:
+    g, regrowth = decode(text, _diagram_from_text, _diagram_from_json, "diagram")
+    if regrowth is not None:
         # the readers put every label in canonical form; only drsk's bound is left
-        _check_labels(g, [[_bounded_label(g.rule, lab) for lab in row] for row in g.labels])
+        grid = [[_bounded_label(g.rule, lab) for lab in row] for row in g.labels]
+        _check_labels(g, grid, *regrowth)
     return g
 
 
-def _diagram_from_text(text: str) -> tuple[GrowthDiagram, bool]:
+def _diagram_from_text(text: str):
+    """The dump's diagram, and _check_labels' regrowth of it, or None when every line matched."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise FormatError("empty diagram input")
@@ -661,50 +667,38 @@ def _diagram_from_text(text: str) -> tuple[GrowthDiagram, bool]:
     filling = parse_filling("\n".join(body[: 1 + n_rows]))
     if len(filling.shape) != n_rows or (filling.shape and filling.shape[0] != n_cols):
         raise FormatError("diagram header disagrees with the filling shape")
-    texts = body[1 + n_rows :]
-    fixed = rule.kind != "skew" and len(texts) == n_rows + 1  # labels fixed by the filling
-    grown = _regrown(rule, filling, texts) if fixed else []
-    if len(grown) == len(texts):
-        return GrowthDiagram(rule, filling, grown), True
+    texts, grown, regrowth = body[1 + n_rows :], [], ()
+    if rule.kind != "skew" and len(texts) == n_rows + 1:
+        # Regrown labels have empty axes, at most d parts under drsk and every
+        # cell solved by the rule, and the writer is injective: a line of full
+        # width whose text matches would parse to these very labels, and a dump
+        # that matches throughout passes every check of _check_labels.  A line
+        # the side condition cuts short is never of full width.
+        lanes, regrown = _filled(rule, filling)
+        for line, width, text in zip(regrown, lattice_rows(filling.shape), reversed(texts)):
+            row = list(map(lanes.unpack, line))
+            if len(row) != width or format_labels(row) != " ".join(text.split()):
+                regrowth = lanes, len(grown), chain([line], regrown)
+                break
+            grown.append(row)
+        else:
+            return GrowthDiagram(rule, filling, grown), None
     # the matched rows read as their regrown labels; the rest are parsed
     parse = (lambda tok: parse_staircase(tok, rule.d)) if rule.kind == "skew" else parse_partition
     rest = [[parse(tok) for tok in ln.split()] for ln in reversed(texts[: len(texts) - len(grown)])]
-    return GrowthDiagram(rule, filling, grown + rest), False
+    return GrowthDiagram(rule, filling, grown + rest), regrowth
 
 
-def _regrown(rule: Rule, filling: Filling, texts) -> list[list[Part]]:
-    """The label rows of an rsk or drsk filling's diagram, bottom first, while they match texts.
-
-    texts are a dump's label lines, top first, and a row matches its line when
-    the line is the writer's text of the row, whitespace aside.  The regrowth
-    stops at the first line that differs, or at a cell that breaks drsk's side
-    condition.
-    """
-    # Regrown labels have empty axes, at most d parts under drsk and every cell
-    # solved by the rule, and the writer is injective: matching text would parse
-    # to these very labels, and a dump that matches throughout passes every
-    # check of _check_labels.
-    lanes, lines, rows = *_filled(rule, filling), []
-    try:
-        for line, text in zip(lines, reversed(texts)):
-            row = list(map(lanes.unpack, line))
-            if format_labels(row) != " ".join(text.split()):
-                break
-            rows.append(row)
-    except PatternContainment:
-        pass
-    return rows
-
-
-def _diagram_from_json(obj) -> tuple[GrowthDiagram, bool]:
+def _diagram_from_json(obj):
+    """The mirror's diagram, and no regrowth: _check_labels regrows it from the start."""
     rule = Rule(obj["rule"], strict_int(obj["d"]))
-    filling = filling_from_matrix(obj["shape"], obj["rows"])
+    filling = _filling_from_json(obj)
     coerce = (lambda lab: as_staircase(lab, rule.d)) if rule.kind == "skew" else as_partition
     label_rows = obj["labels"]
     if not isinstance(label_rows, list) or not all(isinstance(r, list) for r in label_rows):
         raise FormatError("diagram JSON labels must be a list of label rows")
-    rows = [[coerce(lab) for lab in row] for row in reversed(label_rows)]
-    return GrowthDiagram(rule, filling, rows), False
+    rows = [[coerce(strict_list(lab)) for lab in row] for row in reversed(label_rows)]
+    return GrowthDiagram(rule, filling, rows), ()
 
 
 def validate_diagram(g: GrowthDiagram) -> None:
@@ -717,8 +711,12 @@ def validate_diagram(g: GrowthDiagram) -> None:
     _check_labels(g, [[_validate_label(g.rule, lab) for lab in row] for row in g.labels])
 
 
-def _check_labels(g: GrowthDiagram, grid) -> None:
-    """validate_diagram's checks after the labels, in grid, are coerced."""
+def _check_labels(g: GrowthDiagram, grid, lanes=None, height=0, lines=None) -> None:
+    """validate_diagram's checks after the labels, in grid, are coerced.
+
+    lanes, height and lines resume a regrowth from the filling: its packed
+    lines from that height up, the rows below it known to be grid's.
+    """
     rule = g.rule
     skew = rule.kind == "skew"
     for axis, at in ((grid[0], "({},0)"), ([labs[0] for labs in grid], "(0,{})")):
@@ -730,31 +728,26 @@ def _check_labels(g: GrowthDiagram, grid) -> None:
                     f"labels at {at.format(i - 1)} and {at.format(i)} do not interlace"
                 )
     # Every other edge is the top or right edge of a cell, and a cell holds only
-    # when tr is the kernel's forward label: regrown from the axes, bottom row
-    # first, the first line that differs names the first failing cell.
-    most = max(map(max, g.filling.rows), default=0)
-    lanes = _Lanes.fitting(rule, [lab for row in grid for lab in row], most)
-    pack, col, held = lanes.pack, None, [None]
-
-    def axes():
-        yield list(map(pack, grid[0]))
-        for labs in grid[1:]:
-            held[0] = [pack(labs[0])]  # the line in hand, which _forward extends
-            yield held[0]
-
-    grown = enumerate(_forward(lanes, axes(), g.filling.rows))
-    try:
-        row = next((row for row, line in grown if line != list(map(pack, grid[row]))), None)
-    except PatternContainment as side:
-        col, row = side.cell  # unless a label left of it, grown in place, differs
-    if row is None:
-        return
-    col = next((x for x, lab in enumerate(held[0]) if lab != pack(grid[row][x])), col)
-    (bl, br), (tl, tr) = grid[row - 1][col - 1 : col + 1], grid[row][col - 1 : col + 1]
-    raise DomainError(
-        f"cell ({col},{row}) violates rule {rule}: "
-        f"bl={bl} tl={tl} br={br} tr={tr} entry={g.filling.rows[row - 1][col - 1]}"
-    )
+    # when tr is the kernel's forward label: regrown bottom row first, from the
+    # filling or under skew from the axes, the first label that differs names
+    # the first failing cell, and a line the side condition cuts short names
+    # the cell just past its end.
+    if lines is None and skew:
+        # the axis labels bound the sweep as a path does (see _Lanes)
+        lanes = _Lanes.fitting(rule, [labs[0] for labs in reversed(grid)] + grid[0][1:])
+        axes = [list(map(lanes.pack, grid[0]))] + [[lanes.pack(labs[0])] for labs in grid[1:]]
+        lines = _forward(lanes, axes, g.filling.rows)
+    elif lines is None:
+        lanes, lines = _filled(rule, g.filling)
+    for row, line in enumerate(lines, height):
+        labs = grid[row]
+        col = next(compress(count(), map(ne, map(lanes.unpack, line), labs)), len(line))
+        if col < len(labs):
+            (bl, br), (tl, tr) = grid[row - 1][col - 1 : col + 1], labs[col - 1 : col + 1]
+            raise DomainError(
+                f"cell ({col},{row}) violates rule {rule}: "
+                f"bl={bl} tl={tl} br={br} tr={tr} entry={g.filling.rows[row - 1][col - 1]}"
+            )
 
 
 def render_diagram(g: GrowthDiagram) -> str:

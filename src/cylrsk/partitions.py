@@ -25,6 +25,13 @@ def strict_int(v) -> int:
     return v
 
 
+def strict_list(v):
+    """v itself when it is a list or tuple; DomainError for anything else, dicts and strings too."""
+    if not isinstance(v, (list, tuple)):
+        raise DomainError(f"expected a list, got {v!r}")
+    return v
+
+
 def require_degrees(d: int, L: int) -> None:
     """Refuse a (d, L) that is not a pair of positive integers."""
     if d < 1 or L < 1:

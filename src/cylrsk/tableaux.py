@@ -31,6 +31,7 @@ from .partitions import (
     part,
     size,
     strict_int,
+    strict_list,
 )
 
 
@@ -378,7 +379,7 @@ def _tableau_lines(text: str) -> list[str]:
 
 
 def _parts(obj) -> tuple:
-    return tuple(tuple(p) for p in obj["seq"])
+    return tuple(tuple(strict_list(p)) for p in strict_list(obj["seq"]))
 
 
 def parse_oscillating(text) -> OscillatingTableau:

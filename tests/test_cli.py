@@ -621,6 +621,16 @@ def test_malformed_json_values_exit_3(capsys, tmp_path):
         (["check"], {**skew, "d": 1.0}),
         (["check"], {**diagram, "d": 0.0, "rows": [[0]]}),
         (["conjugate", "--d", "2", "--L", "3"], {"d": 2, "parts": [1.5, 0]}),
+        # an empty object or string iterates as an empty list, yet is not one
+        (["check"], {"shape": {}, "rows": {}}),
+        (["check"], {"shape": "", "rows": ""}),
+        (["check"], {**diagram, "rows": [[0]], "labels": [[[], {}], [[], []]]}),
+        (["check"], {**diagram, "rows": [[0]], "labels": [[[], ""], [[], []]]}),
+        (["check"], {**diagram, "shape": {}, "rows": [], "labels": [[[]]]}),
+        (["check"], {**diagram, "shape": "", "rows": [], "labels": [[[]]]}),
+        (["check"], {"w": "+-", "seq": [[], [1], {}]}),
+        (["rs", "--d", "2", "--L", "3"], {"perm": {}}),
+        (["wilf", "--d", "2", "--L", "3"], {"perm": {}}),
         # nested deeper than json.dumps can write, so given as raw text
         (["check"], '{"perm": ' + "[" * 5000 + "]" * 5000 + "}"),
         (["rs", "--d", "2", "--L", "3"], '{"perm": ' + "[" * 5000 + "]" * 5000 + "}"),

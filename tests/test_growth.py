@@ -832,6 +832,10 @@ def test_parse_diagram_rejects_corrupt_labels():
          "cell (3,2) violates rule drsk(1): bl=(1,) tl=(1,) br=(1,) tr=(2,) entry=1"),
         (_swapped(["drsk 1 2 3"] + pattern_right[1:], 4, "[] [1] [1]", "[] [2] [1]"), DomainError,
          "cell (1,2) violates rule drsk(1): bl=() tl=() br=(1,) tr=(2,) entry=0"),
+        # the regrown line cut short at (3,2) reads as this line's three tokens,
+        # yet a short line never matches
+        (["drsk 1 2 3"] + pattern_right[1:4] + [pattern_right[4].rsplit(" ", 1)[0]] + pattern_right[5:],
+         FormatError, "bad diagram: label row for height 2 needs 4 entries"),
         # labels of more than d parts
         (["drsk 3 7 7"] + rsk[1:], DomainError, "label (7, 4, 1, 1) exceeds 3 parts"),
         (["drsk 2 7 7"] + rsk[1:], DomainError, "label (6, 2, 1) exceeds 2 parts"),
@@ -873,6 +877,46 @@ def test_parse_diagram_accepts_its_own_dump_as_text(monkeypatch):
         assert parse_diagram(text.replace(" ", " \t ").replace("\n", "\n\n") + "\n") == g
     with pytest.raises(AssertionError):
         parse_diagram(texts[0].replace("[3]", "[03]"))
+
+
+def test_parse_diagram_regrows_a_refused_dump_once(monkeypatch):
+    """A refused rsk or drsk dump, as text or JSON, is regrown from its filling once.
+
+    No given label is packed, so a long wrong label costs no more than its parse.
+    """
+    from cylrsk.growth import diagram_to_json
+
+    small = Filling((4, 4, 4), [[1, 0, 2, 0], [0, 1, 0, 1], [2, 0, 0, 1]])
+    dumps = []
+    for rule, f, long in ((Rule.rsk(), small, [(1,) * 20000]), (D3, GRID7, [])):
+        g = grow_from_filling(rule, f)
+        top = g.labels[-1][-1]
+        for wrong in [(top[0] + 1, *top[1:])] + long:
+            text = format_diagram(g).splitlines()
+            row = 2 + len(f.shape)  # the top label row, after header, shape and entries
+            text[row] = text[row].rsplit(" ", 1)[0] + " [" + ",".join(map(str, wrong)) + "]"
+            blob = diagram_to_json(g)
+            blob["labels"][0][-1] = list(wrong)
+            dumps += ["\n".join(text), blob]
+    forward, pack = growth._forward, growth._Lanes.pack
+    calls, packed = [], []
+
+    def counted(*args):
+        calls.append(args)
+        return forward(*args)
+
+    def recorded(self, lab):
+        packed.append(lab)
+        return pack(self, lab)
+
+    monkeypatch.setattr(growth, "_forward", counted)
+    monkeypatch.setattr(growth._Lanes, "pack", recorded)
+    for dump in dumps:
+        calls.clear()
+        with pytest.raises(DomainError) as info:
+            parse_diagram(dump)
+        assert type(info.value) is DomainError and len(calls) == 1 and packed == []
+        assert str(info.value).startswith("cell (")
 
 
 def test_render_contains_labels_and_entries():
