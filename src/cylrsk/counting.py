@@ -139,32 +139,23 @@ def _involutions(n: int) -> list[list[tuple[int, ...]]]:
     return levels
 
 
+def _lis(values) -> int:
+    """Length of the longest strictly increasing subsequence."""
+    tails: list[int] = []
+    for x in values:
+        j = bisect_left(tails, x)
+        tails[j : j + 1] = [x]
+    return len(tails)
+
+
 def _profile(perm) -> tuple[int, int]:
     """(descending threshold, LIS) of one permutation.
 
-    A completable decreasing chain lies below some later value, and a value
-    is dominated by any later, larger one, whose prefix and range both hold
-    more; so only the right-to-left maxima need their longest decreasing
-    subsequence among the smaller values before them.
+    The threshold is one more than the longest decreasing subsequence of
+    smaller values before any position.
     """
-    tails: list[int] = []
-    for x in perm:
-        j = bisect_left(tails, x)
-        tails[j : j + 1] = [x]
-    best, top = 0, -1
-    for j in range(len(perm) - 1, -1, -1):
-        if j <= best:  # no decreasing run before j is longer than j
-            break
-        v = perm[j]
-        if v > top:
-            top = v
-            piles: list[int] = []
-            for x in perm[:j]:
-                if x < v:
-                    i = bisect_left(piles, -x)
-                    piles[i : i + 1] = [-x]
-            best = max(best, len(piles))
-    return best + 1, len(tails)
+    chain = max((_lis([-x for x in perm[:j] if x < v]) for j, v in enumerate(perm)), default=0)
+    return chain + 1, _lis(perm)
 
 
 # Each cache is shared by every thread, so each is read and filled only under

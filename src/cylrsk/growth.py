@@ -694,10 +694,8 @@ def _diagram_from_json(obj):
     rule = Rule(obj["rule"], strict_int(obj["d"]))
     filling = _filling_from_json(obj)
     coerce = (lambda lab: as_staircase(lab, rule.d)) if rule.kind == "skew" else as_partition
-    label_rows = obj["labels"]
-    if not isinstance(label_rows, list) or not all(isinstance(r, list) for r in label_rows):
-        raise FormatError("diagram JSON labels must be a list of label rows")
-    rows = [[coerce(strict_list(lab)) for lab in row] for row in reversed(label_rows)]
+    label_rows = strict_list(obj["labels"])
+    rows = [[coerce(strict_list(lab)) for lab in strict_list(row)] for row in reversed(label_rows)]
     return GrowthDiagram(rule, filling, rows), ()
 
 

@@ -45,6 +45,8 @@ def as_partition(parts) -> Part:
     is rejected.
     """
     p = tuple(map(strict_int, parts))
+    if not p or (p[-1] > 0 and all(map(ge, p, p[1:]))):
+        return p
     k = len(p)
     while k and p[k - 1] == 0:
         k -= 1
@@ -238,11 +240,8 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 def parse_partition(text: str) -> Part:
     """Parse the bracketed text form into a canonical partition."""
-    p = _parse_int_list(text)
-    if not p or (p[-1] > 0 and all(map(ge, p, p[1:]))):
-        return p
-    try:  # trailing zeros to drop, or a refusal to word
-        return as_partition(p)
+    try:
+        return as_partition(_parse_int_list(text))
     except DomainError as exc:
         raise FormatError(str(exc)) from exc
 

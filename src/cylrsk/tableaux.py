@@ -114,6 +114,8 @@ def max_constituent_width(seq, d: int) -> int:
     This is the width notion that bounds each constituent separately.  It is
     not the same statistic as mcw_sequence, and the two are never conflated.
     """
+    if d < 1:
+        raise DomainError(f"degree must be positive, got {d}")
     return max((part(x, 1) - part(x, d) for x in seq), default=0)
 
 

@@ -464,7 +464,7 @@ def _run_capped(argv: str, stdin, cap: int):
         (
             "check -",
             3,
-            "format error: diagram JSON labels must be a list of label rows\n",
+            "format error: bad diagram: expected a list, got 'ab'\n",
             '{"rule": "rsk", "d": 0, "shape": [1], "rows": [[0]], "labels": "ab"}\n',
         ),
     ],

@@ -370,6 +370,10 @@ def test_scan_matches_per_permutation_oracle(monkeypatch):
         for n, (counts, inv_counts) in oracle.items():
             assert _scan_profiles(n) == counts, (chunk, n)
             assert _involution_profiles(n) == inv_counts, (chunk, n)
+    # the involution scan's profile of each involution up to S_9
+    for level in counting._involutions(9):
+        for perm in level:
+            assert counting._profile(perm) == (_descending_threshold(perm), _lis_length(perm)), perm
 
 
 def test_involution_count_does_not_walk_the_symmetric_group():

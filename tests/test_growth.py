@@ -781,6 +781,11 @@ def test_diagram_json_round_trip():
     g = grow_from_filling(D3, GRID7)
     back = parse_diagram(json.dumps(diagram_to_json(g)))
     assert back.labels == g.labels and back.filling == g.filling
+    # label rows given as tuples read as the lists do, under rsk and drsk
+    for h in (grow_from_filling(Rule.rsk(), GRID7), g):
+        blob = diagram_to_json(h)
+        blob["labels"] = tuple(tuple(map(tuple, row)) for row in blob["labels"])
+        assert parse_diagram(blob) == h
     blob = diagram_to_json(g)
     blob["labels"][0][7] = [9, 9, 4]
     with pytest.raises(DomainError):

@@ -36,6 +36,17 @@ partitions_st = st.lists(st.integers(1, 8), max_size=5).map(
 def test_canonical_form():
     assert as_partition([4, 3, 1, 0, 0]) == (4, 3, 1)
     assert as_partition([]) == ()
+    assert as_partition((5, 3, 3, 1)) == (5, 3, 3, 1)
+    assert as_partition([3, 2, 0]) == (3, 2)
+    assert as_partition([0]) == ()
+    for bad, message in (
+        ([2, 0, 1], "partition parts must be positive, got 0 in (2, 0, 1)"),
+        ([1, 2], "partition parts must be weakly decreasing, got (1, 2)"),
+        ([-1], "partition parts must be positive, got -1 in (-1,)"),
+    ):
+        with pytest.raises(DomainError) as err:
+            as_partition(bad)
+        assert str(err.value) == message
     with pytest.raises(DomainError):
         as_partition([3, 4])
     with pytest.raises(DomainError):

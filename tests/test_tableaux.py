@@ -242,6 +242,10 @@ def test_two_width_notions_differ():
     seq = ((0, 0), (1, 0), (2, 1))
     assert mcw_sequence(seq, 2) == 2
     assert max_constituent_width(seq, 2) == 1
+    # both refuse a degree below 1 alike
+    for width in (mcw_sequence, max_constituent_width):
+        with pytest.raises(DomainError, match=r"^degree must be positive, got 0$"):
+            width(seq, 0)
 
 
 def test_skew_tableaux_weights_and_reverse():
