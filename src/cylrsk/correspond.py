@@ -17,14 +17,13 @@ target word's path.
 through the unit-step codec of ``tableaux``.
 """
 
-from bisect import bisect_left
-
 from .errors import ChainBoundExceeded, DomainError
 from .fillings import (
     Filling,
     MINUS,
     PLUS,
     _column_permutation,
+    _lis,
     _permutation_columns,
     ne_chain_witness,
     path_points,
@@ -113,11 +112,8 @@ def cylindric_rs(
     cols = _permutation_columns(perm)
     n = len(cols)
     require_degrees(d, L)
-    tails: list[int] = []  # patience piles: the filling's NE-chains rise in cols
-    for c in cols:
-        i = bisect_left(tails, c)
-        tails[i : i + 1] = (c,)
-    if not n or len(tails) > L:  # the filling route refuses it, naming a longest chain
+    # NE-chains rise in cols; past L the filling route refuses, naming a longest one
+    if not n or _lis(cols) > L:
         cylindric_rsk(Filling._from_unit_columns((n,) * n, cols), d, L)
     return split_pair(_unit_boundary(Rule.drsk(d), (n,) * n, cols))
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, count, islice, repeat
 
 from .errors import DomainError, InvariantViolation
+from .fillings import _lis
 from .partitions import require_degrees
 
 BRUTE_LIMIT = 10
@@ -137,15 +138,6 @@ def _involutions(n: int) -> list[list[tuple[int, ...]]]:
                 level.append(t[:i] + (top,) + t[i:] + (i,))
         levels.append(level)
     return levels
-
-
-def _lis(values) -> int:
-    """Length of the longest strictly increasing subsequence."""
-    tails: list[int] = []
-    for x in values:
-        j = bisect_left(tails, x)
-        tails[j : j + 1] = [x]
-    return len(tails)
 
 
 def _profile(perm) -> tuple[int, int]:

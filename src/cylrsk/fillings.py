@@ -7,6 +7,7 @@ coordinates 1-based, so the cell (c, r) occupies the unit square with corners
 flipped on input to this bottom-up convention.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, compress
 
@@ -310,6 +311,15 @@ def _permutation_columns(perm) -> list[int]:
     if sorted(perm) != list(range(1, n + 1)):
         raise DomainError(f"{perm} is not a permutation of 1..{n}")
     return sorted(range(n), key=perm.__getitem__)  # the columns in order of their 1's row
+
+
+def _lis(values) -> int:
+    """Length of the longest strictly increasing subsequence."""
+    tails: list[int] = []
+    for x in values:
+        j = bisect_left(tails, x)
+        tails[j : j + 1] = [x]
+    return len(tails)
 
 
 def filling_to_permutation(f: Filling) -> tuple[int, ...]:

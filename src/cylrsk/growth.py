@@ -521,7 +521,9 @@ def classify_rs_cell(rule: Rule, bl, tl, br, tr, entry: int) -> str:
 # entry -- unless the rule is drsk and tl already has d parts, when it is the
 # wrap bump from row d - 1 (tl has d parts iff a (d-1)-step lies left of the
 # cell on its line).  drsk's side condition fails at an entry exactly when
-# the line below holds a (d-1)-step left of the cell.
+# the line below holds a (d-1)-step left of the cell.  Each sweep writes a
+# row's cells over one line in place, behind its search, and tracks the
+# leftmost (d-1)-step on it.
 
 
 def boundary_of(rule: Rule, filling: Filling) -> OscillatingTableau:
@@ -545,29 +547,33 @@ def boundary_of(rule: Rule, filling: Filling) -> OscillatingTableau:
 
 def _unit_boundary(rule: Rule, shape: Part, cols) -> OscillatingTableau:
     """boundary_of's step sweep, given the 0-based column of each row's 1 or -1."""
-    d = rule.d  # 0 under rsk
     line = [-1] * (shape[0] if shape else 0)  # the x-axis
+    # drsk's top row d - 1 bumps back to row 0; no rsk step reaches row -2
+    top = rule.d - 1 if rule.d else -2
+    lo = len(line)  # the leftmost top-row step, or past the line's end
     # the boundary's steps: left along each line's tail past the next row,
     # then up that row's right edge
     steps = []
     for row, (width, c) in enumerate(zip(shape, cols), 1):
         steps += reversed(line[width:])
-        here, a = line[:width], -1
+        del line[width:]
+        a, j = -1, c
         if c >= 0:
-            if d and d - 1 in line[:c]:
+            if lo < c:
                 raise _pattern_at(rule, c + 1, row)
-            here[c] = a = 0
-            j = c
-            # the box moves right to the next cell whose bottom step is a,
-            # which bumps it one row up; every cell in between keeps its steps
+            # the entry puts a box in row 0, which moves right to the next cell
+            # whose bottom step is its row and bumps it one row up; every cell
+            # in between keeps its steps.  A bump carries a top-row step only
+            # after writing one further left, so the one at lo never leaves
             try:
                 while True:
-                    j = here.index(a, j + 1)
-                    here[j] = a = (a + 1) % d if d else a + 1
+                    line[j] = a = a + 1 if a != top else 0
+                    if a == top and j < lo:
+                        lo = j
+                    j = line.index(a, j + 1)
             except ValueError:
                 pass
         steps.append(a)
-        line = here
     steps += reversed(line)
     return OscillatingTableau._walked(boundary_type_sequence(shape), steps)
 
@@ -598,10 +604,14 @@ def _unit_filling(d: int, w: str, rows) -> list[int]:
         else:
             tails[-1].append(s)
     line, cols = tails[-1], []
+    top = d - 1 if d else -2  # no rsk step reaches row -2
+    # index of the leftmost top-row step (tl has d parts right of it), sought
+    # when a bump or a new tail moved it; the first line counts as a new tail
+    rim = len(line) - 1
     for row in range(len(ups), 0, -1):
-        below, a, j, col = line[:], ups[row - 1], -1, -1
-        # index of the leftmost (d-1)-step: tl has d parts at the cells right of it
-        rim = len(line) - 1 - line[::-1].index(d - 1) if d and d - 1 in line else -1
+        a, j, col = ups[row - 1], -1, -1
+        if rim >= 0 and line[rim] != top:
+            rim = len(line) - 1 - line[::-1].index(top) if d and top in line else -1
         # the box moves left until a cell takes it as its entry: growth from a
         # boundary tableau leaves the axis labels empty, so it never runs out
         while a >= 0:
@@ -609,12 +619,13 @@ def _unit_filling(d: int, w: str, rows) -> list[int]:
             if a:
                 a -= 1
             elif j < rim:
-                a = d - 1
+                a = top
             else:  # a new box: the cell's entry
                 col, a = len(line) - 1 - j, -1
-            below[j] = a
+            line[j] = a
         cols.append(col)
-        line = tails[row - 1] + below
+        line[:0] = tails[row - 1]
+        rim += len(tails[row - 1])
     return cols[::-1]
 
 

@@ -44,7 +44,11 @@ def as_partition(parts) -> Part:
     Trailing zeros are dropped; any other zero, negative, or increasing part
     is rejected.
     """
-    p = tuple(map(strict_int, parts))
+    return _canonical(tuple(map(strict_int, parts)))
+
+
+def _canonical(p: Part) -> Part:
+    """as_partition's canonical pass, over a tuple of ints."""
     if not p or (p[-1] > 0 and all(map(ge, p, p[1:]))):
         return p
     k = len(p)
@@ -241,7 +245,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 def parse_partition(text: str) -> Part:
     """Parse the bracketed text form into a canonical partition."""
     try:
-        return as_partition(_parse_int_list(text))
+        return _canonical(_parse_int_list(text))
     except DomainError as exc:
         raise FormatError(str(exc)) from exc
 

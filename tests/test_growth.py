@@ -1201,8 +1201,11 @@ def _partial_permutation(rng, shape):
     return Filling(shape, tuple(rows))
 
 
-def _unit_step_tableau(rng, w, d):
-    """A random oscillating tableau for w whose steps change at most one box, with <= d parts."""
+def _unit_step_tableau(rng, w, d, idle=True):
+    """A random oscillating tableau for w whose steps change at most one box, with <= d parts.
+
+    With idle False every step moves a box, so a square's tableau is a permutation's.
+    """
     lam, seq, downs = [], [()], w.count("-")
     for ch in w:
         padded = lam + [0]
@@ -1212,17 +1215,32 @@ def _unit_step_tableau(rng, w, d):
                 i for i in range(min(len(lam) + 1, d))
                 if sum(lam) < downs and (i == 0 or padded[i - 1] > padded[i])
             ]
-            options, sign = moves + [None], 1
+            options, sign = moves + [None] * idle, 1
         else:
             downs -= 1
             moves = [i for i in range(len(lam)) if padded[i] > padded[i + 1]]
-            options, sign = moves + [None] * (sum(lam) <= downs), -1
+            options, sign = moves + [None] * (idle and sum(lam) <= downs), -1
         i = rng.choice(options)
         if i is not None:
             padded[i] += sign
         lam = [v for v in padded if v]
         seq.append(tuple(lam))
     return OscillatingTableau(w, tuple(seq))
+
+
+def _sweep_refusal(rule, f):
+    """The kernel's refusal cell of f, or None; boundary_of gives the kernel's boundary or refusal."""
+    try:
+        want = extract_boundary(grow_from_filling(rule, f))
+    except PatternContainment as exc:
+        with pytest.raises(PatternContainment) as info:
+            growth.boundary_of(rule, f)
+        assert (str(info.value), info.value.cell) == (str(exc), exc.cell)
+        return exc.cell
+    t = growth.boundary_of(rule, f)
+    assert t == want
+    assert growth.filling_of(rule, f.shape, t) == f
+    return None
 
 
 def test_step_sweeps_match_the_partition_kernel():
@@ -1233,18 +1251,7 @@ def test_step_sweeps_match_the_partition_kernel():
     for _ in range(150):
         shape = random_shape(rng, 7, 7)
         f = _partial_permutation(rng, shape)
-        for rule in rules:
-            try:
-                want = extract_boundary(grow_from_filling(rule, f))
-            except PatternContainment as exc:
-                with pytest.raises(PatternContainment) as info:
-                    growth.boundary_of(rule, f)
-                assert (str(info.value), info.value.cell) == (str(exc), exc.cell)
-                refusals += 1
-                continue
-            t = growth.boundary_of(rule, f)
-            assert t == want
-            assert growth.filling_of(rule, shape, t) == f
+        refusals += sum(_sweep_refusal(rule, f) is not None for rule in rules)
     assert refusals > 30
     for _ in range(250):
         shape = random_shape(rng, 7, 7)
@@ -1252,6 +1259,34 @@ def test_step_sweeps_match_the_partition_kernel():
         for rule in rules:
             t = _unit_step_tableau(rng, w, rule.d or len(w))
             assert growth.filling_of(rule, shape, t) == grow_from_boundary(rule, shape, t).filling
+    # at benchmark scale a bump chain runs far past 7 cells: permutations of
+    # 30 to 60 that avoid the pattern, the same with their top rows shuffled,
+    # which drsk refuses late if at all, and partial permutations of shapes
+    # 15 to 25 wide whose rows end at many widths
+    late = 0
+    for rule in rules:
+        for _ in range(3):
+            n = rng.randint(30, 60)
+            shape = (n,) * n
+            t = _unit_step_tableau(rng, boundary_type_sequence(shape), rule.d or n, idle=False)
+            f = grow_from_boundary(rule, shape, t).filling
+            assert growth.filling_of(rule, shape, t) == f and f.unit_columns().count(-1) == 0
+            assert _sweep_refusal(rule, f) is None
+            k = rng.randint(4, 12)
+            tops = list(f.rows[n - k :])
+            rng.shuffle(tops)
+            cell = _sweep_refusal(rule, Filling(shape, f.rows[: n - k] + tuple(tops)))
+            late += cell is not None and cell[1] > n - k
+        for _ in range(3):
+            width = rng.randint(15, 25)
+            shape = (width, *sorted((rng.randint(1, width) for _ in range(rng.randint(14, 24))), reverse=True))
+            w = boundary_type_sequence(shape)
+            t = _unit_step_tableau(rng, w, rule.d or len(w))
+            f = grow_from_boundary(rule, shape, t).filling
+            assert growth.filling_of(rule, shape, t) == f
+            assert _sweep_refusal(rule, f) is None
+            _sweep_refusal(rule, _partial_permutation(rng, shape))
+    assert late > 4
 
 
 def _boundary_tableaux(w, k, labels):
