@@ -57,7 +57,6 @@ from .partitions import (
     interlaces,
     parse_partition,
     parse_staircase,
-    part,
     strict_int,
     strict_list,
 )
@@ -116,15 +115,6 @@ def _validate_entry(entry: int) -> int:
     return entry
 
 
-def _side_condition(rule: Rule, bl: Part, entry: int) -> str | None:
-    """Why the rule forbids this entry over bl, or None when it allows it."""
-    if rule.kind == "drsk" and entry > 0 and part(bl, rule.d) > 0:
-        return f"cell with entry {entry} over label {bl} of full length {rule.d}"
-    if rule.kind == "skew" and entry != 0:
-        return "skew cells carry entry 0"
-    return None
-
-
 # ---------------------------------------------------------------------------
 # The local rule, written once
 #
@@ -165,8 +155,9 @@ def _side_condition(rule: Rule, bl: Part, entry: int) -> str | None:
 # * validate_diagram and parse_diagram, by the axis check and by regrowing from
 #   the filling, or under skew from the axes: grown labels are the given ones
 #   up to the first failing cell;
-# * check_cell and classify_rs_cell, by the interlaces calls of _cell_holds;
-# * grow_forward_cell and grow_backward_cell, by their own interlaces checks.
+# * check_cell, classify_rs_cell and grow_forward_cell, by the interlaces
+#   check of _forward_cell;
+# * grow_backward_cell, by its own interlaces check.
 #
 # Among labels of parts in [lo, hi] and entries of at most e, every solved
 # part is at most 2hi + e, and under skew lies within (d - 1)(hi - lo) + V of
@@ -255,30 +246,31 @@ class _Lanes:
         return rest | (wrap + entry + self.bias) << self.top, entry
 
 
-def _cell_holds(rule: Rule, bl: Part, tl: Part, br: Part, tr: Part, entry: int) -> bool:
-    """Whether a cell of canonical labels holds: bl below tl and br, and tr solved above them."""
-    if not (interlaces(bl, tl) and interlaces(bl, br)) or _side_condition(rule, bl, entry):
-        return False
-    lanes = _Lanes.fitting(rule, (bl, tl, br, tr), entry)
-    return lanes.forward(*map(lanes.pack, (bl, tl, br)), entry) == lanes.pack(tr)
+def _forward_cell(rule: Rule, bl: Part, tl: Part, br: Part, entry: int):
+    """(tr, None), tr the top-right label the rule solves over canonical labels, or (None, why)."""
+    if not (interlaces(bl, tl) and interlaces(bl, br)):
+        return None, f"{bl} does not interlace below {tl} and {br}"
+    lanes = _Lanes.fitting(rule, (bl, tl, br), entry)
+    pbl, ptl, pbr = map(lanes.pack, (bl, tl, br))
+    if entry and pbl >= lanes.bar:  # the line step's side condition
+        why = f"cell with entry {entry} over label {bl} of full length {rule.d}"
+        return None, "skew cells carry entry 0" if lanes.skew else why
+    return lanes.unpack(lanes.forward(pbl, ptl, pbr, entry)), None
 
 
 def check_cell(rule: Rule, bl, tl, br, tr, entry: int) -> bool:
     """True iff the five pieces of cell data satisfy the rule."""
     bl, tl, br, tr = (_validate_label(rule, p) for p in (bl, tl, br, tr))
-    return _cell_holds(rule, bl, tl, br, tr, _validate_entry(entry))
+    return _forward_cell(rule, bl, tl, br, _validate_entry(entry))[0] == tr
 
 
 def grow_forward_cell(rule: Rule, bl, tl, br, entry: int) -> Part:
     """The unique top-right label completing the cell under the rule."""
     bl, tl, br = (_validate_label(rule, p) for p in (bl, tl, br))
-    entry = _validate_entry(entry)
-    if not (interlaces(bl, tl) and interlaces(bl, br)):
-        raise DomainError(f"{bl} does not interlace below {tl} and {br}")
-    if why := _side_condition(rule, bl, entry):
+    tr, why = _forward_cell(rule, bl, tl, br, _validate_entry(entry))
+    if why:
         raise DomainError(why)
-    lanes = _Lanes.fitting(rule, (bl, tl, br), entry)
-    return lanes.unpack(lanes.forward(*map(lanes.pack, (bl, tl, br)), entry))
+    return tr
 
 
 def grow_backward_cell(rule: Rule, tl, br, tr) -> tuple[Part, int]:
@@ -484,7 +476,7 @@ def classify_rs_cell(rule: Rule, bl, tl, br, tr, entry: int) -> str:
             raise DomainError(f"size jumps by more than 1 across the {edge} edge")
     if entry > 1:
         raise DomainError(f"unit-step cells carry entry 0 or 1, got {entry}")
-    if not _cell_holds(rule, bl, tl, br, tr, entry):
+    if _forward_cell(rule, bl, tl, br, entry)[0] != tr:
         raise InvariantViolation(
             f"cell breaks the local rule {rule}: bl={bl} tl={tl} br={br} tr={tr} entry={entry}"
         )

@@ -98,7 +98,7 @@ def size(p: Part) -> int:
 def part(p: Part, i: int) -> int:
     """The i-th part (1-based), extending by zeros past the stored length."""
     if i < 1:
-        raise ValueError(f"part index must be >= 1, got {i}")
+        raise DomainError(f"part index must be >= 1, got {i}")
     return p[i - 1] if i <= len(p) else 0
 
 

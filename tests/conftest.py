@@ -306,9 +306,14 @@ def ref_backward(rule, tl, br, tr):
     return tuple(bl), entry
 
 
+def ref_side_breaks(rule, bl, entry):
+    """Whether the rule forbids the entry over bl: skew cells carry 0, drsk's none over d parts."""
+    return entry != 0 and (rule.kind == "skew" or rule.kind == "drsk" and len(bl) >= rule.d)
+
+
 def ref_holds(rule, bl, tl, br, tr, entry):
     """Side condition and row equations of a cell with verified edges."""
-    if growth._side_condition(rule, bl, entry) is not None:
+    if ref_side_breaks(rule, bl, entry):
         return False
     return ref_forward(rule, bl, tl, br, entry) == tr
 
@@ -333,7 +338,7 @@ def ref_sweep(rule, shape, w, seq, entries):
         here, below, ents = grid[row], grid[row - 1], entries[row - 1]
         for col in range(up_x[row - 1] + 1, shape[row - 1] + 1):
             bl, entry = below[col - 1], ents[col - 1]
-            if growth._side_condition(rule, bl, entry):
+            if ref_side_breaks(rule, bl, entry):
                 raise PatternContainment("side condition", cell=(col, row))
             here[col] = ref_forward(rule, bl, here[col - 1], below[col], entry)
     return tuple(map(tuple, grid))

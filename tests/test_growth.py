@@ -44,6 +44,8 @@ from conftest import (
     random_skew_seq,
     random_staircase,
     random_word,
+    ref_holds,
+    ref_side_breaks,
     ref_sweep,
     step_down,
     step_up,
@@ -76,19 +78,30 @@ def test_forward_cell_examples():
     for rule in (Rule.rsk(), D3):
         assert grow_forward_cell(rule, (), (), (), 1) == (1,)
     assert grow_forward_cell(Rule.skew(1), (0,), (0,), (0,), 0) == (0,)
+    # the entry sizes the fields as the labels do
+    assert grow_forward_cell(Rule.rsk(), (1,), (2,), (1, 1), 10**30) == (10**30 + 2, 1)
+    assert check_cell(D3, (1,), (2,), (1, 1), (10**30 + 2, 1), 10**30)
 
 
 def test_forward_cell_precondition_errors():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^cell with entry 2 over label \(1, 1, 1\) of full length 3$"):
         grow_forward_cell(D3, (1, 1, 1), (1, 1, 1), (1, 1, 1), 2)  # full bl with entry
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^cell with entry 1 over label \(1, 1\) of full length 2$"):
+        grow_forward_cell(Rule.drsk(2), (1, 1), (1, 1), (1, 1), 1)
+    with pytest.raises(DomainError, match=r"^\(2,\) does not interlace below \(1,\) and \(3,\)$"):
         grow_forward_cell(Rule.rsk(), (2,), (1,), (3,), 0)  # bl does not interlace
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^skew cells carry entry 0$"):
         grow_forward_cell(Rule.skew(1), (0,), (1,), (1,), 1)  # skew entry must be 0
+    with pytest.raises(DomainError, match=r"^\(1,\) does not interlace above \(2,\) and \(2,\)$"):
+        grow_backward_cell(Rule.rsk(), (2,), (2,), (1,))
     with pytest.raises(DomainError):
         grow_forward_cell(Rule.rsk(), (), (), (), 1.9)  # not an int
     with pytest.raises(DomainError, match="cell entry must be nonnegative, got -1"):
         check_cell(Rule.rsk(), (), (), (), (), -1)
+    # a tr the solve cannot give is refused without raising, however far it lies
+    assert check_cell(Rule.rsk(), (), (), (), (), 1) is False
+    assert check_cell(Rule.rsk(), (), (), (), (10**30,), 1) is False
+    assert check_cell(Rule.rsk(), (1,), (2,), (1, 1), (1,) * 5, 0) is False
 
 
 def test_backward_cell_examples():
@@ -261,7 +274,7 @@ def _ref_backward(rule, tl, br, tr):
 
 
 def _ref_holds(rule, bl, tl, br, tr, entry):
-    if growth._side_condition(rule, bl, entry) is not None:
+    if ref_side_breaks(rule, bl, entry):
         return False
     s = _full_row_system(rule, tl, br)
     lo = bl + (0,) * (len(s) - len(bl))
@@ -328,7 +341,7 @@ def test_drsk_cells_solve_only_the_rows_their_labels_use():
             for top in {grown, tr} - {InvariantViolation}:
                 back = _outcome(_packed_backward, rule, tl, br, top)
                 assert back == _outcome(_ref_backward, rule, tl, br, top)
-                holds = growth._cell_holds(rule, bl, tl, br, top, entry)
+                holds = growth._forward_cell(rule, bl, tl, br, entry)[0] == top
                 assert holds == _ref_holds(rule, bl, tl, br, top, entry)
                 seen[kind, holds] += 1
     # under each rule, both the cell's own tr and many random ones
@@ -472,18 +485,18 @@ def test_cell_kernels_refuse_labels_that_break_their_precondition():
     for kind in ("rsk", "drsk", "skew"):
         for rule, *labs, entry in _random_cells(rng, kind, 600):
             bl, tl, br = labs[:3]
-            if growth._side_condition(rule, bl, entry) is None:
+            if not ref_side_breaks(rule, bl, entry):
                 tr = grow_forward_cell(rule, bl, tl, br, entry)
-                assert growth._cell_holds(rule, bl, tl, br, tr, entry)
+                assert ref_holds(rule, bl, tl, br, tr, entry)
                 moved = _nudged(rng, rule, tr)
-                assert moved is None or not growth._cell_holds(rule, bl, tl, br, moved, entry)
+                assert moved is None or not ref_holds(rule, bl, tl, br, moved, entry)
                 seen["moved tr", moved is None] += 1
             i = rng.randrange(4)
             labs[i] = _nudged(rng, rule, labs[i])
             if labs[i] is None:
                 continue
             bl, tl, br, tr = labs
-            if i < 3 and growth._side_condition(rule, bl, entry) is None:
+            if i < 3 and not ref_side_breaks(rule, bl, entry):
                 below = interlaces(bl, tl) and interlaces(bl, br)
                 assert refused(grow_forward_cell, rule, bl, tl, br, entry) == (not below)
                 seen["forward", below] += 1
@@ -502,7 +515,7 @@ def test_check_cell_agrees_with_the_four_edge_form():
         for rule, *labs, entry in _random_cells(rng, kind, 400):
             bl, tl, br = labs[:3]
             cells = [labs]
-            if growth._side_condition(rule, bl, entry) is None:
+            if not ref_side_breaks(rule, bl, entry):
                 cells.append([bl, tl, br, _packed_forward(rule, bl, tl, br, entry)])
             for cell in cells[:]:
                 i = rng.randrange(4)
@@ -510,7 +523,7 @@ def test_check_cell_agrees_with_the_four_edge_form():
             for bl, tl, br, tr in (cell for cell in cells if None not in cell):
                 edges = ((bl, tl), (bl, br), (tl, tr), (br, tr))
                 four = all(interlaces(a, b) for a, b in edges)
-                four = four and growth._cell_holds(rule, bl, tl, br, tr, entry)
+                four = four and ref_holds(rule, bl, tl, br, tr, entry)
                 assert check_cell(rule, bl, tl, br, tr, entry) == four
                 seen[kind, four] += 1
     assert min(seen.values()) > 200 and len(seen) == 6

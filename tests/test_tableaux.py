@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from dataclasses import asdict
 
 import pytest
@@ -467,6 +469,36 @@ def test_walk_built_tableaux_match_the_public_constructor(d):
         # a tableau that is not walk-built splits and joins to the same values
         _assert_same_tableau(join_pair(*split_pair(public)), public, d)
         assert walked.reverse() == public.reverse()
+
+
+def test_step_rows_agree_across_threads_on_a_freshly_parsed_tableau():
+    """unit_rows keeps the step rows on first call; threads that race to keep them agree."""
+    rows, seq = _random_unit_walk(random.Random(223), 4, 150, 150)
+    text = format_oscillating(OscillatingTableau("+" * 150 + "-" * 150, seq))
+    serial = parse_oscillating(text)
+    want = serial.unit_rows(), serial.is_standard()
+    assert want == (tuple(rows), -1 not in rows)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so an unguarded cache races
+    try:
+        for _ in range(20):
+            t = parse_oscillating(text)
+            key = hash(t)
+            out = [None] * 8
+
+            def work(i):
+                out[i] = t.unit_rows(), t.is_standard()
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+            assert out == [want] * 8
+            assert t == serial and hash(t) == key == hash(serial)
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_unit_walk_refuses_a_box_off_a_corner():
