@@ -37,6 +37,7 @@ from .tableaux import (
     SkewOscillatingTableau,
     SkewRowStrictTableau,
     _check_word,
+    _require_type,
     join_pair,
     split_pair,
 )
@@ -124,11 +125,7 @@ def cylindric_rs_inverse(
     if not (p.is_standard() and q.is_standard()):
         raise DomainError("inverse of the permutation map needs standard tableaux")
     # standard cylindric halves of one shape pass filling_of's shape checks
-    return _unit_permutation(d, _pair_boundary(p, q, d, L)[1])
-
-
-def _unit_permutation(d: int, t: OscillatingTableau) -> tuple[int, ...]:
-    """The permutation whose degree-d boundary is t, the join of a standard pair of one shape."""
+    t = _pair_boundary(p, q, d, L)[1]
     return _column_permutation(_unit_filling(d, t.w, t.unit_rows()))
 
 
@@ -141,6 +138,7 @@ def skew_retype(t: SkewOscillatingTableau, v: str) -> SkewOscillatingTableau:
     cylindric width are preserved, and retype back to t's word is the
     inverse.
     """
+    _require_type(t, SkewOscillatingTableau)
     _check_word(v)
     if v.count(PLUS) != t.w.count(PLUS) or v.count(MINUS) != t.w.count(MINUS):
         raise DomainError(f"words {t.w!r} and {v!r} have different step counts")
@@ -211,24 +209,25 @@ def conjugate_standard_pair(
     that adds a box in column c adds one in row (c - 1) mod L of the
     conjugate (0-based); a step that keeps its label keeps it.
     """
+    _require_type(p, SemistandardTableau)
     require_degrees(d, L)
-    return _conjugate(p.require_cylindric(d, L), L)
+    return SemistandardTableau._walked(p.w, _conjugate_rows(p.require_cylindric(d, L), L))
 
 
-def _conjugate(p: SemistandardTableau, L: int) -> SemistandardTableau:
-    """conjugate_standard_pair on a (d, L)-cylindric chain: one it checked, or a half from cylindric_rs."""
+def _conjugate_rows(p: SemistandardTableau, L: int) -> list[int]:
+    """Step rows of p's conjugate; p is a checked (d, L)-cylindric chain or a half from cylindric_rs."""
     rows = p.unit_rows()
     if rows is None:
         raise DomainError(f"conjugation needs steps of at most one box, got weights {p.weight()}")
-    conj = [(lam[r] - 1) % L if r >= 0 else -1 for r, lam in zip(rows, p.seq[1:])]
-    return SemistandardTableau._walked(p.w, conj)
+    return [(lam[r] - 1) % L if r >= 0 else -1 for r, lam in zip(rows, p.seq[1:])]
 
 
 def wilf_bijection(perm, d: int, L: int) -> tuple[int, ...]:
     """Map an avoider of the (d, L) pattern pair to one of the (L, d) pair.
 
-    Applies the permutation-to-tableaux map, conjugates both tableaux, and
-    inverts at swapped parameters.  Involutions map to involutions.
+    Applies the permutation-to-tableaux map, conjugates both tableaux' step
+    rows, and inverts them at swapped parameters.  Involutions map to involutions.
     """
     p, q = cylindric_rs(perm, d, L)
-    return _unit_permutation(L, join_pair(_conjugate(p, L), _conjugate(q, L)))
+    rows = _conjugate_rows(p, L) + _conjugate_rows(q, L)[::-1]
+    return _column_permutation(_unit_filling(L, PLUS * len(p.w) + MINUS * len(q.w), rows))

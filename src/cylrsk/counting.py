@@ -28,7 +28,7 @@ from itertools import accumulate, chain, count, islice, repeat
 
 from .errors import DomainError, InvariantViolation
 from .fillings import _lis
-from .partitions import require_degrees
+from .partitions import require_degrees, strict_int
 
 BRUTE_LIMIT = 10
 TRIG_TERM_BUDGET = 2_000_000
@@ -38,7 +38,7 @@ STEP_WORK_BUDGET = 10**10
 
 
 def _check_params(n: int, d: int, L: int, stepped: bool = False) -> None:
-    if n < 1:
+    if strict_int(n) < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     require_degrees(d, L)
     # the stepped routes run at (min(d, L), max(d, L)): see _stepped_value
@@ -600,7 +600,7 @@ class CountTable:
 def count_table(d: int, L: int, n_max: int, routes=("brute", "pairs", "trig")) -> CountTable:
     """Run the requested routes for n = 1..n_max: each route's public function
     once, at n_max, with its checks, then every n read from the state it built."""
-    if n_max < 1:
+    if strict_int(n_max) < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     routes = tuple(routes)
     if not routes:

@@ -60,7 +60,7 @@ from .partitions import (
     strict_int,
     strict_list,
 )
-from .tableaux import OscillatingTableau, SkewOscillatingTableau, step_rows
+from .tableaux import OscillatingTableau, SkewOscillatingTableau, _require_type, step_rows
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,7 @@ class Rule:
     d: int = 0
 
     def __post_init__(self):
+        strict_int(self.d)
         if self.kind not in ("rsk", "drsk", "skew"):
             raise DomainError(f"unknown rule kind {self.kind!r}")
         if self.kind == "rsk" and self.d != 0:
@@ -339,6 +340,7 @@ def _filled(rule: Rule, filling: Filling):
 
 def _boundary_shape(rule: Rule, shape, t: OscillatingTableau) -> Part:
     """The canonical shape, once t is known to label its boundary under the rule."""
+    _require_type(t, OscillatingTableau)
     if rule.kind == "skew":
         raise DomainError("skew diagrams are grown with grow_skew")
     shape = as_partition(shape)
@@ -374,6 +376,7 @@ def grow_skew(d: int, rect: Part, t: SkewOscillatingTableau) -> GrowthDiagram:
 
 def _skew_lines(d: int, rect: Part, t: SkewOscillatingTableau):
     """grow_skew's lanes and packed label lines, bottom first, once its arguments pass its checks."""
+    _require_type(t, SkewOscillatingTableau)
     rect = as_partition(rect)
     if not rect or any(wd != rect[0] for wd in rect):
         raise DomainError(f"skew growth needs a nonempty rectangle, got {rect}")
@@ -576,7 +579,7 @@ def filling_of(rule: Rule, shape: Part, t: OscillatingTableau) -> Filling:
     A boundary whose every step changes the size by at most 1 is swept as
     step words; any other by the backward line step, which writes the entries.
     """
-    unit, shape = t.unit_rows(), _boundary_shape(rule, shape, t)
+    shape, unit = _boundary_shape(rule, shape, t), t.unit_rows()
     if unit is not None:
         return Filling._from_unit_columns(shape, _unit_filling(rule.d, t.w, unit))
     rows = [[0] * width for width in shape]

@@ -34,7 +34,7 @@ def strict_list(v):
 
 def require_degrees(d: int, L: int) -> None:
     """Refuse a (d, L) that is not a pair of positive integers."""
-    if d < 1 or L < 1:
+    if min(strict_int(d), strict_int(L)) < 1:
         raise DomainError(f"d and L must be >= 1, got ({d},{L})")
 
 
@@ -65,7 +65,7 @@ def _canonical(p: Part) -> Part:
 
 def as_staircase(parts, d: int) -> Part:
     """Validate an iterable of ints as a staircase of degree d."""
-    if d < 1:
+    if strict_int(d) < 1:
         raise DomainError(f"staircase degree must be positive, got {d}")
     s = tuple(map(strict_int, parts))
     if len(s) != d:
@@ -199,7 +199,7 @@ def cyl_conjugate(s: Part, d: int, L: int) -> Part:
     recovers the input, and sizes are preserved.
     """
     s = as_staircase(s, d)
-    if L < 1:
+    if strict_int(L) < 1:
         raise DomainError(f"width parameter must be positive, got {L}")
     if d * L > CONJUGATE_WORK_BUDGET:
         raise DomainError(

@@ -1,10 +1,11 @@
 import os
 import random
+import re
 from itertools import permutations, product
 
 import pytest
 
-from cylrsk import correspond, fillings, growth, tableaux
+from cylrsk import correspond, counting, fillings, growth, tableaux
 from cylrsk.correspond import (
     bwx_inverse,
     bwx_map,
@@ -35,6 +36,7 @@ from cylrsk.fillings import (
 )
 from cylrsk.partitions import (
     as_partition,
+    as_staircase,
     cyl_conjugate,
     dl_interlaces,
     partition_to_staircase,
@@ -46,6 +48,7 @@ from cylrsk.tableaux import (
     SkewOscillatingTableau,
     SkewRowStrictTableau,
     step_rows,
+    unit_walk,
 )
 from conftest import (
     perm_contains_descending_pattern,
@@ -660,6 +663,21 @@ def test_inverse_of_a_parsed_pair_reads_each_step_once(monkeypatch):
     assert [half.unit_rows() for half in parsed] == [half.unit_rows() for half in fresh]
 
 
+def test_wilf_bijection_walks_labels_once(monkeypatch):
+    """Only cylindric_rs's boundary is walked; the conjugates stay step rows."""
+    perm = random.Random(137).choice(_avoiders(7, 2, 3))
+    expected = wilf_bijection(perm, 2, 3)
+    walks = []
+
+    def counted(start, w, rows):
+        walks.append(len(w))
+        return unit_walk(start, w, rows)
+
+    monkeypatch.setattr(tableaux, "unit_walk", counted)
+    assert wilf_bijection(perm, 2, 3) == expected
+    assert walks == [14]
+
+
 def _reference_rs(perm, d, L):
     """cylindric_rs through the filling route, from public functions."""
     p, q = cylindric_rsk(permutation_to_filling(perm), d, L)
@@ -767,3 +785,104 @@ def test_permutation_inverse_refuses_as_the_filling_route():
         for d, L in ((2, 2), (3, 3), (0, 2), (2, 0), (1, 1)):
             _assert_inverses_agree(p, q, d, L)
             _assert_inverses_agree(q, p, d, L)
+
+
+def _shrinking_chain(rng, shape, d, L):
+    """A random standard chain from () to shape, (d, L)-cylindric at each step,
+    drawn by removing corners from shape; None at a dead end."""
+    seq = [shape]
+    while seq[-1]:
+        mu = seq[-1]
+        options = []
+        for i in range(len(mu)):
+            if i + 1 < len(mu) and mu[i + 1] == mu[i]:
+                continue
+            lam = as_partition(mu[:i] + (mu[i] - 1,) + mu[i + 1 :])
+            if dl_interlaces(lam, mu, d, L):
+                options.append(lam)
+        if not options:
+            return None
+        seq.append(rng.choice(options))
+    return SemistandardTableau(tuple(seq[::-1]))
+
+
+@pytest.mark.parametrize("d, L", [(2, 3), (3, 4), (5, 5)])
+def test_permutation_maps_match_the_filling_route_at_benchmark_scale(d, L):
+    """Avoiders of 40 to 120 points, drawn as standard pairs: random
+    permutations that long almost never avoid both patterns."""
+    rng = random.Random(131 + d)
+    rows = 0
+    while rows < 4:
+        p = _standard_chain(rng, rng.randint(40, 120), d, L)
+        q = p and _shrinking_chain(rng, p.shape, d, L)
+        if q is None:
+            continue
+        rows += 1
+        perm = cylindric_rs_inverse(p, q, d, L)
+        assert _assert_permutation_maps_agree(perm, d, L) == (p, q)
+        moved = wilf_bijection(perm, d, L)
+        assert isinstance(_assert_permutation_maps_agree(moved, L, d)[0], SemistandardTableau)
+        assert wilf_bijection(moved, L, d) == perm
+
+
+OSC = OscillatingTableau("+-", ((), (1,), ()))
+SKEW = SkewOscillatingTableau(1, "+-", ((-1,), (0,), (-1,)))
+
+
+@pytest.mark.parametrize(
+    "fn, args, expected, got",
+    [
+        (
+            conjugate_standard_pair,
+            (OscillatingTableau("++--", ((), (1,), (2,), (1,), ())), 2, 3),
+            "SemistandardTableau",
+            "OscillatingTableau",
+        ),
+        (
+            conjugate_standard_pair,
+            (OscillatingTableau("+-", ((), (2,), ())), 2, 3),
+            "SemistandardTableau",
+            "OscillatingTableau",
+        ),
+        (conjugate_standard_pair, (SKEW, 2, 3), "SemistandardTableau", "SkewOscillatingTableau"),
+        (
+            growth.grow_from_boundary,
+            (growth.Rule.rsk(), (1,), SKEW),
+            "OscillatingTableau",
+            "SkewOscillatingTableau",
+        ),
+        (
+            growth.grow_from_boundary,
+            (growth.Rule.rsk(), (1,), SkewOscillatingTableau(1, "+-", ((0,), (0,), (0,)))),
+            "OscillatingTableau",
+            "SkewOscillatingTableau",
+        ),
+        (drsk_inverse, ((1,), SKEW, 2), "OscillatingTableau", "SkewOscillatingTableau"),
+        (growth.grow_skew, (1, (1,), OSC), "SkewOscillatingTableau", "OscillatingTableau"),
+        (skew_retype, (OSC, "-+"), "SkewOscillatingTableau", "OscillatingTableau"),
+        (skew_retype, (OSC, "+-"), "SkewOscillatingTableau", "OscillatingTableau"),
+    ],
+)
+def test_tableau_entries_refuse_the_wrong_tableau_class(fn, args, expected, got):
+    with pytest.raises(DomainError, match=f"^expected {expected}, got {got}$"):
+        fn(*args)
+
+
+@pytest.mark.parametrize(
+    "fn, args, bad",
+    [
+        (drsk, (Filling((1,), [[1]]), 2.5), 2.5),
+        (growth.Rule, ("rsk", 0.0), 0.0),
+        (cylindric_rs, ((1, 2, 3), True, 3), True),
+        (cylindric_rs, ((1, 2, 3), 2, 3.0), 3.0),
+        (conjugate_standard_pair, (SemistandardTableau(((), (1,), (2,))), 2, 3.0), 3.0),
+        (as_staircase, ((1, 0), 2.0), 2.0),
+        (cyl_conjugate, ((1, 0), 2, 3.0), 3.0),
+        (counting.count_table, (2, 3, 5.0), 5.0),
+        (counting.brute_count, (5.0, 2, 3), 5.0),
+        (counting.asymptotic, (2.0, 3), 2.0),
+    ],
+)
+def test_integer_parameters_refuse_other_types(fn, args, bad):
+    with pytest.raises(DomainError, match=f"^expected an integer, got {re.escape(repr(bad))}$"):
+        fn(*args)

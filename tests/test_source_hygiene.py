@@ -9,10 +9,13 @@ constructors of values built from a unit walk: the tableau, whose walk
 checks each step, and the 0/1 filling with one column per row, built from
 columns its callers have just computed.  ``InvariantViolation`` reports a
 bug, so only ``cli.main`` catches it, to turn it into an exit code; no
-``except`` clause elsewhere names it, a base class of it, or nothing.
+``except`` clause elsewhere names it, a base class of it, or nothing.  No
+``raise`` names a builtin exception class: every refusal is one of the
+package's own errors.
 """
 
 import ast
+import builtins
 from collections import Counter
 from itertools import chain
 from pathlib import Path
@@ -114,3 +117,21 @@ def _catches_invariant_violation(node) -> bool:
 
 def test_only_the_cli_catches_invariant_violations():
     assert _sites(_catches_invariant_violation) == [("cli", "main")]
+
+
+BUILTIN_EXCEPTIONS = {
+    name
+    for name, value in vars(builtins).items()
+    if isinstance(value, type) and issubclass(value, BaseException)
+}
+
+
+def _raises_a_builtin(node) -> bool:
+    if not isinstance(node, ast.Raise):
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id in BUILTIN_EXCEPTIONS
+
+
+def test_no_raise_names_a_builtin_exception():
+    assert _sites(_raises_a_builtin) == []
