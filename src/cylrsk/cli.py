@@ -29,6 +29,7 @@ from .partitions import (
     format_partition,
     parse_partition,
     parse_staircase,
+    positive_int,
     strict_int,
     strict_list,
 )
@@ -161,8 +162,7 @@ def _cmd_rowstrict_retype(args):
 
 
 def _cmd_conjugate(args):
-    if args.d < 1:  # before the staircase reader turns it into a format error
-        raise DomainError(f"staircase degree must be positive, got {args.d}")
+    positive_int(args.d, "staircase degree")  # before the staircase reader makes it a format error
     stair = decode(
         _read(args.file),
         lambda t: parse_staircase(t, args.d),

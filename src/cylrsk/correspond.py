@@ -30,7 +30,7 @@ from .fillings import (
 )
 from .growth import Rule, boundary_of, filling_of
 from .growth import _skew_lines, _unit_boundary, _unit_filling
-from .partitions import CONJUGATE_WORK_BUDGET, Part, cyl_conjugate, require_degrees
+from .partitions import CONJUGATE_WORK_BUDGET, Part, cyl_conjugate, positive_int, require_degrees
 from .tableaux import (
     OscillatingTableau,
     SemistandardTableau,
@@ -159,7 +159,7 @@ def rowstrict_retype(
     resulting interlacing tableau at degree L, and conjugates back; shape and
     weights are preserved.
     """
-    t.require_cylindric(L)
+    t.require_cylindric(positive_int(L, "width parameter"))
     d = t.d
     # every label is conjugated there and back, and the retype grows a
     # rows x cols diagram of degree-L labels

@@ -28,7 +28,7 @@ from itertools import accumulate, chain, count, islice, repeat
 
 from .errors import DomainError, InvariantViolation
 from .fillings import _lis
-from .partitions import require_degrees, strict_int
+from .partitions import positive_int, require_degrees
 
 BRUTE_LIMIT = 10
 TRIG_TERM_BUDGET = 2_000_000
@@ -38,8 +38,7 @@ STEP_WORK_BUDGET = 10**10
 
 
 def _check_params(n: int, d: int, L: int, stepped: bool = False) -> None:
-    if strict_int(n) < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    positive_int(n, "n")
     require_degrees(d, L)
     # the stepped routes run at (min(d, L), max(d, L)): see _stepped_value
     if stepped and _comb_exceeds(d + L - 1, min(d, L) - 1, STEP_WORK_BUDGET // (n * n)):
@@ -600,8 +599,7 @@ class CountTable:
 def count_table(d: int, L: int, n_max: int, routes=("brute", "pairs", "trig")) -> CountTable:
     """Run the requested routes for n = 1..n_max: each route's public function
     once, at n_max, with its checks, then every n read from the state it built."""
-    if strict_int(n_max) < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
+    positive_int(n_max, "n_max")
     routes = tuple(routes)
     if not routes:
         raise DomainError("at least one route is required")

@@ -19,6 +19,8 @@ from .partitions import (
     contained_in,
     format_partition,
     parse_partition,
+    part,
+    positive_int,
     strict_int,
     strict_list,
 )
@@ -144,7 +146,7 @@ class Filling:
         return self.rows[row - 1][col - 1]
 
     def has_cell(self, col: int, row: int) -> bool:
-        return 1 <= row <= len(self.shape) and 1 <= col <= self.shape[row - 1]
+        return min(strict_int(col), strict_int(row)) > 0 and col <= part(self.shape, row)
 
     def cells(self) -> list[Cell]:
         """All cell addresses, row-major from the bottom row."""
@@ -286,8 +288,7 @@ def pattern_witness(f: Filling, d: int):
 
     Returns d chain cells plus the dominating cell, each as (col, row, entry).
     """
-    if d < 1:
-        raise DomainError(f"pattern order must be >= 1, got {d}")
+    positive_int(d, "pattern order")
     cells = sorted(f.nonzero_cells())
     for c, r, v in cells:
         # longest strictly-down-right chain in the open quadrant below-left

@@ -57,6 +57,7 @@ from .partitions import (
     interlaces,
     parse_partition,
     parse_staircase,
+    positive_int,
     strict_int,
     strict_list,
 )
@@ -71,13 +72,12 @@ class Rule:
     d: int = 0
 
     def __post_init__(self):
-        strict_int(self.d)
         if self.kind not in ("rsk", "drsk", "skew"):
             raise DomainError(f"unknown rule kind {self.kind!r}")
-        if self.kind == "rsk" and self.d != 0:
+        if self.kind != "rsk":
+            positive_int(self.d, f"rule {self.kind!r} degree")
+        elif strict_int(self.d):
             raise DomainError("plain rule carries no degree")
-        if self.kind != "rsk" and self.d < 1:
-            raise DomainError(f"rule {self.kind!r} needs a positive degree")
 
     @classmethod
     def rsk(cls) -> "Rule":
@@ -313,7 +313,7 @@ class GrowthDiagram:
         return self.filling.shape
 
     def label(self, x: int, y: int) -> Part:
-        if y in range(len(self.labels)) and x in range(len(self.labels[y])):
+        if min(strict_int(x), strict_int(y)) >= 0 and y < len(self.labels) and x < len(self.labels[y]):
             return self.labels[y][x]
         raise DomainError(f"({x},{y}) is not a lattice point of {self.shape}")
 

@@ -7,6 +7,7 @@ there, so the two kinds are never silently interchanged.  Parts beyond the
 stored length of a partition read as 0.
 """
 
+from itertools import zip_longest
 from operator import ge
 
 from .errors import DomainError, FormatError
@@ -22,6 +23,13 @@ def strict_int(v) -> int:
     """v itself when it is an int; DomainError for anything else, bools and floats too."""
     if type(v) is not int:
         raise DomainError(f"expected an integer, got {v!r}")
+    return v
+
+
+def positive_int(v, what: str) -> int:
+    """v itself when it is an int of at least 1; DomainError naming it as what otherwise."""
+    if strict_int(v) < 1:
+        raise DomainError(f"{what} must be positive, got {v}")
     return v
 
 
@@ -65,8 +73,7 @@ def _canonical(p: Part) -> Part:
 
 def as_staircase(parts, d: int) -> Part:
     """Validate an iterable of ints as a staircase of degree d."""
-    if strict_int(d) < 1:
-        raise DomainError(f"staircase degree must be positive, got {d}")
+    positive_int(d, "staircase degree")
     s = tuple(map(strict_int, parts))
     if len(s) != d:
         raise DomainError(f"degree-{d} staircase needs exactly {d} parts, got {s}")
@@ -78,7 +85,7 @@ def as_staircase(parts, d: int) -> Part:
 
 def partition_to_staircase(p: Part, d: int) -> Part:
     """Zero-pad a partition of length <= d to a degree-d staircase."""
-    if len(p) > d:
+    if len(p) > positive_int(d, "staircase degree"):
         raise DomainError(f"partition {p} has more than {d} parts")
     return p + (0,) * (d - len(p))
 
@@ -97,15 +104,12 @@ def size(p: Part) -> int:
 
 def part(p: Part, i: int) -> int:
     """The i-th part (1-based), extending by zeros past the stored length."""
-    if i < 1:
-        raise DomainError(f"part index must be >= 1, got {i}")
-    return p[i - 1] if i <= len(p) else 0
+    return p[i - 1] if positive_int(i, "part index") <= len(p) else 0
 
 
 def contained_in(a: Part, b: Part) -> bool:
     """Componentwise a_i <= b_i, with zero extension."""
-    n = max(len(a), len(b))
-    return all(part(a, i) <= part(b, i) for i in range(1, n + 1))
+    return all(x <= y for x, y in zip_longest(a, b, fillvalue=0))
 
 
 def interlaces(a: Part, b: Part) -> bool:
@@ -126,14 +130,12 @@ def interlaces(a: Part, b: Part) -> bool:
 
 
 def cointerlaces(a: Part, b: Part) -> bool:
-    """Every componentwise difference b_i - a_i is 0 or 1."""
-    n = max(len(a), len(b))
-    return all(part(b, i) - part(a, i) in (0, 1) for i in range(1, n + 1))
+    """Every componentwise difference b_i - a_i is 0 or 1, with zero extension."""
+    return all(y - x in (0, 1) for x, y in zip_longest(a, b, fillvalue=0))
 
 
 def _check_degree(a: Part, b: Part, d: int) -> None:
-    if d < 1:
-        raise DomainError(f"degree must be positive, got {d}")
+    positive_int(d, "degree")
     if len(a) > d or len(b) > d:
         raise DomainError(f"operands {a}, {b} exceed degree {d}")
 
@@ -144,17 +146,15 @@ def is_dl_staircase(a: Part, d: int, L: int) -> bool:
     Accepts canonical partitions of length <= d (zero-extended) as well as
     degree-d staircases.
     """
-    if d < 1:
-        raise DomainError(f"degree must be positive, got {d}")
-    if len(a) > d:
+    if len(a) > positive_int(d, "degree"):
         raise DomainError(f"operand {a} exceeds degree {d}")
-    return part(a, 1) - part(a, d) <= L
+    return part(a, 1) - part(a, d) <= strict_int(L)
 
 
 def dl_interlaces(a: Part, b: Part, d: int, L: int) -> bool:
     """Interlacing with the cyclic width bound b_1 - a_d <= L."""
     _check_degree(a, b, d)
-    return interlaces(a, b) and part(b, 1) - part(a, d) <= L
+    return part(b, 1) - part(a, d) <= strict_int(L) and interlaces(a, b)
 
 
 def dl_cointerlaces(a: Part, b: Part, d: int, L: int) -> bool:
@@ -199,8 +199,7 @@ def cyl_conjugate(s: Part, d: int, L: int) -> Part:
     recovers the input, and sizes are preserved.
     """
     s = as_staircase(s, d)
-    if strict_int(L) < 1:
-        raise DomainError(f"width parameter must be positive, got {L}")
+    positive_int(L, "width parameter")
     if d * L > CONJUGATE_WORK_BUDGET:
         raise DomainError(
             f"({d},{L}) exceeds the conjugation budget d * L <= {CONJUGATE_WORK_BUDGET}"

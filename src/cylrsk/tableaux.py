@@ -29,6 +29,7 @@ from .partitions import (
     interlaces,
     mcw_pair,
     part,
+    positive_int,
     size,
     strict_int,
     strict_list,
@@ -103,6 +104,7 @@ def unit_walk(start, w: str, rows) -> tuple[Part, ...]:
 
 def mcw_sequence(seq, d: int) -> int:
     """Largest pairwise minimum cylindric width along the sequence."""
+    positive_int(d, "degree")
     return max(
         (mcw_pair(seq[i], seq[i + 1], d) for i in range(len(seq) - 1)), default=0
     )
@@ -114,8 +116,7 @@ def max_constituent_width(seq, d: int) -> int:
     This is the width notion that bounds each constituent separately.  It is
     not the same statistic as mcw_sequence, and the two are never conflated.
     """
-    if d < 1:
-        raise DomainError(f"degree must be positive, got {d}")
+    positive_int(d, "degree")
     return max((part(x, 1) - part(x, d) for x in seq), default=0)
 
 
@@ -208,9 +209,8 @@ class _Tableau:
         Construction checked every step's (co)interlacing, so only the upper
         operand's length and the width remain.  Skew tableaux are given L alone.
         """
-        d, L = dl = (self.d, *dl) if isinstance(self, _Skew) else dl
-        if d < 1:
-            raise DomainError(f"degree must be positive, got {d}")
+        d, L = (self.d, *dl) if isinstance(self, _Skew) else dl
+        dl = positive_int(d, "degree"), strict_int(L)
         seq, co = self.seq, self._co
         for i, ch in enumerate(self.w, 1):
             lo, hi = (seq[i], seq[i - 1]) if ch == MINUS else (seq[i - 1], seq[i])

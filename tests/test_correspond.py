@@ -38,7 +38,10 @@ from cylrsk.partitions import (
     as_partition,
     as_staircase,
     cyl_conjugate,
+    dl_cointerlaces,
     dl_interlaces,
+    mcw_pair,
+    part,
     partition_to_staircase,
     staircase_to_partition,
 )
@@ -47,6 +50,7 @@ from cylrsk.tableaux import (
     SemistandardTableau,
     SkewOscillatingTableau,
     SkewRowStrictTableau,
+    max_constituent_width,
     step_rows,
     unit_walk,
 )
@@ -868,6 +872,13 @@ def test_tableau_entries_refuse_the_wrong_tableau_class(fn, args, expected, got)
         fn(*args)
 
 
+# one step of width 2, which the width check alone would refuse at a bound of 0 or
+# True: the rows below show that the integer gate answers first
+WIDE_ROWSTRICT = SkewRowStrictTableau(2, "+", ((2, 0), (3, 1)))
+CHAIN2 = SemistandardTableau(((), (1,), (2,)))
+ONE = Filling((1,), [[1]])
+
+
 @pytest.mark.parametrize(
     "fn, args, bad",
     [
@@ -881,8 +892,37 @@ def test_tableau_entries_refuse_the_wrong_tableau_class(fn, args, expected, got)
         (counting.count_table, (2, 3, 5.0), 5.0),
         (counting.brute_count, (5.0, 2, 3), 5.0),
         (counting.asymptotic, (2.0, 3), 2.0),
+        (CHAIN2.require_cylindric, (2.0, 3), 2.0),
+        (CHAIN2.is_cylindric, (True, 3), True),
+        (CHAIN2.is_cylindric, (2, 2.5), 2.5),
+        (CHAIN2.mcw, (2.0,), 2.0),
+        (mcw_pair, ((), (1,), True), True),
+        (dl_interlaces, ((1,), (2,), 2.0, 3), 2.0),
+        (dl_cointerlaces, ((1, 0), (1, 1), 2, 2.5), 2.5),
+        (max_constituent_width, ([(2, 1)], 2.0), 2.0),
+        (part, ((3,), 1.0), 1.0),
+        (partition_to_staircase, ((1,), 2.0), 2.0),
+        (fillings.pattern_witness, (ONE, 2.0), 2.0),
+        (ONE.has_cell, (1.5, 1), 1.5),
+        (ONE.entry, (1.0, 1), 1.0),
+        (growth.grow_from_filling(growth.Rule.rsk(), ONE).label, (1.0, 0), 1.0),
+        (rowstrict_retype, (WIDE_ROWSTRICT, True, "+"), True),
     ],
 )
 def test_integer_parameters_refuse_other_types(fn, args, bad):
     with pytest.raises(DomainError, match=f"^expected an integer, got {re.escape(repr(bad))}$"):
+        fn(*args)
+
+
+@pytest.mark.parametrize(
+    "fn, args, message",
+    [
+        (partition_to_staircase, ((), 0), "staircase degree must be positive, got 0"),
+        (SemistandardTableau(((),)).mcw, (0,), "degree must be positive, got 0"),
+        (counting.count_table, (2, 3, 0), "n_max must be positive, got 0"),
+        (rowstrict_retype, (WIDE_ROWSTRICT, 0, "+"), "width parameter must be positive, got 0"),
+    ],
+)
+def test_integer_parameters_refuse_values_below_one(fn, args, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         fn(*args)

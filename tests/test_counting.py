@@ -83,7 +83,7 @@ def test_trig_hand_value_and_trivial_route():
         assert trig_count(n, 1, 4) == 1
     with pytest.raises(DomainError):
         trig_count(2, 18, 18)  # subset budget exceeded
-    with pytest.raises(DomainError, match="n must be >= 1, got 0"):
+    with pytest.raises(DomainError, match="n must be positive, got 0"):
         trig_count(0, 2, 3)
 
 

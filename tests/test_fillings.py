@@ -158,7 +158,7 @@ def test_contains_pattern_examples():
     two = Filling((2, 2), ((1, 0), (0, 1)))
     assert contains_pattern(two, 1)
     assert pattern_witness(two, 1) == [(1, 1, 1), (2, 2, 1)]
-    with pytest.raises(DomainError, match="pattern order must be >= 1, got 0"):
+    with pytest.raises(DomainError, match="pattern order must be positive, got 0"):
         contains_pattern(two, 0)
 
 

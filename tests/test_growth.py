@@ -679,8 +679,8 @@ def test_rule_refuses_a_bad_kind_or_degree():
     for args, message in (
         (("x",), "unknown rule kind 'x'"),
         (("rsk", 1), "plain rule carries no degree"),
-        (("drsk", 0), "rule 'drsk' needs a positive degree"),
-        (("skew", -1), "rule 'skew' needs a positive degree"),
+        (("drsk", 0), "rule 'drsk' degree must be positive, got 0"),
+        (("skew", -1), "rule 'skew' degree must be positive, got -1"),
     ):
         with pytest.raises(DomainError, match=f"^{message}$"):
             Rule(*args)
@@ -980,9 +980,11 @@ def test_growth_diagram_refuses_labels_off_the_lattice():
     with pytest.raises(DomainError):
         GrowthDiagram(D3, empty, {(0, 0): ()})
     # a point off the lattice is refused, not read from the other end of a row
-    for x, y in ((8, 0), (0, 8), (-1, 0), (0, -1), ("0", 0)):
+    for x, y in ((8, 0), (0, 8), (-1, 0), (0, -1)):
         with pytest.raises(DomainError, match="not a lattice point"):
             g.label(x, y)
+    with pytest.raises(DomainError, match="^expected an integer, got '0'$"):
+        g.label("0", 0)
     # a dump whose label rows do not fit its shape is malformed
     lines = format_diagram(g).splitlines()
     for bad in (lines + lines[-1:], lines[:9] + [lines[9].rsplit(" ", 1)[0]] + lines[10:]):

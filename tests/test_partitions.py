@@ -74,7 +74,7 @@ def test_part_access_extends_by_zero():
     assert part((4, 3, 1), 1) == 4
     assert part((4, 3, 1), 3) == 1
     assert part((4, 3, 1), 7) == 0
-    with pytest.raises(DomainError, match="part index must be >= 1"):
+    with pytest.raises(DomainError, match="part index must be positive, got 0"):
         part((4, 3, 1), 0)
 
 

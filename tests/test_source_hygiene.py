@@ -11,7 +11,9 @@ columns its callers have just computed.  ``InvariantViolation`` reports a
 bug, so only ``cli.main`` catches it, to turn it into an exit code; no
 ``except`` clause elsewhere names it, a base class of it, or nothing.  No
 ``raise`` names a builtin exception class: every refusal is one of the
-package's own errors.
+package's own errors.  Only ``partitions``, home of ``positive_int``, raises
+a message saying a value "must be positive" or "must be >= 1", so no module
+keeps a hand-written copy of that integer-parameter check.
 """
 
 import ast
@@ -135,3 +137,23 @@ def _raises_a_builtin(node) -> bool:
 
 def test_no_raise_names_a_builtin_exception():
     assert _sites(_raises_a_builtin) == []
+
+
+# the wording of partitions.positive_int and require_degrees
+GATE_WORDING = ("must be positive", "must be >= 1")
+
+
+def _raises_gate_wording(node) -> bool:
+    """A raise whose message, a string or the constant parts of an f-string, has GATE_WORDING."""
+    if not isinstance(node, ast.Raise):
+        return False
+    texts = [
+        sub.value
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+    ]
+    return any(wording in text for text in texts for wording in GATE_WORDING)
+
+
+def test_only_partitions_words_an_integer_parameter_check():
+    assert [site for site in _sites(_raises_gate_wording) if site[0] != "partitions"] == []

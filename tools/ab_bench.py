@@ -19,9 +19,9 @@ CHANGE's BENCHMARK.json names, the script prints each side's median and
 quartiles, the pairs the change won (a tie counts for neither side) and a
 verdict:
 
-- ``gain``: the change won at least nine in ten pairs, and the medians
-  differ, in its favour, by more than the distance between the parent's
-  quartiles;
+- ``gain``: over at least ten pairs, the change won at least nine in ten,
+  and the medians differ, in its favour, by more than the distance between
+  the parent's quartiles;
 - ``worse``: the change's median is worse than the parent's by more than
   the metric's bound;
 - ``unresolved``: neither, and the parent's quartiles lie further apart
@@ -65,7 +65,7 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     p_med, c_med = statistics.median(parent), statistics.median(change)
     q1, _, q3 = statistics.quantiles(parent, n=4)
     gain = sign * (c_med - p_med)  # > 0 when the change's median is better
-    if wins >= 0.9 * len(parent) and gain > q3 - q1:
+    if len(parent) >= 10 and wins >= 0.9 * len(parent) and gain > q3 - q1:
         return wins, "gain"
     if p_med and -gain / abs(p_med) > bound:
         return wins, "worse"
