@@ -3,10 +3,12 @@
 Three independent routes compute the same numbers: an exhaustive walk of the
 symmetric groups, a dynamic program over same-shape tableau pairs, and the
 trigonometric sum evaluated exactly at a root of unity modulo primes.
-Counts are exact Python ints throughout.  Each route builds its state once
-and caches it, so a table for n = 1..n_max is one pass, not n_max separate
-runs: one walk to depth n fills S_1..S_n, and the pair DP and the
-trigonometric sum each step their (d, L) state from n to n + 1.
+Counts are exact Python ints throughout.  Each route keeps its state in a
+functools.cache, so a table for n = 1..n_max is one pass, not n_max separate
+runs: one walk to depth n_max gives S_1..S_n_max, and the pair DP and the
+trigonometric sum each step their (d, L) state from n to n + 1.  A scan is
+cached by its depth, so a direct brute_count at a smaller n after a larger
+one walks again.
 
 The pair DP steps only the reduced shapes of the size class mod d that the
 level can reach, and builds each shape's moves when a level first reaches
@@ -18,6 +20,7 @@ the residues by CRT; a spare prime and a second root check every lift (see
 _TrigSum).
 """
 
+import functools
 import math
 import sys
 import threading
@@ -37,11 +40,11 @@ TRIG_TERM_BUDGET = 2_000_000
 STEP_WORK_BUDGET = 10**10
 
 
-def _check_params(n: int, d: int, L: int, stepped: bool = False) -> None:
+def _check_params(n: int, d: int, L: int) -> None:
     positive_int(n, "n")
     require_degrees(d, L)
     # the stepped routes run at (min(d, L), max(d, L)): see _stepped_value
-    if stepped and _comb_exceeds(d + L - 1, min(d, L) - 1, STEP_WORK_BUDGET // (n * n)):
+    if _comb_exceeds(d + L - 1, min(d, L) - 1, STEP_WORK_BUDGET // (n * n)):
         raise DomainError(f"n = {n} at ({d},{L}) exceeds the work budget of the stepped routes")
 
 
@@ -59,6 +62,7 @@ def _comb_exceeds(n: int, k: int, budget: int) -> bool:
 _KEY_CHUNK = 1 << 16
 
 
+@functools.cache
 def _walk(n: int) -> list[dict[tuple[int, int], int]]:
     """Histograms of (descending threshold, LIS) over S_1..S_n, at indices 1..n.
 
@@ -149,38 +153,26 @@ def _profile(perm) -> tuple[int, int]:
     return chain + 1, _lis(perm)
 
 
-# Each cache is shared by every thread, so each is read and filled only under
-# its own lock: a long scan does not stall pair counts in other threads.
-_PROFILE_CACHE: dict[int, dict[tuple[int, int], int]] = {}
+@functools.cache
+def _involution_levels(n: int) -> list[dict[tuple[int, int], int]]:
+    """Histograms of (descending threshold, LIS) over the involutions of S_0..S_n."""
+    return [dict(Counter(map(_profile, level))) for level in _involutions(n)]
+
+
+# Each cache is shared by every thread, and each scan's levels are read and
+# filled only under its own lock: two threads never both run a cold scan,
+# and a long scan does not stall pair counts in other threads.
 _PROFILE_LOCK = threading.Lock()
-_INVOLUTION_CACHE: dict[int, dict[tuple[int, int], int]] = {}
 _INVOLUTION_LOCK = threading.Lock()
 
 
-def _scan_profiles(n: int) -> dict[tuple[int, int], int]:
-    """Histogram of (descending threshold, LIS) over S_n."""
-    with _PROFILE_LOCK:
-        if n not in _PROFILE_CACHE:
-            counts = _walk(n)
-            for k in range(1, n + 1):
-                _PROFILE_CACHE[k] = counts[k]
-        return _PROFILE_CACHE[n]
-
-
-def _involution_profiles(n: int) -> dict[tuple[int, int], int]:
-    """Histogram of (descending threshold, LIS) over the involutions of S_n."""
-    with _INVOLUTION_LOCK:
-        if n not in _INVOLUTION_CACHE:
-            for k, level in enumerate(_involutions(n)):
-                _INVOLUTION_CACHE[k] = dict(Counter(map(_profile, level)))
-        return _INVOLUTION_CACHE[n]
-
-
-def _brute(n: int, d: int, L: int, involutions: bool) -> int:
-    _check_params(n, d, L)
+def _brute(levels, lock, n: int, d: int, L: int) -> int:
+    positive_int(n, "n")
+    require_degrees(d, L)
     if n > BRUTE_LIMIT:
         raise DomainError(f"exhaustive scan refused for n > {BRUTE_LIMIT}")
-    return _tally((_involution_profiles if involutions else _scan_profiles)(n), d, L)
+    with lock:
+        return _tally(levels(n)[n], d, L)
 
 
 def _tally(table: dict, d: int, L: int) -> int:
@@ -190,12 +182,12 @@ def _tally(table: dict, d: int, L: int) -> int:
 
 def brute_count(n: int, d: int, L: int) -> int:
     """Exhaustive count of permutations avoiding both patterns."""
-    return _brute(n, d, L, involutions=False)
+    return _brute(_walk, _PROFILE_LOCK, n, d, L)
 
 
 def brute_count_involutions(n: int, d: int, L: int) -> int:
     """Exhaustive count over involutions only."""
-    return _brute(n, d, L, involutions=True)
+    return _brute(_involution_levels, _INVOLUTION_LOCK, n, d, L)
 
 
 class _Chains:
@@ -268,35 +260,32 @@ class _Chains:
         self.values.append((sum(nxt), sum([w * w for w in nxt])))
 
 
-def _stepped_value(cache: dict, lock, make, n: int, d: int, L: int):
-    """values[n] of the cached state, built by make and stepped up to n.
+def _stepped_value(make, lock, n: int, d: int, L: int):
+    """values[n] of the cached state that make gives, stepped up to n.
 
-    The counts are symmetric in (d, L), so the state is built at (min, max).
+    The counts are symmetric in (d, L), so the state is made at (min, max).
     """
-    d, L = sorted((d, L))
     with lock:
-        state = cache.get((d, L))
-        if state is None:
-            state = cache[d, L] = make(d, L)
+        state = make(*sorted((d, L)))
         while len(state.values) <= n:
             state.step()
         return state.values[n]
 
 
-_CHAIN_CACHE: dict[tuple[int, int], _Chains] = {}
+_chains = functools.cache(_Chains)
 _CHAIN_LOCK = threading.Lock()
 
 
 def tableau_pair_count(n: int, d: int, L: int) -> int:
     """Number of same-shape pairs of width-bounded standard chains of size n."""
-    _check_params(n, d, L, stepped=True)
-    return _stepped_value(_CHAIN_CACHE, _CHAIN_LOCK, _Chains, n, d, L)[1]
+    _check_params(n, d, L)
+    return _stepped_value(_chains, _CHAIN_LOCK, n, d, L)[1]
 
 
 def cylindric_syt_count(n: int, d: int, L: int) -> int:
     """Number of width-bounded standard chains of size n."""
-    _check_params(n, d, L, stepped=True)
-    return _stepped_value(_CHAIN_CACHE, _CHAIN_LOCK, _Chains, n, d, L)[0]
+    _check_params(n, d, L)
+    return _stepped_value(_chains, _CHAIN_LOCK, n, d, L)[0]
 
 
 def _distance_groups(d: int, M: int) -> dict[tuple[tuple[int, int], ...], int]:
@@ -507,7 +496,7 @@ class _TrigSum:
         self.values.append(self._count())
 
 
-_TRIG_CACHE: dict[tuple[int, int], _TrigSum] = {}
+_trig_sums = functools.cache(_TrigSum)
 _TRIG_LOCK = threading.Lock()
 
 
@@ -523,7 +512,7 @@ def trig_count(n: int, d: int, L: int) -> int:
     that a spare prime or a second root refuses, or that is not a count,
     raises InvariantViolation.
     """
-    _check_params(n, d, L, stepped=True)
+    _check_params(n, d, L)
     M = d + L
     # the work is about necklaces x primes: about C(M, d) / M necklaces of
     # gap words give the groups, and each group is evaluated at every join,
@@ -535,7 +524,7 @@ def trig_count(n: int, d: int, L: int) -> int:
     # one necklace) and keeps the refusals where they were
     if _comb_exceeds(M, d, min(TRIG_TERM_BUDGET, TRIG_TERM_BUDGET**2 // (4 * M * M))):
         raise DomainError(f"trigonometric sum over C({M},{d}) subsets exceeds budget")
-    return _stepped_value(_TRIG_CACHE, _TRIG_LOCK, _TrigSum, n, d, L)
+    return _stepped_value(_trig_sums, _TRIG_LOCK, n, d, L)
 
 
 # At k = min(d, L), sin x <= x and M >= 2k bound the log-constant by
@@ -604,21 +593,21 @@ def count_table(d: int, L: int, n_max: int, routes=("brute", "pairs", "trig")) -
     if not routes:
         raise DomainError("at least one route is required")
     for name in routes:
-        if name not in ROUTES:
+        if not isinstance(name, str) or name not in ROUTES:
             raise DomainError(f"unknown route {name!r}; choose from {sorted(ROUTES)}")
     if len(set(routes)) < len(routes):
         raise DomainError(f"a route is named more than once in {','.join(routes)}")
     stepped = [name for name in routes if name != "brute"]
     if "brute" in routes:
         if stepped:  # the stepped routes' work budget refuses before the scan limit
-            _check_params(n_max, d, L, stepped=True)
-        brute_count(n_max, d, L)  # its one walk fills the histograms of every smaller n
+            _check_params(n_max, d, L)
+        brute_count(n_max, d, L)  # its one walk holds the histograms of every smaller n
     for name in stepped:
         ROUTES[name](n_max, d, L)
     read = {
-        "brute": lambda n: _tally(_scan_profiles(n), d, L),
-        "pairs": lambda n: _stepped_value(_CHAIN_CACHE, _CHAIN_LOCK, _Chains, n, d, L)[1],
-        "trig": lambda n: _stepped_value(_TRIG_CACHE, _TRIG_LOCK, _TrigSum, n, d, L),
+        "brute": lambda n: _tally(_walk(n_max)[n], d, L),
+        "pairs": lambda n: _stepped_value(_chains, _CHAIN_LOCK, n, d, L)[1],
+        "trig": lambda n: _stepped_value(_trig_sums, _TRIG_LOCK, n, d, L),
     }
     rows = tuple(tuple(read[name](n) for name in routes) for n in range(1, n_max + 1))
     return CountTable(d, L, tuple(range(1, n_max + 1)), routes, rows)

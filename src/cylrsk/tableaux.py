@@ -203,19 +203,19 @@ class _Tableau:
     def mcw(self, d: int) -> int:
         return mcw_sequence(self.seq, d)
 
-    def _cylindric_step(self, dl):
-        """(d, L) and the first step that is not (d, L)-cylindric, or None.
+    def _cylindric_step(self, d: int, L: int) -> int | None:
+        """The first step that is not (d, L)-cylindric, or None.
 
         Construction checked every step's (co)interlacing, so only the upper
-        operand's length and the width remain.  Skew tableaux are given L alone.
+        operand's length and the width remain.
         """
-        d, L = (self.d, *dl) if isinstance(self, _Skew) else dl
-        dl = positive_int(d, "degree"), strict_int(L)
+        positive_int(d, "degree")
+        strict_int(L)
         seq, co = self.seq, self._co
         for i, ch in enumerate(self.w, 1):
             lo, hi = (seq[i], seq[i - 1]) if ch == MINUS else (seq[i - 1], seq[i])
             if len(hi) > d:
-                return dl, i
+                return i
             # lo lies inside hi, so it too has at most d parts
             lo_d = lo[-1] if len(lo) == d else 0
             if co:
@@ -224,14 +224,14 @@ class _Tableau:
             else:
                 width = (hi[0] if hi else 0) - lo_d
             if width > L:
-                return dl, i
-        return dl, None
+                return i
+        return None
 
-    def is_cylindric(self, *dl) -> bool:
-        return self._cylindric_step(dl)[1] is None
+    def is_cylindric(self, d: int, L: int) -> bool:
+        return self._cylindric_step(d, L) is None
 
-    def require_cylindric(self, *dl):
-        (d, L), bad = self._cylindric_step(dl)
+    def require_cylindric(self, d: int, L: int):
+        bad = self._cylindric_step(d, L)
         if bad is not None:
             raise DomainError(
                 f"step {bad}: {self.seq[bad - 1]} -> {self.seq[bad]} "
@@ -277,6 +277,12 @@ class _Skew(_Tableau):
 
     def mcw(self) -> int:
         return mcw_sequence(self.seq, self.d)
+
+    def is_cylindric(self, L: int) -> bool:
+        return super().is_cylindric(self.d, L)
+
+    def require_cylindric(self, L: int):
+        return super().require_cylindric(self.d, L)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import os
@@ -267,7 +268,7 @@ def test_count_exits_2_on_a_corrupted_trig_group(capsys, monkeypatch):
         return out
 
     monkeypatch.setattr(counting, "_distance_groups", corrupted)
-    monkeypatch.setattr(counting, "_TRIG_CACHE", {})
+    monkeypatch.setattr(counting, "_trig_sums", functools.cache(counting._TrigSum))
     argv = ["count", "--routes", "trig", "--d", "3", "--L", "4", "--n-max", "3"]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "") and "differs from the sum at w" in err

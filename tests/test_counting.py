@@ -1,4 +1,6 @@
+import functools
 import math
+import re
 import sys
 import threading
 from itertools import permutations
@@ -15,8 +17,8 @@ from cylrsk.counting import (
     _count_bound,
     _is_prime,
     _TrigSum,
-    _involution_profiles,
-    _scan_profiles,
+    _involution_levels,
+    _walk,
     asymptotic,
     brute_count,
     brute_count_involutions,
@@ -29,11 +31,11 @@ from cylrsk.errors import DomainError, InvariantViolation
 from conftest import perm_contains_descending_pattern, perm_lis
 
 
-def oracle_count(n, d, L, involutions=False):
+def oracle_count(n, d, L, involutions_only=False):
     """Direct subsequence-scan count, independent of the package DPs."""
     total = 0
     for perm in permutations(range(1, n + 1)):
-        if involutions and any(perm[perm[i] - 1] != i + 1 for i in range(n)):
+        if involutions_only and any(perm[perm[i] - 1] != i + 1 for i in range(n)):
             continue
         if perm_contains_descending_pattern(perm, d):
             continue
@@ -49,7 +51,7 @@ def test_brute_count_matches_subsequence_oracle():
             for L in (1, 3, 4):
                 assert brute_count(n, d, L) == oracle_count(n, d, L)
                 assert brute_count_involutions(n, d, L) == oracle_count(
-                    n, d, L, involutions=True
+                    n, d, L, involutions_only=True
                 )
 
 
@@ -215,7 +217,7 @@ def test_pair_and_trig_routes_refuse_a_huge_n_at_once():
             call()
     # the benchmark's tables, the tier-1 tables and (8, 8) to n = 1000 stay inside
     for d, L, n in ((8, 8, 1000), (8, 8, 200), (3, 3, 400), (2, 2, 400), (1, 1, 400), (5, 11, 16)):
-        _check_params(n, d, L, stepped=True)
+        _check_params(n, d, L)
 
 
 def _log_constant_bound(k):
@@ -264,8 +266,11 @@ def test_count_table():
     # the exhaustive scan runs at (d, L) as given, the stepped routes at (3, 5)
     table = count_table(5, 3, 8)
     assert table.consistent() and table.counts == count_table(3, 5, 8).counts
-    with pytest.raises(DomainError):
-        count_table(2, 2, 4, routes=("nope",))
+    # a route that is not a name, even one that cannot be hashed, is unknown
+    for route in ("nope", ["pairs"]):
+        message = f"unknown route {route!r}; choose from ['brute', 'pairs', 'trig']"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            count_table(2, 2, 4, routes=(route,))
     with pytest.raises(DomainError):
         count_table(2, 2, 0)
     with pytest.raises(DomainError):
@@ -363,13 +368,13 @@ def test_scan_matches_per_permutation_oracle(monkeypatch):
     # a chunk of 5 keys makes the walk tally its levels in many chunks
     for chunk in (5, counting._KEY_CHUNK):
         monkeypatch.setattr(counting, "_KEY_CHUNK", chunk)
-        counting._PROFILE_CACHE.clear()
-        counting._INVOLUTION_CACHE.clear()
-        brute_count(7, 1, 1)  # one walk fills every level up to 7
+        _walk.cache_clear()
+        _involution_levels.cache_clear()
+        brute_count(7, 1, 1)  # one walk gives every level up to 7
         brute_count_involutions(7, 1, 1)  # and one involution scan
         for n, (counts, inv_counts) in oracle.items():
-            assert _scan_profiles(n) == counts, (chunk, n)
-            assert _involution_profiles(n) == inv_counts, (chunk, n)
+            assert _walk(7)[n] == counts, (chunk, n)
+            assert _involution_levels(7)[n] == inv_counts, (chunk, n)
     # the involution scan's profile of each involution up to S_9
     for level in counting._involutions(9):
         for perm in level:
@@ -377,11 +382,11 @@ def test_scan_matches_per_permutation_oracle(monkeypatch):
 
 
 def test_involution_count_does_not_walk_the_symmetric_group():
-    counting._PROFILE_CACHE.clear()
-    counting._INVOLUTION_CACHE.clear()
+    _walk.cache_clear()
+    _involution_levels.cache_clear()
     assert brute_count_involutions(8, 3, 3) == cylindric_syt_count(8, 3, 3)
-    assert counting._PROFILE_CACHE == {}
-    assert sum(_involution_profiles(8).values()) == 764
+    assert _walk.cache_info().currsize == 0
+    assert sum(_involution_levels(8)[8].values()) == 764
 
 
 def test_involution_scan_matches_syt_counts_at_9_and_10():
@@ -453,7 +458,7 @@ def test_trig_refuses_a_corrupted_group_size(monkeypatch):
         return out
 
     monkeypatch.setattr(counting, "_distance_groups", corrupted)
-    monkeypatch.setattr(counting, "_TRIG_CACHE", {})
+    monkeypatch.setattr(counting, "_trig_sums", functools.cache(counting._TrigSum))
     with pytest.raises(InvariantViolation, match="sum at a power of w differs"):
         trig_count(1, 3, 4)
 
@@ -462,7 +467,7 @@ def test_trig_spare_prime_refuses_a_short_lift(monkeypatch):
     # with the bound held at 1, one prime of 30 bits lifts every level; at
     # (7, 8) c_n = count * 7 * 15^6 passes half of it at n = 4
     monkeypatch.setattr(counting, "_count_bound", lambda n, d, den: 1)
-    monkeypatch.setattr(counting, "_TRIG_CACHE", {})
+    monkeypatch.setattr(counting, "_trig_sums", functools.cache(counting._TrigSum))
     assert [trig_count(n, 7, 8) for n in (1, 2, 3)] == [1, 2, 6]
     with pytest.raises(InvariantViolation, match="spare prime disagrees"):
         trig_count(4, 7, 8)
@@ -474,7 +479,7 @@ def test_trig_lift_refuses_a_value_that_is_not_a_count(monkeypatch):
     monkeypatch.setattr(
         counting, "_distance_groups", lambda d, M: {h: -size for h, size in groups(d, M).items()}
     )
-    monkeypatch.setattr(counting, "_TRIG_CACHE", {})
+    monkeypatch.setattr(counting, "_trig_sums", functools.cache(counting._TrigSum))
     with pytest.raises(InvariantViolation, match="the lift -10 is not a count times 10$"):
         trig_count(1, 2, 3)
 
@@ -515,15 +520,15 @@ def test_pair_dp_builds_only_the_shapes_its_levels_reach():
 
 def test_pair_counts_agree_across_threads_on_a_cold_cache():
     ns = (117, 118, 119, 120)
-    counting._CHAIN_CACHE.clear()
-    counting._TRIG_CACHE.clear()
+    counting._chains.cache_clear()
+    counting._trig_sums.cache_clear()
     serial = [(tableau_pair_count(n, 3, 4), trig_count(n, 3, 4)) for n in ns]
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads often, so an unguarded cache races
     try:
         for _ in range(20):
-            counting._CHAIN_CACHE.clear()
-            counting._TRIG_CACHE.clear()
+            counting._chains.cache_clear()
+            counting._trig_sums.cache_clear()
             out = [None] * len(ns)
 
             def work(i):
@@ -538,6 +543,41 @@ def test_pair_counts_agree_across_threads_on_a_cold_cache():
             assert out == serial
     finally:
         sys.setswitchinterval(old)
+
+
+def test_a_table_walks_the_symmetric_groups_once():
+    _walk.cache_clear()
+    table = count_table(2, 3, 8, ("brute", "pairs"))
+    assert table.consistent() and _walk.cache_info().misses == 1
+
+
+def test_a_cold_scan_runs_once_across_threads():
+    cases = [(8, d, L) for d, L in ((2, 3), (3, 3), (4, 2), (1, 4))]
+    scans = (brute_count, brute_count_involutions)
+    serial = [tuple(scan(*case) for scan in scans) for case in cases]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so an unguarded scan runs twice
+    try:
+        _walk.cache_clear()
+        _involution_levels.cache_clear()
+        out = [None] * 8
+
+        def work(i):
+            # half the threads start with each scan, so both caches start cold under contention
+            order = scans if i % 2 else scans[::-1]
+            values = {scan: scan(*cases[i % len(cases)]) for scan in order}
+            out[i] = tuple(values[scan] for scan in scans)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(out))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    assert out == [serial[i % len(cases)] for i in range(len(out))]
+    assert _walk.cache_info().misses == _involution_levels.cache_info().misses == 1
 
 
 def _reference_distance_groups(d, M):

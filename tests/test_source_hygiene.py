@@ -13,7 +13,9 @@ bug, so only ``cli.main`` catches it, to turn it into an exit code; no
 ``raise`` names a builtin exception class: every refusal is one of the
 package's own errors.  Only ``partitions``, home of ``positive_int``, raises
 a message saying a value "must be positive" or "must be >= 1", so no module
-keeps a hand-written copy of that integer-parameter check.
+keeps a hand-written copy of that integer-parameter check.  No public
+function or method, at module level or in any class, takes ``*args``: a
+variadic entry learns its argument count only at run time.
 """
 
 import ast
@@ -157,3 +159,22 @@ def _raises_gate_wording(node) -> bool:
 
 def test_only_partitions_words_an_integer_parameter_check():
     assert [site for site in _sites(_raises_gate_wording) if site[0] != "partitions"] == []
+
+
+def _functions(body, where):
+    """(where, definition) of each function in body and in the classes within it."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield where, node
+        elif isinstance(node, ast.ClassDef):
+            yield from _functions(node.body, f"{where}.{node.name}")
+
+
+def test_no_public_function_takes_a_variadic_argument():
+    variadic = [
+        f"{where}.{func.name}"
+        for module, tree in MODULES.items()
+        for where, func in _functions(tree.body, module)
+        if not func.name.startswith("_") and func.args.vararg is not None
+    ]
+    assert variadic == []

@@ -380,6 +380,27 @@ def test_a_label_longer_than_d_is_not_cylindric():
             t.is_cylindric(0, dl[1])
 
 
+def test_the_cylindric_test_takes_d_and_l_or_a_skew_tableau_l_alone():
+    # a skew tableau carries its degree; a wrong argument count fails at the
+    # call with Python's own TypeError, before any step is read
+    cases = (
+        (SemistandardTableau(((), (1,), (2,))), (2, 3), (2, 0)),
+        (RowStrictTableau(((), (1,), (1, 1))), (2, 3), (2, 0)),
+        (OscillatingTableau("+-", ((), (1,), ())), (2, 3), (2, 0)),
+        (SkewOscillatingTableau(2, "+", ((2, 0), (3, 0))), (3,), (0,)),
+        (SkewRowStrictTableau(2, "+", ((2, 0), (3, 1))), (3,), (0,)),
+    )
+    for t, good, bad in cases:
+        assert t.is_cylindric(*good) and t.require_cylindric(*good) is t
+        assert not t.is_cylindric(*bad)
+        with pytest.raises(DomainError, match=r"^step 1: .* is not \(\d,0\)-cylindric"):
+            t.require_cylindric(*bad)
+        for wrong in (good[:-1], good + (3,)):
+            for call in (t.is_cylindric, t.require_cylindric):
+                with pytest.raises(TypeError):
+                    call(*wrong)
+
+
 def _random_unit_oscillating(rng, steps):
     """An oscillating tableau whose every step adds, removes or keeps one box."""
     w, seq = "", [()]
