@@ -14,6 +14,7 @@ from itertools import chain, compress
 from .errors import DomainError, FormatError, decode
 from .partitions import (
     Part,
+    _Decimals,
     as_partition,
     conjugate,
     contained_in,
@@ -341,9 +342,10 @@ def _column_permutation(cols) -> tuple[int, ...]:
 
 def format_filling(f: Filling) -> str:
     """Shape line followed by entry rows, top row first."""
+    decimal = _Decimals().__getitem__
     lines = [format_partition(f.shape)]
     for row in reversed(f.rows):
-        lines.append(" ".join(map(str, row)))
+        lines.append(" ".join(map(decimal, row)))
     return "\n".join(lines)
 
 
@@ -364,7 +366,7 @@ def _filling_from_text(text: str) -> Filling:
     body = lines[1:]
     if len(body) != len(shape):
         raise FormatError(f"expected {len(shape)} entry rows, got {len(body)}")
-    return filling_from_matrix(shape, [tuple(int(tok) for tok in ln.split()) for ln in body])
+    return filling_from_matrix(shape, [tuple(map(int, ln.split())) for ln in body])
 
 
 def _filling_from_json(obj) -> Filling:

@@ -631,7 +631,7 @@ def format_diagram(g: GrowthDiagram) -> str:
     """Dump: header `kind d rows cols`, filling block, label rows top-first."""
     shape = g.shape
     head = f"{g.rule.kind} {g.rule.d} {len(shape)} {shape[0] if shape else 0}"
-    return "\n".join([head, format_filling(g.filling), *map(format_labels, reversed(g.labels))])
+    return "\n".join([head, format_filling(g.filling), *map(format_labels(), reversed(g.labels))])
 
 
 def parse_diagram(text) -> GrowthDiagram:
@@ -639,12 +639,13 @@ def parse_diagram(text) -> GrowthDiagram:
 
     An rsk or drsk text dump is first regrown from its filling, one lattice
     line at a time, and each line written by the dump writer is compared with
-    the dump's label line, whitespace collapsed.  When every line matches, the
-    regrown diagram is returned with no label parsed.  Otherwise the lines
-    that matched keep their regrown labels, the rest are parsed (non-canonical
-    forms such as [3,2,0] included), and the same regrowth goes on from the
-    first line that differs, checking each cell as validate_diagram does.  A
-    skew dump and the JSON mirror have every label parsed and checked so.
+    the dump's label line as it stands, then with its whitespace collapsed.
+    When every line matches, the regrown diagram is returned with no label
+    parsed.  Otherwise the lines that matched keep their regrown labels, the
+    rest are parsed (non-canonical forms such as [3,2,0] included), and the
+    same regrowth goes on from the first line that differs, checking each
+    cell as validate_diagram does.  A skew dump and the JSON mirror have
+    every label parsed and checked so.
     Malformed input is a FormatError; a well-formed diagram that breaks its
     rule is a DomainError from validate_diagram's checks.
     """
@@ -681,9 +682,11 @@ def _diagram_from_text(text: str):
         # that matches throughout passes every check of _check_labels.  A line
         # the side condition cuts short is never of full width.
         lanes, regrown = _filled(rule, filling)
+        write = format_labels()
         for line, width, text in zip(regrown, lattice_rows(filling.shape), reversed(texts)):
             row = list(map(lanes.unpack, line))
-            if len(row) != width or format_labels(row) != " ".join(text.split()):
+            written = write(row)
+            if len(row) != width or (written != text and written != " ".join(text.split())):
                 regrowth = lanes, len(grown), chain([line], regrown)
                 break
             grown.append(row)

@@ -219,13 +219,22 @@ def format_partition(p: Part) -> str:
     return "[" + ",".join(map(str, p)) + "]"
 
 
-def format_labels(row) -> str:
-    """The text forms of a row of labels, space-separated, from one str() of the row."""
-    # "[(3,), (), (2, 1)]" -> "[3] [] [2,1]": a one-part tuple's comma, the
-    # comma-spaces, then the separators between labels and the brackets
-    text = str(list(map(tuple, row)))[1:-1]
-    text = text.replace(",)", ")").replace(", ", ",").replace("),(", ") (")
-    return text.replace("(", "[").replace(")", "]")
+class _Decimals(dict):
+    """The decimal text of each int looked up, made by str() on its first lookup."""
+
+    def __missing__(self, v: int) -> str:
+        text = self[v] = str(v)
+        return text
+
+
+def format_labels():
+    """A row writer: the text forms of a row of labels, space-separated.
+
+    The writer keeps the text of each part it has written, so one writer per
+    diagram converts each distinct part once.
+    """
+    decimal = _Decimals().__getitem__
+    return lambda row: " ".join("[" + ",".join(map(decimal, lab)) + "]" for lab in row)
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:

@@ -289,6 +289,13 @@ def test_text_and_json_round_trip():
         parse_filling("")
 
 
+def test_text_round_trip_of_huge_entries():
+    f = Filling((4, 4, 3, 1), [[1, 0, 2**64, 0], [0, 3, 0, 1], [2, 2**64, 1], [2**70 + 1]])
+    text = format_filling(f)
+    assert text.splitlines()[1:3] == [str(2**70 + 1), "2 18446744073709551616 1"]
+    assert parse_filling(text) == f
+
+
 def test_filling_from_matrix_flips_vertically():
     f = filling_from_matrix((2, 1), [(9,), (1, 2)])
     assert f.entry(1, 1) == 1 and f.entry(2, 1) == 2 and f.entry(1, 2) == 9

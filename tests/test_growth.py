@@ -897,6 +897,24 @@ def test_parse_diagram_accepts_its_own_dump_as_text(monkeypatch):
         parse_diagram(texts[0].replace("[3]", "[03]"))
 
 
+def test_dump_round_trips_huge_parts(monkeypatch):
+    """Labels past 2**64 read back from the exact dump and from a respaced one."""
+    f = Filling((4, 4, 3, 1), [[1, 0, 2**64, 0], [0, 3, 0, 1], [2, 0, 1], [2**70 + 1]])
+    diagrams = [grow_from_filling(rule, f) for rule in (Rule.rsk(), Rule.drsk(2**72))]
+    texts = [format_diagram(g) for g in diagrams]
+
+    def refuse(*args):
+        raise AssertionError("a regrown dump has no label parsed or checked")
+
+    monkeypatch.setattr(growth, "parse_partition", refuse)
+    monkeypatch.setattr(growth, "_check_labels", refuse)
+    for g, text in zip(diagrams, texts):
+        assert max(map(max, filter(None, g.labels[-1]))) > 2**70
+        assert parse_diagram(text) == g  # every line equal as written
+        for spaced in (text.replace(" ", "\t"), text.replace(" ", "  ")):
+            assert parse_diagram(spaced) == g  # every line equal once collapsed
+
+
 def test_parse_diagram_regrows_a_refused_dump_once(monkeypatch):
     """A refused rsk or drsk dump, as text or JSON, is regrown from its filling once.
 

@@ -271,8 +271,9 @@ def test_text_round_trip():
 
 def test_row_writer_matches_the_label_writer():
     rng = random.Random(29)
+    big = 2**64
     rows = [
-        [(3,), (), (2, 1)],  # a one-part tuple's repr ends in ",)"
+        [(3,), (), (2, 1)],
         [(), ()],
         [()],  # the one label row of the empty shape
         [(7,)],
@@ -280,16 +281,61 @@ def test_row_writer_matches_the_label_writer():
         ((5, 5), (5, 1)),
         [[4, 1], [2], []],  # labels given as lists
         [],
+        [(big, big - 1, 3), (big,), (-big, -big - 7)],
+        [(10**40, 7), (), (-(10**40),)],
     ]
     for _ in range(300):
+        top = rng.choice([300, big, 10**30])
         rows.append([
-            tuple(sorted((rng.randint(-30, 300) for _ in range(rng.randint(0, 6))), reverse=True))
+            tuple(sorted((rng.randint(-30, top) for _ in range(rng.randint(0, 6))), reverse=True))
             for _ in range(rng.randint(1, 8))
         ])
-    for row in rows:
-        assert format_labels(row) == " ".join(map(format_partition, row)), row
-    assert format_labels([(3,), (), (2, 1)]) == "[3] [] [2,1]"
-    assert format_labels([()]) == "[]"
+    # one writer over every row, in any order, writes each as a fresh one does
+    for _ in range(3):
+        write = format_labels()
+        for row in rows:
+            assert write(row) == " ".join(map(format_partition, row)) == format_labels()(row), row
+        rng.shuffle(rows)
+    write = format_labels()
+    assert write([(3,), (), (2, 1)]) == "[3] [] [2,1]"
+    assert write([()]) == "[]" and write([]) == ""
+    assert write([(big, -1)]) == "[18446744073709551616,-1]"
+
+
+def test_row_writer_converts_each_distinct_part_once(monkeypatch):
+    """A dump whose labels hold D distinct parts makes D str() calls for them."""
+    from itertools import chain
+
+    from cylrsk import partitions
+    from cylrsk.fillings import Filling
+    from cylrsk.growth import Rule, format_diagram, grow_from_filling
+
+    missing, converted = partitions._Decimals.__missing__, []
+
+    def counted(self, v):
+        converted.append(v)
+        return missing(self, v)
+
+    monkeypatch.setattr(partitions._Decimals, "__missing__", counted)
+    rng = random.Random(41)
+    rows = [[rng.randint(0, 3) for _ in range(8)] for _ in range(8)]
+    rows[2][5] = 2**64
+    f = Filling((8,) * 8, rows)
+    for rule in (Rule.rsk(), Rule.drsk(2**65)):  # past every descending chain
+        g = grow_from_filling(rule, f)
+        every = list(chain.from_iterable(chain.from_iterable(g.labels)))
+        parts, entries = set(every), set(chain.from_iterable(f.rows))
+        assert 2**64 < max(parts) and len(every) > 5 * len(parts)
+        converted.clear()
+        write = format_labels()
+        for row in g.labels:
+            write(row)
+        assert sorted(converted) == sorted(parts)
+        # the dump: one writer for its labels, one memo for its entries
+        converted.clear()
+        format_diagram(g)
+        assert len(converted) == len(parts) + len(entries)
+        assert set(converted) == parts | entries
 
 
 # The label codec as it read and wrote before its one-split reader: every
