@@ -5,10 +5,13 @@ symmetric groups, a dynamic program over same-shape tableau pairs, and the
 trigonometric sum evaluated exactly at a root of unity modulo primes.
 Counts are exact Python ints throughout.  Each route keeps its state in a
 functools.cache, so a table for n = 1..n_max is one pass, not n_max separate
-runs: one walk to depth n_max gives S_1..S_n_max, and the pair DP and the
-trigonometric sum each step their (d, L) state from n to n + 1.  A scan is
-cached by its depth, so a direct brute_count at a smaller n after a larger
-one walks again.
+runs: one walk of the avoiders to depth n_max counts those of S_1..S_n_max,
+and the pair DP and the trigonometric sum each step their (d, L) state from
+n to n + 1.  The walk and the involution scan enter only avoiders, since a
+prefix of an avoider avoids both patterns, and each is cached by its
+(n, d, L), so a direct brute_count at a smaller n after a larger one walks
+again.  A scan is refused before it starts when an estimate of the avoiders
+it would visit passes SCAN_BUDGET, and stopped when it meets more.
 
 The pair DP steps only the reduced shapes of the size class mod d that the
 level can reach, and builds each shape's moves when a level first reaches
@@ -33,7 +36,12 @@ from .errors import DomainError, InvariantViolation
 from .fillings import _lis
 from .partitions import positive_int, require_degrees
 
-BRUTE_LIMIT = 10
+# avoiders one exhaustive scan may visit: S_1..S_10 hold 4,037,913 permutations
+SCAN_BUDGET = 5_000_000
+# the walk recurses once a level; from min(d, L) = 2 on, level k holds at least
+# 2^(k-1) avoiders, so SCAN_BUDGET alone refuses n >= 23, and this binds only
+# at min(d, L) = 1, one avoider a level
+SCAN_DEPTH = 64
 TRIG_TERM_BUDGET = 2_000_000
 # bound on C(d + L - 1, d - 1) * n^2: the pair DP's reduced shapes (or the trig
 # sum's subsets containing 0), stepped n times over counts of O(n) digits
@@ -59,88 +67,104 @@ def _comb_exceeds(n: int, k: int, budget: int) -> bool:
     return any(c > budget for c in products)
 
 
-_KEY_CHUNK = 1 << 16
+def _check_scan(n: int, d: int, L: int) -> None:
+    """Refuse an exhaustive scan whose estimated avoiders pass SCAN_BUDGET.
+
+    Level k holds about c * rate**k avoiders (asymptotic), and at least
+    k! - C(k, d+1)^2 (k-d-1)! - C(k, L+1)^2 (k-L-1)!: a permutation that holds
+    a pattern of length j holds it at some j positions and j values, and its
+    other k - j values lie in one of (k - j)! orders.  So a level is estimated
+    at the larger of the two, at most k!, and at least at the level before
+    (a smallest last value extends any avoider).  Where asymptotic refuses, a
+    level is estimated at k!.
+    """
+    if n > SCAN_DEPTH:
+        raise DomainError(f"exhaustive scan refused for n > {SCAN_DEPTH}")
+    try:
+        rate, constant = asymptotic(d, L)
+    except DomainError:
+        rate, constant = 1.0, math.inf
+    total = level = 0
+    for k in range(1, n + 1):
+        f = math.factorial(k)
+        holding = sum(math.comb(k, j) ** 2 * math.factorial(max(k - j, 0)) for j in (d + 1, L + 1))
+        level = max(level, min(f, max(f - holding, constant * rate**k)))
+        total += level
+        if total > SCAN_BUDGET:
+            raise DomainError(
+                f"exhaustive scan refused: S_1..S_{k} at ({d},{L}) hold about {total:.3g} "
+                f"avoiders, past the budget of {SCAN_BUDGET}"
+            )
+
+
+def _over_budget(n: int, d: int, L: int) -> DomainError:
+    return DomainError(
+        f"exhaustive scan refused: S_1..S_{n} at ({d},{L}) hold more than {SCAN_BUDGET} avoiders"
+    )
 
 
 @functools.cache
-def _walk(n: int) -> list[dict[tuple[int, int], int]]:
-    """Histograms of (descending threshold, LIS) over S_1..S_n, at indices 1..n.
+def _walk(n: int, d: int, L: int) -> tuple[int, ...]:
+    """The number of permutations of S_k avoiding both patterns, for k = 0..n.
 
-    The descending threshold is the smallest d such that a permutation avoids
-    d..1(d+1): one more than the longest decreasing subsequence that a later,
-    larger value completes.  The walk appends a last value of rank r to a
+    A permutation avoids d..1(d+1) iff its descending threshold is at most
+    d: one more than the longest decreasing subsequence that a later, larger
+    value completes.  The walk appends a last value of rank r to a
     permutation of S_k (values at or above r move up by one), so level k of
-    the tree is exactly S_k.  The child's completable chains are the parent's
-    plus those the new last value completes, which are the decreasing
+    the tree is S_k.  The child's completable chains are the parent's plus
+    those the new last value completes, which are the decreasing
     subsequences of the parent's values below r; its LIS grows by one iff r
-    lies above the parent's last patience tail.  Values are 0-based here, and
-    each node is carried as its negated inverse neg (value -> -position): the
-    child of rank r has neg[:r] + [-k] + neg[r:].
-
-    A child's (threshold, LIS) is packed as threshold * B + LIS, B = n + 2,
-    and appended to its level's list of keys, which a Counter tallies in
-    chunks of at most _KEY_CHUNK keys (level 10 holds 3.6M).
+    lies above the parent's last patience tail.  Neither falls from parent
+    to child, and a prefix of an avoider is an avoider, so the walk enters
+    only the children that keep both bounds: it visits the avoiders alone.
+    Values are 0-based here, and each node is carried as its negated inverse
+    neg (value -> -position): the child of rank r has
+    neg[:r] + [-k] + neg[r:].  More than SCAN_BUDGET avoiders raise
+    DomainError.
     """
-    B = n + 2
-    counts = [Counter() for _ in range(n + 1)]
-    pending: list[list[int]] = [[] for _ in range(n + 1)]
+    levels = [1] + [0] * n
+    left = SCAN_BUDGET
 
     def visit(neg, tails, best):
+        nonlocal left
         k = len(neg)
         # chains[r]: the child of rank r keeps the parent's best or gains the
         # longest decreasing subsequence among the values < r, which is the
         # longest decreasing run of their positions taken in value order; those
-        # lengths never fall as r grows, so best holds up to the first past it
+        # lengths never fall as r grows, so the pass stops at the first rank
+        # whose chain reaches d, and best holds up to the first length past it
         piles: list[int] = []
         lengths = []
         for p in neg:
             j = bisect_left(piles, p)
+            if j == d - 1:
+                break
             if j < len(piles):
                 piles[j] = p
             else:
                 piles.append(p)
             lengths.append(len(piles))
-        i = bisect_right(lengths, best)
-        chains = [best] * (i + 1) + lengths[i:]
-        last = tails[-1] if tails else -1
-        low = B + len(tails)  # c * B + low packs (c + 1, the parent's LIS)
-        keys = pending[k + 1]
-        keys += [c * B + low for c in chains[: last + 1]]
-        keys += [c * B + low + 1 for c in chains[last + 1 :]]
-        if len(keys) >= _KEY_CHUNK:
-            counts[k + 1].update(keys)
-            keys.clear()
+        top = len(lengths)  # the largest rank whose child keeps the threshold
+        if len(tails) == L:
+            top = min(top, tails[-1])  # a rank past the last tail lengthens the LIS
+        levels[k + 1] += top + 1
+        left -= top + 1
+        if left < 0:
+            raise _over_budget(n, d, L)
         if k + 1 < n:
-            for r in range(k + 1):
-                child_tails = [t + (t >= r) for t in tails]
-                j = bisect_left(child_tails, r)
-                child_tails[j : j + 1] = [r]
+            i = bisect_right(lengths, best)
+            chains = [best] * (i + 1) + lengths[i:]
+            last = tails[-1] if tails else -1
+            for r in range(top + 1):
+                if r > last:
+                    child_tails = tails + [r]
+                else:
+                    child_tails = [t + (t >= r) for t in tails]
+                    child_tails[bisect_left(child_tails, r)] = r
                 visit(neg[:r] + [-k] + neg[r:], child_tails, chains[r])
 
     visit([], [], 0)
-    for level, keys in zip(counts, pending):
-        level.update(keys)
-    return [{divmod(key, B): v for key, v in level.items()} for level in counts]
-
-
-def _involutions(n: int) -> list[list[tuple[int, ...]]]:
-    """The involutions of S_0..S_n, level by level, for n >= 1.
-
-    In an involution of S_k the largest value k - 1 is a fixed point, which
-    extends an involution of S_(k-1), or it is paired with some i < k - 1,
-    which extends an involution of S_(k-2): values and positions at or above
-    i move up by one, k - 1 goes in at position i, and i at the end.
-    """
-    levels = [[()], [(0,)]]
-    for k in range(2, n + 1):
-        top = k - 1
-        level = [s + (top,) for s in levels[k - 1]]
-        for s in levels[k - 2]:
-            for i in range(top):
-                t = tuple([x + (x >= i) for x in s])
-                level.append(t[:i] + (top,) + t[i:] + (i,))
-        levels.append(level)
-    return levels
+    return tuple(levels)
 
 
 def _profile(perm) -> tuple[int, int]:
@@ -154,35 +178,52 @@ def _profile(perm) -> tuple[int, int]:
 
 
 @functools.cache
-def _involution_levels(n: int) -> list[dict[tuple[int, int], int]]:
-    """Histograms of (descending threshold, LIS) over the involutions of S_0..S_n."""
-    return [dict(Counter(map(_profile, level))) for level in _involutions(n)]
+def _involution_levels(n: int, d: int, L: int) -> tuple[int, ...]:
+    """The number of involutions of S_k avoiding both patterns, for k = 0..n.
+
+    In an involution of S_k the largest value k - 1 is a fixed point, which
+    extends an involution of S_(k-1), or it is paired with some i < k - 1,
+    which extends an involution of S_(k-2): values and positions at or above
+    i move up by one, k - 1 goes in at position i, and i at the end.
+    Deleting k - 1 and its partner from an avoiding involution leaves an
+    avoiding involution, so only the avoiding ones of each level are
+    extended.  More than SCAN_BUDGET of them raise DomainError.
+    """
+    counts = [1, 1]  # every bound is at least 1, so S_1 avoids both patterns
+    before, last = [()], [(0,)]
+    for k in range(2, n + 1):
+        top = k - 1
+        level = [s + (top,) for s in last]
+        for s in before:
+            for i in range(top):
+                t = tuple([x + (x >= i) for x in s])
+                level.append(t[:i] + (top,) + t[i:] + (i,))
+        profiles = map(_profile, level)
+        before, last = last, [s for s, (thr, lis) in zip(level, profiles) if thr <= d and lis <= L]
+        counts.append(len(last))
+        if sum(counts) - 1 > SCAN_BUDGET:  # the levels past S_0
+            raise _over_budget(n, d, L)
+    return tuple(counts[: n + 1])
 
 
 # Each cache is shared by every thread, and each scan's levels are read and
 # filled only under its own lock: two threads never both run a cold scan,
 # and a long scan does not stall pair counts in other threads.
-_PROFILE_LOCK = threading.Lock()
+_WALK_LOCK = threading.Lock()
 _INVOLUTION_LOCK = threading.Lock()
 
 
 def _brute(levels, lock, n: int, d: int, L: int) -> int:
     positive_int(n, "n")
     require_degrees(d, L)
-    if n > BRUTE_LIMIT:
-        raise DomainError(f"exhaustive scan refused for n > {BRUTE_LIMIT}")
+    _check_scan(n, d, L)
     with lock:
-        return _tally(levels(n)[n], d, L)
-
-
-def _tally(table: dict, d: int, L: int) -> int:
-    """The permutations of a (descending threshold, LIS) histogram that avoid both patterns."""
-    return sum(v for (thr, lis), v in table.items() if thr <= d and lis <= L)
+        return levels(n, d, L)[n]
 
 
 def brute_count(n: int, d: int, L: int) -> int:
     """Exhaustive count of permutations avoiding both patterns."""
-    return _brute(_walk, _PROFILE_LOCK, n, d, L)
+    return _brute(_walk, _WALK_LOCK, n, d, L)
 
 
 def brute_count_involutions(n: int, d: int, L: int) -> int:
@@ -599,13 +640,13 @@ def count_table(d: int, L: int, n_max: int, routes=("brute", "pairs", "trig")) -
         raise DomainError(f"a route is named more than once in {','.join(routes)}")
     stepped = [name for name in routes if name != "brute"]
     if "brute" in routes:
-        if stepped:  # the stepped routes' work budget refuses before the scan limit
+        if stepped:  # the stepped routes' work budget refuses before the scan budget
             _check_params(n_max, d, L)
-        brute_count(n_max, d, L)  # its one walk holds the histograms of every smaller n
+        brute_count(n_max, d, L)  # its one walk counts the avoiders of every smaller n
     for name in stepped:
         ROUTES[name](n_max, d, L)
     read = {
-        "brute": lambda n: _tally(_walk(n_max)[n], d, L),
+        "brute": lambda n: _walk(n_max, d, L)[n],
         "pairs": lambda n: _stepped_value(_chains, _CHAIN_LOCK, n, d, L)[1],
         "trig": lambda n: _stepped_value(_trig_sums, _TRIG_LOCK, n, d, L),
     }

@@ -259,6 +259,23 @@ def test_count_csv_and_json(capsys):
         assert (code, out) == (2, "") and "more than once" in err
 
 
+def test_count_brute_past_s10_and_over_its_budget(capsys):
+    code, out, err = run(
+        capsys, "count", "--routes", "brute,pairs", "--d", "2", "--L", "3", "--n-max", "12"
+    )
+    assert (code, err) == (0, "")
+    rows = [ln.split() for ln in out.strip().splitlines()]
+    assert rows[0] == ["n", "brute", "pairs", "agree"]
+    assert [row[0] for row in rows[1:]] == [str(n) for n in range(1, 13)]
+    assert all(row[1] == row[2] and row[3] == "ok" for row in rows[1:])
+    assert rows[-1] == ["12", "28657", "28657", "ok"]  # F(2n - 1) avoiders at (2, 3)
+    # S_1..S_23 hold 2^23 - 1 avoiders at (2, 2), past the scan budget
+    code, out, err = run(capsys, "count", "--routes", "brute", "--d", "2", "--L", "2", "--n-max", "23")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: exhaustive scan refused: S_1..S_23 at (2,2) hold about 8.39e+06")
+    assert "Traceback" not in err
+
+
 def test_count_exits_2_on_a_corrupted_trig_group(capsys, monkeypatch):
     groups = counting._distance_groups
 
@@ -407,6 +424,7 @@ def _run_capped(argv: str, stdin, cap: int):
         ),
         ("count --routes pairs --d 20000 --L 1 --n-max 2", 0, "2      1     ok\n", None),
         ("count --routes pairs --d 200 --L 3 --n-max 3", 0, "3      6     ok\n", None),
+        ("count --routes brute --d 100000000 --L 100000000 --n-max 3", 0, "3      6     ok\n", None),
         ("count --routes trig --d 1200 --L 1 --n-max 3", 0, "3     1     ok\n", None),
         ("count --routes trig --d 200 --L 3 --n-max 3", 0, "3     6     ok\n", None),
         # the trig groups come from necklaces of gap words: 401 at M = 802, and
@@ -419,6 +437,7 @@ def _run_capped(argv: str, stdin, cap: int):
         ("count --routes pairs --n-max 3 --d 40 --L 40", 2, "", None),
         ("asym --d 100000000 --L 1", 0, "rate 1.0\nconstant 1.0\n", None),
         ("count --routes pairs --d 2 --L 3 --n-max 100000000", 2, "", None),
+        ("count --routes brute --d 1 --L 1 --n-max 100000000", 2, "", None),
         ("count --routes pairs --d 100000000 --L 100000000 --n-max 3", 2, "", None),
         ("count --routes trig --d 100000000 --L 100000000 --n-max 3", 2, "", None),
         ("asym --d 100000000 --L 100000000", 2, "", None),

@@ -1,5 +1,6 @@
 import functools
 import math
+import os
 import re
 import sys
 import threading
@@ -10,7 +11,7 @@ import pytest
 from cylrsk import counting
 from cylrsk.counting import (
     ASYM_K_LIMIT,
-    BRUTE_LIMIT,
+    SCAN_DEPTH,
     _Chains,
     _check_params,
     _comb_exceeds,
@@ -64,10 +65,59 @@ def test_brute_anchor_values():
 
 
 def test_brute_guard():
-    with pytest.raises(DomainError):
-        brute_count(11, 2, 2)
+    # S_1..S_22 hold 2^22 - 1 avoiders at (2, 2), inside the scan budget;
+    # S_1..S_23 hold 2^23 - 1, past it
+    assert brute_count(11, 2, 2) == 2**10
+    with pytest.raises(DomainError, match="refused: S_1..S_23 at .2,2. hold about 8.39e"):
+        brute_count(23, 2, 2)
+    # one avoider a level at min(d, L) = 1: the walk's depth binds
+    assert brute_count(SCAN_DEPTH, 1, 1) == 1
+    with pytest.raises(DomainError, match=f"^exhaustive scan refused for n > {SCAN_DEPTH}$"):
+        brute_count(SCAN_DEPTH + 1, 1, 1)
+    # where asymptotic refuses, a level is estimated at k!: all of S_10 is
+    # inside the budget and S_1..S_11 are not
+    assert brute_count(3, 50, 50) == 6
+    with pytest.raises(DomainError, match="refused: S_1..S_11 at .50,50. hold about 4.4e"):
+        brute_count(11, 50, 50)
     with pytest.raises(DomainError):
         brute_count(3, 0, 2)
+
+
+@pytest.mark.parametrize("d, L, n", [(2, 3, 12), (3, 2, 12), (3, 3, 10)])
+def test_brute_matches_pairs_past_s10(d, L, n):
+    table = count_table(d, L, n, ("brute", "pairs"))
+    assert table.consistent(), table.counts
+
+
+@pytest.mark.skipif(
+    not os.environ.get("CYLRSK_EXHAUSTIVE"),
+    reason="about 0.5 to 0.9 s a walk; set CYLRSK_EXHAUSTIVE=1",
+)
+def test_brute_matches_pairs_on_the_long_walks():
+    for d, L, n in ((2, 4, 14), (3, 3, 12), (4, 4, 10)):
+        table = count_table(d, L, n, ("brute", "pairs"))
+        assert table.consistent(), (d, L, n, table.counts)
+
+
+def test_scan_cap_refuses_where_the_estimate_falls_short(monkeypatch):
+    # at (4, 11) the estimate of S_1..S_10 is about 1.6e5 avoiders and the
+    # walk meets 2,491,248: a budget between them is caught by the walk
+    monkeypatch.setattr(counting, "SCAN_BUDGET", 200_000)
+    with pytest.raises(DomainError, match="exhaustive scan refused: S_1..S_10 at .4,11. hold more"):
+        brute_count(10, 4, 11)
+    # with the estimate stubbed out, both scans stop at the cap
+    monkeypatch.setattr(counting, "_check_scan", lambda n, d, L: None)
+    monkeypatch.setattr(counting, "SCAN_BUDGET", 50)
+    _walk.cache_clear()
+    _involution_levels.cache_clear()
+    for scan in (brute_count, brute_count_involutions):
+        with pytest.raises(DomainError, match="hold more than 50 avoiders"):
+            scan(8, 3, 3)
+    # a refused scan caches nothing, and the same scan under the budget answers
+    assert _walk.cache_info().currsize == _involution_levels.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert brute_count(8, 3, 3) == tableau_pair_count(8, 3, 3)
+    assert brute_count_involutions(8, 3, 3) == cylindric_syt_count(8, 3, 3)
 
 
 def test_three_routes_agree_small_grid():
@@ -273,8 +323,10 @@ def test_count_table():
             count_table(2, 2, 4, routes=(route,))
     with pytest.raises(DomainError):
         count_table(2, 2, 0)
-    with pytest.raises(DomainError):
-        count_table(2, 2, BRUTE_LIMIT + 1)  # refused before any walk
+    _walk.cache_clear()
+    with pytest.raises(DomainError, match="exhaustive scan refused"):
+        count_table(2, 2, 23)  # S_1..S_23 hold 2^23 - 1 avoiders: refused before any walk
+    assert _walk.cache_info().misses == 0
     # a table holds one column per route, so a route named twice is refused
     for routes in (("trig", "trig"), ("pairs", "brute", "pairs")):
         with pytest.raises(DomainError, match="more than once"):
@@ -291,11 +343,13 @@ def test_count_table_checks_each_route_once_at_n_max(monkeypatch):
     assert len(calls) == 2  # trig_count's work and subset budgets, at n = 60
     assert [row[0] for row in table.counts] == [tableau_pair_count(n, 2, 3) for n in range(1, 61)]
     # refused in the order of the checks: the stepped routes' work budget, the
-    # exhaustive scan's limit, then each stepped route's own budget
+    # exhaustive scan's avoider estimate, then each stepped route's own budget
     with pytest.raises(DomainError, match="work budget of the stepped routes"):
         count_table(20, 20, 11, ("brute", "pairs"))
+    _walk.cache_clear()
     with pytest.raises(DomainError, match="exhaustive scan refused"):
-        count_table(15, 15, 11, ("pairs", "brute"))
+        count_table(15, 15, 11, ("pairs", "brute"))  # all of S_1..S_11, before any walk
+    assert _walk.cache_info().misses == 0
     with pytest.raises(DomainError, match="pair DP over"):
         count_table(15, 15, 5, ("pairs", "trig", "brute"))
     with pytest.raises(DomainError, match="trigonometric sum over"):
@@ -355,38 +409,36 @@ def _descending_threshold(perm):
     return best + 1
 
 
-def test_scan_matches_per_permutation_oracle(monkeypatch):
-    oracle = {}
-    for n in range(1, 8):
-        counts, inv_counts = {}, {}
+def test_scan_matches_per_permutation_oracle():
+    # the (descending threshold, LIS) of each permutation of S_0..S_7, and of each involution
+    oracle = []
+    for n in range(8):
+        profiles, inv_profiles = [], []
         for perm in permutations(range(1, n + 1)):
             key = (_descending_threshold(perm), _lis_length(perm))
-            counts[key] = counts.get(key, 0) + 1
+            assert counting._profile(perm) == key, perm
+            profiles.append(key)
             if all(perm[perm[i] - 1] == i + 1 for i in range(n)):
-                inv_counts[key] = inv_counts.get(key, 0) + 1
-        oracle[n] = counts, inv_counts
-    # a chunk of 5 keys makes the walk tally its levels in many chunks
-    for chunk in (5, counting._KEY_CHUNK):
-        monkeypatch.setattr(counting, "_KEY_CHUNK", chunk)
-        _walk.cache_clear()
-        _involution_levels.cache_clear()
-        brute_count(7, 1, 1)  # one walk gives every level up to 7
-        brute_count_involutions(7, 1, 1)  # and one involution scan
-        for n, (counts, inv_counts) in oracle.items():
-            assert _walk(7)[n] == counts, (chunk, n)
-            assert _involution_levels(7)[n] == inv_counts, (chunk, n)
-    # the involution scan's profile of each involution up to S_9
-    for level in counting._involutions(9):
-        for perm in level:
-            assert counting._profile(perm) == (_descending_threshold(perm), _lis_length(perm)), perm
+                inv_profiles.append(key)
+        oracle.append((profiles, inv_profiles))
+    # each scan's per-level avoider counts, for every n <= 7 and d, L <= n + 1
+    for n in range(1, 8):
+        for d in range(1, n + 2):
+            for L in range(1, n + 2):
+                for scan, kind in ((_walk, 0), (_involution_levels, 1)):
+                    expected = tuple(
+                        sum(thr <= d and lis <= L for thr, lis in level[kind])
+                        for level in oracle[: n + 1]
+                    )
+                    assert scan(n, d, L) == expected, (scan.__name__, n, d, L)
 
 
 def test_involution_count_does_not_walk_the_symmetric_group():
     _walk.cache_clear()
     _involution_levels.cache_clear()
     assert brute_count_involutions(8, 3, 3) == cylindric_syt_count(8, 3, 3)
+    assert brute_count_involutions(8, 8, 8) == 764  # every involution of S_8
     assert _walk.cache_info().currsize == 0
-    assert sum(_involution_levels(8)[8].values()) == 764
 
 
 def test_involution_scan_matches_syt_counts_at_9_and_10():
@@ -577,7 +629,8 @@ def test_a_cold_scan_runs_once_across_threads():
     finally:
         sys.setswitchinterval(old)
     assert out == [serial[i % len(cases)] for i in range(len(out))]
-    assert _walk.cache_info().misses == _involution_levels.cache_info().misses == 1
+    # one scan of each kind per distinct (n, d, L)
+    assert _walk.cache_info().misses == _involution_levels.cache_info().misses == len(cases)
 
 
 def _reference_distance_groups(d, M):
