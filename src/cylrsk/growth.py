@@ -29,7 +29,7 @@ partition kernel below, where those two maps still build no diagram.
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, compress, count, groupby
+from itertools import compress, count, groupby
 from operator import itemgetter, ne, sub
 from struct import Struct
 from types import SimpleNamespace
@@ -96,14 +96,10 @@ class Rule:
 
 
 def _validate_label(rule: Rule, p) -> Part:
-    """Coerce a corner label to the kind the rule operates on."""
+    """Coerce a corner label to the kind the rule operates on, of at most d parts under drsk."""
     if rule.kind == "skew":
         return as_staircase(p, rule.d)
-    return _bounded_label(rule, as_partition(p))
-
-
-def _bounded_label(rule: Rule, q: Part) -> Part:
-    """A canonical label, once it is known to have no more parts than the rule allows."""
+    q = as_partition(p)
     if rule.kind == "drsk" and len(q) > rule.d:
         raise DomainError(f"label {q} exceeds {rule.d} parts")
     return q
@@ -149,13 +145,11 @@ def _validate_entry(entry: int) -> int:
 # (for partitions it is also weakly decreasing and nonnegative) and no kernel
 # checks it; each difference taken is fieldwise nonnegative and each sum at
 # most a solved part, so no field borrows or carries while those parts fit
-# below the guards.  Four places establish the precondition:
+# below the guards.  Three places establish the precondition:
 #
-# * the two line steps, from their validated path tableau or empty axes:
-#   each cell's known edges lie on the path or were solved by an earlier cell;
-# * validate_diagram and parse_diagram, by the axis check and by regrowing from
-#   the filling, or under skew from the axes: grown labels are the given ones
-#   up to the first failing cell;
+# * the two line steps, from a validated path tableau, from empty axes, or
+#   under skew from axes that validate_diagram has checked to interlace: each
+#   cell's known edges lie on the path or were solved by an earlier cell;
 # * check_cell, classify_rs_cell and grow_forward_cell, by the interlaces
 #   check of _forward_cell;
 # * grow_backward_cell, by its own interlaces check.
@@ -222,9 +216,9 @@ class _Lanes:
         lab = self.fields[n].unpack(x.to_bytes(n * self.k, "little"))
         return tuple(v - self.bias for v in lab) if self.bias else lab
 
-    def unpacked(self, lines) -> list[tuple[Part, ...]]:
+    def unpacked(self, lines):
         """The packed lines as label tuples, each unpacked as it comes."""
-        return [tuple(map(self.unpack, line)) for line in lines]
+        return (tuple(map(self.unpack, line)) for line in lines)
 
     def _max_min(self, a: int, b: int) -> tuple[int, int]:
         g = ((a | self.guards) - b) & self.guards  # the guard of each field where a >= b
@@ -289,24 +283,30 @@ class GrowthDiagram:
     """A filled shape with a rule-consistent label at every lattice point.
 
     labels holds the label rows, bottom row first: labels[y][x] is the label
-    at the lattice point (x, y), as filling.rows holds the entries.  Each row
-    must have one label per lattice point at its height.  The diagram hashes
+    at the lattice point (x, y), as filling.rows holds the entries.  The
+    diagram derives them: under rsk and drsk from the filling, by one forward
+    sweep (under drsk the filling must avoid the order-d descending pattern),
+    and under skew from the axis labels of the given rows.  Given rows are
+    refused unless validate_diagram finds them equal to the derived ones.
+    The diagram stores the derived rows as canonical tuples, so it hashes
     over its rule, filling and labels.
     """
 
     rule: Rule
     filling: Filling
-    labels: tuple[tuple[Part, ...], ...]
+    labels: tuple[tuple[Part, ...], ...] = None
 
     def __post_init__(self):
-        labels = tuple(map(tuple, self.labels))
+        _require_type(self.rule, Rule)
+        _require_type(self.filling, Filling)
+        if self.labels is not None:
+            labels = validate_diagram(self.rule, self.filling, self.labels)
+        elif self.rule.kind == "skew":
+            raise DomainError("skew diagrams are grown from path labels, not fillings")
+        else:
+            lanes, lines = _filled(self.rule, self.filling)
+            labels = tuple(lanes.unpacked(lines))
         object.__setattr__(self, "labels", labels)
-        widths = lattice_rows(self.shape)
-        if len(labels) != len(widths):
-            raise DomainError(f"expected {len(widths)} label rows, got {len(labels)}")
-        for y, (row, width) in enumerate(zip(labels, widths)):
-            if len(row) != width:
-                raise DomainError(f"label row for height {y} needs {width} entries")
 
     @property
     def shape(self) -> Part:
@@ -324,10 +324,7 @@ def grow_from_filling(rule: Rule, filling: Filling) -> GrowthDiagram:
     For the cyclic rule the filling must avoid the descending pattern of
     order d; the offending cell is reported otherwise.
     """
-    if rule.kind == "skew":
-        raise DomainError("skew diagrams are grown from path labels, not fillings")
-    lanes, lines = _filled(rule, filling)
-    return GrowthDiagram(rule, filling, lanes.unpacked(lines))
+    return GrowthDiagram(rule, filling)
 
 
 def _filled(rule: Rule, filling: Filling):
@@ -338,29 +335,9 @@ def _filled(rule: Rule, filling: Filling):
     return lanes, _forward(lanes, axes, filling.rows)
 
 
-def _boundary_shape(rule: Rule, shape, t: OscillatingTableau) -> Part:
-    """The canonical shape, once t is known to label its boundary under the rule."""
-    _require_type(t, OscillatingTableau)
-    if rule.kind == "skew":
-        raise DomainError("skew diagrams are grown with grow_skew")
-    shape = as_partition(shape)
-    if boundary_type_sequence(shape) != t.w:
-        raise DomainError(
-            f"word {t.w!r} does not encode the boundary of {shape} "
-            f"({boundary_type_sequence(shape)!r})"
-        )
-    if rule.kind == "drsk" and t.max_length() > rule.d:
-        raise DomainError(f"boundary labels exceed {rule.d} parts")
-    return shape
-
-
 def grow_from_boundary(rule: Rule, shape: Part, t: OscillatingTableau) -> GrowthDiagram:
     """Rebuild the unique growth diagram with the given boundary labels."""
-    shape = _boundary_shape(rule, shape, t)
-    rows = [[0] * width for width in shape]
-    lanes = _Lanes.fitting(rule, t.seq)
-    labels = lanes.unpacked(_backward(lanes, shape, t.w, t.seq, rows))
-    return GrowthDiagram(rule, Filling(shape, rows), labels[::-1])
+    return GrowthDiagram(rule, filling_of(rule, shape, t))
 
 
 def grow_skew(d: int, rect: Part, t: SkewOscillatingTableau) -> GrowthDiagram:
@@ -579,7 +556,18 @@ def filling_of(rule: Rule, shape: Part, t: OscillatingTableau) -> Filling:
     A boundary whose every step changes the size by at most 1 is swept as
     step words; any other by the backward line step, which writes the entries.
     """
-    shape, unit = _boundary_shape(rule, shape, t), t.unit_rows()
+    _require_type(t, OscillatingTableau)
+    if rule.kind == "skew":
+        raise DomainError("skew diagrams are grown with grow_skew")
+    shape = as_partition(shape)
+    if boundary_type_sequence(shape) != t.w:
+        raise DomainError(
+            f"word {t.w!r} does not encode the boundary of {shape} "
+            f"({boundary_type_sequence(shape)!r})"
+        )
+    if rule.kind == "drsk" and t.max_length() > rule.d:
+        raise DomainError(f"boundary labels exceed {rule.d} parts")
+    unit = t.unit_rows()
     if unit is not None:
         return Filling._from_unit_columns(shape, _unit_filling(rule.d, t.w, unit))
     rows = [[0] * width for width in shape]
@@ -637,28 +625,32 @@ def format_diagram(g: GrowthDiagram) -> str:
 def parse_diagram(text) -> GrowthDiagram:
     """Parse a dump (or its JSON mirror) and revalidate every cell.
 
-    An rsk or drsk text dump is first regrown from its filling, one lattice
-    line at a time, and each line written by the dump writer is compared with
-    the dump's label line as it stands, then with its whitespace collapsed.
-    When every line matches, the regrown diagram is returned with no label
-    parsed.  Otherwise the lines that matched keep their regrown labels, the
-    rest are parsed (non-canonical forms such as [3,2,0] included), and the
-    same regrowth goes on from the first line that differs, checking each
-    cell as validate_diagram does.  A skew dump and the JSON mirror have
-    every label parsed and checked so.
-    Malformed input is a FormatError; a well-formed diagram that breaks its
-    rule is a DomainError from validate_diagram's checks.
+    An rsk or drsk text dump is first grown from its filling, and each label
+    row the dump writer gives the grown diagram is compared with the dump's
+    line as it stands, then with its whitespace collapsed.  When every line
+    matches, the grown diagram is returned with no label parsed.  Otherwise
+    every label is parsed (non-canonical forms such as [3,2,0] included),
+    coerced and compared with the grown rows, as validate_diagram does.  A
+    skew dump, a dump whose filling holds drsk's pattern and the JSON mirror
+    have their rows parsed and checked by the constructor, which grows them
+    once.  Malformed input is a FormatError; a well-formed diagram that breaks
+    its rule is a DomainError from validate_diagram's checks.
     """
-    g, regrowth = decode(text, _diagram_from_text, _diagram_from_json, "diagram")
-    if regrowth is not None:
-        # the readers put every label in canonical form; only drsk's bound is left
-        grid = [[_bounded_label(g.rule, lab) for lab in row] for row in g.labels]
-        _check_labels(g, grid, *regrowth)
-    return g
+    rule, filling, rows, grown = decode(text, _diagram_from_text, _diagram_from_json, "diagram")
+    if grown is None:
+        return GrowthDiagram(rule, filling, rows)
+    if rows is not None:
+        _compared(rule, filling, _coerced(rule, filling, rows), grown.labels)
+    return grown
 
 
 def _diagram_from_text(text: str):
-    """The dump's diagram, and _check_labels' regrowth of it, or None when every line matched."""
+    """The dump's rule, filling and label rows, and its diagram grown from the filling or None.
+
+    The rows are None when every line matches the grown diagram; the diagram
+    is None under skew, for a dump of more or fewer label lines than the
+    shape has, and for a filling that holds drsk's pattern.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise FormatError("empty diagram input")
@@ -674,57 +666,67 @@ def _diagram_from_text(text: str):
     filling = parse_filling("\n".join(body[: 1 + n_rows]))
     if len(filling.shape) != n_rows or (filling.shape and filling.shape[0] != n_cols):
         raise FormatError("diagram header disagrees with the filling shape")
-    texts, grown, regrowth = body[1 + n_rows :], [], ()
+    texts, grown = body[1 + n_rows :], None
     if rule.kind != "skew" and len(texts) == n_rows + 1:
-        # Regrown labels have empty axes, at most d parts under drsk and every
-        # cell solved by the rule, and the writer is injective: a line of full
-        # width whose text matches would parse to these very labels, and a dump
-        # that matches throughout passes every check of _check_labels.  A line
-        # the side condition cuts short is never of full width.
-        lanes, regrown = _filled(rule, filling)
-        write = format_labels()
-        for line, width, text in zip(regrown, lattice_rows(filling.shape), reversed(texts)):
-            row = list(map(lanes.unpack, line))
-            written = write(row)
-            if len(row) != width or (written != text and written != " ".join(text.split())):
-                regrowth = lanes, len(grown), chain([line], regrown)
-                break
-            grown.append(row)
+        try:
+            grown = GrowthDiagram(rule, filling)
+        except PatternContainment:
+            pass
         else:
-            return GrowthDiagram(rule, filling, grown), None
-    # the matched rows read as their regrown labels; the rest are parsed
+            # the grown labels pass every check of validate_diagram, and the
+            # writer is injective: a line whose text matches would parse to them
+            written = map(format_labels(), grown.labels)
+            if all(w == t or w == " ".join(t.split()) for w, t in zip(written, reversed(texts))):
+                return rule, filling, None, grown
     parse = (lambda tok: parse_staircase(tok, rule.d)) if rule.kind == "skew" else parse_partition
-    rest = [[parse(tok) for tok in ln.split()] for ln in reversed(texts[: len(texts) - len(grown)])]
-    return GrowthDiagram(rule, filling, grown + rest), regrowth
+    rows = [[parse(tok) for tok in ln.split()] for ln in reversed(texts)]
+    return rule, filling, _fitted(filling.shape, rows), grown
 
 
 def _diagram_from_json(obj):
-    """The mirror's diagram, and no regrowth: _check_labels regrows it from the start."""
+    """The mirror's rule, filling and label rows, and no grown diagram: the constructor grows it."""
     rule = Rule(obj["rule"], strict_int(obj["d"]))
     filling = _filling_from_json(obj)
     coerce = (lambda lab: as_staircase(lab, rule.d)) if rule.kind == "skew" else as_partition
     label_rows = strict_list(obj["labels"])
     rows = [[coerce(strict_list(lab)) for lab in strict_list(row)] for row in reversed(label_rows)]
-    return GrowthDiagram(rule, filling, rows), ()
+    return rule, filling, _fitted(filling.shape, rows), None
 
 
-def validate_diagram(g: GrowthDiagram) -> None:
-    """Check every label, the axes and every cell; raise on failure.
+def _fitted(shape: Part, rows) -> tuple:
+    """The label rows as tuples, once they hold one label for each lattice point of the shape."""
+    rows, widths = tuple(map(tuple, rows)), lattice_rows(shape)
+    if len(rows) != len(widths):
+        raise DomainError(f"expected {len(widths)} label rows, got {len(rows)}")
+    for y, (row, width) in enumerate(zip(rows, widths)):
+        if len(row) != width:
+            raise DomainError(f"label row for height {y} needs {width} entries")
+    return rows
 
-    Independent of how the diagram was made: each label is coerced once, the
-    axis labels must be empty (under skew, interlace along each axis), and
-    each cell's top-right label must be the one the rule solves for it.
+
+def validate_diagram(rule: Rule, filling: Filling, rows) -> tuple[tuple[Part, ...], ...]:
+    """The label rows the rule derives, once the given rows equal them; raise otherwise.
+
+    The rows must fit the lattice, every label is coerced, and the axis labels
+    must be empty (under skew, interlace along each axis).  One forward sweep
+    derives the rows, from the filling or under skew from the axes, and they
+    are compared bottom first: the first label that differs names its cell,
+    and a line that drsk's side condition cuts short the cell past its end.
     """
-    _check_labels(g, [[_validate_label(g.rule, lab) for lab in row] for row in g.labels])
+    grid = _coerced(rule, filling, rows)
+    if rule.kind == "skew":
+        # the axis labels bound the sweep as a path does (see _Lanes)
+        lanes = _Lanes.fitting(rule, [labs[0] for labs in reversed(grid)] + grid[0][1:])
+        axes = [list(map(lanes.pack, grid[0]))] + [[lanes.pack(labs[0])] for labs in grid[1:]]
+        lines = _forward(lanes, axes, filling.rows)
+    else:
+        lanes, lines = _filled(rule, filling)
+    return _compared(rule, filling, grid, lanes.unpacked(lines))
 
 
-def _check_labels(g: GrowthDiagram, grid, lanes=None, height=0, lines=None) -> None:
-    """validate_diagram's checks after the labels, in grid, are coerced.
-
-    lanes, height and lines resume a regrowth from the filling: its packed
-    lines from that height up, the rows below it known to be grid's.
-    """
-    rule = g.rule
+def _coerced(rule: Rule, filling: Filling, rows) -> list[list[Part]]:
+    """The rows with every label coerced, once they fit the lattice and pass the axis checks."""
+    grid = [[_validate_label(rule, lab) for lab in row] for row in _fitted(filling.shape, rows)]
     skew = rule.kind == "skew"
     for axis, at in ((grid[0], "({},0)"), ([labs[0] for labs in grid], "(0,{})")):
         for i, lab in enumerate(axis):
@@ -734,27 +736,22 @@ def _check_labels(g: GrowthDiagram, grid, lanes=None, height=0, lines=None) -> N
                 raise DomainError(
                     f"labels at {at.format(i - 1)} and {at.format(i)} do not interlace"
                 )
-    # Every other edge is the top or right edge of a cell, and a cell holds only
-    # when tr is the kernel's forward label: regrown bottom row first, from the
-    # filling or under skew from the axes, the first label that differs names
-    # the first failing cell, and a line the side condition cuts short names
-    # the cell just past its end.
-    if lines is None and skew:
-        # the axis labels bound the sweep as a path does (see _Lanes)
-        lanes = _Lanes.fitting(rule, [labs[0] for labs in reversed(grid)] + grid[0][1:])
-        axes = [list(map(lanes.pack, grid[0]))] + [[lanes.pack(labs[0])] for labs in grid[1:]]
-        lines = _forward(lanes, axes, g.filling.rows)
-    elif lines is None:
-        lanes, lines = _filled(rule, g.filling)
-    for row, line in enumerate(lines, height):
-        labs = grid[row]
-        col = next(compress(count(), map(ne, map(lanes.unpack, line), labs)), len(line))
+    return grid
+
+
+def _compared(rule: Rule, filling: Filling, grid, grown) -> tuple[tuple[Part, ...], ...]:
+    """The grown rows, once grid equals them; the first label that differs names its cell."""
+    derived = []
+    for row, (labs, line) in enumerate(zip(grid, grown)):
+        col = next(compress(count(), map(ne, line, labs)), len(line))
         if col < len(labs):
             (bl, br), (tl, tr) = grid[row - 1][col - 1 : col + 1], labs[col - 1 : col + 1]
             raise DomainError(
                 f"cell ({col},{row}) violates rule {rule}: "
-                f"bl={bl} tl={tl} br={br} tr={tr} entry={g.filling.rows[row - 1][col - 1]}"
+                f"bl={bl} tl={tl} br={br} tr={tr} entry={filling.rows[row - 1][col - 1]}"
             )
+        derived.append(line)
+    return tuple(derived)
 
 
 def render_diagram(g: GrowthDiagram) -> str:

@@ -344,17 +344,16 @@ def ref_sweep(rule, shape, w, seq, entries):
     return tuple(map(tuple, grid))
 
 
-def oracle_diagram_failure(g):
-    """The first check of the every-edge diagram validator that g fails, or None.
+def oracle_diagram_failure(rule, filling, rows):
+    """The first check of the every-edge diagram validator that the label rows fail, or None.
 
     Coerces every label, checks the axis labels (empty, outside skew), then
     every horizontal and vertical edge with interlaces, and only then each
     cell's side condition and row equations.  A failure is ("label", None),
     ("axis", point), ("edge", (lower point, upper point)) or ("cell", (col, row)).
     """
-    rule = g.rule
     try:
-        grid = [[growth._validate_label(rule, lab) for lab in row] for row in g.labels]
+        grid = [[growth._validate_label(rule, lab) for lab in row] for row in rows]
     except DomainError:
         return "label", None
     if rule.kind != "skew":
@@ -369,7 +368,7 @@ def oracle_diagram_failure(g):
         for x in range(len(labs) if y else 0):
             if not interlaces(grid[y - 1][x], labs[x]):
                 return "edge", ((x, y - 1), (x, y))
-    for row, entries in enumerate(g.filling.rows, 1):
+    for row, entries in enumerate(filling.rows, 1):
         here, below = grid[row], grid[row - 1]
         for col, entry in enumerate(entries, 1):
             if not ref_holds(rule, below[col - 1], here[col - 1], below[col], here[col], entry):

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -9,6 +10,8 @@ from cylrsk.fillings import (
     Filling,
     boundary_points,
     boundary_type_sequence,
+    filling_to_json,
+    format_filling,
     lattice_points,
     lattice_rows,
     longest_ne_chain,
@@ -34,7 +37,15 @@ from cylrsk.growth import (
     render_diagram,
     validate_diagram,
 )
-from cylrsk.partitions import as_partition, as_staircase, contained_in, interlaces, part, size
+from cylrsk.partitions import (
+    as_partition,
+    as_staircase,
+    contained_in,
+    format_labels,
+    interlaces,
+    part,
+    size,
+)
 from cylrsk.tableaux import OscillatingTableau, SkewOscillatingTableau, mcw_sequence
 from conftest import (
     oracle_diagram_failure,
@@ -188,7 +199,7 @@ def test_grid7_full_reproduction():
     t = extract_boundary(g)
     assert t.w == GRID7_WORD and t.seq == GRID7_BOUNDARY
     assert grow_from_boundary(D3, (7,) * 7, t).filling == GRID7
-    validate_diagram(g)
+    assert validate_diagram(D3, GRID7, g.labels) == g.labels
 
 
 def test_zero_filling_grows_empty_labels():
@@ -459,7 +470,7 @@ def _nudged(rng, rule, lab):
     try:
         if rule.kind == "skew":
             return as_staircase(parts, rule.d)
-        return growth._bounded_label(rule, as_partition(parts))
+        return growth._validate_label(rule, parts)
     except DomainError:
         return None
 
@@ -888,7 +899,7 @@ def test_parse_diagram_accepts_its_own_dump_as_text(monkeypatch):
         raise AssertionError("a regrown dump has no label parsed or checked")
 
     monkeypatch.setattr(growth, "parse_partition", refuse)
-    monkeypatch.setattr(growth, "_check_labels", refuse)
+    monkeypatch.setattr(growth, "validate_diagram", refuse)
     for g, text in zip(diagrams, texts):
         assert parse_diagram(text) == g
         # whitespace aside
@@ -907,7 +918,7 @@ def test_dump_round_trips_huge_parts(monkeypatch):
         raise AssertionError("a regrown dump has no label parsed or checked")
 
     monkeypatch.setattr(growth, "parse_partition", refuse)
-    monkeypatch.setattr(growth, "_check_labels", refuse)
+    monkeypatch.setattr(growth, "validate_diagram", refuse)
     for g, text in zip(diagrams, texts):
         assert max(map(max, filter(None, g.labels[-1]))) > 2**70
         assert parse_diagram(text) == g  # every line equal as written
@@ -975,7 +986,9 @@ def test_growth_diagram_is_hashable_and_read_only():
     copy = GrowthDiagram(g.rule, g.filling, labels)
     labels[0][0] = (1,)
     assert copy.label(0, 0) == ()
-    assert copy == g and GrowthDiagram(g.rule, g.filling, labels) != g
+    assert copy == g
+    with pytest.raises(DomainError, match=r"^axis label at \(0,0\) must be empty$"):
+        GrowthDiagram(g.rule, g.filling, labels)
 
 
 def test_growth_diagram_refuses_labels_off_the_lattice():
@@ -1008,6 +1021,65 @@ def test_growth_diagram_refuses_labels_off_the_lattice():
     for bad in (lines + lines[-1:], lines[:9] + [lines[9].rsplit(" ", 1)[0]] + lines[10:]):
         with pytest.raises(FormatError, match="bad diagram: "):
             parse_diagram("\n".join(bad))
+
+
+def test_growth_diagram_derives_its_labels():
+    """Given label rows are refused unless the rule derives them, and kept as canonical tuples."""
+    f, rsk = zero_filling((1,)), Rule.rsk()
+    for rows, message in (
+        ([[(), ()], [(), (5,)]], "cell (1,1) violates rule rsk: bl=() tl=() br=() tr=(5,) entry=0"),
+        ([[(), ()], [(1,), (True, "x")]], "expected an integer, got True"),
+    ):
+        with pytest.raises(DomainError) as info:
+            GrowthDiagram(rsk, f, rows)
+        assert (type(info.value), str(info.value)) == (DomainError, message)
+    g, grown = GrowthDiagram(rsk, f, [[[], []], [[], []]]), grow_from_filling(rsk, f)
+    assert g.labels == (((), ()), ((), ())) and all(type(row) is tuple for row in g.labels)
+    assert g == grown and hash(g) == hash(grown)
+    with pytest.raises(DomainError) as info:
+        GrowthDiagram(Rule.skew(2), f)
+    assert str(info.value) == "skew diagrams are grown from path labels, not fillings"
+    with pytest.raises(PatternContainment) as info:
+        GrowthDiagram(Rule.drsk(1), Filling((2, 2), [[1, 0], [0, 1]]))
+    assert info.value.cell == (2, 2)
+    for args, message in (
+        (("rsk", f, [[(), ()], [(), ()]]), "expected Rule, got str"),
+        ((rsk, [[0]]), "expected Filling, got list"),
+    ):
+        with pytest.raises(DomainError) as info:
+            GrowthDiagram(*args)
+        assert (type(info.value), str(info.value)) == (DomainError, message)
+
+
+def test_every_diagram_round_trips_through_its_readers_and_constructor():
+    from cylrsk.growth import diagram_to_json
+
+    rng = random.Random(37)
+    diagrams = []
+    for _ in range(40):
+        f = random_filling(rng, random_shape(rng, 5, 5), density=0.6, max_entry=2)
+        for d in (1, 2, 3):
+            try:
+                diagrams.append(grow_from_filling(Rule.drsk(d), f))
+            except PatternContainment:
+                pass
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            w = random_word(rng, rows, cols)
+            t = SkewOscillatingTableau(d, w, random_skew_seq(rng, d, w))
+            diagrams.append(grow_skew(d, (cols,) * rows, t))
+        diagrams.append(grow_from_filling(Rule.rsk(), f))
+    kinds = Counter(str(g.rule) for g in diagrams)
+    assert min(kinds.values()) >= 15 and len(kinds) == 7, kinds
+    for g in diagrams:
+        copies = [
+            parse_diagram(format_diagram(g)),
+            parse_diagram(diagram_to_json(g)),
+            GrowthDiagram(g.rule, g.filling, g.labels),
+        ]
+        if g.rule.kind != "skew":
+            copies.append(GrowthDiagram(g.rule, g.filling))
+        for copy in copies:
+            assert copy == g and hash(copy) == hash(g), g
 
 
 def _regrow_forward(rule, f):
@@ -1107,7 +1179,7 @@ def test_sweeps_match_the_checked_single_cell_kernels():
                 continue
             labels = _regrow_forward(rule, f)
             assert g.labels == labels
-            validate_diagram(GrowthDiagram(rule, f, labels))
+            assert validate_diagram(rule, f, labels) == labels
             t = extract_boundary(g)
             back = grow_from_boundary(rule, f.shape, t)
             labels, filling = _regrow_backward(rule, f.shape, t)
@@ -1123,14 +1195,14 @@ def test_sweeps_match_the_checked_single_cell_kernels():
         g = grow_skew(d, (cols,) * rows, t)
         labels = _regrow_skew(d, rows, cols, t)
         assert g.labels == labels
-        validate_diagram(GrowthDiagram(g.rule, g.filling, labels))
+        assert validate_diagram(g.rule, g.filling, labels) == labels
 
 
 def _solved_skew_diagram(rng, d):
-    """Random skew axis labels, each cell's tr solved from its row equations unchecked.
+    """Rule, filling and label rows: random skew axis labels, each cell's tr solved unchecked.
 
-    The axis labels need not interlace, so only the axis check tells such a
-    diagram from a valid one.  None when some solved label is no staircase.
+    The axis labels need not interlace, so only the axis check tells such
+    rows from valid ones.  None when some solved label is no staircase.
     """
     rows, cols = rng.randint(1, 4), rng.randint(1, 4)
     labels = [[random_staircase(rng, d, -3, 3) for _ in range(cols + 1)]]
@@ -1143,11 +1215,11 @@ def _solved_skew_diagram(rng, d):
             if tr != tuple(sorted(tr, reverse=True)):
                 return None
             labels[y][x] = tr
-    return GrowthDiagram(Rule.skew(d), zero_filling((cols,) * rows), labels)
+    return Rule.skew(d), zero_filling((cols,) * rows), labels
 
 
 def _corrupted_diagrams(rng, count):
-    """Grown diagrams with 0-2 labels replaced by random ones and now and then an entry changed.
+    """Rule, filling and label rows of a grown diagram, 0-2 labels replaced and now and then an entry.
 
     About one skew diagram in four is solved from random axis labels instead.
     """
@@ -1155,60 +1227,75 @@ def _corrupted_diagrams(rng, count):
     while count:
         rule = rng.choice(rules)
         if rule.kind == "skew" and rng.random() < 0.25:
-            g = _solved_skew_diagram(rng, rule.d)
-            if g is None:
+            solved = _solved_skew_diagram(rng, rule.d)
+            if solved is None:
                 continue
+            _, filling, labels = solved
         elif rule.kind == "skew":
             rows, cols = rng.randint(1, 4), rng.randint(1, 4)
             w = random_word(rng, rows, cols)
             t = SkewOscillatingTableau(rule.d, w, random_skew_seq(rng, rule.d, w))
             g = grow_skew(rule.d, (cols,) * rows, t)
+            filling, labels = g.filling, g.labels
         else:
             shape = random_shape(rng, 5, 5) or (1,)
             try:
                 g = grow_from_filling(rule, random_filling(rng, shape, density=0.5, max_entry=2))
             except PatternContainment:
                 continue
-        labels = [list(row) for row in g.labels]
+            filling, labels = g.filling, g.labels
+        labels = [list(row) for row in labels]
         for _ in range(rng.randint(0, 2)):
             row = rng.choice(labels)
             if rule.kind == "skew":
                 row[rng.randrange(len(row))] = random_staircase(rng, rule.d, -4, 8)
             else:
                 row[rng.randrange(len(row))] = random_partition(rng, (rule.d or 3) + 1, 8)
-        entries = [list(row) for row in g.filling.rows]
+        entries = [list(row) for row in filling.rows]
         if rng.random() < 0.2:
             row = rng.choice(entries)
             row[rng.randrange(len(row))] = rng.randint(0, 2)
         count -= 1
-        yield GrowthDiagram(rule, Filling(g.shape, entries), labels)
+        yield rule, Filling(filling.shape, entries), labels
 
 
-def _refusal(check, g):
-    """The DomainError message check(g) raises, or None when it accepts g."""
+def _refusal(check, arg):
+    """The DomainError message check(arg) raises, or None when it accepts arg."""
     try:
-        check(g)
+        check(arg)
     except DomainError as exc:
         return str(exc)
     return None
 
 
 def test_validation_accepts_what_the_every_edge_oracle_accepts():
-    """Checking the axes and then each cell in order accepts exactly the valid diagrams.
+    """Checking the axes and then each cell in order accepts exactly the valid label rows.
 
-    The oracle checks every edge with interlaces before any cell; both
-    validate_diagram and the dump reader must give its verdict.  An axis edge
-    that the oracle finds first is named as such.
+    The oracle checks every edge with interlaces before any cell; the
+    constructor, the text reader and the JSON reader must each give its
+    verdict, with one message.  An axis edge that the oracle finds first is
+    named as such.
     """
     rng = random.Random(101)
     seen = Counter()
-    for g in _corrupted_diagrams(rng, 6000):
-        failure = oracle_diagram_failure(g)
+    for rule, filling, rows in _corrupted_diagrams(rng, 6000):
+        failure = oracle_diagram_failure(rule, filling, rows)
+        shape = filling.shape
+        head = f"{rule.kind} {rule.d} {len(shape)} {shape[0] if shape else 0}"
+        text = "\n".join([head, format_filling(filling), *map(format_labels(), reversed(rows))])
+        blob = {
+            "rule": rule.kind,
+            "d": rule.d,
+            **filling_to_json(filling),
+            "labels": [[list(lab) for lab in row] for row in reversed(rows)],
+        }
         refusals = [
-            _refusal(check, g)
-            for check in (validate_diagram, lambda g: parse_diagram(format_diagram(g)))
+            _refusal(partial(GrowthDiagram, rule, filling), rows),
+            _refusal(parse_diagram, text),
+            _refusal(parse_diagram, blob),
         ]
-        assert [why is None for why in refusals] == [failure is None] * 2, (g, failure)
+        assert [why is None for why in refusals] == [failure is None] * 3, (rule, filling, rows, failure)
+        assert len(set(refusals)) == 1, refusals
         kind = failure[0] if failure else "accepted"
         if kind == "edge":
             (x0, y0), (x, y) = failure[1]
