@@ -13,14 +13,19 @@ prefix of an avoider avoids both patterns, and each is cached by its
 again.  A scan is refused before it starts when an estimate of the avoiders
 it would visit passes SCAN_BUDGET, and stopped when it meets more.
 
-The pair DP steps only the reduced shapes of the size class mod d that the
-level can reach, and builds each shape's moves when a level first reaches
-it.  The trigonometric sum groups the subsets of Z_M by their distance
-histograms, built from the necklaces of their gap words.  It evaluates each
-group's term at a primitive M-th root of unity modulo primes p = 1 (mod M),
-whose product passes a proven bound on the count, and lifts the count from
-the residues by CRT; a spare prime and a second root check every lift (see
-_TrigSum).
+The pair DP keeps each shape as its bead set, a d-subset of Z_(d+L) held as
+a bitmask, on which adding a box moves one bead one site forward.  Away
+from d = L the set is turned so its lowest bead sits at site 0, the reduced
+shape; at d = L the sets lie as they are, and each state is an orbit of the
+cylindric conjugation, which there maps the sets onto themselves, so about
+half as many states are stepped.  It steps only the states of the size
+class the level can reach, and builds each state's moves when a level first
+reaches it.  The trigonometric sum groups the subsets of Z_M by their
+distance histograms, built from the necklaces of their gap words.  It
+evaluates each group's term at a primitive M-th root of unity modulo primes
+p = 1 (mod M), whose product passes a proven bound on the count, and lifts
+the count from the residues by CRT; a spare prime and a second root check
+every lift (see _TrigSum).
 """
 
 import functools
@@ -43,8 +48,9 @@ SCAN_BUDGET = 5_000_000
 # at min(d, L) = 1, one avoider a level
 SCAN_DEPTH = 64
 TRIG_TERM_BUDGET = 2_000_000
-# bound on C(d + L - 1, d - 1) * n^2: the pair DP's reduced shapes (or the trig
-# sum's subsets containing 0), stepped n times over counts of O(n) digits
+# bound on C(d + L - 1, d - 1) * n^2: the pair DP's states (reduced shapes, or
+# at d = L the C(2d - 1, d - 1) + 2^(d - 1) conjugation orbits of bead sets; or
+# the trig sum's subsets containing 0), stepped n times over counts of O(n) digits
 STEP_WORK_BUDGET = 10**10
 
 
@@ -234,77 +240,136 @@ def brute_count_involutions(n: int, d: int, L: int) -> int:
 class _Chains:
     """Width-bounded standard chains from the empty shape, one box per level.
 
-    A shape with at most d parts and first minus d-th part <= L is kept as
-    its reduced shape, its first d - 1 parts minus its d-th part.  There are
-    finitely many, and at a fixed size each one stands for exactly one shape,
-    so every level is one pass over a list of chain counts.  A reduced shape
-    has size |lambda| - d lambda_d, so level n reaches only the reduced
-    shapes of size n mod d: the states are indexed within each such class,
-    and a step maps one class's list of counts to the next class's.  The
-    graph is built as the levels reach it: a class indexes a reduced shape
-    when a step first reaches it, and a state's moves are built just before
-    the first step out of its class, so a short table builds only the shapes
-    it reaches.
+    A shape with at most d parts and first minus d-th part <= L is its bead
+    set {lambda_i + d - i mod M : i = 1..d}, a d-subset of Z_M (M = d + L)
+    kept as an M-bit mask: adding a box moves one bead one site forward into
+    a hole, and the width bound is that the top bead never wraps onto the
+    lowest.  Each level is one pass over a list of chain counts, one per
+    state, and a step maps one class's list of counts to the next class's.
+
+    Away from d = L the set is turned so that its lowest bead lies at site
+    0: that is the reduced shape (the first d - 1 parts minus the d-th), of
+    size |lambda| - d lambda_d, so level n reaches only the sets of its
+    class n mod d, and a mask has at most n + d bits.  At d = L the sets lie
+    as they are, and level n reaches only the sets of class n mod M (their
+    sites sum to n + d(d - 1)/2 mod M).  There the complement read
+    backwards, sigma(B) = {M - 1 - x : x not in B}, is the cylindric
+    conjugation: it maps d-subsets to d-subsets, fixes the start set
+    {0..d-1} and commutes with the steps, so B and sigma(B) carry the same
+    count.  So each state is an orbit {B, sigma(B)} of one member or two,
+    keyed by its least mask, and holds the count of each member.
+
+    The graph is built as the levels reach it: a class indexes a state when
+    a step first reaches it, and a state's moves are built just before the
+    first step out of its class, so a short table builds only the states it
+    reaches.
     """
 
     def __init__(self, d: int, L: int):
         # C(M - 1, d - 1) <= C(M, d): refused only where the trig sum is too
         if _comb_exceeds(L + d - 1, d - 1, TRIG_TERM_BUDGET):
             raise DomainError(f"pair DP over C({L + d - 1},{d - 1}) shapes exceeds budget")
-        self.L = L
-        start = (0,) * (d - 1)  # at d = 1 the one reduced shape is (), whatever L is
-        self.index = [{start: 0}] + [{} for _ in range(d - 1)]  # per class: shape -> state
-        self.pending = [[start]] + [[] for _ in range(d - 1)]  # per class: shapes with no moves
-        self.moves = [[] for _ in range(d)]  # per class, per state: its targets in the next class
+        self.M = d + L
+        classes = self.M if d == L else d
+        start = (1 << d) - 1  # the empty shape: beads at 0..d-1
+        self.index = [{start: 0}] + [{} for _ in range(classes - 1)]  # per class: key -> state
+        # per class: states with no moves, each a mask, or at d = L a member and its sigma
+        self.pending = [[(start, start) if d == L else start]] + [[] for _ in range(classes - 1)]
+        self.moves = [[] for _ in range(classes)]  # per class, per state: its targets in the next class
+        # per class at d = L: the one-member orbits, counted once where the others count twice
+        self.fixed = [[0]] + [[] for _ in range(classes - 1)] if d == L else None
         self.frontier = [1]
         self.values = [(1, 1)]  # per size: (chains, same-shape pairs of chains)
 
-    def _build_moves(self, cls: int) -> None:
-        """Moves of the class's pending shapes, indexing their targets in the next class.
+    def _turned_moves(self, B: int):
+        """(key, state) of the target of each move of a set whose lowest bead lies at site 0."""
+        movable = B & ~(B >> 1)
+        if B >> self.M - 1:  # the top bead at site M - 1 would wrap onto site 0
+            movable ^= 1 << self.M - 1
+        while movable:
+            b = movable & -movable
+            movable ^= b
+            # the lowest bead moving up turns the set down a site
+            C = (B ^ 3) >> 1 if b == 1 else B ^ b * 3
+            yield C, C
 
-        Once no class has a pending shape, every reachable shape has its moves
-        and the index is dropped.
+    def _folded_moves(self, state: tuple[int, int]):
+        """(key, state) of a target orbit, once per push into it from the orbit of state at d = L.
+
+        A state here is a member B of its orbit and sigma(B).  For each move
+        B -> C, the orbit {K, sigma(K)}, K = min(C, sigma(C)), gains the
+        count once for each member of B's orbit that steps into K, and
+        sigma(B) steps into K iff B steps into sigma(K).  So a two-member
+        orbit pushes once per move of B, and once more into a one-member
+        target; a one-member orbit, whose moves come in sigma pairs, pushes
+        once per target orbit.
         """
-        d, L = len(self.moves), self.L
+        B, sB = state
+        top = 1 << self.M - 1
+        movable = B & ~(B >> 1 | (B & 1) * top)  # beads whose next site mod M is a hole
+        while movable:
+            b = movable & -movable
+            movable ^= b
+            # sigma turns the move x -> x + 1 of B into M - 2 - x -> M - 1 - x of sigma(B)
+            r = top // b
+            C, sC = B ^ b ^ (b << 1 if b < top else 1), sB ^ r ^ (r >> 1 or top)
+            if C <= sC:
+                yield C, (C, sC)
+            if C >= sC and B != sB:
+                yield sC, (sC, C)
+
+    def _build_moves(self, cls: int) -> None:
+        """Moves of the class's pending states, indexing their targets in the next class.
+
+        Once no class has a pending state, every reachable state has its moves
+        and the index is dropped.  self.fixed, set at d = L only, also says
+        which frame the moves are made in.
+        """
+        classes = len(self.moves)
         todo, self.pending[cls] = self.pending[cls], []
-        index, pending = self.index[(cls + 1) % d], self.pending[(cls + 1) % d]
-        for mu in todo:
-            targets = [
-                mu[:i] + (mu[i] + 1,) + mu[i + 1 :]
-                for i in range(d - 1)
-                if ((mu[i - 1] > mu[i]) if i else mu[0] < L)
-            ]
-            if d == 1 or mu[-1] > 0:  # a box in row d lowers every reduced part
-                targets.append(tuple(p - 1 for p in mu))
+        nxt = (cls + 1) % classes
+        index, pending = self.index[nxt], self.pending[nxt]
+        moves = self._folded_moves if self.fixed else self._turned_moves
+        for state in todo:
             row = []
-            for nu in targets:
-                t = index.get(nu)
+            for key, target in moves(state):
+                t = index.get(key)
                 if t is None:
-                    t = index[nu] = len(index)
-                    pending.append(nu)
+                    t = index[key] = len(index)
+                    pending.append(target)
+                    if self.fixed and target[0] == target[1]:
+                        self.fixed[nxt].append(t)
                 row.append(t)
             self.moves[cls].append(row)
         if not any(self.pending):
             self.index = None
 
     def step(self) -> None:
-        n, d = len(self.values) - 1, len(self.moves)
+        n, classes = len(self.values) - 1, len(self.moves)
         if self.index:
-            self._build_moves(n % d)
+            self._build_moves(n % classes)
         # the next class's states: those with moves and those still pending
-        nxt = [0] * (len(self.moves[(n + 1) % d]) + len(self.pending[(n + 1) % d]))
-        for ways, targets in zip(self.frontier, self.moves[n % d]):
+        cls = (n + 1) % classes
+        nxt = [0] * (len(self.moves[cls]) + len(self.pending[cls]))
+        for ways, targets in zip(self.frontier, self.moves[n % classes]):
             if ways:
                 for t in targets:
                     nxt[t] += ways
         self.frontier = nxt
-        self.values.append((sum(nxt), sum([w * w for w in nxt])))
+        chains, pairs = sum(nxt), sum([w * w for w in nxt])
+        if self.fixed:  # each two-member orbit stands for two sets of one count
+            ones = [nxt[t] for t in self.fixed[cls]]
+            chains, pairs = 2 * chains - sum(ones), 2 * pairs - sum([w * w for w in ones])
+        self.values.append((chains, pairs))
 
 
 def _stepped_value(make, lock, n: int, d: int, L: int):
     """values[n] of the cached state that make gives, stepped up to n.
 
-    The counts are symmetric in (d, L), so the state is made at (min, max).
+    The counts are symmetric in (d, L), since cylindric conjugation maps the
+    (d, L) shapes onto the (L, d) ones, so the state is made at (min, max).
+    At d = L that conjugation maps the one alcove onto itself, and _Chains
+    folds its states by it.
     """
     with lock:
         state = make(*sorted((d, L)))

@@ -423,6 +423,15 @@ def _run_capped(argv: str, stdin, cap: int):
             None,
         ),
         ("count --routes pairs --d 20000 --L 1 --n-max 2", 0, "2      1     ok\n", None),
+        # away from d = L a bead set is turned to its lowest bead, so its mask
+        # holds O(n) bits, not d + L
+        ("count --routes pairs --d 1 --L 100000000 --n-max 1000", 0, "1000      1     ok\n", None),
+        (
+            "count --routes pairs --d 2 --L 1000000 --n-max 90",
+            0,
+            "90  1000134600800354781929399250536541864362461089950800     ok\n",  # Catalan(90)
+            None,
+        ),
         ("count --routes pairs --d 200 --L 3 --n-max 3", 0, "3      6     ok\n", None),
         ("count --routes brute --d 100000000 --L 100000000 --n-max 3", 0, "3      6     ok\n", None),
         ("count --routes trig --d 1200 --L 1 --n-max 3", 0, "3     1     ok\n", None),

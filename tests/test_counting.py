@@ -557,36 +557,54 @@ def test_pair_dp_over_live_classes_matches_a_shape_dp():
             assert chains.values == _shape_chain_levels(d, L, 40), (d, L)
 
 
+def test_pair_dp_folded_at_d_equal_L_matches_a_shape_dp():
+    # at n = 6d every one of the 2d classes has been built and revisited
+    for d in range(1, 7):
+        chains = _Chains(d, d)
+        for _ in range(6 * d):
+            chains.step()
+        assert chains.fixed is not None and chains.values == _shape_chain_levels(d, d, 6 * d), d
+    # the chain counts weigh each orbit by its size, and equal the involution counts
+    for d in (2, 3, 4):
+        for n in range(1, 11):
+            assert cylindric_syt_count(n, d, d) == brute_count_involutions(n, d, d), (n, d)
+
+
 def test_pair_dp_builds_only_the_shapes_its_levels_reach():
     # (7, 8) to n = 16 indexes 518 of its 3003 reduced shapes, 424 with moves
     chains = _Chains(7, 8)
     for _ in range(16):
         chains.step()
     assert (sum(map(len, chains.moves)), sum(map(len, chains.pending))) == (424, 94)
-    # (8, 8) has built every state's moves by n = 57 and drops its index
+    # (8, 8) keeps one state per conjugation orbit of its C(16, 8) bead sets,
+    # 2^8 of them fixed; it has built every orbit's moves by n = 65 and drops its index
     chains = _Chains(8, 8)
-    for _ in range(57):
+    for _ in range(64):
         chains.step()
-    assert sum(map(len, chains.moves)) == math.comb(15, 7) and chains.index is None
+    assert chains.index is not None
+    chains.step()
+    assert sum(map(len, chains.moves)) == (math.comb(16, 8) + 2**8) // 2 == 6563
+    assert chains.index is None
 
 
 def test_pair_counts_agree_across_threads_on_a_cold_cache():
-    ns = (117, 118, 119, 120)
+    # (4, 4) builds conjugation orbits, (3, 4) reduced shapes, under one lock
+    cases = [(n, d, L) for d, L in ((3, 4), (4, 4)) for n in (117, 118, 119, 120)]
     counting._chains.cache_clear()
     counting._trig_sums.cache_clear()
-    serial = [(tableau_pair_count(n, 3, 4), trig_count(n, 3, 4)) for n in ns]
+    serial = [(tableau_pair_count(*case), trig_count(*case)) for case in cases]
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads often, so an unguarded cache races
     try:
         for _ in range(20):
             counting._chains.cache_clear()
             counting._trig_sums.cache_clear()
-            out = [None] * len(ns)
+            out = [None] * len(cases)
 
             def work(i):
-                out[i] = (tableau_pair_count(ns[i], 3, 4), trig_count(ns[i], 3, 4))
+                out[i] = (tableau_pair_count(*cases[i]), trig_count(*cases[i]))
 
-            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(ns))]
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(cases))]
             for t in threads:
                 t.start()
             for t in threads:
