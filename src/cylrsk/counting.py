@@ -23,9 +23,11 @@ class the level can reach, and builds each state's moves when a level first
 reaches it.  The trigonometric sum groups the subsets of Z_M by their
 distance histograms, built from the necklaces of their gap words.  It
 evaluates each group's term at a primitive M-th root of unity modulo primes
-p = 1 (mod M), whose product passes a proven bound on the count, and lifts
-the count from the residues by CRT; a spare prime and a second root check
-every lift (see _TrigSum).
+p = 1 (mod M), held in chunks of a few hundred bits whose product passes a
+proven bound on the count.  Each chunk steps its own terms, and each level
+lifts its count from the chunks' sums by CRT; the first chunk covers the
+level the caller asked for, so a short table evaluates the groups once, and
+a spare prime and a second root check every lift (see _TrigSum).
 """
 
 import functools
@@ -35,7 +37,8 @@ import threading
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain, count, islice, repeat
+from itertools import accumulate, chain, count, repeat
+from operator import mul
 
 from .errors import DomainError, InvariantViolation
 from .fillings import _lis
@@ -407,7 +410,8 @@ def _distance_groups(d: int, M: int) -> dict[tuple[tuple[int, int], ...], int]:
     necklace's first gap is its least, which bounds the gaps still to come.
     The histogram is packed into one int, one field per distance, and each
     new element adds the distances to the elements before it, so a prefix's
-    key is shared by every word that extends it.
+    key is shared by every word that extends it.  A key is read from its
+    top field down: each field is the key shifted by its place, with no mask.
     """
     width = (d * (d - 1) // 2).bit_length()
     row = [1 << width * min(b, M - b) for b in range(M)]  # the key of one pair at distance b
@@ -432,15 +436,15 @@ def _distance_groups(d: int, M: int) -> dict[tuple[tuple[int, int], ...], int]:
             elements.pop()
 
     extend(1, 1, 0)
-    field = (1 << width) - 1
     groups = {}
     for key, size in keys.items():
         hist = []
         while key:
-            k = ((key & -key).bit_length() - 1) // width  # the least distance left
-            mk = key >> k * width & field
+            k = (key.bit_length() - 1) // width  # the largest distance left
+            mk = key >> k * width
             hist.append((k, mk))
             key -= mk << k * width
+        hist.reverse()
         groups[tuple(hist)] = size
     return groups
 
@@ -512,21 +516,36 @@ class _TrigSum:
 
     For a prime p = 1 (mod M) and a primitive M-th root w mod p, x -> w maps
     Z[zeta] = Z[x]/(Phi_M) into Z/p, so it maps c_n to c_n mod p.  Modulo a
-    product Q of such primes, the root whose residue mod each prime is that
-    prime's w does the same for c_n mod Q.  There each group is two
-    residues, lambda_T (|z_T|^2 at the root) and size * V(T); groups with
-    equal lambda_T are merged, and a step multiplies each merged value by
-    its lambda_T.  The lifting primes' product P passes twice _count_bound,
-    so c_n is the sum's residue mod P taken into (-P/2, P/2].  When the bound
-    outgrows that, primes join and the sum is evaluated again at level n; a
-    join covers the bound at level 2n, so joins come at doubling levels.
+    product q of such primes, the root whose residue mod each prime is that
+    prime's w does the same for c_n mod q.  The lifting primes are held in
+    chunks, each such a q with its own root.  Modulo a chunk each group is
+    two residues, lambda_T (|z_T|^2 at the root) and size * V(T); groups
+    with equal lambda_T are merged, and a step multiplies each merged value
+    by its lambda_T mod its chunk.  The values of every chunk lie in one
+    flat list, stepped in one pass.  The product P of the lifting primes
+    passes twice _count_bound, so c_n is the sum's residue mod P taken into
+    (-P/2, P/2]; each level lifts only its total, as the sum over chunks of
+    the chunk's sum times its CRT idempotent.
 
-    A spare prime p checks every lift.  The sum is kept mod Q = P p, and the
-    lift must agree with its residue mod p; and mod p it is kept at w^a too,
-    for the least unit a != +-1 of Z_M, where it must equal the sum at w
-    (x -> x^a permutes the groups, so it fixes the whole sum; such a unit
-    exists unless M is 1, 2, 3, 4 or 6).  A lift that fails either check,
-    or that is negative or not a multiple of den, raises InvariantViolation.
+    When the bound at level n outgrows P, one chunk joins and the groups are
+    evaluated modulo it alone, at level n, while the chunks already held
+    keep stepping.  A chunk takes primes until P covers the bound at the
+    highest level a caller asked for (asked, which trig_count records
+    before stepping) or at level 2n if that is higher, or until it holds
+    self.bits bits.  So a table to n = 30 evaluates the groups once, modulo
+    one chunk; a long one adds a chunk of about self.bits bits each time
+    the bound passes P, and steps no modulus much wider; and callers that
+    ask for one level at a time get joins at doubling levels.  Without a
+    unit a (below), where every lambda_T is a small integer, a chunk has
+    no cap.
+
+    A spare prime p checks every lift.  It is the first chunk's first
+    prime, so the sum is kept mod Q = P p and the lift must agree with its
+    residue mod p; and mod p it is kept at w^a too, for the least unit
+    a != +-1 of Z_M, where it must equal the sum at w (x -> x^a permutes
+    the groups, so it fixes the whole sum; such a unit exists unless M is
+    1, 2, 3, 4 or 6).  A lift that fails either check, or that is negative
+    or not a multiple of den, raises InvariantViolation.
     """
 
     def __init__(self, d: int, L: int):
@@ -539,19 +558,33 @@ class _TrigSum:
         self.reach = max(hist[-1][0] if hist else 0 for hist in groups)  # the largest distance
         self.den = d * M ** (d - 1)  # N = c * M / (d * M^d)
         self.roots = _roots(M)
-        self.spare, w = next(self.roots)
+        self.spare, self.spare_root = next(self.roots)
+        self.unit = next((a for a in range(2, M - 1) if math.gcd(a, M) == 1), None)
+        # the width at which a chunk takes no more primes.  A level costs one
+        # product per merged value and chunk (the value by its lambda_T, mod
+        # the chunk) and one per chunk (its sum by its CRT idempotent).  Where
+        # lambda_T is a residue as wide as its chunk, widths of 192 to 384 bits
+        # were the fastest of 128 to 4096, with 2 to 130 merged values (Python
+        # 3.11.7, 2-core Intel Xeon host).  Where Z_M has no unit a, every
+        # lambda_T is an integer in [0, d^2]: a product costs only the chunk's
+        # width, a second chunk only adds the CRT, and one chunk covers the
+        # level asked whole
+        self.bits = 256 if self.unit else math.inf
+        self.asked = 0  # the highest level a caller has asked for
         self.lift = 1  # P, the product of the lifting primes
-        self.root = w  # a primitive M-th root of unity mod Q = P p
-        self.values = []
-        # (q, merged lambda_T, their values): mod Q, set by the first join, then
-        # mod p at w^a for the least unit a != +-1 of Z_M, where there is one
-        units = islice((a for a in range(2, M - 1) if math.gcd(a, M) == 1), 1)
-        self.sums = [None] + [self._evaluate(self.spare, pow(w, a, self.spare)) for a in units]
-        self.values.append(self._count())
+        self.modulus = 1  # Q = P p, the product of the chunks' moduli
+        self.moduli = []  # per chunk: the product of its primes; the first holds the spare
+        self.basis = []  # per chunk: its CRT idempotent mod Q
+        # flat over the sum mod p at w^a, if a exists, then each chunk's: the
+        # merged lambda_T, their values and their moduli; chunk i is cuts[i]:cuts[i + 1]
+        self.lams, self.terms, self.mods = [], [], []
+        self.cuts = [0]
+        self.values = []  # the first step counts level 0
 
-    def _evaluate(self, q: int, w: int):
-        """(q, lambdas, values) at the root w mod q: each distinct lambda_T mod q,
-        and the sum of size * V(T) lambda_T^n over the groups that share it."""
+    def _evaluate(self, q: int, w: int) -> None:
+        """Append to the flat lists, at the root w mod q, each distinct lambda_T
+        mod q, the sum of size * V(T) lambda_T^n over the groups that share
+        it, and q."""
         n, width = len(self.values), self.width
         up = accumulate(repeat(w, self.reach), lambda x, y: x * y % q, initial=1)
         down = accumulate(repeat(pow(w, -1, q), self.reach), lambda x, y: x * y % q, initial=1)
@@ -564,29 +597,45 @@ class _TrigSum:
             lam = (self.d + sum(map(lam_parts.__getitem__, parts))) % q
             v = size * math.prod(map(v_parts.__getitem__, parts))
             merged[lam] = merged.get(lam, 0) + v
-        return q, list(merged), [v * pow(lam, n, q) % q for lam, v in merged.items()]
+        self.lams += merged
+        self.terms += [v * pow(lam, n, q) % q for lam, v in merged.items()]
+        self.mods += repeat(q, len(merged))
 
-    def _join(self, bound: int) -> None:
-        """Fold primes into the lift until P passes 2 * bound, and evaluate there."""
-        while self.lift <= 2 * bound:
+    def _join(self) -> None:
+        """Add a chunk of primes that covers the bound at the level asked (or
+        at 2n), or self.bits bits of it, and evaluate the groups modulo it at
+        level n."""
+        n = len(self.values)
+        goal = 2 * _count_bound(max(2 * n, self.asked), self.d, self.den)
+        q, root = 1, 0
+        if not self.moduli:  # the first chunk holds the spare prime, and brings the sum at w^a
+            q, root = self.spare, self.spare_root
+            if self.unit:
+                self._evaluate(q, pow(root, self.unit, q))
+            self.cuts[0] = len(self.terms)
+        while self.lift <= goal and q.bit_length() < self.bits:
             p, w = next(self.roots)
-            Q = self.lift * self.spare
-            self.root += Q * ((w - self.root) * pow(Q, -1, p) % p)
+            root += q * ((w - root) * pow(q, -1, p) % p)
+            q *= p
             self.lift *= p
-        self.sums[0] = self._evaluate(self.lift * self.spare, self.root)
+        self._evaluate(q, root)
+        self.cuts.append(len(self.terms))
+        self.moduli.append(q)
+        self.modulus = Q = self.lift * self.spare
+        self.basis = [Q // m * pow(Q // m, -1, m) for m in self.moduli]
 
     def _count(self) -> int:
         n = len(self.values)
-        if self.lift <= 2 * _count_bound(n, self.d, self.den):
-            # cover the bound at 2n, so that joins come at doubling levels
-            self._join(_count_bound(2 * n, self.d, self.den))
-        (Q, _, values), *galois = self.sums
-        total, P, p = sum(values) % Q, self.lift, self.spare
+        while self.lift <= 2 * _count_bound(n, self.d, self.den):
+            self._join()
+        terms, cuts = self.terms, self.cuts
+        sums = [sum(terms[a:b]) for a, b in zip(cuts, cuts[1:])]
+        total, P, p = sum(map(mul, sums, self.basis)) % self.modulus, self.lift, self.spare
         c = total % P
         if c > P // 2:
             c -= P
         where = f"trigonometric sum at (d, M) = ({self.d}, {self.M}), n = {n}, mod {p}"
-        if any(sum(other) % p != total % p for _, _, other in galois):
+        if self.unit and sum(terms[: cuts[0]]) % p != total % p:
             raise InvariantViolation(f"{where}: the sum at a power of w differs from the sum at w")
         if (total - c) % p:
             raise InvariantViolation(f"{where}: the spare prime disagrees with the lift {c}")
@@ -595,10 +644,7 @@ class _TrigSum:
         return c // self.den
 
     def step(self) -> None:
-        self.sums = [
-            (q, lams, [v * lam % q for v, lam in zip(values, lams)])
-            for q, lams, values in self.sums
-        ]
+        self.terms = [v * lam % q for v, lam, q in zip(self.terms, self.lams, self.mods)]
         self.values.append(self._count())
 
 
@@ -613,24 +659,30 @@ def trig_count(n: int, d: int, L: int) -> int:
     roots of unity, where z_S is the subset sum and V the squared Vandermonde
     spread; the total is divided by M^d.  Tuples with repeated roots vanish,
     so summing subsets and cancelling d! against the orbit size is exact.
-    The sum is evaluated at a primitive M-th root of unity modulo primes
-    p = 1 (mod M), and the count is lifted from the residues by CRT.  A lift
-    that a spare prime or a second root refuses, or that is not a count,
-    raises InvariantViolation.
+    The sum is evaluated at a primitive M-th root of unity modulo chunks of
+    primes p = 1 (mod M), the first of them sized to the count at n, and the
+    count is lifted from the residues by CRT.  A lift that a spare prime or
+    a second root refuses, or that is not a count, raises InvariantViolation.
     """
     _check_params(n, d, L)
     M = d + L
-    # the work is about necklaces x primes: about C(M, d) / M necklaces of
-    # gap words give the groups, and each group is evaluated at every join,
-    # and its merged value stepped at every level, modulo a product of
-    # primes whose digits grow with n (held by STEP_WORK_BUDGET).  The limits
+    # the work is about necklaces x chunks: about C(M, d) / M necklaces of
+    # gap words give the groups, each group is evaluated once per chunk of
+    # primes, and each merged value stepped at every level modulo each chunk
+    # held, whose count grows with the digits of the count bound at n (held
+    # by STEP_WORK_BUDGET); each level lifts its total across them.  The limits
     # on C(M, d) are the route's old ones: C(M, d) itself at most
     # TRIG_TERM_BUDGET, and C(M, d) * M^2 at most TRIG_TERM_BUDGET^2 / 4 =
     # 10^12, which is loose for this cost (at d = 1 it refuses M >= 10^4,
     # one necklace) and keeps the refusals where they were
     if _comb_exceeds(M, d, min(TRIG_TERM_BUDGET, TRIG_TERM_BUDGET**2 // (4 * M * M))):
         raise DomainError(f"trigonometric sum over C({M},{d}) subsets exceeds budget")
-    return _stepped_value(_trig_sums, _TRIG_LOCK, n, d, L)
+    with _TRIG_LOCK:  # as _stepped_value, once the level asked is recorded
+        state = _trig_sums(*sorted((d, L)))
+        state.asked = max(state.asked, n)
+        while len(state.values) <= n:
+            state.step()
+        return state.values[n]
 
 
 # At k = min(d, L), sin x <= x and M >= 2k bound the log-constant by

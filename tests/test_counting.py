@@ -469,6 +469,7 @@ def test_trig_matches_pairs_as_primes_join():
     for d, L, n_max in ((1, 1, 400), (2, 2, 400), (3, 3, 400), (8, 8, 120)):
         trig, pairs = _TrigSum(d, L), _Chains(d, L)
         lifts = {trig.lift}
+        trig.step()  # level 0
         for n in range(1, n_max + 1):
             trig.step()
             pairs.step()
@@ -478,6 +479,53 @@ def test_trig_matches_pairs_as_primes_join():
         assert trig.values == [pair for _, pair in pairs.values], (d, L)
         if d > 1:
             assert len(lifts) > 3, (d, L, len(lifts))
+
+
+def _counted_evaluations(monkeypatch):
+    """A cold trig cache whose group evaluations are recorded, one modulus each."""
+    moduli = []
+    evaluate = _TrigSum._evaluate
+
+    def counted(self, q, w):
+        moduli.append(q)
+        evaluate(self, q, w)
+
+    monkeypatch.setattr(_TrigSum, "_evaluate", counted)
+    monkeypatch.setattr(counting, "_trig_sums", functools.cache(_TrigSum))
+    return moduli
+
+
+def test_trig_evaluates_the_groups_once_per_chunk(monkeypatch):
+    moduli = _counted_evaluations(monkeypatch)
+    # the first chunk covers the level asked: the spare prime's second root,
+    # then the one chunk
+    trig_count(16, 6, 9)
+    state = counting._trig_sums(6, 9)
+    assert len(moduli) == 2 and state.moduli == moduli[1:]
+    assert moduli[0] == state.spare
+    # past the chunk width, chunks join as the levels need them, and none is wider
+    moduli.clear()
+    trig_count(400, 8, 8)
+    state = counting._trig_sums(8, 8)
+    assert len(moduli) == len(state.moduli) + 1 and len(state.moduli) > 3
+    assert all(q.bit_length() < state.bits + 31 for q in state.moduli)
+
+
+def test_trig_joins_chunks_on_a_warm_cache(monkeypatch):
+    moduli = _counted_evaluations(monkeypatch)
+    assert count_table(8, 8, 16, ("trig",)).consistent()
+    state = counting._trig_sums(8, 8)
+    assert len(state.moduli) == 1 and len(moduli) == 2
+    # the levels past 16 join chunks of their own beside the first
+    table = count_table(8, 8, 300, ("pairs", "trig"))
+    assert table.consistent() and len(moduli) == len(state.moduli) + 1 >= 4
+    # without a second root (M = 6) every lambda_T is a small integer, and
+    # the one chunk the larger level joins is as wide as that level asks
+    moduli.clear()
+    count_table(3, 3, 16, ("trig",))
+    table = count_table(3, 3, 700, ("pairs", "trig"))
+    assert table.consistent() and moduli == counting._trig_sums(3, 3).moduli
+    assert len(moduli) == 2 and moduli[1].bit_length() > 2000  # 9^700 has 2219 bits
 
 
 def _shape_chain_levels(d, L, n_max):
