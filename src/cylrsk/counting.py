@@ -530,7 +530,7 @@ class _TrigSum:
     When the bound at level n outgrows P, one chunk joins and the groups are
     evaluated modulo it alone, at level n, while the chunks already held
     keep stepping.  A chunk takes primes until P covers the bound at the
-    highest level a caller asked for (asked, which trig_count records
+    highest level a caller asked for (asked, which trig_count records with ask
     before stepping) or at level 2n if that is higher, or until it holds
     self.bits bits.  So a table to n = 30 evaluates the groups once, modulo
     one chunk; a long one adds a chunk of about self.bits bits each time
@@ -643,6 +643,11 @@ class _TrigSum:
             raise InvariantViolation(f"{where}: the lift {c} is not a count times {self.den}")
         return c // self.den
 
+    def ask(self, n: int) -> "_TrigSum":
+        """Record that a caller asks for level n, before stepping to it."""
+        self.asked = max(self.asked, n)
+        return self
+
     def step(self) -> None:
         self.terms = [v * lam % q for v, lam, q in zip(self.terms, self.lams, self.mods)]
         self.values.append(self._count())
@@ -677,12 +682,7 @@ def trig_count(n: int, d: int, L: int) -> int:
     # one necklace) and keeps the refusals where they were
     if _comb_exceeds(M, d, min(TRIG_TERM_BUDGET, TRIG_TERM_BUDGET**2 // (4 * M * M))):
         raise DomainError(f"trigonometric sum over C({M},{d}) subsets exceeds budget")
-    with _TRIG_LOCK:  # as _stepped_value, once the level asked is recorded
-        state = _trig_sums(*sorted((d, L)))
-        state.asked = max(state.asked, n)
-        while len(state.values) <= n:
-            state.step()
-        return state.values[n]
+    return _stepped_value(lambda *k: _trig_sums(*k).ask(n), _TRIG_LOCK, n, d, L)
 
 
 # At k = min(d, L), sin x <= x and M >= 2k bound the log-constant by

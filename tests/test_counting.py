@@ -468,8 +468,8 @@ def test_trig_matches_pairs_as_primes_join():
     # primes join the lift as the count bound grows; the counts must not notice
     for d, L, n_max in ((1, 1, 400), (2, 2, 400), (3, 3, 400), (8, 8, 120)):
         trig, pairs = _TrigSum(d, L), _Chains(d, L)
-        lifts = {trig.lift}
         trig.step()  # level 0
+        lifts = {trig.lift}
         for n in range(1, n_max + 1):
             trig.step()
             pairs.step()
